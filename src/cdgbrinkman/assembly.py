@@ -58,27 +58,47 @@ class BrinkmanProblem:
         raise ValueError("kappa_inv must return (n,) or (n, 2, 2) values")
 
     def validate_kappa(self, points, rtol=1e-12):
-        """Sample kappa^{-1}: positive (scalar) or SPD (tensor) everywhere.
+        """Sample kappa^{-1}: finite and positive (scalar) or SPD (tensor).
 
         Returns the sampled eigenvalue range (lambda_min, lambda_max).
         """
         v, tensor = self.kappa_inv_at(points)
-        if not tensor:
-            if np.any(v <= 0.0):
-                bad = np.argmax(v <= 0.0)
-                raise ValueError(
-                    f"kappa_inv nonpositive at point {points[bad]}")
-            return float(v.min()), float(v.max())
-        asym = np.abs(v[:, 0, 1] - v[:, 1, 0])
-        scale = np.abs(v).max(axis=(1, 2))
-        if np.any(asym > rtol * np.maximum(scale, 1.0)):
-            bad = np.argmax(asym > rtol * np.maximum(scale, 1.0))
-            raise ValueError(f"kappa_inv not symmetric at point {points[bad]}")
-        eig = np.linalg.eigvalsh(0.5 * (v + v.transpose(0, 2, 1)))
-        if np.any(eig[:, 0] <= 0.0):
-            bad = np.argmax(eig[:, 0] <= 0.0)
-            raise ValueError(f"kappa_inv not positive definite at {points[bad]}")
-        return float(eig[:, 0].min()), float(eig[:, 1].max())
+        return _kappa_range(v, tensor, points, rtol=rtol)
+
+
+def _kappa_range(v, tensor, points, where="", rtol=1e-12):
+    """Eigenvalue range of kappa^{-1} values v sampled at points.
+
+    Raises ValueError, naming ``where`` and the first offending point, for
+    a non-finite or nonpositive scalar, or a tensor that is non-finite,
+    unsymmetric or not positive definite.
+    """
+    if not tensor:
+        lo, hi = float(v.min()), float(v.max())
+        if lo > 0.0 and hi < np.inf:  # false too when v holds a NaN
+            return lo, hi
+        bad = np.argmin(np.isfinite(v) & (v > 0.0))
+        kind = "nonpositive" if np.isfinite(v[bad]) else "non-finite"
+        raise ValueError(
+            f"{kind} kappa_inv {v[bad]} {where}at point {points[bad]}")
+    finite = np.isfinite(v).all(axis=(1, 2))
+    if not finite.all():
+        bad = np.argmin(finite)
+        raise ValueError(
+            f"non-finite kappa_inv {v[bad].tolist()} {where}at point "
+            f"{points[bad]}")
+    asym = np.abs(v[:, 0, 1] - v[:, 1, 0])
+    scale = np.abs(v).max(axis=(1, 2))
+    if np.any(asym > rtol * np.maximum(scale, 1.0)):
+        bad = np.argmax(asym > rtol * np.maximum(scale, 1.0))
+        raise ValueError(
+            f"kappa_inv not symmetric {where}at point {points[bad]}")
+    eig = np.linalg.eigvalsh(0.5 * (v + v.transpose(0, 2, 1)))
+    if np.any(eig[:, 0] <= 0.0):
+        bad = np.argmax(eig[:, 0] <= 0.0)
+        raise ValueError(
+            f"kappa_inv not positive definite {where}at point {points[bad]}")
+    return float(eig[:, 0].min()), float(eig[:, 1].max())
 
 
 class _Coo:
@@ -120,16 +140,24 @@ def _pressure_indices(disc, op):
 
 
 def assemble_a(disc, problem):
-    """Velocity block A (SPD) and the boundary-lifting contribution to F."""
+    """Velocity block A (SPD) and the boundary-lifting contribution to F.
+
+    Raises ValueError for a viscosity that is not finite and positive, and
+    for kappa^{-1} values at the cell quadrature points that are not finite
+    and positive (SPD for a tensor), naming the cell and the point.
+    """
     n_u = disc.n_velocity_dofs
     acc = _Coo()
     lift = np.zeros(n_u)
     mu = problem.mu
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"viscosity mu must be finite and positive, got {mu}")
     for c in range(disc.mesh.n_cells):
         ctx = disc.contexts[c]
         op = disc.vel_grad[c]
         visc = mu * (op.Zx.T @ op.Zx + op.Zy.T @ op.Zy)
         kv, tensor = problem.kappa_inv_at(ctx.rule.points)
+        _kappa_range(kv, tensor, ctx.rule.points, where=f"in cell {c} ")
         vals = ctx.block_k.vals
         w = ctx.rule.weights
         own = [np.arange(disc.velocity_slice(c, comp).start,

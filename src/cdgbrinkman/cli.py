@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,6 +67,11 @@ def _parse_levels(spec):
         raise ConfigError(f"--levels end {hi} is not {lo} times a power of 2")
     levels.append(hi)
     return levels
+
+
+def _check_positive(flag, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{flag} must be finite and positive, got {value}")
 
 
 def _mesh_factory(spec):
@@ -135,6 +141,8 @@ def cmd_converge(args):
         raise ConfigError("converge needs a refinable family (tri|rect|poly), "
                           "not --mesh file:PATH")
     levels = _parse_levels(args.levels)
+    _check_positive("--mu", args.mu)
+    _check_positive("--a", args.a)
     problem = example1(mu=args.mu, a=args.a)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -157,6 +165,8 @@ def cmd_converge(args):
 
 def cmd_solve(args):
     factory = _mesh_factory(args.mesh)
+    _check_positive("--mu", args.mu)
+    _check_positive("--a", args.a)
     if factory is not None:
         mesh = factory(args.n)
     else:
@@ -164,7 +174,10 @@ def cmd_solve(args):
     if args.kappa_raster is not None:
         if not Path(args.kappa_raster).exists():
             raise ConfigError(f"--kappa-raster file not found: {args.kappa_raster}")
-        kappa = load_kappa_raster(args.kappa_raster)
+        try:
+            kappa = load_kappa_raster(args.kappa_raster)
+        except ValueError as exc:
+            raise ConfigError(f"--kappa-raster {args.kappa_raster}: {exc}")
         print(f"kappa^-1 range: [{kappa.vmin:.4g}, {kappa.vmax:.4g}]")
         problem = cavity_problem(kappa, mu=args.mu)
     else:

@@ -199,11 +199,12 @@ class RasterKappa:
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 2:
             raise ValueError("raster grid must be 2D")
-        if np.any(self.grid <= 0.0):
-            r, c = np.unravel_index(np.argmax(self.grid <= 0.0),
-                                    self.grid.shape)
+        ok = np.isfinite(self.grid) & (self.grid > 0.0)
+        if not ok.all():
+            r, c = np.unravel_index(np.argmin(ok), self.grid.shape)
             raise ValueError(
-                f"nonpositive kappa_inv at raster row {r}, col {c}")
+                f"kappa_inv {self.grid[r, c]} at raster row {r}, col {c} "
+                "is nonpositive or not finite")
         self.rows, self.cols = self.grid.shape
 
     def __call__(self, pts):

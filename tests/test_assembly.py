@@ -351,3 +351,41 @@ def test_kappa_validation_rejects_nonpositive():
     pts = np.array([[0.1, 0.5], [0.9, 0.5]])
     with pytest.raises(ValueError, match="nonpositive"):
         problem.validate_kappa(pts)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_kappa_validation_rejects_non_finite(value):
+    problem = unit_problem(kappa0=value)
+    pts = np.array([[0.1, 0.5], [0.9, 0.5]])
+    with pytest.raises(ValueError, match=r"non-finite kappa_inv .* \[0\.1 0\.5\]"):
+        problem.validate_kappa(pts)
+
+
+@pytest.mark.parametrize("kappa0", [np.nan, np.inf, 0.0, -1.0])
+def test_assembly_rejects_bad_kappa_naming_cell(kappa0):
+    disc = Discretization(generate_uniform_rectangular(2), 1)
+    with pytest.raises(ValueError, match="kappa_inv .*in cell 0 at point"):
+        assemble_system(disc, unit_problem(kappa0=kappa0))
+
+
+def test_assembly_rejects_indefinite_kappa_tensor():
+    def kappa_inv(pts):
+        out = np.zeros((len(pts), 2, 2))
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = np.where(pts[:, 0] > 0.5, -1.0, 1.0)
+        return out
+
+    def zero(pts):
+        return np.zeros((len(pts), 2))
+
+    problem = BrinkmanProblem(mu=1.0, kappa_inv=kappa_inv, f=zero, g=zero)
+    disc = Discretization(generate_uniform_rectangular(2), 1)
+    with pytest.raises(ValueError, match="not positive definite in cell 1"):
+        assemble_system(disc, problem)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+def test_assembly_rejects_bad_mu(mu):
+    disc = Discretization(generate_uniform_rectangular(2), 1)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        assemble_system(disc, unit_problem(mu=mu))

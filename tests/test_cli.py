@@ -73,6 +73,24 @@ def test_solve_missing_raster_exit_2(tmp_path, capsys):
     assert "--kappa-raster" in err
 
 
+@pytest.mark.parametrize("entry", ["0", "nan"])
+def test_solve_bad_raster_entry_exit_2(tmp_path, capsys, entry):
+    raster = tmp_path / "k.csv"
+    raster.write_text(f"2 2\n1 {entry}\n3 4\n")
+    code = main(["solve", "--mesh", "rect", "--n", "2", "--kappa-raster",
+                 str(raster), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--kappa-raster" in err and "row 0, col 1" in err
+
+
+def test_solve_negative_mu_exit_2(tmp_path, capsys):
+    code = main(["solve", "--mesh", "rect", "--n", "2", "--mu", "-1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
 def test_solve_from_mesh_file(tmp_path):
     mesh = generate_uniform_triangular(4)
     mpath = tmp_path / "m.txt"

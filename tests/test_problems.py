@@ -100,6 +100,14 @@ def test_raster_rejects_nonpositive():
         RasterKappa(np.array([[1.0, 2.0], [0.0, 3.0]]))
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_raster_csv_rejects_non_finite_entry(tmp_path, entry):
+    path = tmp_path / "k.csv"
+    path.write_text(f"2 2\n1 2\n3 {entry}\n")
+    with pytest.raises(ValueError, match="row 1, col 1"):
+        load_kappa_raster(path)
+
+
 def test_raster_csv_roundtrip(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("2 3\n1 2 3\n4 5 6\n")

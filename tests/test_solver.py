@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cdgbrinkman.analysis import norm_triple_bar
 from cdgbrinkman.assembly import assemble_system
@@ -119,3 +121,27 @@ def test_desk_scale_solve_under_one_second(small_setup):
     elapsed = time.perf_counter() - t0
     assert sol.residual <= 1e-9
     assert elapsed < 1.0
+
+
+def test_symmetric_mode_fill_below_colamd(small_setup):
+    # the same Jacobi-equilibrated matrix, factored in general mode with a
+    # COLAMD column ordering, has about 1.6x the fill of the symmetric mode
+    _, _, system = small_setup
+    M = system.matrix()
+    d = np.abs(M.diagonal())
+    d[d == 0.0] = 1.0
+    scale = sp.diags(1.0 / np.sqrt(d))
+    general = spla.splu((scale @ M @ scale).tocsc(), permc_spec="COLAMD")
+    sol = solve(system)
+    assert sol.stats["nnz_factor"] <= 0.75 * (general.L.nnz + general.U.nnz)
+    assert sol.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert sol.stats["pivot_threshold"] == 0.01
+
+
+def test_refinement_residuals_recorded(small_setup):
+    _, _, system = small_setup
+    sol = solve(system)
+    history = sol.stats["refinement_residuals"]
+    assert len(history) == 3
+    assert all(np.isfinite(history))
+    assert history[-1] == sol.residual
