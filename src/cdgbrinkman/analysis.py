@@ -12,12 +12,11 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .assembly import assemble_system
-from .polyspace import gram_solve
 from .solver import solve
 
 __all__ = [
@@ -43,27 +42,43 @@ __all__ = [
 # per-cell L2 projections
 # ---------------------------------------------------------------------------
 
+def _cell_values(disc, fn):
+    """``fn`` at every cell quadrature point, split per shape class."""
+    return disc.split(np.asarray(fn(disc.cell_points), dtype=float))
+
+
+def _padded(x):
+    """x with a trailing zero: gathers at the -1 of a boundary slot read 0."""
+    return np.append(x, 0.0)
+
+
 def project_velocity(disc, u_exact):
     """Projection onto the piecewise [P_k]^2 space, as a global DOF vector."""
     out = np.zeros(disc.n_velocity_dofs)
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        w = ctx.rule.weights
-        uv = np.asarray(u_exact(ctx.rule.points), dtype=float)
-        for comp in (0, 1):
-            rhs = ctx.block_k.vals @ (w * uv[:, comp])
-            out[disc.velocity_slice(c, comp)] = gram_solve(ctx.block_k.chol, rhs)
+    for cls, uv in zip(disc.classes, _cell_values(disc, u_exact)):
+        rhs = cls.phi[:, :disc.dim_k] @ (cls.weights[..., None] * uv)
+        out[disc.velocity_dofs[cls.cells]] = (
+            cls.gram_solve(rhs).transpose(0, 2, 1))
     return out
 
 
 def project_pressure(disc, p_exact):
     """Projection onto the piecewise P_{k-1} space."""
     out = np.zeros(disc.n_pressure_dofs)
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        rhs = ctx.block_p.vals @ (ctx.rule.weights *
-                                  np.asarray(p_exact(ctx.rule.points)))
-        out[disc.pressure_slice(c)] = gram_solve(ctx.block_p.chol, rhs)
+    for cls, pv in zip(disc.classes, _cell_values(disc, p_exact)):
+        rhs = cls.phi[:, :disc.dim_p] @ (cls.weights * pv)[..., None]
+        out[disc.pressure_dofs[cls.cells]] = cls.gram_solve(rhs)[..., 0]
+    return out
+
+
+def _tensor_coefficients(disc, grad_exact):
+    """Per-class target-space coefficients (nc, 2, 2, dim_j) of a tensor."""
+    out = []
+    for cls, gv in zip(disc.classes, _cell_values(disc, grad_exact)):
+        nc, nq = cls.weights.shape
+        wg = (cls.weights[..., None] * gv.reshape(nc, nq, 4))
+        coef = cls.gram_solve(cls.phi @ wg)
+        out.append(coef.transpose(0, 2, 1).reshape(nc, 2, 2, cls.dim))
     return out
 
 
@@ -73,17 +88,10 @@ def project_tensor(disc, grad_exact):
     Returns a list over cells of arrays (2, 2, dim_j): coefficients of each
     tensor entry in the cell's weak-gradient basis.
     """
-    out = []
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        w = ctx.rule.weights
-        gv = np.asarray(grad_exact(ctx.rule.points), dtype=float)
-        coeffs = np.empty((2, 2, ctx.block_j.dim))
-        for r in (0, 1):
-            for d in (0, 1):
-                rhs = ctx.block_j.vals @ (w * gv[:, r, d])
-                coeffs[r, d] = gram_solve(ctx.block_j.chol, rhs)
-        out.append(coeffs)
+    out = [None] * disc.mesh.n_cells
+    for cls, coef in zip(disc.classes, _tensor_coefficients(disc, grad_exact)):
+        for c, cc in zip(cls.cells, coef):
+            out[c] = cc
     return out
 
 
@@ -96,67 +104,43 @@ def norm_triple_bar(disc, problem, u):
 
     Matches a(v, v) of the assembled A block to roundoff.
     """
+    kv, tensor = problem.kappa_inv_at(disc.cell_points)
+    up = _padded(u)
     total = 0.0
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        op = disc.vel_grad[c]
-        kv, tensor = problem.kappa_inv_at(ctx.rule.points)
-        w = ctx.rule.weights
-        vals = disc.velocity_values(u, c, ctx.rule.points)
+    for cls, vel, kc in zip(disc.classes, disc.vel, disc.split(kv)):
+        vals = cls.values(u[disc.velocity_dofs[cls.cells]])
         if tensor:
-            quad = np.einsum("qr,qrs,qs->q", vals, kv, vals)
+            quad = np.einsum("cqr,cqrs,cqs->cq", vals, kc, vals)
         else:
-            quad = kv * (vals ** 2).sum(axis=1)
-        total += problem.mu * float(w @ quad)
+            quad = kc * (vals ** 2).sum(axis=-1)
+        total += problem.mu * float((cls.weights * quad).sum())
         for comp in (0, 1):
-            loc = op.gather(lambda cc: u[disc.velocity_slice(cc, comp)])
-            total += problem.mu * (float((op.Zx @ loc) @ (op.Zx @ loc))
-                                   + float((op.Zy @ loc) @ (op.Zy @ loc)))
+            loc = up[disc.columns(cls, disc.velocity_dofs[:, comp])]
+            total += problem.mu * float(((vel.Z @ loc[..., None]) ** 2).sum())
     return math.sqrt(max(total, 0.0))
 
 
 def norm_l2_velocity(disc, u):
-    total = 0.0
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        for comp in (0, 1):
-            d = u[disc.velocity_slice(c, comp)]
-            total += float(d @ ctx.block_k.gram @ d)
+    total = sum(cls.mass_sq(u[disc.velocity_dofs[cls.cells]])
+                for cls in disc.classes)
     return math.sqrt(max(total, 0.0))
 
 
 def norm_l2_pressure(disc, p):
-    total = 0.0
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        d = p[disc.pressure_slice(c)]
-        total += float(d @ ctx.block_p.gram @ d)
+    total = sum(cls.mass_sq(p[disc.pressure_dofs[cls.cells]])
+                for cls in disc.classes)
     return math.sqrt(max(total, 0.0))
 
 
 def _pressure_jump_sq(disc, p, inverse_weight=False, edges="interior",
                       weight="global-h"):
-    mesh = disc.mesh
-    total = 0.0
-    for e in mesh.edges:
-        if e.is_boundary and edges != "all":
-            continue
-        h = mesh.h if weight == "global-h" else e.length
-        fac = 1.0 / h if inverse_weight else h
-        rule = disc.edge_rules[e.index]
-        ctxm = disc.contexts[e.cell_minus]
-        qm = p[disc.pressure_slice(e.cell_minus)] @ ctxm.block_p.trace(
-            ctxm.basis, rule.points)
-        if e.is_boundary:
-            diff = qm
-        else:
-            ctxp = disc.contexts[e.cell_plus]
-            qp = p[disc.pressure_slice(e.cell_plus)] @ ctxp.block_p.trace(
-                ctxp.basis, rule.points)
-            diff = qm - qp
-        # ||[[q]]||^2 integrates |q_m n + q_p (-n)|^2 = (q_m - q_p)^2
-        total += fac * float(rule.weights @ diff ** 2)
-    return total
+    take, h = disc.jump_points(edges, weight)
+    q = disc.edge_values(p[disc.pressure_dofs])
+    twin = disc.edge_twin
+    # ||[[q]]||^2 integrates |q_m n + q_p (-n)|^2 = (q_m - q_p)^2
+    diff = np.where(twin >= 0, q - q[twin], q)[take]
+    fac = 1.0 / h[take] if inverse_weight else h[take]
+    return float((fac * disc.edge_weights[take] * diff ** 2).sum())
 
 
 def norm_pressure_jump(disc, p, edges="interior", weight="global-h"):
@@ -171,38 +155,33 @@ def norm_triple_bar_1(disc, problem, p, edges="interior", weight="global-h"):
     runnable problem).
     """
     total = _pressure_jump_sq(disc, p, True, edges, weight)
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        op = disc.pre_grad[c]
-        loc = op.gather(lambda cc: p[disc.pressure_slice(cc)])
-        gx = (op.Wx @ loc) @ ctx.block_k.vals
-        gy = (op.Wy @ loc) @ ctx.block_k.vals
-        kv, tensor = problem.kappa_inv_at(ctx.rule.points)
-        if tensor:
-            raise NotImplementedError(
-                "triple-bar-1 norm supports scalar permeability only")
-        total += float(ctx.rule.weights @ ((gx ** 2 + gy ** 2) / kv))
+    kv, tensor = problem.kappa_inv_at(disc.cell_points)
+    if tensor:
+        raise NotImplementedError(
+            "triple-bar-1 norm supports scalar permeability only")
+    pp = _padded(p)
+    for cls, pre, kc in zip(disc.classes, disc.pre, disc.split(kv)):
+        loc = pp[disc.columns(cls, disc.pressure_dofs)]
+        coef = (pre.W @ loc[..., None])[..., 0]
+        grad = cls.values(coef.transpose(1, 0, 2))
+        total += float((cls.weights * (grad ** 2).sum(axis=-1) / kc).sum())
     return math.sqrt(max(total, 0.0))
 
 
 def velocity_error_l2(disc, u, u_exact):
     """||u_exact - u_h|| by quadrature (not the projected error)."""
     total = 0.0
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        vals = disc.velocity_values(u, c, ctx.rule.points)
-        ex = np.asarray(u_exact(ctx.rule.points), dtype=float)
-        total += float(ctx.rule.weights @ ((ex - vals) ** 2).sum(axis=1))
+    for cls, ex in zip(disc.classes, _cell_values(disc, u_exact)):
+        vals = cls.values(u[disc.velocity_dofs[cls.cells]])
+        total += float((cls.weights * ((ex - vals) ** 2).sum(axis=-1)).sum())
     return math.sqrt(max(total, 0.0))
 
 
 def pressure_error_l2(disc, p, p_exact):
     total = 0.0
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        vals = disc.pressure_values(p, c, ctx.rule.points)
-        ex = np.asarray(p_exact(ctx.rule.points), dtype=float)
-        total += float(ctx.rule.weights @ (ex - vals) ** 2)
+    for cls, ex in zip(disc.classes, _cell_values(disc, p_exact)):
+        vals = cls.values(p[disc.pressure_dofs[cls.cells]])
+        total += float((cls.weights * (ex - vals) ** 2).sum())
     return math.sqrt(max(total, 0.0))
 
 
@@ -227,124 +206,77 @@ def error_equation_residual(disc, problem, system, solution,
     identity is exact for every runnable problem.  Returns a dict with the
     per-equation max residuals and the scale max(1, |F|_inf).
     """
-    mesh = disc.mesh
     mu = problem.mu
+    n_u, dk, dp = disc.n_velocity_dofs, disc.dim_k, disc.dim_p
     uQ = project_velocity(disc, problem.u)
     pQ = project_pressure(disc, problem.p)
-    gQ = project_tensor(disc, problem.grad_u)
+    gQ = _tensor_coefficients(disc, problem.grad_u)
     e = uQ - solution.u
     eps = pQ - solution.p
 
     lhs1 = system.A @ e + system.B @ eps
     lhs2 = system.B.T @ e - system.S @ eps
 
-    rhs1 = np.zeros(disc.n_velocity_dofs)
-    rhs2 = np.zeros(disc.n_pressure_dofs)
+    rhs1 = np.zeros(n_u)
+    kv, tensor = problem.kappa_inv_at(disc.cell_points)
+    lifts = disc.boundary_lifting_rhs(disc.boundary_values(problem.g))
+    up = _padded(uQ)
 
-    # cell loop: L1 (weak-gradient defect) and L0 (permeability defect)
-    for c in range(mesh.n_cells):
-        ctx = disc.contexts[c]
-        op = disc.vel_grad[c]
-        w = ctx.rule.weights
-        kv, tensor = problem.kappa_inv_at(ctx.rule.points)
-        uv = np.asarray(problem.u(ctx.rule.points), dtype=float)
-        uhv = np.column_stack([
-            uQ[disc.velocity_slice(c, 0)] @ ctx.block_k.vals,
-            uQ[disc.velocity_slice(c, 1)] @ ctx.block_k.vals,
-        ])
-        du = uv - uhv
-        if tensor:
-            kdu = np.einsum("qrs,qs->qr", kv, du)
-        else:
-            kdu = kv[:, None] * du
-        has_boundary = any(nb is None for nb in ctx.neighbors)
+    # cell terms: L1 (weak-gradient defect) and L0 (permeability defect)
+    for cls, vel, kc, uv, gq, lift in zip(
+            disc.classes, disc.vel, disc.split(kv),
+            _cell_values(disc, problem.u), gQ, lifts):
+        own = disc.velocity_dofs[cls.cells]
+        du = uv - cls.values(uQ[own])
+        kdu = (np.einsum("cqrs,cqs->cqr", kc, du) if tensor
+               else kc[..., None] * du)
+        # L0: (kinv (u - Q_h u), phi)_T
+        rhs1[own] -= mu * (cls.phi[:, :dk] @ (cls.weights[..., None] * kdu)
+                           ).transpose(0, 2, 1)
         for comp in (0, 1):
-            # L0: (kinv (u - Q_h u), phi)_T
-            rhs1[disc.velocity_slice(c, comp)] -= mu * (
-                ctx.block_k.vals @ (w * kdu[:, comp]))
-            # L1: (grad_w u - grad_w Q_h u, grad_w phi)_T with
-            # grad_w u realized as the projected exact gradient
-            loc = op.gather(lambda cc: uQ[disc.velocity_slice(cc, comp)])
-            tx = gQ[c][comp, 0] - op.Wx @ loc
-            ty = gQ[c][comp, 1] - op.Wy @ loc
-            if has_boundary:
-                rx, ry = disc.boundary_lifting_rhs(c, problem.g, comp)
-                tx -= gram_solve(ctx.block_j.chol, rx)
-                ty -= gram_solve(ctx.block_j.chol, ry)
-            contrib = tx @ op.Bx + ty @ op.By
-            rhs1[_vel_idx(disc, op, comp)] -= mu * contrib
+            # L1: (grad_w u - grad_w Q_h u, grad_w phi)_T with grad_w u
+            # realized as the projected exact gradient
+            cols = disc.columns(cls, disc.velocity_dofs[:, comp])
+            grad_q = (vel.W @ up[cols][..., None])[..., 0]
+            t = gq[:, comp].transpose(1, 0, 2) - grad_q
+            t -= cls.gram_solve(
+                lift[comp].transpose(1, 2, 0)).transpose(2, 0, 1)
+            contrib = (t[:, :, None, :] @ vel.B)[:, :, 0].sum(axis=0)
+            keep = cols >= 0
+            rhs1 -= mu * np.bincount(cols[keep], contrib[keep], minlength=n_u)
 
-    # edge loop: L2, L3, L3x into rhs1; L4 into rhs2
-    for eidx, edge in enumerate(mesh.edges):
-        rule = disc.edge_rules[eidx]
-        w = rule.weights
-        pts = rule.points
-        cm = edge.cell_minus
-        cp = edge.cell_plus
-        n = edge.normal
-        ctxm = disc.contexts[cm]
-        gv = np.asarray(problem.grad_u(pts), dtype=float)
-        uv = np.asarray(problem.u(pts), dtype=float)
-        pv = np.asarray(problem.p(pts), dtype=float)
-        trm_k = ctxm.block_k.trace(ctxm.basis, pts)
-        trm_p = ctxm.block_p.trace(ctxm.basis, pts)
-        trm_j = ctxm.block_j.trace(ctxm.basis, pts)
-        # projected traces from the minus side
-        gqm = np.stack([[gQ[cm][r, d] @ trm_j for d in (0, 1)]
-                        for r in (0, 1)])          # (2, 2, nq)
-        uqm = np.stack([uQ[disc.velocity_slice(cm, comp)] @ trm_k
-                        for comp in (0, 1)])        # (2, nq)
-        pqm = pQ[disc.pressure_slice(cm)] @ trm_p   # (nq,)
-        if cp is None:
-            # boundary edge: v - {v} = v (homogeneous average), q - {q} = 0
-            for comp in (0, 1):
-                defect = (gv[:, comp, 0] - gqm[comp, 0]) * n[0] + \
-                         (gv[:, comp, 1] - gqm[comp, 1]) * n[1]
-                l2 = trm_k @ (w * defect)
-                l3 = trm_k @ (w * (pv - pqm)) * n[comp]
-                sl = disc.velocity_slice(cm, comp)
-                rhs1[sl] += mu * l2
-                rhs1[sl] -= l3
-            continue
-        ctxp = disc.contexts[cp]
-        trp_k = ctxp.block_k.trace(ctxp.basis, pts)
-        trp_p = ctxp.block_p.trace(ctxp.basis, pts)
-        trp_j = ctxp.block_j.trace(ctxp.basis, pts)
-        gqp = np.stack([[gQ[cp][r, d] @ trp_j for d in (0, 1)]
-                        for r in (0, 1)])
-        uqp = np.stack([uQ[disc.velocity_slice(cp, comp)] @ trp_k
-                        for comp in (0, 1)])
-        pqp = pQ[disc.pressure_slice(cp)] @ trp_p
-        jump_pq = pqm - pqp                         # [[Q p]] = jump * n
-        for comp in (0, 1):
-            # L2 from each side: <(grad u - Q grad u) . n_side, v - {v}>
-            dm = (gv[:, comp, 0] - gqm[comp, 0]) * n[0] + \
-                 (gv[:, comp, 1] - gqm[comp, 1]) * n[1]
-            dp = (gv[:, comp, 0] - gqp[comp, 0]) * (-n[0]) + \
-                 (gv[:, comp, 1] - gqp[comp, 1]) * (-n[1])
-            # v - {v} = (v_own - v_other)/2: own +1/2, other -1/2
-            rhs1[disc.velocity_slice(cm, comp)] += mu * 0.5 * (trm_k @ (w * dm))
-            rhs1[disc.velocity_slice(cp, comp)] -= mu * 0.5 * (trp_k @ (w * dm))
-            rhs1[disc.velocity_slice(cp, comp)] += mu * 0.5 * (trp_k @ (w * dp))
-            rhs1[disc.velocity_slice(cm, comp)] -= mu * 0.5 * (trm_k @ (w * dp))
-            # L3 from each side: <p - Q p, v . n_side>
-            rhs1[disc.velocity_slice(cm, comp)] -= n[comp] * (
-                trm_k @ (w * (pv - pqm)))
-            rhs1[disc.velocity_slice(cp, comp)] -= -n[comp] * (
-                trp_k @ (w * (pv - pqp)))
-            # L3x: <[[Q p]], {v}> on interior edges
-            rhs1[disc.velocity_slice(cm, comp)] -= 0.5 * n[comp] * (
-                trm_k @ (w * jump_pq))
-            rhs1[disc.velocity_slice(cp, comp)] -= 0.5 * n[comp] * (
-                trp_k @ (w * jump_pq))
-        # L4: <(u - Q u) . n_side, q - {q}>; q - {q} = (q_own - q_other)/2
-        dm = (uv[:, 0] - uqm[0]) * n[0] + (uv[:, 1] - uqm[1]) * n[1]
-        dp = (uv[:, 0] - uqp[0]) * (-n[0]) + (uv[:, 1] - uqp[1]) * (-n[1])
-        rhs2[disc.pressure_slice(cm)] += 0.5 * (trm_p @ (w * dm))
-        rhs2[disc.pressure_slice(cp)] -= 0.5 * (trp_p @ (w * dm))
-        rhs2[disc.pressure_slice(cp)] += 0.5 * (trp_p @ (w * dp))
-        rhs2[disc.pressure_slice(cm)] -= 0.5 * (trm_p @ (w * dp))
-
+    # edge terms per half-edge point, owner side; the twin is the other side
+    pts, twin, n = disc.edge_points, disc.edge_twin, disc.edge_normal
+    inner = twin >= 0
+    gv = np.asarray(problem.grad_u(pts), dtype=float)
+    uv = np.asarray(problem.u(pts), dtype=float)
+    pv = np.asarray(problem.p(pts), dtype=float)
+    gq = np.empty_like(gv)
+    for cls, coef in zip(disc.classes, gQ):
+        for g in cls.groups:
+            gq[g.start:g.stop] = np.einsum("crsd,cdq->cqrs", coef[g.slot],
+                                           g.phi).reshape(-1, 2, 2)
+    uq = disc.edge_values(uQ[disc.velocity_dofs])
+    pq = disc.edge_values(pQ[disc.pressure_dofs])
+    # L2: <(grad u - Q grad u) . n_side, v - {v}>; v - {v} = (v - v_other)/2
+    # inside, v on the boundary (homogeneous average)
+    d_own = np.einsum("nrs,ns->nr", gv - gq, n)
+    d_other = -np.einsum("nrs,ns->nr", gv - gq[twin], n)
+    l2 = np.where(inner[:, None], 0.5 * (d_own - d_other), d_own)
+    # L3: <p - Q p, v . n_side>; L3x: <[[Q p]], {v}> on interior edges
+    l3 = n * ((pv - pq) + np.where(inner, 0.5 * (pq - pq[twin]), 0.0))[:, None]
+    w = disc.edge_weights[:, None]
+    vel_dofs = disc.velocity_dofs[disc.edge_owner]
+    rhs1 += np.bincount(vel_dofs.ravel(), (
+        disc.trace_k[:, None, :] * (w * (mu * l2 - l3))[..., None]).ravel(),
+        minlength=n_u)
+    # L4: <(u - Q u) . n_side, q - {q}>; q - {q} = (q - q_other)/2 inside
+    du = ((uv - uq) * n).sum(axis=1)
+    du_other = -((uv - uq[twin]) * n).sum(axis=1)
+    l4 = np.where(inner, 0.5 * (du - du_other), 0.0)
+    rhs2 = np.bincount(disc.pressure_dofs[disc.edge_owner].ravel(),
+                       (disc.trace_k[:, :dp] * (w * l4[:, None])).ravel(),
+                       minlength=disc.n_pressure_dofs)
     rhs2 -= system.S @ pQ
 
     scale = max(1.0, float(np.abs(system.F).max()))
@@ -353,12 +285,6 @@ def error_equation_residual(disc, problem, system, solution,
         "res_mass": float(np.abs(lhs2 - rhs2).max()),
         "scale": scale,
     }
-
-
-def _vel_idx(disc, op, comp):
-    return np.concatenate(
-        [np.arange(disc.velocity_slice(c, comp).start,
-                   disc.velocity_slice(c, comp).stop) for c in op.cells])
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ blocks are
     G[alpha]   = <psi_alpha, g . n>_(boundary)
     m[alpha]   = integral of psi_alpha
 
-and the full matrix is [[A, B, 0], [B^T, -S, m], [0, m^T, 0]].  Assembly
-iterates cells and edges in index order with per-cell contribution lists, so
-repeated runs produce bit-identical matrices.
+and the full matrix is [[A, B, 0], [B^T, -S, m], [0, m^T, 0]].  Each block
+is one COO build over the Discretization's stacked per-shape-class arrays,
+appended in a fixed order, so repeated runs produce bit-identical matrices.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,39 +66,57 @@ class BrinkmanProblem:
         return _kappa_range(v, tensor, points, rtol=rtol)
 
 
-def _kappa_range(v, tensor, points, where="", rtol=1e-12):
+def _first(bad, owner):
+    """Index of the first flagged point of the lowest-numbered owner."""
+    idx = np.flatnonzero(bad)
+    return idx[0] if owner is None else idx[np.argmin(owner[idx])]
+
+
+def _kappa_range(v, tensor, points, owner=None, rtol=1e-12):
     """Eigenvalue range of kappa^{-1} values v sampled at points.
 
-    Raises ValueError, naming ``where`` and the first offending point, for
-    a non-finite or nonpositive scalar, or a tensor that is non-finite,
-    unsymmetric or not positive definite.
+    Raises ValueError, naming the cell (``owner`` holds the cell of each
+    point) and the offending point, for a non-finite or nonpositive scalar,
+    or a tensor that is non-finite, unsymmetric or not positive definite.
     """
+    def reject(bad, message):
+        i = _first(bad, owner)
+        where = "" if owner is None else f"in cell {owner[i]} "
+        raise ValueError(f"{message(i)} {where}at point {points[i]}")
+
     if not tensor:
         lo, hi = float(v.min()), float(v.max())
         if lo > 0.0 and hi < np.inf:  # false too when v holds a NaN
             return lo, hi
-        bad = np.argmin(np.isfinite(v) & (v > 0.0))
-        kind = "nonpositive" if np.isfinite(v[bad]) else "non-finite"
-        raise ValueError(
-            f"{kind} kappa_inv {v[bad]} {where}at point {points[bad]}")
+        reject(~(np.isfinite(v) & (v > 0.0)), lambda i: (
+            f"{'nonpositive' if np.isfinite(v[i]) else 'non-finite'} "
+            f"kappa_inv {v[i]}"))
     finite = np.isfinite(v).all(axis=(1, 2))
     if not finite.all():
-        bad = np.argmin(finite)
-        raise ValueError(
-            f"non-finite kappa_inv {v[bad].tolist()} {where}at point "
-            f"{points[bad]}")
+        reject(~finite, lambda i: f"non-finite kappa_inv {v[i].tolist()}")
     asym = np.abs(v[:, 0, 1] - v[:, 1, 0])
     scale = np.abs(v).max(axis=(1, 2))
     if np.any(asym > rtol * np.maximum(scale, 1.0)):
-        bad = np.argmax(asym > rtol * np.maximum(scale, 1.0))
-        raise ValueError(
-            f"kappa_inv not symmetric {where}at point {points[bad]}")
+        reject(asym > rtol * np.maximum(scale, 1.0),
+               lambda i: "kappa_inv not symmetric")
     eig = np.linalg.eigvalsh(0.5 * (v + v.transpose(0, 2, 1)))
     if np.any(eig[:, 0] <= 0.0):
-        bad = np.argmax(eig[:, 0] <= 0.0)
-        raise ValueError(
-            f"kappa_inv not positive definite {where}at point {points[bad]}")
+        reject(eig[:, 0] <= 0.0, lambda i: "kappa_inv not positive definite")
     return float(eig[:, 0].min()), float(eig[:, 1].max())
+
+
+def _check_finite(v, points, owner, name, place):
+    """Reject non-finite data values, naming the cell or edge and the point."""
+    ok = np.isfinite(v).reshape(len(v), -1).all(axis=1)
+    if not ok.all():
+        i = _first(~ok, owner)
+        raise ValueError(f"non-finite {name} {v[i].tolist()} {place} "
+                         f"{owner[i]} at point {points[i]}")
+
+
+def _check_mu(mu):
+    if not (np.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"viscosity mu must be finite and positive, got {mu}")
 
 
 class _Coo:
@@ -109,12 +127,18 @@ class _Coo:
         self.cols = []
         self.vals = []
 
-    def add_block(self, rows, cols, block):
-        r = np.repeat(rows, len(cols))
-        c = np.tile(cols, len(rows))
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(np.asarray(block, dtype=float).ravel())
+    def add(self, rows, cols, blocks):
+        """Stacked blocks (m, a, b) at rows (m, a) x cols (m, b).
+
+        Entries with a row or column index of -1 (boundary neighbour slots)
+        are dropped.
+        """
+        r = np.broadcast_to(rows[:, :, None], blocks.shape)
+        c = np.broadcast_to(cols[:, None, :], blocks.shape)
+        keep = (r >= 0) & (c >= 0)
+        self.rows.append(r[keep])
+        self.cols.append(c[keep])
+        self.vals.append(blocks[keep])
 
     def tocsr(self, shape):
         if not self.rows:
@@ -126,17 +150,56 @@ class _Coo:
         return m.tocsr()
 
 
-def _velocity_indices(disc, op, comp):
-    """Global velocity DOF ids for one component over op's involved cells."""
-    return np.concatenate(
-        [np.arange(disc.velocity_slice(c, comp).start,
-                   disc.velocity_slice(c, comp).stop) for c in op.cells])
+def _matrix_a(disc, problem):
+    """Velocity block A; checks mu and the kappa^{-1} values it evaluates."""
+    mu = problem.mu
+    _check_mu(mu)
+    kv, tensor = problem.kappa_inv_at(disc.cell_points)
+    _kappa_range(kv, tensor, disc.cell_points, disc.cell_owner)
+    acc = _Coo()
+    for cls, vel, kc in zip(disc.classes, disc.vel, disc.split(kv)):
+        ZT = vel.Z.transpose(0, 1, 3, 2)
+        visc = mu * (ZT[0] @ vel.Z[0] + ZT[1] @ vel.Z[1])
+        for comp in (0, 1):
+            idx = disc.columns(cls, disc.velocity_dofs[:, comp])
+            acc.add(idx, idx, visc)
+        vals = cls.phi[:, :disc.dim_k]
+        valsT = vals.transpose(0, 2, 1)
+        own = disc.velocity_dofs[cls.cells]
+        if tensor:
+            for r in (0, 1):
+                for s in (0, 1):
+                    wk = (cls.weights * kc[..., r, s])[:, None, :]
+                    acc.add(own[:, r], own[:, s], mu * (vals * wk) @ valsT)
+        else:
+            mass = mu * (vals * (cls.weights * kc)[:, None, :]) @ valsT
+            for comp in (0, 1):
+                acc.add(own[:, comp], own[:, comp], mass)
+    n_u = disc.n_velocity_dofs
+    return acc.tocsr((n_u, n_u))
 
 
-def _pressure_indices(disc, op):
-    return np.concatenate(
-        [np.arange(disc.pressure_slice(c).start,
-                   disc.pressure_slice(c).stop) for c in op.cells])
+def _boundary_data(disc, g):
+    """Dirichlet data at the half-edge points, checked on the boundary."""
+    gv = disc.boundary_values(g)
+    bnd = disc.edge_twin < 0
+    _check_finite(gv[bnd], disc.edge_points[bnd], disc.edge_index[bnd],
+                  "boundary data g", "on edge")
+    return gv
+
+
+def _lifting(disc, mu, g_values):
+    """-mu (lift(g), grad_w phi_I): the Dirichlet lifting part of F."""
+    n_u = disc.n_velocity_dofs
+    lift = np.zeros(n_u)
+    moments = disc.boundary_lifting_rhs(g_values)
+    for cls, vel, rhs in zip(disc.classes, disc.vel, moments):
+        for comp in (0, 1):
+            contrib = mu * (rhs[comp][:, :, None, :] @ vel.W)[:, :, 0].sum(0)
+            idx = disc.columns(cls, disc.velocity_dofs[:, comp])
+            keep = idx >= 0
+            lift -= np.bincount(idx[keep], contrib[keep], minlength=n_u)
+    return lift
 
 
 def assemble_a(disc, problem):
@@ -146,54 +209,17 @@ def assemble_a(disc, problem):
     for kappa^{-1} values at the cell quadrature points that are not finite
     and positive (SPD for a tensor), naming the cell and the point.
     """
-    n_u = disc.n_velocity_dofs
-    acc = _Coo()
-    lift = np.zeros(n_u)
-    mu = problem.mu
-    if not (np.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"viscosity mu must be finite and positive, got {mu}")
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        op = disc.vel_grad[c]
-        visc = mu * (op.Zx.T @ op.Zx + op.Zy.T @ op.Zy)
-        kv, tensor = problem.kappa_inv_at(ctx.rule.points)
-        _kappa_range(kv, tensor, ctx.rule.points, where=f"in cell {c} ")
-        vals = ctx.block_k.vals
-        w = ctx.rule.weights
-        own = [np.arange(disc.velocity_slice(c, comp).start,
-                         disc.velocity_slice(c, comp).stop)
-               for comp in (0, 1)]
-        for comp in (0, 1):
-            idx = _velocity_indices(disc, op, comp)
-            acc.add_block(idx, idx, visc)
-        if tensor:
-            for r in (0, 1):
-                for s in (0, 1):
-                    mass = mu * (vals * (w * kv[:, r, s])) @ vals.T
-                    acc.add_block(own[r], own[s], mass)
-        else:
-            mass = mu * (vals * (w * kv)) @ vals.T
-            for comp in (0, 1):
-                acc.add_block(own[comp], own[comp], mass)
-        # Dirichlet lifting: -mu (lift(g), grad_w phi_I) over boundary cells
-        if any(nb is None for nb in ctx.neighbors):
-            for comp in (0, 1):
-                rx, ry = disc.boundary_lifting_rhs(c, problem.g, comp)
-                contrib = mu * (rx @ op.Wx + ry @ op.Wy)
-                lift[_velocity_indices(disc, op, comp)] -= contrib
-    return acc.tocsr((n_u, n_u)), lift
+    A = _matrix_a(disc, problem)
+    return A, _lifting(disc, problem.mu, _boundary_data(disc, problem.g))
 
 
 def assemble_b(disc):
     """Coupling block B[I, alpha] = (phi_I, grad_w~ psi_alpha)."""
     acc = _Coo()
-    for c in range(disc.mesh.n_cells):
-        op = disc.pre_grad[c]
-        cols = _pressure_indices(disc, op)
-        for comp, braw in ((0, op.Bx), (1, op.By)):
-            rows = np.arange(disc.velocity_slice(c, comp).start,
-                             disc.velocity_slice(c, comp).stop)
-            acc.add_block(rows, cols, braw)
+    for cls, pre in zip(disc.classes, disc.pre):
+        cols = disc.columns(cls, disc.pressure_dofs)
+        for comp in (0, 1):
+            acc.add(disc.velocity_dofs[cls.cells, comp], cols, pre.B[comp])
     return acc.tocsr((disc.n_velocity_dofs, disc.n_pressure_dofs))
 
 
@@ -204,38 +230,29 @@ def assemble_s(disc, edges="interior", weight="global-h"):
     argument; "all" adds boundary edges).  ``weight`` is the factor h: the
     global geometric mesh size, or per-edge lengths ("edge-h").
     """
-    if edges not in ("interior", "all"):
-        raise ValueError("edges must be 'interior' or 'all'")
-    if weight not in ("global-h", "edge-h"):
-        raise ValueError("weight must be 'global-h' or 'edge-h'")
-    mesh = disc.mesh
+    take, h = disc.jump_points(edges, weight)
+    dp = disc.dim_p
     acc = _Coo()
-    for e in mesh.edges:
-        if e.is_boundary and edges != "all":
-            continue
-        h = mesh.h if weight == "global-h" else e.length
-        rule = disc.edge_rules[e.index]
-        w = rule.weights
-        cm = e.cell_minus
-        ctxm = disc.contexts[cm]
-        tm = ctxm.block_p.trace(ctxm.basis, rule.points)
-        im = np.arange(disc.pressure_slice(cm).start,
-                       disc.pressure_slice(cm).stop)
-        if e.is_boundary:
-            acc.add_block(im, im, h * (tm * w) @ tm.T)
-            continue
-        cp = e.cell_plus
-        ctxp = disc.contexts[cp]
-        tp = ctxp.block_p.trace(ctxp.basis, rule.points)
-        ip = np.arange(disc.pressure_slice(cp).start,
-                       disc.pressure_slice(cp).stop)
-        mm = h * (tm * w) @ tm.T
-        mp = h * (tm * w) @ tp.T
-        pp = h * (tp * w) @ tp.T
-        acc.add_block(im, im, mm)
-        acc.add_block(im, ip, -mp)
-        acc.add_block(ip, im, -mp.T)
-        acc.add_block(ip, ip, pp)
+    for cls in disc.classes:
+        for g in cls.groups:
+            sl = slice(g.start, g.stop)
+            rows = take[sl].reshape(-1, g.q)[:, 0]
+            hr = h[sl].reshape(-1, 1, g.q)[rows, :, :1]
+            w = disc.edge_weights[sl].reshape(-1, 1, g.q)[rows]
+            tm = disc.trace_k[sl, :dp].reshape(-1, g.q, dp)[rows]
+            tm = tm.transpose(0, 2, 1)
+            twin = g.twin[rows]
+            tp = disc.trace_k[twin, :dp].transpose(0, 2, 1)
+            own = disc.pressure_dofs[g.owner[rows]]
+            # -1 drops the other side of a boundary edge
+            nbr = np.where(twin[:, :1] >= 0,
+                           disc.pressure_dofs[cls.nbr[g.slot, g.local][rows]],
+                           -1)
+            mp = hr * (tm * w) @ tp.transpose(0, 2, 1)
+            acc.add(own, own, hr * (tm * w) @ tm.transpose(0, 2, 1))
+            acc.add(own, nbr, -mp)
+            acc.add(nbr, own, -mp.transpose(0, 2, 1))
+            acc.add(nbr, nbr, hr * (tp * w) @ tp.transpose(0, 2, 1))
     n_p = disc.n_pressure_dofs
     return acc.tocsr((n_p, n_p))
 
@@ -245,35 +262,33 @@ def assemble_rhs(disc, problem):
 
     G carries the boundary pairing <psi, g . n> of the divergence equation;
     it vanishes when g = 0 and is required for exact consistency otherwise.
+    Raises ValueError for a body force f or boundary data g that is not
+    finite at a quadrature point, naming the cell or edge and the point.
     """
-    F = np.zeros(disc.n_velocity_dofs)
-    G = np.zeros(disc.n_pressure_dofs)
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        fv = np.asarray(problem.f(ctx.rule.points), dtype=float)
-        w = ctx.rule.weights
-        for comp in (0, 1):
-            F[disc.velocity_slice(c, comp)] += ctx.block_k.vals @ (w * fv[:, comp])
-    _, lift = assemble_a(disc, problem)
-    F += lift
-    for eid in disc.mesh.boundary_edge_ids:
-        e = disc.mesh.edges[eid]
-        c = e.cell_minus
-        ctx = disc.contexts[c]
-        rule = disc.edge_rules[eid]
-        gv = np.asarray(problem.g(rule.points), dtype=float)
-        gn = gv @ e.normal
-        tr = ctx.block_p.trace(ctx.basis, rule.points)
-        G[disc.pressure_slice(c)] += tr @ (rule.weights * gn)
+    _check_mu(problem.mu)
+    fv = np.asarray(problem.f(disc.cell_points), dtype=float)
+    _check_finite(fv, disc.cell_points, disc.cell_owner, "body force f",
+                  "in cell")
+    gv = _boundary_data(disc, problem.g)
+    F = _lifting(disc, problem.mu, gv)
+    for cls, fc in zip(disc.classes, disc.split(fv)):
+        load = cls.phi[:, :disc.dim_k] @ (cls.weights[..., None] * fc)
+        F[disc.velocity_dofs[cls.cells]] += load.transpose(0, 2, 1)
+    # a boundary half-edge belongs to cell_minus, so its normal is the edge's
+    gn = disc.edge_weights * (gv * disc.edge_normal).sum(axis=1)
+    dp = disc.dim_p
+    G = np.bincount(disc.pressure_dofs[disc.edge_owner].ravel(),
+                    (disc.trace_k[:, :dp] * gn[:, None]).ravel(),
+                    minlength=disc.n_pressure_dofs)
     return F, G
 
 
 def assemble_mean_constraint(disc):
     """Vector m with m_alpha = integral of psi_alpha over the domain."""
     m = np.zeros(disc.n_pressure_dofs)
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        m[disc.pressure_slice(c)] = ctx.block_p.vals @ ctx.rule.weights
+    for cls in disc.classes:
+        m[disc.pressure_dofs[cls.cells]] = (
+            cls.phi[:, :disc.dim_p] @ cls.weights[..., None])[..., 0]
     return m
 
 
@@ -320,26 +335,9 @@ class SaddleSystem:
 def assemble_system(disc, problem, stabilizer_edges="interior",
                     s_weight="global-h"):
     """Assemble all blocks of the discrete Brinkman saddle system."""
-    A, lift = assemble_a(disc, problem)
+    A = _matrix_a(disc, problem)
     B = assemble_b(disc)
     S = assemble_s(disc, edges=stabilizer_edges, weight=s_weight)
-    F = np.zeros(disc.n_velocity_dofs)
-    G = np.zeros(disc.n_pressure_dofs)
-    for c in range(disc.mesh.n_cells):
-        ctx = disc.contexts[c]
-        fv = np.asarray(problem.f(ctx.rule.points), dtype=float)
-        w = ctx.rule.weights
-        for comp in (0, 1):
-            F[disc.velocity_slice(c, comp)] += ctx.block_k.vals @ (w * fv[:, comp])
-    F += lift
-    for eid in disc.mesh.boundary_edge_ids:
-        e = disc.mesh.edges[eid]
-        c = e.cell_minus
-        ctx = disc.contexts[c]
-        rule = disc.edge_rules[eid]
-        gv = np.asarray(problem.g(rule.points), dtype=float)
-        gn = gv @ e.normal
-        tr = ctx.block_p.trace(ctx.basis, rule.points)
-        G[disc.pressure_slice(c)] += tr @ (rule.weights * gn)
+    F, G = assemble_rhs(disc, problem)
     m = assemble_mean_constraint(disc)
     return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G)

@@ -1,7 +1,10 @@
 """Command-line interface: convergence studies, single solves, patch tests.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
-``CDG_THREADS`` caps BLAS/LAPACK parallelism for reproducible timings.
+``CDG_THREADS`` caps BLAS/LAPACK parallelism for reproducible timings
+through threadpoolctl.  Without threadpoolctl the cap cannot act, since
+BLAS has loaded by then: a warning names the variables to set before
+launch (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS).
 """
 
 import argparse
@@ -43,11 +46,13 @@ def _apply_thread_cap():
         raise ConfigError(f"CDG_THREADS must be an integer, got {cap!r}")
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+        # BLAS read its thread variables when numpy loaded, before this runs
+        print(f"warning: CDG_THREADS={n} not applied: threadpoolctl is not "
+              "installed; set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and "
+              "MKL_NUM_THREADS before launch instead", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(n)
 
 
 def _parse_levels(spec):

@@ -15,16 +15,10 @@ __all__ = [
 
 def cell_center_fields(disc, u, p):
     """Per-cell centroid values of p, u1, u2 as arrays of length n_cells."""
-    n = disc.mesh.n_cells
-    pc = np.empty(n)
-    u1 = np.empty(n)
-    u2 = np.empty(n)
-    for c in range(n):
-        pt = disc.mesh.cells[c].centroid[None, :]
-        vel = disc.velocity_values(u, c, pt)
-        u1[c], u2[c] = vel[0, 0], vel[0, 1]
-        pc[c] = disc.pressure_values(p, c, pt)[0]
-    return {"p": pc, "u1": u1, "u2": u2}
+    cells = np.arange(disc.mesh.n_cells)
+    vel = disc.velocity_values(u, cells, disc.centroids)
+    return {"p": disc.pressure_values(p, cells, disc.centroids),
+            "u1": vel[:, 0], "u2": vel[:, 1]}
 
 
 def write_vtk(path, mesh, cell_data):
@@ -67,38 +61,56 @@ class CellLocator:
         if buckets_per_axis is None:
             buckets_per_axis = max(1, int(np.sqrt(mesh.n_cells)))
         self.nb = buckets_per_axis
-        self.buckets = [[] for _ in range(self.nb * self.nb)]
+        buckets = [[] for _ in range(self.nb * self.nb)]
         for c in range(mesh.n_cells):
             pts = mesh.cell_vertices(c)
             i0, j0 = self._bucket_of(pts.min(axis=0))
             i1, j1 = self._bucket_of(pts.max(axis=0))
             for j in range(j0, j1 + 1):
                 for i in range(i0, i1 + 1):
-                    self.buckets[j * self.nb + i].append(c)
+                    buckets[j * self.nb + i].append(c)
+        # candidate table padded with -1; polygons padded by repeating the
+        # last vertex, whose zero-length edge passes every winding test
+        self.table = np.full((len(buckets), max(map(len, buckets))), -1)
+        for b, cells in enumerate(buckets):
+            self.table[b, :len(cells)] = cells
+        nmax = max(c.edge_count for c in mesh.cells)
+        self.polygons = np.array([
+            np.concatenate([c.vertex_ids,
+                            np.repeat(c.vertex_ids[-1], nmax - c.edge_count)])
+            for c in mesh.cells])
 
     def _bucket_of(self, point):
         rel = (np.asarray(point) - self.lo) / self.span
         idx = np.clip((rel * self.nb).astype(int), 0, self.nb - 1)
-        return int(idx[0]), int(idx[1])
+        return idx[..., 0], idx[..., 1]
+
+    def locate_all(self, points, tol=1e-12):
+        """Cell index per point (n,), -1 where no cell contains it.
+
+        Candidates are tried in bucket order, so ties resolve to the first.
+        """
+        points = np.asarray(points, dtype=float)
+        i, j = self._bucket_of(points)
+        cand = self.table[j * self.nb + i]
+        out = np.full(len(points), -1)
+        for col in range(cand.shape[1]):
+            todo = np.flatnonzero((out < 0) & (cand[:, col] >= 0))
+            c = cand[todo, col]
+            pts = self.mesh.vertices[self.polygons[c]]
+            edge = np.roll(pts, -1, axis=1) - pts
+            rel = points[todo, None, :] - pts
+            cross = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+            scale = np.abs(edge).sum(axis=-1)
+            # CCW polygon: inside iff every cross product is >= -tol
+            inside = np.all(cross >= -tol * np.maximum(scale, 1.0), axis=1)
+            out[todo[inside]] = c[inside]
+        return out
 
     def locate(self, point, tol=1e-12):
         """Index of a cell containing ``point`` (ties resolved to the first)."""
-        i, j = self._bucket_of(point)
-        for c in self.buckets[j * self.nb + i]:
-            if _point_in_polygon(self.mesh.cell_vertices(c), point, tol):
-                return c
-        return None
-
-
-def _point_in_polygon(pts, q, tol):
-    # CCW polygon: inside iff every cross product is >= -tol (boundary counts)
-    q = np.asarray(q, dtype=float)
-    nxt = np.roll(pts, -1, axis=0)
-    edge = nxt - pts
-    rel = q[None, :] - pts
-    cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]
-    scale = np.abs(edge).sum(axis=1)
-    return bool(np.all(cross >= -tol * np.maximum(scale, 1.0)))
+        c = int(self.locate_all(np.asarray(point, dtype=float)[None], tol)[0])
+        return None if c < 0 else c
 
 
 def write_lattice_csv(path, disc, u, p, resolution=128):
@@ -109,21 +121,19 @@ def write_lattice_csv(path, disc, u, p, resolution=128):
     """
     mesh = disc.mesh
     lo, hi = mesh.bbox
-    loc = CellLocator(mesh)
     xs = lo[0] + (np.arange(resolution) + 0.5) / resolution * (hi[0] - lo[0])
     ys = lo[1] + (np.arange(resolution) + 0.5) / resolution * (hi[1] - lo[1])
+    pts = np.column_stack([np.tile(xs, resolution), np.repeat(ys, resolution)])
+    cells = CellLocator(mesh).locate_all(pts)
+    pts = pts[cells >= 0]
+    cells = cells[cells >= 0]
+    vel = disc.velocity_values(u, cells, pts)
+    pv = disc.pressure_values(p, cells, pts)
     with open(path, "w", encoding="utf-8") as f:
         f.write("x,y,u1,u2,p\n")
-        for y in ys:
-            for x in xs:
-                c = loc.locate((x, y))
-                if c is None:
-                    continue
-                pt = np.array([[x, y]])
-                vel = disc.velocity_values(u, c, pt)
-                pv = disc.pressure_values(p, c, pt)
-                f.write(f"{x:.10g},{y:.10g},{vel[0, 0]:.10e},"
-                        f"{vel[0, 1]:.10e},{pv[0]:.10e}\n")
+        f.writelines(f"{x:.10g},{y:.10g},{a:.10e},{b:.10e},{c:.10e}\n"
+                     for (x, y), (a, b), c in zip(pts.tolist(), vel.tolist(),
+                                                  pv.tolist()))
 
 
 def write_summary(path, disc, solution, extra=None):

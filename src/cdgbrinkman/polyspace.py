@@ -16,6 +16,9 @@ from scipy.linalg import cho_factor, cho_solve
 __all__ = [
     "MonomialBasis",
     "QuadratureRule",
+    "monomial_tables",
+    "fan_quadrature",
+    "gauss_segments",
     "ConditioningError",
     "dim_poly",
     "poly_exponents",
@@ -67,13 +70,7 @@ class MonomialBasis:
 
     def values(self, points):
         """Value table of shape (dim, npoints)."""
-        loc = self._local(points)
-        deg = self.degree
-        # powers[k] = xi^k, eta^k for all points
-        xp = np.vander(loc[:, 0], deg + 1, increasing=True).T
-        yp = np.vander(loc[:, 1], deg + 1, increasing=True).T
-        e = self.exponents
-        return xp[e[:, 0]] * yp[e[:, 1]]
+        return monomial_tables(self._local(points), self.degree)
 
     def gradients(self, points):
         """Gradient tables (d/dx, d/dy), each of shape (dim, npoints).
@@ -81,18 +78,34 @@ class MonomialBasis:
         Includes the 1/hT chain-rule factor.
         """
         loc = self._local(points)
-        deg = self.degree
-        xp = np.vander(loc[:, 0], deg + 1, increasing=True).T
-        yp = np.vander(loc[:, 1], deg + 1, increasing=True).T
-        e = self.exponents
-        npts = loc.shape[0]
-        gx = np.zeros((self.dim, npts))
-        gy = np.zeros((self.dim, npts))
-        has_x = e[:, 0] > 0
-        has_y = e[:, 1] > 0
-        gx[has_x] = (e[has_x, 0, None] * xp[e[has_x, 0] - 1] * yp[e[has_x, 1]])
-        gy[has_y] = (e[has_y, 1, None] * xp[e[has_y, 0]] * yp[e[has_y, 1] - 1])
-        return gx / self.scale, gy / self.scale
+        return tuple(monomial_tables(loc, self.degree, d) / self.scale
+                     for d in (0, 1))
+
+
+def monomial_tables(local, degree, derivative=None):
+    """Monomials of total degree <= ``degree`` at local coordinates.
+
+    ``local`` has shape (..., npoints, 2); the table has shape
+    (..., dim, npoints) in graded lex order, so every lower-degree table is
+    its leading block.  ``derivative`` 0 or 1 gives the d/dxi or d/deta
+    table instead (without any chain-rule factor).
+    """
+    x, y = local[..., 0], local[..., 1]
+    xp, yp = [np.ones_like(x)], [np.ones_like(y)]
+    for _ in range(degree):
+        xp.append(xp[-1] * x)
+        yp.append(yp[-1] * y)
+    exps = poly_exponents(degree)
+    out = np.zeros(x.shape[:-1] + (len(exps), x.shape[-1]))
+    for r, (p, q) in enumerate(exps):
+        row = out[..., r, :]
+        if derivative is None:
+            np.multiply(xp[p], yp[q], out=row)
+        elif derivative == 0 and p:
+            np.multiply(p * xp[p - 1], yp[q], out=row)
+        elif derivative == 1 and q:
+            np.multiply(q * xp[p], yp[q - 1], out=row)
+    return out
 
 
 class QuadratureRule:
@@ -114,63 +127,85 @@ def _gauss_1d(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _triangle_rule(v0, v1, v2, exactness):
-    """Tensor Gauss rule on the triangle (v0,v1,v2), exact to ``exactness``.
+@lru_cache(maxsize=64)
+def _duffy_reference(exactness):
+    """Collapsed-square rule on the reference triangle: (xi, xi*eta, weight).
 
-    Uses the collapsed-square map x = a + xi*(b-a) + xi*eta*(c-b) whose
-    Jacobian is linear in xi, so n_xi = ceil((d+2)/2), n_eta = ceil((d+1)/2)
-    Gauss points integrate total degree d exactly.
+    The map x = a + xi*(b-a) + xi*eta*(c-b) has a Jacobian linear in xi, so
+    n_xi = ceil((d+2)/2), n_eta = ceil((d+1)/2) Gauss points integrate total
+    degree d exactly.  The weights include the xi factor of the Jacobian.
     """
     d = max(int(exactness), 0)
-    nxi = (d + 3) // 2
-    neta = (d + 2) // 2
-    x1, w1 = _gauss_1d(nxi)
-    x2, w2 = _gauss_1d(neta)
-    xi = 0.5 * (x1 + 1.0)
-    eta = 0.5 * (x2 + 1.0)
-    wxi = 0.5 * w1
-    weta = 0.5 * w2
-    XI, ETA = np.meshgrid(xi, eta, indexing="ij")
-    WA = np.outer(wxi, weta)
-    e1 = v1 - v0
-    e2 = v2 - v1
-    pts = (v0[None, :] + XI.ravel()[:, None] * e1[None, :]
-           + (XI * ETA).ravel()[:, None] * e2[None, :])
-    jac = abs(float(e1[0] * e2[1] - e1[1] * e2[0]))  # times xi below
-    wts = WA.ravel() * XI.ravel() * jac
-    return pts, wts
+    x1, w1 = _gauss_1d((d + 3) // 2)
+    x2, w2 = _gauss_1d((d + 2) // 2)
+    XI, ETA = np.meshgrid(0.5 * (x1 + 1.0), 0.5 * (x2 + 1.0), indexing="ij")
+    WA = np.outer(0.5 * w1, 0.5 * w2)
+    return XI.ravel(), (XI * ETA).ravel(), WA.ravel() * XI.ravel()
+
+
+def fan_quadrature(vertices, exactness):
+    """Fan rules on a stack of simple CCW polygons with one vertex count.
+
+    ``vertices`` has shape (m, n, 2).  Each polygon is fanned into the n
+    triangles (v_i, v_i+1, centroid) and the reference rule is mapped onto
+    each; returns points (m, n * nt, 2) and weights (m, n * nt), triangle by
+    triangle.  A degenerate sub-triangle (area < 1e-14 * hT^2) raises
+    ValueError naming the polygon's row and vertex.
+    """
+    pts = np.asarray(vertices, dtype=float)
+    x, y = pts[..., 0], pts[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * yn - xn * y
+    area2 = cross.sum(axis=-1)
+    c = np.stack([((x + xn) * cross).sum(axis=-1) / (3.0 * area2),
+                  ((y + yn) * cross).sum(axis=-1) / (3.0 * area2)], axis=-1)
+    diam2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(-1)
+    v1 = np.roll(pts, -1, axis=1)
+    e1 = v1 - pts
+    e2 = c[:, None, :] - v1
+    b = c[:, None, :] - pts
+    tri_area = 0.5 * np.abs(e1[..., 0] * b[..., 1] - e1[..., 1] * b[..., 0])
+    bad = tri_area < 1e-14 * diam2.max(axis=(1, 2))[:, None]
+    if bad.any():
+        m, i = np.argwhere(bad)[0]
+        raise ValueError(f"degenerate fan triangle at polygon vertex {i} "
+                         f"(row {m}, area {tri_area[m, i]:g})")
+    xi, xe, wr = _duffy_reference(exactness)
+    points = (pts[:, :, None, :] + xi[:, None] * e1[:, :, None, :]
+              + xe[:, None] * e2[:, :, None, :])
+    jac = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    m = len(pts)
+    return points.reshape(m, -1, 2), (wr * jac[..., None]).reshape(m, -1)
 
 
 def cell_quadrature(vertices, exactness):
     """Quadrature on a simple CCW polygon, exact for degree <= exactness.
 
-    The polygon is fanned into triangles from its area centroid; a degenerate
-    sub-triangle (area < 1e-14 * hT^2) raises ValueError.
+    The polygon is fanned into triangles from its area centroid (see
+    :func:`fan_quadrature`); a degenerate sub-triangle raises ValueError.
     """
-    pts = np.asarray(vertices, dtype=float)
-    n = len(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area2 = cross.sum()
-    cx = ((x + xn) * cross).sum() / (3.0 * area2)
-    cy = ((y + yn) * cross).sum() / (3.0 * area2)
-    c = np.array([cx, cy])
-    diam2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1).max()
-    all_pts = []
-    all_wts = []
-    for i in range(n):
-        v0, v1 = pts[i], pts[(i + 1) % n]
-        a, b = v1 - v0, c - v0
-        tri_area = 0.5 * abs(a[0] * b[1] - a[1] * b[0])
-        if tri_area < 1e-14 * diam2:
-            raise ValueError(
-                f"degenerate fan triangle at polygon vertex {i} "
-                f"(area {tri_area:g})")
-        p, w = _triangle_rule(v0, v1, c, exactness)
-        all_pts.append(p)
-        all_wts.append(w)
-    return QuadratureRule(np.vstack(all_pts), np.concatenate(all_wts))
+    pts, wts = fan_quadrature(np.asarray(vertices, dtype=float)[None],
+                              exactness)
+    return QuadratureRule(pts[0], wts[0])
+
+
+def edge_point_count(exactness):
+    """Gauss points per edge for exactness ``exactness``: ceil((e+1)/2)."""
+    return np.maximum(1, (np.asarray(exactness, dtype=np.int64) + 2) // 2)
+
+
+def gauss_segments(p0, p1, npts):
+    """Gauss rules with ``npts`` points on segments p0 -> p1 (each (m, 2)).
+
+    Returns points (m, npts, 2) and weights (m, npts) summing to each
+    segment's length.
+    """
+    x, w = _gauss_1d(npts)
+    t = 0.5 * (x + 1.0)
+    d = p1 - p0
+    pts = p0[:, None, :] + t[:, None] * d[:, None, :]
+    length = np.hypot(d[:, 0], d[:, 1])
+    return pts, 0.5 * w * length[:, None]
 
 
 def edge_quadrature(p0, p1, exactness):
@@ -178,14 +213,10 @@ def edge_quadrature(p0, p1, exactness):
 
     Weights sum to the segment length.
     """
-    npts = max(1, (int(exactness) + 2) // 2)
-    x, w = _gauss_1d(npts)
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t = 0.5 * (x + 1.0)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = float(np.hypot(*(p1 - p0)))
-    return QuadratureRule(pts, 0.5 * w * length)
+    p0 = np.asarray(p0, dtype=float)[None]
+    p1 = np.asarray(p1, dtype=float)[None]
+    pts, wts = gauss_segments(p0, p1, edge_point_count(exactness))
+    return QuadratureRule(pts[0], wts[0])
 
 
 def gram_matrix(basis, rule):

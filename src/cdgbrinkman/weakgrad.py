@@ -13,13 +13,29 @@ operators apply this primitive to each component.
 
 Per-cell target degrees: dt = k+1 on triangles and n+k-1 on n-gons for the
 velocity operator; dt = k for the pressure operator.
+
+Stacked layout: Discretization groups the cells by edge count into
+ShapeClass objects, whose cells share the target degree j and the
+quadrature size, and stacks their bases, Gram factors and weak-gradient
+maps as arrays over the class's cells.  The degree-k and k-1 bases are the
+leading rows of the degree-j table (graded monomial order; the
+lower-triangular orthonormalizing transform keeps the nesting), so each
+point set is evaluated once.  Half-edges (cell, local edge) are grouped
+per class by edge point count, and all their points are also laid out
+flat with the owner's degree-k values (``trace_k``) and the index of the
+same point seen from the neighbour (``edge_twin``, -1 on the boundary),
+so two-sided edge terms are gathers.  ``contexts``, ``vel_grad``,
+``pre_grad`` and ``edge_rules`` are read-only per-cell (per-edge) views
+built on access from these arrays.
 """
 
-import numpy as np
-import scipy.linalg as sla
+from collections import namedtuple
 
-from .polyspace import (MonomialBasis, cell_quadrature, edge_quadrature,
-                        dim_poly, gram_cholesky, gram_solve)
+import numpy as np
+
+from .polyspace import (ConditioningError, MonomialBasis, QuadratureRule,
+                        dim_poly, edge_point_count, fan_quadrature,
+                        gauss_segments, monomial_tables)
 
 __all__ = [
     "edge_average",
@@ -74,184 +90,146 @@ def target_degree(edge_count, k):
 
 
 # ---------------------------------------------------------------------------
-# per-cell discretization context
+# stacked per-shape-class data
 # ---------------------------------------------------------------------------
 
-class _DegreeBlock:
-    """Tables, Gram matrix and factor for one polynomial degree on a cell.
+def _trisolve(L, B, transpose=False):
+    """Solve L X = B (or L^T X = B) for stacked lower-triangular L.
 
-    With orthonormalization the raw monomial tables are premultiplied by the
-    inverse Cholesky factor of the raw Gram matrix, making G the identity.
+    Row-by-row substitution, as a triangular LAPACK solve does, over the
+    whole stack at once; B has shape (..., d, m) and broadcasts against L.
+    """
+    shape = np.broadcast_shapes(L.shape[:-2], np.shape(B)[:-2])
+    X = np.array(np.broadcast_to(B, shape + np.shape(B)[-2:]), dtype=float)
+    d = L.shape[-1]
+    for r in (range(d - 1, -1, -1) if transpose else range(d)):
+        coef = L[..., r + 1:, r] if transpose else L[..., r, :r]
+        if coef.shape[-1]:
+            rest = X[..., r + 1:, :] if transpose else X[..., :r, :]
+            X[..., r, :] -= (coef[..., None, :] @ rest)[..., 0, :]
+        X[..., r, :] /= L[..., r, r, None]
+    return X
+
+
+def _cholesky(gram, cells, degree):
+    """Stacked Cholesky factors; a failure names the first failing cell."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        for c, g in zip(cells, gram):
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError(
+                    f"Gram matrix not SPD for cell {c} degree {degree} "
+                    f"(size {len(g)})") from exc
+        raise
+
+
+WeakGradientMaps = namedtuple("WeakGradientMaps", "B Z W")
+
+
+class HalfEdgeGroup:
+    """The half-edges of one shape class whose edges have ``q`` points.
+
+    Per half-edge: ``slot``/``local`` in the class arrays, ``edge``,
+    ``owner``, its outward ``normal`` and Gauss ``points``/``weights``
+    (rows ``start`` to ``stop`` of the flat edge arrays, q per half-edge);
+    ``phi`` (ng, dim_j, q) is the owner's basis there.  ``own_m`` and
+    ``nbr_m`` (ng, dim_j, dim_k) are the edge moments <phi_a, psi_b> against
+    the owner's and the neighbour's degree-k basis (zero on the boundary).
     """
 
-    __slots__ = ("dim", "vals", "gx", "gy", "gram", "chol", "_transform")
 
-    def __init__(self, ctx, degree, orthonormalize):
-        self.dim = dim_poly(degree)
-        vals = ctx._raw_vals[: self.dim]
-        gx = ctx._raw_gx[: self.dim]
-        gy = ctx._raw_gy[: self.dim]
-        gram = (vals * ctx.rule.weights) @ vals.T
-        gram = 0.5 * (gram + gram.T)
-        if orthonormalize:
-            chol = gram_cholesky(gram, where=f"cell {ctx.index} degree {degree}")
-            tr = sla.solve_triangular(chol[0], np.eye(self.dim), lower=True)
-            self._transform = tr
-            self.vals = tr @ vals
-            self.gx = tr @ gx
-            self.gy = tr @ gy
-            self.gram = np.eye(self.dim)
-            self.chol = gram_cholesky(self.gram)
-        else:
-            self._transform = None
-            self.vals = vals
-            self.gx = gx
-            self.gy = gy
-            self.gram = gram
-            self.chol = gram_cholesky(gram, where=f"cell {ctx.index} degree {degree}")
+class ShapeClass:
+    """Stacked data of the nc cells ``cells`` (ascending) with ``ne`` edges.
 
-    def trace(self, basis, points):
-        """Basis values at arbitrary points (e.g. edge quadrature nodes)."""
-        t = basis.values(points)[: self.dim]
-        if self._transform is not None:
-            t = self._transform @ t
-        return t
+    Per cell, along the first axis: ``edges``, ``nbr`` (the neighbour
+    across each local edge, -1 on the boundary) and outward ``normals``;
+    quadrature ``points`` (nc, nq, 2) and ``weights``; basis values ``phi``
+    (nc, dim, nq) of degree ``j``; the Gram matrices ``gram`` and their
+    lower Cholesky factors ``chol`` (nc, dim, dim), both None (identity)
+    when ``transform`` maps raw monomials to an orthonormalized basis; and
+    the volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b).
+    """
 
-
-class CellContext:
-    """All per-cell data: bases, quadrature, Gram factors, edge traces."""
-
-    def __init__(self, disc, index):
+    def __init__(self, disc, edge_count, cells):
         mesh, k = disc.mesh, disc.k
-        cell = mesh.cells[index]
-        self.index = index
-        self.cell = cell
-        self.j = target_degree(cell.edge_count, k)
-        self.basis = MonomialBasis(self.j, cell.centroid, cell.diameter)
-        self.rule = cell_quadrature(mesh.cell_vertices(index),
-                                    2 * self.j + disc.cell_exactness_bump)
-        self._raw_vals = self.basis.values(self.rule.points)
-        self._raw_gx, self._raw_gy = self.basis.gradients(self.rule.points)
-        ortho = disc.orthonormalize
-        self.block_j = _DegreeBlock(self, self.j, ortho)
-        self.block_k = _DegreeBlock(self, k, ortho)
-        self.block_p = _DegreeBlock(self, k - 1, ortho)
-        # per-edge incidence in traversal order
-        self.edge_ids = cell.edge_ids
-        self.neighbors = []
-        self.normals = []
-        for eid in self.edge_ids:
-            e = mesh.edges[eid]
-            self.neighbors.append(mesh.neighbor(e, index))
-            self.normals.append(mesh.outward_normal(e, index))
-
-    def block(self, degree_name):
-        return {"j": self.block_j, "k": self.block_k, "p": self.block_p}[degree_name]
-
-
-# ---------------------------------------------------------------------------
-# the scalar weak-gradient primitive
-# ---------------------------------------------------------------------------
-
-class ScalarWeakGradient:
-    """Linear maps from neighborhood DOFs to weak-gradient coefficients.
-
-    Attributes
-    ----------
-    cells : list of int
-        Involved cells, the own cell first.
-    col_of : dict cell -> slice into the stacked local DOF vector.
-    Bx, By : (dim_t, ncols) right-hand-side maps; row a is the functional
-        -(., dx eta_a)_T + <avg(.), eta_a n_x>_dT.
-    Wx, Wy : coefficient maps, G^{-1} B.
-    Zx, Zy : L^{-1} B, so that (grad_w u, grad_w v)_T = (Zx du) . (Zx dv) + y.
-    """
-
-    __slots__ = ("cells", "col_of", "ncols", "dim_t", "dim_f",
-                 "Bx", "By", "Wx", "Wy", "Zx", "Zy")
-
-    def __init__(self, disc, index, field, target, boundary):
-        ctx = disc.contexts[index]
-        tgt = ctx.block(target)
-        fld = ctx.block(field)
-        dim_t, dim_f = tgt.dim, fld.dim
-        cells = [index]
-        for nb in ctx.neighbors:
-            if nb is not None and nb not in cells:
-                cells.append(nb)
-        col_of = {c: slice(i * dim_f, (i + 1) * dim_f)
-                  for i, c in enumerate(cells)}
-        ncols = dim_f * len(cells)
-        Bx = np.zeros((dim_t, ncols))
-        By = np.zeros((dim_t, ncols))
-        # volume part: -(w, d_i eta)_T on the own block
-        own = col_of[index]
-        Bx[:, own] -= (tgt.gx * ctx.rule.weights) @ fld.vals.T
-        By[:, own] -= (tgt.gy * ctx.rule.weights) @ fld.vals.T
-        # edge part: <avg, eta n_i>_dT
-        for eid, nb, n in zip(ctx.edge_ids, ctx.neighbors, ctx.normals):
-            rule = disc.edge_rules[eid]
-            w = rule.weights
-            tt = tgt.trace(ctx.basis, rule.points)
-            tf = fld.trace(ctx.basis, rule.points)
-            if nb is not None:
-                nctx = disc.contexts[nb]
-                nf = nctx.block(field).trace(nctx.basis, rule.points)
-                mx = 0.5 * (tt * w) @ tf.T
-                nx = 0.5 * (tt * w) @ nf.T
-                Bx[:, own] += n[0] * mx
-                By[:, own] += n[1] * mx
-                Bx[:, col_of[nb]] += n[0] * nx
-                By[:, col_of[nb]] += n[1] * nx
-            elif boundary == "natural":
-                mx = (tt * w) @ tf.T
-                Bx[:, own] += n[0] * mx
-                By[:, own] += n[1] * mx
-            # boundary == "zero": average vanishes, handled by the lifting
+        self.ne = edge_count
         self.cells = cells
-        self.col_of = col_of
-        self.ncols = ncols
-        self.dim_t = dim_t
-        self.dim_f = dim_f
-        self.Bx, self.By = Bx, By
-        self.Wx = gram_solve(tgt.chol, Bx)
-        self.Wy = gram_solve(tgt.chol, By)
-        L = tgt.chol[0]
-        self.Zx = sla.solve_triangular(L, Bx, lower=True)
-        self.Zy = sla.solve_triangular(L, By, lower=True)
+        self.j = target_degree(edge_count, k)
+        self.dim = dim_poly(self.j)
+        self.edges = np.array([mesh.cells[c].edge_ids for c in cells],
+                              dtype=np.int64).reshape(len(cells), edge_count)
+        ends = disc._edge_cells[self.edges]
+        minus = ends[..., 0] == cells[:, None]
+        self.nbr = np.where(minus, ends[..., 1], ends[..., 0])
+        self.normals = (np.where(minus, 1.0, -1.0)[..., None]
+                        * disc._edge_normals[self.edges])
+        verts = mesh.vertices[np.array([mesh.cells[c].vertex_ids
+                                        for c in cells])]
+        self.points, self.weights = fan_quadrature(
+            verts, 2 * self.j + disc.cell_exactness_bump)
+        scale = disc.diameters[cells][:, None, None]
+        local = (self.points - disc.centroids[cells][:, None, :]) / scale
+        # one table of dim x nq per cell is kept; the two gradient tables
+        # are made one at a time and dropped once their moments are taken
+        raw = monomial_tables(local, self.j)
+        w = self.weights[:, None, :]
+        gram = (raw * w) @ raw.transpose(0, 2, 1)
+        gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+        chol = _cholesky(gram, cells, self.j)
+        if disc.orthonormalize:
+            self.transform = _trisolve(chol, np.eye(self.dim))
+            raw = self.transform @ raw
+            self.gram = self.chol = None
+        else:
+            self.transform = None
+            self.gram, self.chol = gram, chol
+        self.phi = raw
+        fw = (raw[:, :disc.dim_k] * w).transpose(0, 2, 1)
+        moments = []
+        for d in (0, 1):
+            grad = monomial_tables(local, self.j, d)
+            grad /= scale
+            if self.transform is not None:
+                grad = self.transform @ grad
+            moments.append(grad @ fw)
+        self.vx, self.vy = moments
+        self.groups = []
 
-    def coefficients(self, local_dofs):
-        """Weak-gradient coefficient pair (cx, cy) for stacked local DOFs."""
-        return self.Wx @ local_dofs, self.Wy @ local_dofs
+    def values(self, coef):
+        """Values at the quadrature points of per-cell coefficients.
 
-    def gather(self, per_cell_dofs):
-        """Stack DOF slices (callable cell -> vector) in involved-cell order."""
-        return np.concatenate([per_cell_dofs(c) for c in self.cells])
+        ``coef`` has shape (nc, ..., d) for the leading d basis functions;
+        the result has shape (nc, nq, ...).
+        """
+        return np.einsum("c...d,cdq->cq...", coef,
+                         self.phi[:, :coef.shape[-1]])
 
+    def gram_solve(self, rhs):
+        """Solve G x = rhs per cell for the leading block; rhs (nc, d, m)."""
+        if self.chol is None:
+            return rhs
+        d = rhs.shape[-2]
+        L = self.chol[:, :d, :d]
+        return _trisolve(L, _trisolve(L, rhs), transpose=True)
 
-def build_scalar_weak_gradient(disc, index, field_degree, target, boundary):
-    """Scalar operator with an explicit field degree (test/diagnostic use).
-
-    Degrees must match one of the cached per-cell blocks (j, k, or k-1);
-    e.g. field k with target k realizes the pressure-style gradient of a
-    degree-k field.
-    """
-    ctx = disc.contexts[index]
-    degmap = {"j": ctx.j, "k": disc.k, "p": disc.k - 1}
-    fkey = next((n for n, d in degmap.items() if d == field_degree), None)
-    tkey = next((n for n, d in degmap.items() if d == target), None)
-    if fkey is None or tkey is None:
-        raise ValueError("degrees must be one of the cached blocks "
-                         f"(j={ctx.j}, k={disc.k}, k-1={disc.k - 1})")
-    return ScalarWeakGradient(disc, index, fkey, tkey, boundary)
+    def mass_sq(self, coef):
+        """Sum over the cells of coef^T G coef; ``coef`` (nc, ..., d)."""
+        if self.gram is None:
+            return float((coef ** 2).sum())
+        d = coef.shape[-1]
+        c = coef.reshape(len(coef), -1, d)
+        return float((c * (c @ self.gram[:, :d, :d])).sum())
 
 
 # ---------------------------------------------------------------------------
-# whole-mesh discretization cache
+# whole-mesh discretization
 # ---------------------------------------------------------------------------
 
 class Discretization:
-    """Immutable per-(mesh, k) cache of cell contexts and weak gradients.
+    """Immutable per-(mesh, k) cache of stacked bases and weak gradients.
 
     Parameters
     ----------
@@ -260,6 +238,15 @@ class Discretization:
         Velocity degree (pressure degree is k-1), k >= 1.
     orthonormalize : bool
         Replace scaled monomials by their Gram-Cholesky orthonormalization.
+
+    ``classes`` holds the ShapeClass objects, ``vel``/``pre`` the per-class
+    maps of the velocity (field k, target j, zero boundary average) and
+    pressure (field k-1, target k, own boundary trace) weak gradients, and
+    ``velocity_dofs`` (n_cells, 2, dim_k) / ``pressure_dofs`` (n_cells,
+    dim_p) each cell's DOF indices.  Flat arrays over all cell quadrature
+    points: ``cell_points``, ``cell_owner``; over all half-edge points:
+    ``edge_points``, ``edge_weights``, ``edge_owner``, ``edge_normal`` (out
+    of the owner), ``edge_index``, ``edge_twin`` and ``trace_k``.
     """
 
     def __init__(self, mesh, k, orthonormalize=False,
@@ -270,24 +257,218 @@ class Discretization:
         self.k = int(k)
         self.orthonormalize = bool(orthonormalize)
         self.cell_exactness_bump = int(cell_exactness_bump)
+        n = mesh.n_cells
+        self.centroids = np.array([c.centroid for c in mesh.cells])
+        self.diameters = np.array([c.diameter for c in mesh.cells])
+        self._edge_cells = np.array(
+            [(e.cell_minus, -1 if e.cell_plus is None else e.cell_plus)
+             for e in mesh.edges], dtype=np.int64)
+        self._edge_normals = np.array([e.normal for e in mesh.edges])
+        # DOF layout: velocity blocks per cell (x-comp then y-comp), then
+        # pressure blocks per cell, then one multiplier row
+        self.velocity_dofs = np.arange(2 * self.dim_k * n).reshape(
+            n, 2, self.dim_k)
+        self.pressure_dofs = np.arange(self.dim_p * n).reshape(n, self.dim_p)
+        counts = np.array([c.edge_count for c in mesh.cells])
+        self.classes = [ShapeClass(self, ne, np.flatnonzero(counts == ne))
+                        for ne in np.unique(counts)]
+        self._where = np.empty((n, 2), dtype=np.int64)
+        for i, cls in enumerate(self.classes):
+            self._where[cls.cells] = np.column_stack(
+                [np.full(len(cls.cells), i), np.arange(len(cls.cells))])
+        self.cell_points = np.concatenate(
+            [c.points.reshape(-1, 2) for c in self.classes])
+        self.cell_owner = np.concatenate(
+            [np.repeat(c.cells, c.weights.shape[1]) for c in self.classes])
+        self._split = np.cumsum([c.weights.size for c in self.classes])[:-1]
         # shared edge rules: exactness covers both incident target degrees
-        self.edge_rules = []
-        cell_j = [target_degree(c.edge_count, k) for c in mesh.cells]
-        for e in mesh.edges:
-            jmax = cell_j[e.cell_minus]
-            if e.cell_plus is not None:
-                jmax = max(jmax, cell_j[e.cell_plus])
-            ex = jmax + k + edge_exactness_bump
-            self.edge_rules.append(
-                edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1], ex))
-        self.contexts = [CellContext(self, c) for c in range(mesh.n_cells)]
-        self.vel_grad = [ScalarWeakGradient(self, c, "k", "j", "zero")
-                         for c in range(mesh.n_cells)]
-        self.pre_grad = [ScalarWeakGradient(self, c, "p", "k", "natural")
-                         for c in range(mesh.n_cells)]
+        cell_j = np.array([target_degree(c, k) for c in counts])
+        ends = self._edge_cells
+        jmax = np.maximum(cell_j[ends[:, 0]],
+                          np.where(ends[:, 1] >= 0, cell_j[ends[:, 1]], 0))
+        self._edge_npts = edge_point_count(jmax + k + edge_exactness_bump)
+        self._build_half_edges()
+        if self.orthonormalize:
+            self._tk = np.empty((n, self.dim_k, self.dim_k))
+            for cls in self.classes:
+                self._tk[cls.cells] = cls.transform[:, :self.dim_k,
+                                                    :self.dim_k]
+        else:
+            self._tk = None
+        self._maps = {}
+        self.vel = self.weak_gradient(self.dim_k, None, "zero")
+        self.pre = self.weak_gradient(self.dim_p, self.dim_k, "natural")
 
-    # -- DOF layout: velocity blocks per cell (x-comp then y-comp), then
-    #    pressure blocks per cell, then one multiplier row.
+    def _build_half_edges(self):
+        ends = np.array([(e.v0, e.v1) for e in self.mesh.edges]).reshape(-1, 2)
+        start_of = np.full((self.mesh.n_edges, 2), -1)
+        groups, start = [], 0
+        for cls in self.classes:
+            npts = self._edge_npts[cls.edges]
+            for q in np.unique(npts):
+                g = HalfEdgeGroup()
+                g.slot, g.local = np.nonzero(npts == q)
+                g.edge, g.owner = cls.edges[g.slot, g.local], cls.cells[g.slot]
+                g.normal = cls.normals[g.slot, g.local]
+                g.q, g.start = int(q), start
+                g.stop = start = start + len(g.edge) * g.q
+                g.points, g.weights = gauss_segments(
+                    self.mesh.vertices[ends[g.edge, 0]],
+                    self.mesh.vertices[ends[g.edge, 1]], g.q)
+                local = ((g.points - self.centroids[g.owner][:, None, :])
+                         / self.diameters[g.owner][:, None, None])
+                g.phi = monomial_tables(local, cls.j)
+                if cls.transform is not None:
+                    g.phi = cls.transform[g.slot] @ g.phi
+                g.side = (self._edge_cells[g.edge, 0] != g.owner).astype(int)
+                start_of[g.edge, g.side] = (g.start
+                                            + g.q * np.arange(len(g.edge)))
+                cls.groups.append(g)
+                groups.append(g)
+
+        def flat(name):
+            return np.concatenate([np.repeat(getattr(g, name), g.q, axis=0)
+                                   for g in groups])
+
+        self.edge_points = np.concatenate(
+            [g.points.reshape(-1, 2) for g in groups])
+        self.edge_weights = np.concatenate([g.weights.ravel() for g in groups])
+        self.edge_owner, self.edge_normal, self.edge_index = (
+            flat(name) for name in ("owner", "normal", "edge"))
+        self.trace_k = np.concatenate(
+            [g.phi[:, :self.dim_k].transpose(0, 2, 1).reshape(-1, self.dim_k)
+             for g in groups])
+        self._edge_start = start_of
+        for g in groups:
+            other = start_of[g.edge, 1 - g.side][:, None]
+            g.twin = np.where(other >= 0, other + np.arange(g.q), -1)
+            nbr = np.where(g.twin[..., None] >= 0, self.trace_k[g.twin], 0.0)
+            wphi = g.phi * g.weights[:, None, :]
+            g.own_m = wphi @ g.phi[:, :self.dim_k].transpose(0, 2, 1)
+            g.nbr_m = wphi @ nbr
+        self.edge_twin = np.concatenate([g.twin.ravel() for g in groups])
+
+    # -- weak-gradient maps --------------------------------------------------
+
+    def weak_gradient(self, field, target, boundary):
+        """Per-class maps of one scalar weak-gradient operator (cached).
+
+        ``field`` is the number of leading basis functions of the field
+        (at most dim_k), ``target`` that of the target space, None for the
+        class's full degree-j basis; ``boundary`` is "zero" or "natural".
+        """
+        if boundary not in ("zero", "natural"):
+            raise ValueError("boundary must be 'zero' or 'natural'")
+        key = (field, target, boundary)
+        if key not in self._maps:
+            self._maps[key] = [self._class_maps(cls, field, target, boundary)
+                               for cls in self.classes]
+        return self._maps[key]
+
+    def _class_maps(self, cls, df, dt, boundary):
+        nc, ne = len(cls.cells), cls.ne
+        dt = cls.dim if dt is None else dt
+        own = np.zeros((nc, ne, dt, df))
+        nbr = np.zeros((nc, ne, dt, df))
+        for g in cls.groups:
+            inner = (g.twin[:, :1] >= 0)[..., None]
+            fac = np.where(inner, 0.5, 1.0 if boundary == "natural" else 0.0)
+            own[g.slot, g.local] = fac * g.own_m[:, :dt, :df]
+            nbr[g.slot, g.local] = 0.5 * g.nbr_m[:, :dt, :df]
+        B = np.zeros((2, nc, dt, ne + 1, df))
+        for d, vol in enumerate((cls.vx, cls.vy)):
+            B[d, :, :, 0] = -vol[:, :dt, :df]
+            for i in range(ne):
+                n = cls.normals[:, i, d, None, None]
+                B[d, :, :, 0] += n * own[:, i]
+                B[d, :, :, i + 1] = n * nbr[:, i]
+        B = B.reshape(2, nc, dt, -1)
+        if cls.chol is None:
+            return WeakGradientMaps(B, B, B)
+        L = cls.chol[:, :dt, :dt]
+        Z = _trisolve(L, B)
+        return WeakGradientMaps(B, Z, _trisolve(L, Z, transpose=True))
+
+    def columns(self, cls, table):
+        """DOF columns of a class's maps: (nc, (1 + n) d), -1 on boundaries.
+
+        ``table`` (n_cells, d) holds each cell's DOF indices, e.g.
+        ``velocity_dofs[:, comp]`` or ``pressure_dofs``.
+        """
+        slots = np.column_stack([cls.cells, cls.nbr])
+        cols = np.where(slots[..., None] >= 0, table[slots], -1)
+        return cols.reshape(len(slots), -1)
+
+    def split(self, values):
+        """Per-class (nc, nq, ...) views of values at ``cell_points``."""
+        return [v.reshape(c.weights.shape + values.shape[1:])
+                for c, v in zip(self.classes, np.split(values, self._split))]
+
+    def boundary_values(self, fn):
+        """``fn`` at the boundary half-edge points; zero at interior ones."""
+        bnd = self.edge_twin < 0
+        vals = np.asarray(fn(self.edge_points[bnd]), dtype=float)
+        out = np.zeros((len(bnd),) + vals.shape[1:])
+        out[bnd] = vals
+        return out
+
+    def boundary_lifting_rhs(self, g_values):
+        """<g_comp, eta n_i> over each cell's boundary edges, per class.
+
+        ``g_values`` holds the Dirichlet data at the half-edge points (see
+        :meth:`boundary_values`).  Returns arrays (comp, i, nc, dim_j).  This
+        is the inhomogeneous part of the velocity weak gradient: the full
+        operator applied to a field with Dirichlet trace g decomposes as the
+        homogeneous operator plus G^{-1} of this vector.
+        """
+        out = []
+        for cls in self.classes:
+            rhs = np.zeros((2, 2, len(cls.cells), cls.dim))
+            for g in cls.groups:
+                bnd = g.twin[:, 0] < 0
+                if not bnd.any():
+                    continue
+                wg = g.weights[..., None] * g_values[g.start:g.stop].reshape(
+                    -1, g.q, 2)
+                m = g.phi[bnd] @ wg[bnd]
+                n = g.normal[bnd]
+                for comp in (0, 1):
+                    for i in (0, 1):
+                        np.add.at(rhs[comp, i], g.slot[bnd],
+                                  n[:, i, None] * m[:, :, comp])
+            out.append(rhs)
+        return out
+
+    def jump_points(self, edges="interior", weight="global-h"):
+        """Half-edge points of an edge-jump sum and the factor h per point.
+
+        Returns a mask that visits each summed edge once, from its minus
+        side: interior edges, plus boundary edges for ``edges="all"``; and h
+        at every half-edge point: the global mesh size ("global-h") or the
+        edge's length ("edge-h").
+        """
+        if edges not in ("interior", "all"):
+            raise ValueError("edges must be 'interior' or 'all'")
+        if weight not in ("global-h", "edge-h"):
+            raise ValueError("weight must be 'global-h' or 'edge-h'")
+        take = self.edge_owner == self._edge_cells[self.edge_index, 0]
+        take &= (self.edge_twin >= 0) | (edges == "all")
+        if weight == "global-h":
+            return take, np.full(len(take), self.mesh.h)
+        lengths = np.array([e.length for e in self.mesh.edges])
+        return take, lengths[self.edge_index]
+
+    def edge_values(self, coef):
+        """Owner-side values at every half-edge point.
+
+        ``coef`` (n_cells, ..., d) holds per-cell coefficients of the leading
+        d <= dim_k basis functions; the result has shape (n_points, ...).
+        """
+        d = coef.shape[-1]
+        return np.einsum("n...d,nd->n...", coef[self.edge_owner],
+                         self.trace_k[:, :d])
+
+    # -- DOF layout -----------------------------------------------------------
 
     @property
     def dim_k(self):
@@ -313,37 +494,188 @@ class Discretization:
         base = self.dim_p * cell
         return slice(base, base + self.dim_p)
 
+    # -- point evaluation ----------------------------------------------------
+
+    def _point_basis(self, cells, points):
+        local = ((points - self.centroids[cells])
+                 / self.diameters[cells][:, None])
+        t = monomial_tables(local[:, None, :], self.k)[..., 0]
+        if self._tk is not None:
+            t = (self._tk[cells] @ t[..., None])[..., 0]
+        return t
+
     def velocity_values(self, u, cell, points):
-        """Evaluate the velocity field at points inside ``cell``: (n, 2)."""
-        ctx = self.contexts[cell]
-        t = ctx.block_k.trace(ctx.basis, points)
-        ux = u[self.velocity_slice(cell, 0)] @ t
-        uy = u[self.velocity_slice(cell, 1)] @ t
-        return np.column_stack([ux, uy])
+        """Velocity (n, 2) at points (n, 2) inside ``cell``.
+
+        ``cell`` is one cell index or one index per point.
+        """
+        points = np.atleast_2d(points)
+        cells = np.broadcast_to(cell, len(points))
+        return np.einsum("nrd,nd->nr", u[self.velocity_dofs[cells]],
+                         self._point_basis(cells, points))
 
     def pressure_values(self, p, cell, points):
-        ctx = self.contexts[cell]
-        t = ctx.block_p.trace(ctx.basis, points)
-        return p[self.pressure_slice(cell)] @ t
+        """Pressure (n,) at points (n, 2) inside ``cell`` (as above)."""
+        points = np.atleast_2d(points)
+        cells = np.broadcast_to(cell, len(points))
+        return np.einsum("nd,nd->n", p[self.pressure_dofs[cells]],
+                         self._point_basis(cells, points)[:, :self.dim_p])
 
-    def boundary_lifting_rhs(self, cell, g, comp):
-        """<g_comp, eta n_i>_(dT on boundary) for the target basis: (rx, ry).
+    # -- read-only per-cell views ---------------------------------------------
 
-        This is the inhomogeneous part of the velocity weak gradient: the
-        full operator applied to a field with Dirichlet trace g decomposes as
-        the homogeneous operator plus G^{-1} of this vector.
-        """
-        ctx = self.contexts[cell]
-        tgt = ctx.block_j
-        rx = np.zeros(tgt.dim)
-        ry = np.zeros(tgt.dim)
-        for eid, nb, n in zip(ctx.edge_ids, ctx.neighbors, ctx.normals):
-            if nb is not None:
-                continue
-            rule = self.edge_rules[eid]
-            gv = np.asarray(g(rule.points))[:, comp]
-            tt = tgt.trace(ctx.basis, rule.points)
-            m = tt @ (rule.weights * gv)
-            rx += n[0] * m
-            ry += n[1] * m
-        return rx, ry
+    @property
+    def contexts(self):
+        return _Views(self.mesh.n_cells, lambda c: CellContext(self, c))
+
+    @property
+    def vel_grad(self):
+        return _Views(self.mesh.n_cells,
+                      lambda c: ScalarWeakGradient(self, c, self.vel))
+
+    @property
+    def pre_grad(self):
+        return _Views(self.mesh.n_cells,
+                      lambda c: ScalarWeakGradient(self, c, self.pre))
+
+    @property
+    def edge_rules(self):
+        def rule(e):
+            s, q = self._edge_start[e, 0], self._edge_npts[e]
+            return QuadratureRule(self.edge_points[s:s + q],
+                                  self.edge_weights[s:s + q])
+        return _Views(self.mesh.n_edges, rule)
+
+
+# ---------------------------------------------------------------------------
+# views
+# ---------------------------------------------------------------------------
+
+class _Views:
+    """Read-only sequence whose items are built on access."""
+
+    def __init__(self, n, make):
+        self._n, self._make = n, make
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if not -self._n <= i < self._n:
+            raise IndexError(i)
+        return self._make(int(i) % self._n)
+
+
+class _DegreeBlock:
+    """View of the leading ``dim`` basis functions of one cell."""
+
+    def __init__(self, ctx, cls, slot, dim):
+        self.dim = dim
+        self._ctx = ctx
+        self.vals = cls.phi[slot, :dim]
+        self._transform = (None if cls.transform is None
+                           else cls.transform[slot, :dim, :dim])
+        self.gram = (np.eye(dim) if cls.gram is None
+                     else cls.gram[slot, :dim, :dim])
+        self.chol = (np.eye(dim) if cls.chol is None
+                     else cls.chol[slot, :dim, :dim], True)
+
+    def _apply(self, raw):
+        raw = raw[: self.dim]
+        return raw if self._transform is None else self._transform @ raw
+
+    def trace(self, basis, points):
+        """Basis values at arbitrary points (e.g. edge quadrature nodes)."""
+        return self._apply(basis.values(points))
+
+    @property
+    def gx(self):
+        return self._apply(self._ctx.basis.gradients(self._ctx.rule.points)[0])
+
+    @property
+    def gy(self):
+        return self._apply(self._ctx.basis.gradients(self._ctx.rule.points)[1])
+
+
+class CellContext:
+    """View of one cell: basis, quadrature, degree blocks, edge incidence."""
+
+    def __init__(self, disc, index):
+        ci, slot = disc._where[index]
+        cls = disc.classes[ci]
+        self.index = index
+        self.cell = disc.mesh.cells[index]
+        self.j = cls.j
+        self.basis = MonomialBasis(cls.j, disc.centroids[index],
+                                   disc.diameters[index])
+        self.rule = QuadratureRule(cls.points[slot], cls.weights[slot])
+        self.edge_ids = cls.edges[slot]
+        self.neighbors = [None if nb < 0 else int(nb) for nb in cls.nbr[slot]]
+        self.normals = list(cls.normals[slot])
+        self.block_j, self.block_k, self.block_p = (
+            _DegreeBlock(self, cls, slot, d)
+            for d in (cls.dim, disc.dim_k, disc.dim_p))
+
+    def block(self, degree_name):
+        return {"j": self.block_j, "k": self.block_k, "p": self.block_p}[degree_name]
+
+
+class ScalarWeakGradient:
+    """View of one cell's rows of a stacked weak-gradient operator.
+
+    Attributes
+    ----------
+    cells : list of int
+        Involved cells, the own cell first.
+    col_of : dict cell -> slice into the stacked local DOF vector.
+    Bx, By : (dim_t, ncols) right-hand-side maps; row a is the functional
+        -(., dx eta_a)_T + <avg(.), eta_a n_x>_dT.
+    Wx, Wy : coefficient maps, G^{-1} B.
+    Zx, Zy : L^{-1} B, so that (grad_w u, grad_w v)_T = (Zx du) . (Zx dv) + y.
+    """
+
+    def __init__(self, disc, index, maps):
+        ci, slot = disc._where[index]
+        slots = [index] + [int(nb) for nb in disc.classes[ci].nbr[slot]]
+        B, Z, W = (m[:, slot] for m in maps[ci])
+        self.dim_t = B.shape[1]
+        self.dim_f = df = B.shape[2] // len(slots)
+        self.cells = list(dict.fromkeys(c for c in slots if c >= 0))
+        self.col_of = {c: slice(i * df, (i + 1) * df)
+                       for i, c in enumerate(self.cells)}
+        self.ncols = df * len(self.cells)
+
+        def collapse(m):
+            out = np.zeros((2, self.dim_t, self.ncols))
+            for s, c in enumerate(slots):
+                if c >= 0:
+                    out[:, :, self.col_of[c]] += m[:, :, s * df:(s + 1) * df]
+            return out
+
+        self.Bx, self.By = collapse(B)
+        self.Zx, self.Zy = collapse(Z)
+        self.Wx, self.Wy = collapse(W)
+
+    def coefficients(self, local_dofs):
+        """Weak-gradient coefficient pair (cx, cy) for stacked local DOFs."""
+        return self.Wx @ local_dofs, self.Wy @ local_dofs
+
+    def gather(self, per_cell_dofs):
+        """Stack DOF slices (callable cell -> vector) in involved-cell order."""
+        return np.concatenate([per_cell_dofs(c) for c in self.cells])
+
+
+def build_scalar_weak_gradient(disc, index, field_degree, target, boundary):
+    """Scalar operator with an explicit field degree (test/diagnostic use).
+
+    The field degree must be k or k-1 and the target degree the cell's j, k
+    or k-1; e.g. field k with target k realizes the pressure-style gradient
+    of a degree-k field.
+    """
+    j = disc.classes[disc._where[index][0]].j
+    dims = {disc.k: disc.dim_k, disc.k - 1: disc.dim_p}
+    if field_degree not in dims or (target != j and target not in dims):
+        raise ValueError("field degree must be k or k-1 and target degree "
+                         f"j, k or k-1 (j={j}, k={disc.k})")
+    maps = disc.weak_gradient(dims[field_degree],
+                              None if target == j else dims[target], boundary)
+    return ScalarWeakGradient(disc, index, maps)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgbrinkman.assembly import (BrinkmanProblem, assemble_a, assemble_b,
                                   assemble_mean_constraint, assemble_rhs,
                                   assemble_s, assemble_system)
-from cdgbrinkman.analysis import (norm_pressure_jump, norm_triple_bar,
-                                  project_pressure)
-from cdgbrinkman.mesh import Mesh, generate_uniform_rectangular, generate_uniform_triangular
+from cdgbrinkman.analysis import (norm_l2_pressure, norm_l2_velocity,
+                                  norm_pressure_jump, norm_triple_bar,
+                                  project_pressure, project_velocity)
+from cdgbrinkman.mesh import (Mesh, generate_polygonal,
+                              generate_uniform_rectangular,
+                              generate_uniform_triangular)
 from cdgbrinkman.polyspace import MonomialBasis
 from cdgbrinkman.problems import constant_flow_problem, example1, polynomial_patch
 from cdgbrinkman.solver import SolverError, solve
@@ -389,3 +393,74 @@ def test_assembly_rejects_bad_mu(mu):
     disc = Discretization(generate_uniform_rectangular(2), 1)
     with pytest.raises(ValueError, match="mu must be finite and positive"):
         assemble_system(disc, unit_problem(mu=mu))
+
+
+def test_assembly_rejects_non_finite_force_naming_cell():
+    zero = unit_problem()
+    problem = BrinkmanProblem(mu=1.0, kappa_inv=zero.kappa_inv,
+                              f=lambda p: np.full((len(p), 2), np.nan),
+                              g=zero.g)
+    disc = Discretization(generate_uniform_rectangular(2), 1)
+    with pytest.raises(ValueError,
+                       match=r"non-finite body force f .*in cell 0 at point"):
+        assemble_system(disc, problem)
+
+
+def test_assembly_rejects_non_finite_boundary_data_naming_edge():
+    # g is NaN on the right side x = 1 only; the error names the
+    # lowest-numbered edge there and one of its points
+    mesh = generate_uniform_rectangular(2)
+
+    def g(pts):
+        out = np.zeros((len(pts), 2))
+        out[pts[:, 0] > 1.0 - 1e-12, 0] = np.nan
+        return out
+
+    zero = unit_problem()
+    problem = BrinkmanProblem(mu=1.0, kappa_inv=zero.kappa_inv, f=zero.f, g=g)
+    right = min(e.index for e in mesh.edges if e.is_boundary
+                and np.all(mesh.vertices[[e.v0, e.v1], 0] == 1.0))
+    disc = Discretization(mesh, 1)
+    match = rf"non-finite boundary data g .*on edge {right} at point \[1\. "
+    with pytest.raises(ValueError, match=match):
+        assemble_system(disc, problem)
+
+
+def _perturbed_mesh(family, n, seed, amplitude):
+    """A generated mesh with its interior vertices moved at random."""
+    mesh = {"rect": generate_uniform_rectangular,
+            "poly": generate_polygonal}[family](n)
+    v = mesh.vertices.copy()
+    inside = np.all((v > 1e-9) & (v < 1.0 - 1e-9), axis=1)
+    rng = np.random.default_rng(seed)
+    v[inside] += amplitude * mesh.labeled_h * rng.uniform(
+        -1.0, 1.0, (inside.sum(), 2))
+    return Mesh(v, [c.vertex_ids for c in mesh.cells],
+                labeled_h=mesh.labeled_h)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["rect", "poly"]), n=st.integers(2, 4),
+       k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1),
+       amplitude=st.floats(0.0, 0.1))
+def test_assembly_invariants_on_perturbed_meshes(family, n, k, seed,
+                                                 amplitude):
+    # A is symmetric, the constant flow is reproduced, and two builds from
+    # scratch agree bit for bit
+    mesh = _perturbed_mesh(family, n, seed, amplitude)
+    problem = constant_flow_problem(kappa0=5.0, mu=0.01)
+    discs = [Discretization(mesh, k) for _ in range(2)]
+    a, b = (assemble_system(disc, problem) for disc in discs)
+    for name in ("A", "B", "S"):
+        ma, mb = getattr(a, name), getattr(b, name)
+        assert np.array_equal(ma.indptr, mb.indptr)
+        assert np.array_equal(ma.indices, mb.indices)
+        assert np.array_equal(ma.data, mb.data)
+    for name in ("F", "G", "m"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert abs(a.A - a.A.T).max() <= 1e-14 * abs(a.A).max()
+    disc = discs[0]
+    sol = solve(a)
+    assert norm_l2_velocity(disc, sol.u - project_velocity(disc, problem.u)) \
+        <= 1e-12
+    assert norm_l2_pressure(disc, sol.p) <= 1e-12

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     code = main(["converge", "--mesh", "rect", "--k", "1",
                  "--levels", "2..2", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_thread_cap_without_threadpoolctl_warns(tmp_path, monkeypatch,
+                                                capsys):
+    # BLAS has loaded before the cap could act, so the run goes on and
+    # stderr names the variables to set before launch
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setenv("CDG_THREADS", "1")
+    code = main(["converge", "--mesh", "rect", "--k", "1",
+                 "--levels", "2..2", "--out", str(tmp_path)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "CDG_THREADS=1 not applied" in err
+    assert "OPENBLAS_NUM_THREADS" in err
 
 
 def test_cell_locator_polygonal():

@@ -155,44 +155,61 @@ def test_two_cell_brute_force_oracle():
 
 def test_defining_equation_random_dofs(rng):
     # recompute both sides of the defining relation with independent
-    # higher-order rules; residual <= 1e-10 * scale for every test basis
-    mesh = generate_uniform_triangular(2)
-    k = 2
-    disc = Discretization(mesh, k)
+    # higher-order rules on every cell, boundary cells included, for both
+    # operators, on a triangular and a mixed-shape mesh, with and without
+    # orthonormalized bases
+    for family, n in (("tri", 2), ("poly", 4)):
+        mesh = MESH_FAMILIES[family](n)
+        for orthonormalize in (False, True):
+            disc = Discretization(mesh, 2, orthonormalize=orthonormalize)
+            for velocity in (True, False):
+                _check_defining_equation(disc, velocity, rng)
+
+
+def _check_defining_equation(disc, velocity, rng):
+    # residual <= 1e-10 * scale for every monomial test function (they span
+    # the target space whether or not its basis is orthonormalized)
+    mesh, k = disc.mesh, disc.k
+    ops = disc.vel_grad if velocity else disc.pre_grad
     for cell in range(mesh.n_cells):
         ctx = disc.contexts[cell]
-        op = disc.vel_grad[cell]
+        op = ops[cell]
+        tgt, fld = ("j", "k") if velocity else ("k", "p")
+        dim = ctx.block(tgt).dim
         basis_t = ctx.basis
         rule = cell_quadrature(mesh.cell_vertices(cell), 2 * ctx.j + 6)
-        tvals = basis_t.values(rule.points)[: ctx.block_j.dim]
-        tgx, tgy = basis_t.gradients(rule.points)
-        tgx, tgy = tgx[: ctx.block_j.dim], tgy[: ctx.block_j.dim]
-        for trial in range(6):
+        tvals = basis_t.values(rule.points)[:dim]
+        tgx, tgy = (g[:dim] for g in basis_t.gradients(rule.points))
+        gvals = ctx.block(tgt).trace(basis_t, rule.points)
+        for trial in range(4):
             local = rng.uniform(-1, 1, op.ncols)
             cx, cy = op.coefficients(local)
             own = local[op.col_of[cell]]
-            fvals = own @ ctx.block_k.trace(ctx.basis, rule.points)
+            fvals = own @ ctx.block(fld).trace(basis_t, rule.points)
             # volume: (grad_w v, tau) + (v, div tau)
-            lhs_x = (tvals * rule.weights) @ (cx @ tvals)
-            lhs_y = (tvals * rule.weights) @ (cy @ tvals)
+            lhs_x = (tvals * rule.weights) @ (cx @ gvals)
+            lhs_y = (tvals * rule.weights) @ (cy @ gvals)
             vol_x = (tgx * rule.weights) @ fvals
             vol_y = (tgy * rule.weights) @ fvals
-            edge_x = np.zeros(ctx.block_j.dim)
-            edge_y = np.zeros(ctx.block_j.dim)
-            for eid, nb, n in zip(ctx.edge_ids, ctx.neighbors, ctx.normals):
+            edge_x = np.zeros(dim)
+            edge_y = np.zeros(dim)
+            for eid, nb, nrm in zip(ctx.edge_ids, ctx.neighbors, ctx.normals):
                 e = mesh.edges[eid]
                 er = edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1],
                                      ctx.j + k + 6)
-                ttr = basis_t.values(er.points)[: ctx.block_j.dim]
+                ttr = basis_t.values(er.points)[:dim]
+                otr = own @ ctx.block(fld).trace(basis_t, er.points)
                 if nb is None:
-                    continue  # homogeneous average
-                otr = own @ ctx.block_k.trace(ctx.basis, er.points)
-                nctx = disc.contexts[nb]
-                ntr = local[op.col_of[nb]] @ nctx.block_k.trace(
-                    nctx.basis, er.points)
-                avg = 0.5 * (otr + ntr)
-                edge_x += n[0] * (ttr @ (er.weights * avg))
-                edge_y += n[1] * (ttr @ (er.weights * avg))
+                    if velocity:
+                        continue  # homogeneous average
+                    avg = otr     # pressure: the cell's own trace
+                else:
+                    nctx = disc.contexts[nb]
+                    ntr = local[op.col_of[nb]] @ nctx.block(fld).trace(
+                        nctx.basis, er.points)
+                    avg = 0.5 * (otr + ntr)
+                edge_x += nrm[0] * (ttr @ (er.weights * avg))
+                edge_y += nrm[1] * (ttr @ (er.weights * avg))
             scale = max(1.0, np.abs(lhs_x).max(), np.abs(lhs_y).max())
             assert np.abs(lhs_x + vol_x - edge_x).max() < 1e-10 * scale
             assert np.abs(lhs_y + vol_y - edge_y).max() < 1e-10 * scale
