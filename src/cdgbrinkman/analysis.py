@@ -388,9 +388,9 @@ def _as_fraction(h):
     return f"{h:.4g}"
 
 
-def run_convergence(problem, mesh_factory, k, n_divs, solver="direct",
-                    orthonormalize=False, stabilizer_edges="interior",
-                    s_weight="global-h", on_level=None):
+def run_convergence(problem, mesh_factory, k, n_divs, orthonormalize=False,
+                    stabilizer_edges="interior", s_weight="global-h",
+                    on_level=None):
     """Solve a manufactured problem across refinement levels.
 
     ``mesh_factory`` maps n_div to a Mesh; n_divs should double so the
@@ -407,7 +407,7 @@ def run_convergence(problem, mesh_factory, k, n_divs, solver="direct",
         system = assemble_system(disc, problem,
                                  stabilizer_edges=stabilizer_edges,
                                  s_weight=s_weight)
-        sol = solve(system, method=solver, disc=disc)
+        sol = solve(system)
         uQ = project_velocity(disc, problem.u)
         pQ = project_pressure(disc, problem.p)
         e = uQ - sol.u

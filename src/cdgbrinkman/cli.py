@@ -94,7 +94,6 @@ def _add_common(p):
     p.add_argument("--k", type=int, default=1, choices=(1, 2, 3),
                    help="velocity polynomial degree")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--solver", default="direct", choices=("direct", "krylov"))
     p.add_argument("--stabilizer-edges", default="interior",
                    choices=("interior", "all"),
                    help="edge set of the pressure jump stabilizer")
@@ -157,7 +156,6 @@ def cmd_converge(args):
               f"{rep.seconds:.2f}s", flush=True)
 
     report = run_convergence(problem, factory, args.k, levels,
-                             solver=args.solver,
                              orthonormalize=args.orthonormalize,
                              stabilizer_edges=args.stabilizer_edges,
                              s_weight=args.s_weight, on_level=progress)
@@ -191,7 +189,7 @@ def cmd_solve(args):
     system = assemble_system(disc, problem,
                              stabilizer_edges=args.stabilizer_edges,
                              s_weight=args.s_weight)
-    solution = solve(system, method=args.solver, disc=disc)
+    solution = solve(system)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     fields = cell_center_fields(disc, solution.u, solution.p)
@@ -218,7 +216,7 @@ def cmd_patchtest(args):
                 system = assemble_system(
                     disc, problem, stabilizer_edges=args.stabilizer_edges,
                     s_weight=args.s_weight)
-                sol = solve(system, method=args.solver, disc=disc)
+                sol = solve(system)
                 e = project_velocity(disc, problem.u) - sol.u
                 eps = project_pressure(disc, problem.p) - sol.p
                 trb = norm_triple_bar(disc, problem, e)

@@ -115,6 +115,8 @@ class Mesh:
     labeled_h : float, optional
         Nominal mesh size 1/n_div used to label refinement levels; the
         geometric ``h`` (max cell diameter) is always computed.
+
+    ``edge_vertices`` (n_edges, 2) holds each edge's (v0, v1).
     """
 
     def __init__(self, vertices, cell_vertex_ids, labeled_h=None):
@@ -140,6 +142,7 @@ class Mesh:
     def _build_edges(self):
         edge_of_pair = {}
         edges = []
+        pairs = []
         # first pass: discover edges keyed by the unordered vertex pair
         for cell in self.cells:
             ids = cell.vertex_ids
@@ -150,6 +153,7 @@ class Mesh:
                     e = Edge(len(edges), key[0], key[1], self.vertices)
                     edge_of_pair[key] = e
                     edges.append(e)
+                    pairs.append(key)
                 e = edge_of_pair[key]
                 if e.cell_minus is None:
                     e.cell_minus = cell.index
@@ -161,6 +165,7 @@ class Mesh:
                         f"cells ({e.cell_minus}, {e.cell_plus}, {cell.index})")
                 cell_edges.append(e.index)
             cell.edge_ids = np.array(cell_edges, dtype=np.int64)
+        self.edge_vertices = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         # second pass: orient normals out of cell_minus
         for e in edges:
             minus = self.cells[e.cell_minus]
@@ -213,7 +218,11 @@ class Mesh:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        """Check the structural invariants; raise MeshValidationError."""
+        """Check the structural invariants; raise MeshValidationError.
+
+        Besides simple cells and unit normals, the mesh must be conforming:
+        every boundary edge lies on the bounding box and V - E + F = 1.
+        """
         for cell in self.cells:
             if len(set(cell.vertex_ids.tolist())) != len(cell.vertex_ids):
                 raise MeshValidationError(f"cell {cell.index} repeats a vertex")
@@ -230,6 +239,25 @@ class Mesh:
             t = self.vertices[e.v1] - self.vertices[e.v0]
             if abs(np.dot(t, e.normal)) > 1e-14 * e.length:
                 raise MeshValidationError(f"edge {e.index} normal not perpendicular")
+        # a boundary edge inside the domain is one side of a hanging node
+        lo, hi = self.bbox
+        tol = 1e-10 * float((hi - lo).max())
+        ends = self.edge_vertices[self.boundary_edge_ids]
+        pts = self.vertices[ends]
+        on_side = ((np.abs(pts - lo) <= tol).all(axis=1)
+                   | (np.abs(pts - hi) <= tol).all(axis=1)).any(axis=1)
+        if not on_side.all():
+            i = np.flatnonzero(~on_side)[0]
+            (v0, v1), (p0, p1) = ends[i], pts[i].tolist()
+            raise MeshValidationError(
+                f"boundary edge {self.boundary_edge_ids[i]} (vertices {v0} "
+                f"{tuple(p0)} and {v1} {tuple(p1)}) lies inside the domain: "
+                "hanging node or non-conforming interface")
+        chi = self.euler_characteristic()
+        if chi != 1:
+            raise MeshValidationError(
+                f"V - E + F = {chi}, expected 1 for a conforming partition "
+                "of a rectangle (hole, hanging node or unused vertex?)")
 
     def euler_characteristic(self):
         """V - E + F for the cell complex (1 for a partition of a disk)."""

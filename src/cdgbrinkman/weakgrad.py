@@ -24,28 +24,22 @@ point set is evaluated once.  Half-edges (cell, local edge) are grouped
 per class by edge point count, and all their points are also laid out
 flat with the owner's degree-k values (``trace_k``) and the index of the
 same point seen from the neighbour (``edge_twin``, -1 on the boundary),
-so two-sided edge terms are gathers.  ``contexts``, ``vel_grad``,
-``pre_grad`` and ``edge_rules`` are read-only per-cell (per-edge) views
-built on access from these arrays.
+so two-sided edge terms are gathers.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .polyspace import (ConditioningError, MonomialBasis, QuadratureRule,
-                        dim_poly, edge_point_count, fan_quadrature,
-                        gauss_segments, monomial_tables)
+from .polyspace import (ConditioningError, dim_poly, edge_point_count,
+                        fan_quadrature, gauss_segments, monomial_tables)
 
 __all__ = [
     "edge_average",
     "normal_jump",
     "scalar_jump",
     "target_degree",
-    "CellContext",
-    "ScalarWeakGradient",
     "Discretization",
-    "build_scalar_weak_gradient",
 ]
 
 
@@ -272,10 +266,6 @@ class Discretization:
         counts = np.array([c.edge_count for c in mesh.cells])
         self.classes = [ShapeClass(self, ne, np.flatnonzero(counts == ne))
                         for ne in np.unique(counts)]
-        self._where = np.empty((n, 2), dtype=np.int64)
-        for i, cls in enumerate(self.classes):
-            self._where[cls.cells] = np.column_stack(
-                [np.full(len(cls.cells), i), np.arange(len(cls.cells))])
         self.cell_points = np.concatenate(
             [c.points.reshape(-1, 2) for c in self.classes])
         self.cell_owner = np.concatenate(
@@ -286,8 +276,8 @@ class Discretization:
         ends = self._edge_cells
         jmax = np.maximum(cell_j[ends[:, 0]],
                           np.where(ends[:, 1] >= 0, cell_j[ends[:, 1]], 0))
-        self._edge_npts = edge_point_count(jmax + k + edge_exactness_bump)
-        self._build_half_edges()
+        self._build_half_edges(
+            edge_point_count(jmax + k + edge_exactness_bump))
         if self.orthonormalize:
             self._tk = np.empty((n, self.dim_k, self.dim_k))
             for cls in self.classes:
@@ -299,12 +289,12 @@ class Discretization:
         self.vel = self.weak_gradient(self.dim_k, None, "zero")
         self.pre = self.weak_gradient(self.dim_p, self.dim_k, "natural")
 
-    def _build_half_edges(self):
-        ends = np.array([(e.v0, e.v1) for e in self.mesh.edges]).reshape(-1, 2)
+    def _build_half_edges(self, edge_npts):
+        ends = self.mesh.edge_vertices
         start_of = np.full((self.mesh.n_edges, 2), -1)
         groups, start = [], 0
         for cls in self.classes:
-            npts = self._edge_npts[cls.edges]
+            npts = edge_npts[cls.edges]
             for q in np.unique(npts):
                 g = HalfEdgeGroup()
                 g.slot, g.local = np.nonzero(npts == q)
@@ -338,7 +328,6 @@ class Discretization:
         self.trace_k = np.concatenate(
             [g.phi[:, :self.dim_k].transpose(0, 2, 1).reshape(-1, self.dim_k)
              for g in groups])
-        self._edge_start = start_of
         for g in groups:
             other = start_of[g.edge, 1 - g.side][:, None]
             g.twin = np.where(other >= 0, other + np.arange(g.q), -1)
@@ -486,14 +475,6 @@ class Discretization:
     def n_pressure_dofs(self):
         return self.dim_p * self.mesh.n_cells
 
-    def velocity_slice(self, cell, comp):
-        base = 2 * self.dim_k * cell + comp * self.dim_k
-        return slice(base, base + self.dim_k)
-
-    def pressure_slice(self, cell):
-        base = self.dim_p * cell
-        return slice(base, base + self.dim_p)
-
     # -- point evaluation ----------------------------------------------------
 
     def _point_basis(self, cells, points):
@@ -520,162 +501,3 @@ class Discretization:
         cells = np.broadcast_to(cell, len(points))
         return np.einsum("nd,nd->n", p[self.pressure_dofs[cells]],
                          self._point_basis(cells, points)[:, :self.dim_p])
-
-    # -- read-only per-cell views ---------------------------------------------
-
-    @property
-    def contexts(self):
-        return _Views(self.mesh.n_cells, lambda c: CellContext(self, c))
-
-    @property
-    def vel_grad(self):
-        return _Views(self.mesh.n_cells,
-                      lambda c: ScalarWeakGradient(self, c, self.vel))
-
-    @property
-    def pre_grad(self):
-        return _Views(self.mesh.n_cells,
-                      lambda c: ScalarWeakGradient(self, c, self.pre))
-
-    @property
-    def edge_rules(self):
-        def rule(e):
-            s, q = self._edge_start[e, 0], self._edge_npts[e]
-            return QuadratureRule(self.edge_points[s:s + q],
-                                  self.edge_weights[s:s + q])
-        return _Views(self.mesh.n_edges, rule)
-
-
-# ---------------------------------------------------------------------------
-# views
-# ---------------------------------------------------------------------------
-
-class _Views:
-    """Read-only sequence whose items are built on access."""
-
-    def __init__(self, n, make):
-        self._n, self._make = n, make
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, i):
-        if not -self._n <= i < self._n:
-            raise IndexError(i)
-        return self._make(int(i) % self._n)
-
-
-class _DegreeBlock:
-    """View of the leading ``dim`` basis functions of one cell."""
-
-    def __init__(self, ctx, cls, slot, dim):
-        self.dim = dim
-        self._ctx = ctx
-        self.vals = cls.phi[slot, :dim]
-        self._transform = (None if cls.transform is None
-                           else cls.transform[slot, :dim, :dim])
-        self.gram = (np.eye(dim) if cls.gram is None
-                     else cls.gram[slot, :dim, :dim])
-        self.chol = (np.eye(dim) if cls.chol is None
-                     else cls.chol[slot, :dim, :dim], True)
-
-    def _apply(self, raw):
-        raw = raw[: self.dim]
-        return raw if self._transform is None else self._transform @ raw
-
-    def trace(self, basis, points):
-        """Basis values at arbitrary points (e.g. edge quadrature nodes)."""
-        return self._apply(basis.values(points))
-
-    @property
-    def gx(self):
-        return self._apply(self._ctx.basis.gradients(self._ctx.rule.points)[0])
-
-    @property
-    def gy(self):
-        return self._apply(self._ctx.basis.gradients(self._ctx.rule.points)[1])
-
-
-class CellContext:
-    """View of one cell: basis, quadrature, degree blocks, edge incidence."""
-
-    def __init__(self, disc, index):
-        ci, slot = disc._where[index]
-        cls = disc.classes[ci]
-        self.index = index
-        self.cell = disc.mesh.cells[index]
-        self.j = cls.j
-        self.basis = MonomialBasis(cls.j, disc.centroids[index],
-                                   disc.diameters[index])
-        self.rule = QuadratureRule(cls.points[slot], cls.weights[slot])
-        self.edge_ids = cls.edges[slot]
-        self.neighbors = [None if nb < 0 else int(nb) for nb in cls.nbr[slot]]
-        self.normals = list(cls.normals[slot])
-        self.block_j, self.block_k, self.block_p = (
-            _DegreeBlock(self, cls, slot, d)
-            for d in (cls.dim, disc.dim_k, disc.dim_p))
-
-    def block(self, degree_name):
-        return {"j": self.block_j, "k": self.block_k, "p": self.block_p}[degree_name]
-
-
-class ScalarWeakGradient:
-    """View of one cell's rows of a stacked weak-gradient operator.
-
-    Attributes
-    ----------
-    cells : list of int
-        Involved cells, the own cell first.
-    col_of : dict cell -> slice into the stacked local DOF vector.
-    Bx, By : (dim_t, ncols) right-hand-side maps; row a is the functional
-        -(., dx eta_a)_T + <avg(.), eta_a n_x>_dT.
-    Wx, Wy : coefficient maps, G^{-1} B.
-    Zx, Zy : L^{-1} B, so that (grad_w u, grad_w v)_T = (Zx du) . (Zx dv) + y.
-    """
-
-    def __init__(self, disc, index, maps):
-        ci, slot = disc._where[index]
-        slots = [index] + [int(nb) for nb in disc.classes[ci].nbr[slot]]
-        B, Z, W = (m[:, slot] for m in maps[ci])
-        self.dim_t = B.shape[1]
-        self.dim_f = df = B.shape[2] // len(slots)
-        self.cells = list(dict.fromkeys(c for c in slots if c >= 0))
-        self.col_of = {c: slice(i * df, (i + 1) * df)
-                       for i, c in enumerate(self.cells)}
-        self.ncols = df * len(self.cells)
-
-        def collapse(m):
-            out = np.zeros((2, self.dim_t, self.ncols))
-            for s, c in enumerate(slots):
-                if c >= 0:
-                    out[:, :, self.col_of[c]] += m[:, :, s * df:(s + 1) * df]
-            return out
-
-        self.Bx, self.By = collapse(B)
-        self.Zx, self.Zy = collapse(Z)
-        self.Wx, self.Wy = collapse(W)
-
-    def coefficients(self, local_dofs):
-        """Weak-gradient coefficient pair (cx, cy) for stacked local DOFs."""
-        return self.Wx @ local_dofs, self.Wy @ local_dofs
-
-    def gather(self, per_cell_dofs):
-        """Stack DOF slices (callable cell -> vector) in involved-cell order."""
-        return np.concatenate([per_cell_dofs(c) for c in self.cells])
-
-
-def build_scalar_weak_gradient(disc, index, field_degree, target, boundary):
-    """Scalar operator with an explicit field degree (test/diagnostic use).
-
-    The field degree must be k or k-1 and the target degree the cell's j, k
-    or k-1; e.g. field k with target k realizes the pressure-style gradient
-    of a degree-k field.
-    """
-    j = disc.classes[disc._where[index][0]].j
-    dims = {disc.k: disc.dim_k, disc.k - 1: disc.dim_p}
-    if field_degree not in dims or (target != j and target not in dims):
-        raise ValueError("field degree must be k or k-1 and target degree "
-                         f"j, k or k-1 (j={j}, k={disc.k})")
-    maps = disc.weak_gradient(dims[field_degree],
-                              None if target == j else dims[target], boundary)
-    return ScalarWeakGradient(disc, index, maps)

@@ -5,6 +5,8 @@ import pytest
 
 from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular)
+from cdgbrinkman.polyspace import (MonomialBasis, cell_quadrature,
+                                   gram_cholesky, gram_solve)
 
 MESH_FAMILIES = {
     "tri": generate_uniform_triangular,
@@ -48,13 +50,41 @@ def random_polynomial(degree, rng, scale=1.0):
     return value, grad
 
 
-def project_scalar_field(disc, fn, block_name):
-    """Per-cell L2 projection returning a list of coefficient vectors."""
-    from cdgbrinkman.polyspace import gram_solve
+def locate(disc, cell):
+    """Class index and slot of ``cell`` in the stacked arrays of ``disc``.
 
-    out = []
-    for ctx in disc.contexts:
-        blk = ctx.block(block_name)
-        rhs = blk.vals @ (ctx.rule.weights * fn(ctx.rule.points))
-        out.append(gram_solve(blk.chol, rhs))
+    Also returns ``tables(points, dim, grad=False)``: the leading ``dim``
+    basis functions of the cell at ``points`` (their x and y derivatives
+    with ``grad``), from polyspace monomials and the class's transform.
+    """
+    ci = next(i for i, c in enumerate(disc.classes) if cell in c.cells)
+    cls = disc.classes[ci]
+    slot = int(np.searchsorted(cls.cells, cell))
+    basis = MonomialBasis(cls.j, disc.mesh.cells[cell].centroid,
+                          disc.mesh.cells[cell].diameter)
+
+    def tables(points, dim, grad=False):
+        raw = basis.gradients(points) if grad else [basis.values(points)]
+        out = [r[:dim] if cls.transform is None
+               else cls.transform[slot, :dim, :dim] @ r[:dim] for r in raw]
+        return out if grad else out[0]
+
+    return ci, slot, tables
+
+
+def project_scalar_field(disc, fn, block_name):
+    """Per-cell L2 projection onto the leading "k" or "p" basis functions.
+
+    Returns (n_cells, dim) coefficients, so ``dofs[c]`` is cell c's vector.
+    """
+    dim = {"k": disc.dim_k, "p": disc.dim_p}[block_name]
+    out = np.zeros((disc.mesh.n_cells, dim))
+    for c in range(disc.mesh.n_cells):
+        ci, _, tables = locate(disc, c)
+        rule = cell_quadrature(disc.mesh.cell_vertices(c),
+                               2 * disc.classes[ci].j + 2)
+        vals = tables(rule.points, dim)
+        gram = (vals * rule.weights) @ vals.T
+        out[c] = gram_solve(gram_cholesky(gram), vals @ (rule.weights
+                                                          * fn(rule.points)))
     return out

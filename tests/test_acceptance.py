@@ -20,12 +20,15 @@ from cdgbrinkman.assembly import BrinkmanProblem, assemble_system
 from cdgbrinkman.cli import main
 from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular)
+from cdgbrinkman.polyspace import (cell_quadrature, edge_quadrature,
+                                   gram_cholesky, gram_solve)
 from cdgbrinkman.problems import (cavity_problem, example1, load_kappa_raster,
                                   polynomial_patch, sample_raster_path)
 from cdgbrinkman.solver import solve
-from cdgbrinkman.weakgrad import Discretization, build_scalar_weak_gradient
+from cdgbrinkman.weakgrad import Discretization
 
-from conftest import MESH_FAMILIES, random_polynomial, project_scalar_field
+from conftest import (MESH_FAMILIES, locate, random_polynomial,
+                      project_scalar_field)
 
 
 def _report(line):
@@ -129,30 +132,33 @@ def test_criterion_6_weak_gradient_identities(rng):
     for family, factory in MESH_FAMILIES.items():
         mesh = factory(3 if family != "poly" else 4)
         disc = Discretization(mesh, k)
-        nat_ops = [build_scalar_weak_gradient(disc, c, k, disc.contexts[c].j,
-                                              "natural")
-                   for c in range(mesh.n_cells)]
+        nat = disc.weak_gradient(disc.dim_k, None, "natural")
+        cells = [locate(disc, c) for c in range(mesh.n_cells)]
+        rules = [cell_quadrature(mesh.cell_vertices(c),
+                                 2 * disc.classes[ci].j + 2)
+                 for c, (ci, _, _) in enumerate(cells)]
+        u = np.zeros(disc.n_velocity_dofs + 1)
+        p = np.zeros(disc.n_pressure_dofs + 1)
         for _ in range(25):
             fn, gr = random_polynomial(k, rng)
-            dofs = project_scalar_field(disc, fn, "k")
-            for c, op in enumerate(nat_ops):
-                cx, cy = op.coefficients(op.gather(lambda cc: dofs[cc]))
-                ctx = disc.contexts[c]
-                gx = cx @ ctx.block_j.vals
-                gy = cy @ ctx.block_j.vals
-                exact = gr(ctx.rule.points)
+            u[disc.velocity_dofs[:, 0]] = project_scalar_field(disc, fn, "k")
+            for (ci, slot, tables), rule in zip(cells, rules):
+                cls = disc.classes[ci]
+                cx, cy = nat[ci].W[:, slot] @ u[disc.columns(
+                    cls, disc.velocity_dofs[:, 0])[slot]]
+                gx, gy = (c @ tables(rule.points, cls.dim) for c in (cx, cy))
+                exact = gr(rule.points)
                 worst_repro = max(worst_repro,
                                   np.abs(gx - exact[:, 0]).max(),
                                   np.abs(gy - exact[:, 1]).max())
             qfn, qgr = random_polynomial(k - 1, rng)
-            qdofs = project_scalar_field(disc, qfn, "p")
-            for c in range(mesh.n_cells):
-                op = disc.pre_grad[c]
-                cx, cy = op.coefficients(op.gather(lambda cc: qdofs[cc]))
-                ctx = disc.contexts[c]
-                gx = cx @ ctx.block_k.vals
-                gy = cy @ ctx.block_k.vals
-                exact = qgr(ctx.rule.points)
+            p[:-1] = project_scalar_field(disc, qfn, "p").ravel()
+            for (ci, slot, tables), rule in zip(cells, rules):
+                cx, cy = disc.pre[ci].W[:, slot] @ p[disc.columns(
+                    disc.classes[ci], disc.pressure_dofs)[slot]]
+                gx, gy = (c @ tables(rule.points, disc.dim_k)
+                          for c in (cx, cy))
+                exact = qgr(rule.points)
                 worst_pressure = max(worst_pressure,
                                      np.abs(gx - exact[:, 0]).max(),
                                      np.abs(gy - exact[:, 1]).max())
@@ -164,7 +170,7 @@ def test_criterion_6_weak_gradient_identities(rng):
     for family, factory in MESH_FAMILIES.items():
         mesh = factory(3 if family != "poly" else 4)
         disc = Discretization(mesh, k, orthonormalize=True)
-        jmin = min(ctx.j for ctx in disc.contexts)
+        jmin = min(cls.j for cls in disc.classes)
         for _ in range(5):
             fn, gr = random_polynomial(jmin + 1, rng)
 
@@ -189,22 +195,25 @@ def test_criterion_6_weak_gradient_identities(rng):
 
 
 def _weak_gradient_of_function(disc, cell, fn):
-    from cdgbrinkman.polyspace import edge_quadrature, gram_solve
-
     mesh = disc.mesh
-    ctx = disc.contexts[cell]
-    fv = fn(ctx.rule.points)
-    rx = -(ctx.block_j.gx * ctx.rule.weights) @ fv
-    ry = -(ctx.block_j.gy * ctx.rule.weights) @ fv
-    for eid, n in zip(ctx.edge_ids, ctx.normals):
+    ci, _, tables = locate(disc, cell)
+    j, dim = disc.classes[ci].j, disc.classes[ci].dim
+    rule = cell_quadrature(mesh.cell_vertices(cell), 2 * j + 2)
+    vals = tables(rule.points, dim)
+    tgx, tgy = tables(rule.points, dim, grad=True)
+    fv = fn(rule.points)
+    rx = -(tgx * rule.weights) @ fv
+    ry = -(tgy * rule.weights) @ fv
+    for eid in mesh.cells[cell].edge_ids:
         e = mesh.edges[eid]
+        n = mesh.outward_normal(e, cell)
         er = edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1],
-                             2 * ctx.j + 4)
-        tr = ctx.block_j.trace(ctx.basis, er.points)
-        m = tr @ (er.weights * fn(er.points))
+                             2 * j + 4)
+        m = tables(er.points, dim) @ (er.weights * fn(er.points))
         rx += n[0] * m
         ry += n[1] * m
-    return gram_solve(ctx.block_j.chol, rx), gram_solve(ctx.block_j.chol, ry)
+    chol = gram_cholesky((vals * rule.weights) @ vals.T)
+    return gram_solve(chol, rx), gram_solve(chol, ry)
 
 
 def test_criterion_7_error_equation_oracle():

@@ -16,7 +16,7 @@ from cdgbrinkman.problems import example1, polynomial_patch
 from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
 
-from conftest import random_polynomial
+from conftest import locate, random_polynomial
 
 
 def test_project_pressure_mean_value():
@@ -38,14 +38,18 @@ def test_project_velocity_reproduces_members(rng):
 
     # evaluate the member cellwise and re-project: coefficients identical
     out = np.zeros_like(coeffs)
-    from cdgbrinkman.polyspace import gram_solve
+    from cdgbrinkman.polyspace import cell_quadrature, gram_cholesky, gram_solve
 
     for c in range(mesh.n_cells):
-        ctx = disc.contexts[c]
-        vals = disc.velocity_values(coeffs, c, ctx.rule.points)
+        ci, _, tables = locate(disc, c)
+        rule = cell_quadrature(mesh.cell_vertices(c),
+                               2 * disc.classes[ci].j + 2)
+        vals = disc.velocity_values(coeffs, c, rule.points)
+        basis = tables(rule.points, disc.dim_k)
+        chol = gram_cholesky((basis * rule.weights) @ basis.T)
         for comp in (0, 1):
-            rhs = ctx.block_k.vals @ (ctx.rule.weights * vals[:, comp])
-            out[disc.velocity_slice(c, comp)] = gram_solve(ctx.block_k.chol, rhs)
+            rhs = basis @ (rule.weights * vals[:, comp])
+            out[disc.velocity_dofs[c, comp]] = gram_solve(chol, rhs)
     assert np.abs(out - coeffs).max() < 1e-12
 
 

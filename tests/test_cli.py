@@ -103,6 +103,24 @@ def test_solve_from_mesh_file(tmp_path):
     assert (tmp_path / "solution.vtk").exists()
 
 
+def test_solve_hanging_node_mesh_file_exit_2(tmp_path, capsys):
+    mpath = tmp_path / "hanging.txt"
+    mpath.write_text("cdgmesh 1 2d\nvertices 8\n0 0\n1 0\n2 0\n0 2\n1 2\n"
+                     "2 2\n1 1\n2 1\ncells 3\n0 1 4 3\n1 2 7 6\n6 7 5 4\n")
+    code = main(["solve", "--mesh", f"file:{mpath}", "--out", str(tmp_path)])
+    assert code == 2
+    assert "boundary edge 1" in capsys.readouterr().err
+
+
+def test_solve_solver_flag_removed_exit_2(tmp_path, capsys):
+    # the direct solve is the only solve; argparse rejects the old flag
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--solver", "direct", "--n", "2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--solver" in capsys.readouterr().err
+
+
 def test_unknown_mesh_family_exit_2(tmp_path, capsys):
     code = main(["solve", "--mesh", "hexagonal", "--out", str(tmp_path)])
     assert code == 2

@@ -139,3 +139,29 @@ def test_self_intersecting_cell_rejected():
     verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
     with pytest.raises(MeshValidationError):
         Mesh(verts, [[0, 1, 3, 2]])  # bow-tie
+
+
+# the hanging vertex 6 = (1, 1) splits the right side of the left cell
+HANGING_VERTS = [[0, 0], [1, 0], [2, 0], [0, 2], [1, 2], [2, 2], [1, 1],
+                 [2, 1]]
+
+
+def test_hanging_node_mesh_rejected():
+    # the left cell skips vertex 6, so its right side and the two halves
+    # on x = 1 each have one cell and would get Dirichlet data
+    with pytest.raises(MeshValidationError, match=(
+            r"boundary edge 1 \(vertices 1 \(1\.0, 0\.0\) and 4 "
+            r"\(1\.0, 2\.0\)\) lies inside the domain")):
+        Mesh(HANGING_VERTS, [[0, 1, 4, 3], [1, 2, 7, 6], [6, 7, 5, 4]])
+
+
+def test_collinear_vertex_pentagon_accepted():
+    mesh = Mesh(HANGING_VERTS, [[0, 1, 6, 4, 3], [1, 2, 7, 6], [6, 7, 5, 4]])
+    assert mesh.euler_characteristic() == 1
+    assert len(mesh.boundary_edge_ids) == 7
+
+
+def test_unused_vertex_rejected():
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
+    with pytest.raises(MeshValidationError, match="V - E \\+ F = 2"):
+        Mesh(verts, [[0, 1, 2, 3]])

@@ -5,11 +5,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cdgbrinkman.analysis import norm_triple_bar
 from cdgbrinkman.assembly import assemble_system
 from cdgbrinkman.mesh import generate_uniform_triangular
 from cdgbrinkman.problems import example1
-from cdgbrinkman.solver import SingularSystemError, SolverError, solve
+from cdgbrinkman.solver import SingularSystemError, solve
 from cdgbrinkman.weakgrad import Discretization
 
 
@@ -58,19 +57,11 @@ def test_solve_deterministic_bit_identical(small_setup):
     assert a.multiplier == b.multiplier
 
 
-def test_direct_vs_krylov_agree(small_setup):
-    disc, problem, system = small_setup
-    direct = solve(system, method="direct")
-    krylov = solve(system, method="krylov", disc=disc)
-    assert krylov.residual <= 1e-9
-    diff = norm_triple_bar(disc, problem, direct.u - krylov.u)
-    assert diff < 1e-7
-
-
 def test_singular_system_structured_error(small_setup):
     # dropping the mean constraint leaves a constant-pressure null vector;
     # with mass data that violates net-flux compatibility the system has no
-    # solution, which the factorization or residual check must flag
+    # solution, which the factorization or residual check must flag; the
+    # error carries the stats gathered up to the failure
     disc, _, system = small_setup
     M = system.matrix(constrained=False)
 
@@ -87,31 +78,22 @@ def test_singular_system_structured_error(small_setup):
         def rhs(self, constrained=True):
             return np.concatenate([system.F, system.G + 1.0])
 
-    with pytest.raises(SingularSystemError, match="pressure"):
+    with pytest.raises(SingularSystemError, match="pressure") as err:
         solve(Unconstrained())
+    stats = err.value.stats
+    assert stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert stats["pivot_threshold"] == 0.01
+    history = stats["refinement_residuals"]
+    assert len(history) == 3 and history[-1] > 1e-9
 
 
 def test_unconstrained_nullspace_is_constant_pressure(small_setup):
     disc, _, system = small_setup
     M = system.matrix(constrained=False)
     ones = np.zeros(system.n_p)
-    for c in range(disc.mesh.n_cells):
-        ones[disc.pressure_slice(c)][0] = 1.0
+    ones[disc.pressure_dofs[:, 0]] = 1.0
     null = np.concatenate([np.zeros(system.n_u), ones])
     assert np.abs(M @ null).max() < 1e-12
-
-
-def test_krylov_nonconvergence_reports_history(small_setup):
-    disc, _, system = small_setup
-    with pytest.raises(SolverError) as err:
-        solve(system, method="krylov", disc=disc, maxiter=3)
-    assert err.value.residual_history  # nonempty history attached
-
-
-def test_unknown_method_rejected(small_setup):
-    _, _, system = small_setup
-    with pytest.raises(ValueError, match="unknown solver"):
-        solve(system, method="magic")
 
 
 def test_desk_scale_solve_under_one_second(small_setup):

@@ -3,13 +3,17 @@ import pytest
 
 from cdgbrinkman.mesh import Mesh, generate_uniform_rectangular, generate_uniform_triangular
 from cdgbrinkman.polyspace import (MonomialBasis, cell_quadrature,
-                                   edge_quadrature, gram_solve)
-from cdgbrinkman.weakgrad import (Discretization, build_scalar_weak_gradient,
-                                  edge_average, normal_jump, scalar_jump,
-                                  target_degree)
+                                   edge_quadrature, gram_cholesky, gram_solve)
+from cdgbrinkman.weakgrad import (Discretization, edge_average, normal_jump,
+                                  scalar_jump, target_degree)
 from cdgbrinkman.analysis import project_tensor
 
-from conftest import MESH_FAMILIES, project_scalar_field, random_polynomial
+from conftest import (MESH_FAMILIES, locate, project_scalar_field,
+                      random_polynomial)
+
+
+def _edge_rule(mesh, e, exactness):
+    return edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1], exactness)
 
 
 def test_target_degree_rule():
@@ -46,14 +50,12 @@ def test_continuous_field_has_zero_jumps(rng):
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 2)
     fn, _ = random_polynomial(1, rng)
-    dofs = project_scalar_field(disc, fn, "p")
+    p = project_scalar_field(disc, fn, "p").ravel()
     for eid in mesh.interior_edge_ids:
         e = mesh.edges[eid]
-        rule = disc.edge_rules[eid]
-        cm, cp = e.cell_minus, e.cell_plus
-        tm = disc.contexts[cm].block_p.trace(disc.contexts[cm].basis, rule.points)
-        tp = disc.contexts[cp].block_p.trace(disc.contexts[cp].basis, rule.points)
-        qm, qp = dofs[cm] @ tm, dofs[cp] @ tp
+        pts = _edge_rule(mesh, e, 7).points
+        qm = disc.pressure_values(p, e.cell_minus, pts)
+        qp = disc.pressure_values(p, e.cell_plus, pts)
         assert np.abs(qm - qp).max() < 1e-11
 
 
@@ -64,7 +66,7 @@ def test_average_deviation_norm_identity(rng):
     mesh = generate_uniform_rectangular(2)
     disc = Discretization(mesh, 1)
     for e in mesh.edges:
-        rule = disc.edge_rules[e.index]
+        rule = _edge_rule(mesh, e, 7)
         n = e.normal
         w = rule.weights
         t = np.linspace(0.0, 1.0, len(rule.points))
@@ -90,10 +92,9 @@ def test_unit_scalar_jump_norm():
     mesh = Mesh(verts, [[0, 1, 4, 3], [1, 2, 5, 4]])
     disc = Discretization(mesh, 1)
     p = np.zeros(disc.n_pressure_dofs)
-    p[disc.pressure_slice(1)][0] = 1.0  # constant one on the second cell
-    eid = mesh.interior_edge_ids[0]
-    e = mesh.edges[eid]
-    rule = disc.edge_rules[eid]
+    p[disc.pressure_dofs[1, 0]] = 1.0  # constant one on the second cell
+    e = mesh.edges[mesh.interior_edge_ids[0]]
+    rule = _edge_rule(mesh, e, 7)
     qm = disc.pressure_values(p, e.cell_minus, rule.points)
     qp = disc.pressure_values(p, e.cell_plus, rule.points)
     jump = scalar_jump(qm, qp, e.normal)
@@ -124,21 +125,17 @@ def test_two_cell_brute_force_oracle():
     mesh = Mesh(verts, [[0, 1, 4, 3], [1, 2, 5, 4]])
     k = 1
     disc = Discretization(mesh, k)
-    op = disc.vel_grad[0]
     # DOFs: x-component is 1 on the right cell, everything else 0
-    def dofs(c):
-        d = np.zeros(disc.dim_k)
-        if c == 1:
-            d[0] = 1.0
-        return d
-
-    loc = op.gather(dofs)
-    cx, cy = op.coefficients(loc)
+    u = np.zeros(disc.n_velocity_dofs + 1)
+    u[disc.velocity_dofs[1, 0, 0]] = 1.0
+    ci, slot, _ = locate(disc, 0)
+    cx, cy = disc.vel[ci].W[:, slot] @ u[disc.columns(
+        disc.classes[ci], disc.velocity_dofs[:, 0])[slot]]
 
     # brute force: dense Gram of the target basis on the left cell via
     # tensor Gauss, rhs only from the shared edge
-    ctx = disc.contexts[0]
-    basis = MonomialBasis(ctx.j, mesh.cells[0].centroid, mesh.cells[0].diameter)
+    basis = MonomialBasis(disc.classes[ci].j, mesh.cells[0].centroid,
+                          mesh.cells[0].diameter)
     pts, w = _sq_rule(0.0, 0.0, n=10)
     vals = basis.values(pts)
     G = (vals * w) @ vals.T
@@ -170,22 +167,30 @@ def _check_defining_equation(disc, velocity, rng):
     # residual <= 1e-10 * scale for every monomial test function (they span
     # the target space whether or not its basis is orthonormalized)
     mesh, k = disc.mesh, disc.k
-    ops = disc.vel_grad if velocity else disc.pre_grad
+    maps = disc.vel if velocity else disc.pre
+    table = disc.velocity_dofs[:, 0] if velocity else disc.pressure_dofs
+    fdim = table.shape[1]
     for cell in range(mesh.n_cells):
-        ctx = disc.contexts[cell]
-        op = ops[cell]
-        tgt, fld = ("j", "k") if velocity else ("k", "p")
-        dim = ctx.block(tgt).dim
-        basis_t = ctx.basis
-        rule = cell_quadrature(mesh.cell_vertices(cell), 2 * ctx.j + 6)
+        ci, slot, tables = locate(disc, cell)
+        W = maps[ci].W[:, slot]
+        cols = disc.columns(disc.classes[ci], table)[slot]
+        dim, j = W.shape[1], disc.classes[ci].j
+        edges = [mesh.edges[eid] for eid in mesh.cells[cell].edge_ids]
+        nbrs = [mesh.neighbor(e, cell) for e in edges]
+        involved = list(dict.fromkeys(
+            [cell] + [nb for nb in nbrs if nb is not None]))
+        basis_t = MonomialBasis(j, mesh.cells[cell].centroid,
+                                mesh.cells[cell].diameter)
+        rule = cell_quadrature(mesh.cell_vertices(cell), 2 * j + 6)
         tvals = basis_t.values(rule.points)[:dim]
         tgx, tgy = (g[:dim] for g in basis_t.gradients(rule.points))
-        gvals = ctx.block(tgt).trace(basis_t, rule.points)
+        gvals = tables(rule.points, dim)
         for trial in range(4):
-            local = rng.uniform(-1, 1, op.ncols)
-            cx, cy = op.coefficients(local)
-            own = local[op.col_of[cell]]
-            fvals = own @ ctx.block(fld).trace(basis_t, rule.points)
+            dofs = np.zeros(disc.n_velocity_dofs + 1)
+            dofs[table[involved]] = rng.uniform(-1, 1, (len(involved), fdim))
+            cx, cy = W @ dofs[cols]
+            own = dofs[table[cell]]
+            fvals = own @ tables(rule.points, fdim)
             # volume: (grad_w v, tau) + (v, div tau)
             lhs_x = (tvals * rule.weights) @ (cx @ gvals)
             lhs_y = (tvals * rule.weights) @ (cy @ gvals)
@@ -193,20 +198,18 @@ def _check_defining_equation(disc, velocity, rng):
             vol_y = (tgy * rule.weights) @ fvals
             edge_x = np.zeros(dim)
             edge_y = np.zeros(dim)
-            for eid, nb, nrm in zip(ctx.edge_ids, ctx.neighbors, ctx.normals):
-                e = mesh.edges[eid]
-                er = edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1],
-                                     ctx.j + k + 6)
+            for e, nb in zip(edges, nbrs):
+                nrm = mesh.outward_normal(e, cell)
+                er = _edge_rule(mesh, e, j + k + 6)
                 ttr = basis_t.values(er.points)[:dim]
-                otr = own @ ctx.block(fld).trace(basis_t, er.points)
+                otr = own @ tables(er.points, fdim)
                 if nb is None:
                     if velocity:
                         continue  # homogeneous average
                     avg = otr     # pressure: the cell's own trace
                 else:
-                    nctx = disc.contexts[nb]
-                    ntr = local[op.col_of[nb]] @ nctx.block(fld).trace(
-                        nctx.basis, er.points)
+                    ntr = dofs[table[nb]] @ locate(disc, nb)[2](er.points,
+                                                                fdim)
                     avg = 0.5 * (otr + ntr)
                 edge_x += nrm[0] * (ttr @ (er.weights * avg))
                 edge_y += nrm[1] * (ttr @ (er.weights * avg))
@@ -222,18 +225,13 @@ def _check_defining_equation(disc, velocity, rng):
 def test_constant_field_zero_gradient():
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 1)
-    for cell in range(mesh.n_cells):
-        ctx = disc.contexts[cell]
-        if any(nb is None for nb in ctx.neighbors):
-            continue  # homogeneous operator sees the boundary
-        op = disc.vel_grad[cell]
-        def const(c):
-            d = np.zeros(disc.dim_k)
-            d[0] = 1.0
-            return d
-        cx, cy = op.coefficients(op.gather(const))
-        assert np.abs(cx).max() < 1e-10
-        assert np.abs(cy).max() < 1e-10
+    u = np.zeros(disc.n_velocity_dofs + 1)
+    u[disc.velocity_dofs[:, 0, 0]] = 1.0
+    for cls, maps in zip(disc.classes, disc.vel):
+        cols = disc.columns(cls, disc.velocity_dofs[:, 0])
+        coef = np.einsum("dcti,ci->dct", maps.W, u[cols])
+        # the homogeneous operator sees the boundary
+        assert np.abs(coef[:, (cls.nbr >= 0).all(axis=1)]).max() < 1e-10
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
@@ -243,17 +241,19 @@ def test_gradient_reproduces_low_degree_polynomials(family, k, rng):
     # with the analytic gradient as oracle
     mesh = MESH_FAMILIES[family](3 if family != "poly" else 4)
     disc = Discretization(mesh, k)
+    maps = disc.weak_gradient(disc.dim_k, None, "natural")
     for _ in range(3):
         fn, gr = random_polynomial(k, rng)
-        dofs = project_scalar_field(disc, fn, "k")
+        u = np.zeros(disc.n_velocity_dofs + 1)
+        u[disc.velocity_dofs[:, 0]] = project_scalar_field(disc, fn, "k")
         for cell in range(mesh.n_cells):
-            op = build_scalar_weak_gradient(disc, cell, k,
-                                            disc.contexts[cell].j, "natural")
-            cx, cy = op.coefficients(op.gather(lambda c: dofs[c]))
-            ctx = disc.contexts[cell]
-            gx = cx @ ctx.block_j.vals
-            gy = cy @ ctx.block_j.vals
-            exact = gr(ctx.rule.points)
+            ci, slot, tables = locate(disc, cell)
+            cls = disc.classes[ci]
+            cx, cy = maps[ci].W[:, slot] @ u[disc.columns(
+                cls, disc.velocity_dofs[:, 0])[slot]]
+            rule = cell_quadrature(mesh.cell_vertices(cell), 2 * cls.j + 2)
+            gx, gy = (c @ tables(rule.points, cls.dim) for c in (cx, cy))
+            exact = gr(rule.points)
             assert np.abs(gx - exact[:, 0]).max() < 1e-10
             assert np.abs(gy - exact[:, 1]).max() < 1e-10
 
@@ -266,22 +266,23 @@ def weak_gradient_of_function(disc, cell, fn, extra_exactness=4):
     function) and solves the target Gram system.
     """
     mesh = disc.mesh
-    ctx = disc.contexts[cell]
-    rule = ctx.rule
-    tgx = ctx.block_j.gx
-    tgy = ctx.block_j.gy
+    ci, _, tables = locate(disc, cell)
+    j, dim = disc.classes[ci].j, disc.classes[ci].dim
+    rule = cell_quadrature(mesh.cell_vertices(cell), 2 * j + 2)
+    vals = tables(rule.points, dim)
+    tgx, tgy = tables(rule.points, dim, grad=True)
     fv = fn(rule.points)
     rx = -(tgx * rule.weights) @ fv
     ry = -(tgy * rule.weights) @ fv
-    for eid, n in zip(ctx.edge_ids, ctx.normals):
+    for eid in mesh.cells[cell].edge_ids:
         e = mesh.edges[eid]
-        er = edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1],
-                             2 * ctx.j + extra_exactness)
-        tr = ctx.block_j.trace(ctx.basis, er.points)
-        m = tr @ (er.weights * fn(er.points))
+        n = mesh.outward_normal(e, cell)
+        er = _edge_rule(mesh, e, 2 * j + extra_exactness)
+        m = tables(er.points, dim) @ (er.weights * fn(er.points))
         rx += n[0] * m
         ry += n[1] * m
-    return gram_solve(ctx.block_j.chol, rx), gram_solve(ctx.block_j.chol, ry)
+    chol = gram_cholesky((vals * rule.weights) @ vals.T)
+    return gram_solve(chol, rx), gram_solve(chol, ry)
 
 
 @pytest.mark.parametrize("family", ["tri", "rect"])
@@ -291,7 +292,7 @@ def test_gradient_equals_projected_gradient(family, rng):
     k = 2
     mesh = MESH_FAMILIES[family](3)
     disc = Discretization(mesh, k)
-    jmin = min(ctx.j for ctx in disc.contexts)
+    jmin = min(cls.j for cls in disc.classes)
     fn, gr = random_polynomial(jmin + 1, rng)
 
     def grad_tensor(pts):
@@ -313,25 +314,22 @@ def test_pressure_gradient_identities(rng):
     k = 2
     disc = Discretization(mesh, k)
     # constants vanish
-    for cell in range(mesh.n_cells):
-        op = disc.pre_grad[cell]
-        def const(c):
-            d = np.zeros(disc.dim_p)
-            d[0] = 1.0
-            return d
-        cx, cy = op.coefficients(op.gather(const))
-        assert np.abs(cx).max() < 1e-11
-        assert np.abs(cy).max() < 1e-11
+    p = np.zeros(disc.n_pressure_dofs + 1)
+    p[disc.pressure_dofs[:, 0]] = 1.0
+    for cls, maps in zip(disc.classes, disc.pre):
+        cols = disc.columns(cls, disc.pressure_dofs)
+        assert np.abs(np.einsum("dcti,ci->dct", maps.W, p[cols])).max() < 1e-11
     # degree <= k-1 reproduces the analytic gradient
     fn, gr = random_polynomial(k - 1, rng)
-    dofs = project_scalar_field(disc, fn, "p")
+    p[:-1] = project_scalar_field(disc, fn, "p").ravel()
     for cell in range(mesh.n_cells):
-        op = disc.pre_grad[cell]
-        cx, cy = op.coefficients(op.gather(lambda c: dofs[c]))
-        ctx = disc.contexts[cell]
-        gx = cx @ ctx.block_k.vals
-        gy = cy @ ctx.block_k.vals
-        exact = gr(ctx.rule.points)
+        ci, slot, tables = locate(disc, cell)
+        cls = disc.classes[ci]
+        cx, cy = disc.pre[ci].W[:, slot] @ p[disc.columns(
+            cls, disc.pressure_dofs)[slot]]
+        rule = cell_quadrature(mesh.cell_vertices(cell), 2 * cls.j + 2)
+        gx, gy = (c @ tables(rule.points, disc.dim_k) for c in (cx, cy))
+        exact = gr(rule.points)
         assert np.abs(gx - exact[:, 0]).max() < 1e-10
         assert np.abs(gy - exact[:, 1]).max() < 1e-10
 
@@ -341,13 +339,16 @@ def test_single_cell_x_gradient():
     # <x, phi . n> makes the result exactly (1, 0)
     mesh = generate_uniform_rectangular(1)
     disc = Discretization(mesh, 1)
-    op = build_scalar_weak_gradient(disc, 0, 1, 1, "natural")
-    ctx = disc.contexts[0]
-    rhs = ctx.block_k.vals @ (ctx.rule.weights * ctx.rule.points[:, 0])
-    dofs = gram_solve(ctx.block_k.chol, rhs)
-    cx, cy = op.coefficients(dofs)
-    gx = cx @ ctx.block_k.vals
-    gy = cy @ ctx.block_k.vals
+    W = disc.weak_gradient(disc.dim_k, disc.dim_k, "natural")[0].W[:, 0]
+    _, _, tables = locate(disc, 0)
+    rule = cell_quadrature(mesh.cell_vertices(0), 2 * disc.classes[0].j + 2)
+    vals = tables(rule.points, disc.dim_k)
+    u = np.zeros(disc.n_velocity_dofs + 1)
+    u[disc.velocity_dofs[0, 0]] = gram_solve(
+        gram_cholesky((vals * rule.weights) @ vals.T),
+        vals @ (rule.weights * rule.points[:, 0]))
+    cx, cy = W @ u[disc.columns(disc.classes[0], disc.velocity_dofs[:, 0])[0]]
+    gx, gy = cx @ vals, cy @ vals
     assert np.abs(gx - 1.0).max() < 1e-12
     assert np.abs(gy).max() < 1e-12
 
@@ -368,7 +369,7 @@ def test_jump_seminorm_controlled_by_energy(rng):
             u = rng.standard_normal(disc.n_velocity_dofs)
             num = 0.0
             for e in mesh.edges:
-                rule = disc.edge_rules[e.index]
+                rule = _edge_rule(mesh, e, 5)
                 vm = disc.velocity_values(u, e.cell_minus, rule.points)
                 if e.is_boundary:
                     jump = normal_jump(vm, None, e.normal)
