@@ -10,7 +10,7 @@ from .analysis import (ConvergenceReport, ErrorReport, error_equation_residual,
 from .assembly import (BrinkmanProblem, SaddleSystem, assemble_a, assemble_b,
                        assemble_mean_constraint, assemble_rhs, assemble_s,
                        assemble_system)
-from .mesh import (Cell, Edge, Mesh, MeshFormatError, MeshValidationError,
+from .mesh import (Mesh, MeshFormatError, MeshValidationError,
                    generate_polygonal, generate_uniform_rectangular,
                    generate_uniform_triangular, load_mesh, save_mesh)
 from .polyspace import (ConditioningError, MonomialBasis, QuadratureRule,

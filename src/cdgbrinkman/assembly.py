@@ -274,7 +274,8 @@ def assemble_rhs(disc, problem):
     for cls, fc in zip(disc.classes, disc.split(fv)):
         load = cls.phi[:, :disc.dim_k] @ (cls.weights[..., None] * fc)
         F[disc.velocity_dofs[cls.cells]] += load.transpose(0, 2, 1)
-    # a boundary half-edge belongs to cell_minus, so its normal is the edge's
+    # a boundary half-edge belongs to the edge's minus cell, so its normal
+    # is the edge's
     gn = disc.edge_weights * (gv * disc.edge_normal).sum(axis=1)
     dp = disc.dim_p
     G = np.bincount(disc.pressure_dofs[disc.edge_owner].ravel(),

@@ -34,6 +34,8 @@ _FAMILIES = {
     "rect": generate_uniform_rectangular,
     "poly": generate_polygonal,
 }
+# the smallest n_div each generator accepts
+_MIN_DIVISIONS = {"tri": 1, "rect": 1, "poly": 2}
 
 
 def _apply_thread_cap():
@@ -77,6 +79,11 @@ def _parse_levels(spec):
 def _check_positive(flag, value):
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{flag} must be finite and positive, got {value}")
+
+
+def _check_at_least(flag, value, lowest, why=""):
+    if value < lowest:
+        raise ConfigError(f"{flag} must be >= {lowest}{why}, got {value}")
 
 
 def _mesh_factory(spec):
@@ -145,6 +152,8 @@ def cmd_converge(args):
         raise ConfigError("converge needs a refinable family (tri|rect|poly), "
                           "not --mesh file:PATH")
     levels = _parse_levels(args.levels)
+    _check_at_least("--levels", levels[0], _MIN_DIVISIONS[args.mesh],
+                    f" for --mesh {args.mesh}")
     _check_positive("--mu", args.mu)
     _check_positive("--a", args.a)
     problem = example1(mu=args.mu, a=args.a)
@@ -167,13 +176,14 @@ def cmd_converge(args):
 
 
 def cmd_solve(args):
+    # every configuration check runs before any mesh is built
     factory = _mesh_factory(args.mesh)
+    if factory is not None:
+        _check_at_least("--n", args.n, _MIN_DIVISIONS[args.mesh],
+                        f" for --mesh {args.mesh}")
     _check_positive("--mu", args.mu)
     _check_positive("--a", args.a)
-    if factory is not None:
-        mesh = factory(args.n)
-    else:
-        mesh = load_mesh(args.mesh[5:])
+    _check_at_least("--resolution", args.resolution, 1)
     if args.kappa_raster is not None:
         if not Path(args.kappa_raster).exists():
             raise ConfigError(f"--kappa-raster file not found: {args.kappa_raster}")
@@ -185,6 +195,10 @@ def cmd_solve(args):
         problem = cavity_problem(kappa, mu=args.mu)
     else:
         problem = example1(mu=args.mu, a=args.a)
+    if factory is not None:
+        mesh = factory(args.n)
+    else:
+        mesh = load_mesh(args.mesh[5:])
     disc = Discretization(mesh, args.k, orthonormalize=args.orthonormalize)
     system = assemble_system(disc, problem,
                              stabilizer_edges=args.stabilizer_edges,

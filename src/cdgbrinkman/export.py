@@ -16,8 +16,9 @@ __all__ = [
 def cell_center_fields(disc, u, p):
     """Per-cell centroid values of p, u1, u2 as arrays of length n_cells."""
     cells = np.arange(disc.mesh.n_cells)
-    vel = disc.velocity_values(u, cells, disc.centroids)
-    return {"p": disc.pressure_values(p, cells, disc.centroids),
+    centroids = disc.mesh.cells.centroid
+    vel = disc.velocity_values(u, cells, centroids)
+    return {"p": disc.pressure_values(p, cells, centroids),
             "u1": vel[:, 0], "u2": vel[:, 1]}
 
 
@@ -35,11 +36,10 @@ def write_vtk(path, mesh, cell_data):
         f.write(f"POINTS {mesh.n_vertices} double\n")
         for x, y in mesh.vertices:
             f.write(f"{x:.16g} {y:.16g} 0.0\n")
-        sizes = [c.edge_count for c in mesh.cells]
-        f.write(f"CELLS {mesh.n_cells} {mesh.n_cells + sum(sizes)}\n")
-        for c in mesh.cells:
-            f.write(str(c.edge_count) + " "
-                    + " ".join(str(v) for v in c.vertex_ids) + "\n")
+        f.write(f"CELLS {mesh.n_cells} "
+                f"{mesh.n_cells + len(mesh.cell_vertex_ids)}\n")
+        for ids in np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]):
+            f.write(f"{len(ids)} " + " ".join(map(str, ids.tolist())) + "\n")
         f.write(f"CELL_TYPES {mesh.n_cells}\n")
         f.write("\n".join(["7"] * mesh.n_cells) + "\n")
         f.write(f"CELL_DATA {mesh.n_cells}\n")
@@ -74,11 +74,10 @@ class CellLocator:
         self.table = np.full((len(buckets), max(map(len, buckets))), -1)
         for b, cells in enumerate(buckets):
             self.table[b, :len(cells)] = cells
-        nmax = max(c.edge_count for c in mesh.cells)
-        self.polygons = np.array([
-            np.concatenate([c.vertex_ids,
-                            np.repeat(c.vertex_ids[-1], nmax - c.edge_count)])
-            for c in mesh.cells])
+        counts = mesh.cells.edge_count
+        local = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+        self.polygons = mesh.cell_vertex_ids[mesh.cell_offsets[:-1, None]
+                                             + local]
 
     def _bucket_of(self, point):
         rel = (np.asarray(point) - self.lo) / self.span

@@ -1,18 +1,29 @@
 """2D polytopal meshes of rectangular domains: topology, generators, file I/O.
 
-A mesh is a partition of a planar domain into simple CCW polygons with full
-cell/edge incidence.  Edges are derived from the cell lists and oriented from
-the lower-indexed incident cell, so jump signs are deterministic.
+A mesh partitions a planar domain into simple CCW polygons and is held as
+index and geometry arrays that every layer reads directly: ``vertices``;
+the cell loops in CSR form (cell c's vertex ids are
+``cell_vertex_ids[cell_offsets[c]:cell_offsets[c + 1]]``, and the same
+slice of ``cell_edge_ids`` holds its edges, edge i joining vertex i to
+vertex i + 1); per edge ``edge_vertices``, ``edge_cells`` (-1 for the
+missing cell of a boundary edge), unit ``edge_normals`` and
+``edge_lengths``; per cell the record array ``cells`` (``edge_count``,
+``area``, ``centroid``, ``diameter``).
+
+Edges are numbered by first occurrence along the cell loops in cell order.
+``edge_vertices[e]`` is (min, max) of its vertex ids, the order in which
+both cells parametrize its quadrature.  ``edge_cells[e, 0]`` is the first
+cell to traverse e (the minus side) and ``edge_normals[e]`` points out of
+it, so jump signs are deterministic.
 """
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 
 __all__ = [
-    "Cell",
-    "Edge",
     "Mesh",
     "MeshFormatError",
     "MeshValidationError",
@@ -32,153 +43,103 @@ class MeshFormatError(Exception):
     """A mesh file could not be parsed."""
 
 
-class Cell:
-    """One polygonal cell: CCW vertex loop plus derived geometry.
-
-    Attributes
-    ----------
-    vertex_ids : ndarray of int
-        CCW vertex indices, no repeats.
-    edge_ids : ndarray of int
-        Edge indices in traversal order (edge i joins vertex i to i+1).
-    centroid : ndarray shape (2,)
-        Area centroid.
-    area : float
-        Positive (shoelace) area.
-    diameter : float
-        Max pairwise vertex distance.
-    edge_count : int
-    """
-
-    __slots__ = ("index", "vertex_ids", "edge_ids", "centroid", "area",
-                 "diameter", "edge_count")
-
-    def __init__(self, index, vertex_ids, coords):
-        self.index = index
-        self.vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        pts = coords[self.vertex_ids]
-        x, y = pts[:, 0], pts[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        area2 = cross.sum()
-        self.area = 0.5 * area2
-        if self.area <= 0.0:
-            raise MeshValidationError(
-                f"cell {index} is not counter-clockwise (signed area {self.area:g})")
-        cx = ((x + xn) * cross).sum() / (3.0 * area2)
-        cy = ((y + yn) * cross).sum() / (3.0 * area2)
-        self.centroid = np.array([cx, cy])
-        d = pts[:, None, :] - pts[None, :, :]
-        self.diameter = float(np.sqrt((d ** 2).sum(-1)).max())
-        self.edge_count = len(self.vertex_ids)
-        self.edge_ids = None  # filled by Mesh
-
-
-class Edge:
-    """One mesh edge with its incidence and unit normal.
-
-    The normal points out of ``cell_minus``; ``cell_plus`` is None on the
-    boundary.  Quadrature on the edge is parametrized by the stored endpoint
-    order (v0, v1), which both incident cells share.
-    """
-
-    __slots__ = ("index", "v0", "v1", "length", "cell_minus", "cell_plus",
-                 "normal", "midpoint")
-
-    def __init__(self, index, v0, v1, coords):
-        self.index = index
-        self.v0 = v0
-        self.v1 = v1
-        p0, p1 = coords[v0], coords[v1]
-        t = p1 - p0
-        self.length = float(np.hypot(t[0], t[1]))
-        if self.length <= 0.0:
-            raise MeshValidationError(f"edge {index} has zero length")
-        self.midpoint = 0.5 * (p0 + p1)
-        self.cell_minus = None
-        self.cell_plus = None
-        self.normal = None
-
-    @property
-    def is_boundary(self):
-        return self.cell_plus is None
+_CELL_FIELDS = np.dtype([("edge_count", np.int64), ("area", float),
+                         ("centroid", float, (2,)), ("diameter", float)])
 
 
 class Mesh:
-    """Immutable polygonal partition with cell/edge incidence.
+    """Immutable polygonal partition in the array layout described above.
 
     Parameters
     ----------
     vertices : (n, 2) array
-    cell_vertex_ids : sequence of index sequences
+    cell_vertex_ids : sequence of index sequences, or an (n_cells, m) array
         CCW vertex loops, one per cell.
     labeled_h : float, optional
         Nominal mesh size 1/n_div used to label refinement levels; the
         geometric ``h`` (max cell diameter) is always computed.
-
-    ``edge_vertices`` (n_edges, 2) holds each edge's (v0, v1).
     """
 
     def __init__(self, vertices, cell_vertex_ids, labeled_h=None):
         self.vertices = np.asarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshValidationError("vertices must be an (n, 2) array")
-        self.cells = [Cell(i, ids, self.vertices)
-                      for i, ids in enumerate(cell_vertex_ids)]
-        self.edges = self._build_edges()
-        self.h = max(c.diameter for c in self.cells)
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise MeshValidationError(
+                f"vertex {bad[0]} has non-finite coordinates "
+                f"{tuple(self.vertices[bad[0]].tolist())}")
+        self.cell_offsets, self.cell_vertex_ids = _csr(cell_vertex_ids)
+        self.cells = np.zeros(len(self.cell_offsets) - 1,
+                              _CELL_FIELDS).view(np.recarray)
+        self.cells.edge_count = np.diff(self.cell_offsets)
+        # degenerate cells divide by zero here and are rejected below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _, cells, pos in self.shape_classes():
+                self._cell_geometry(cells,
+                                    self.vertices[self.cell_vertex_ids[pos]])
+        bad = np.flatnonzero(self.cells.area <= 0.0)
+        if len(bad):
+            raise MeshValidationError(
+                f"cell {bad[0]} is not counter-clockwise "
+                f"(signed area {self.cells.area[bad[0]]:g})")
+        flip = self._build_incidence()
+        ends = self.vertices[self.edge_vertices]
+        t = ends[:, 1] - ends[:, 0]
+        self.edge_lengths = np.hypot(t[:, 0], t[:, 1])
+        bad = np.flatnonzero(self.edge_lengths <= 0.0)
+        if len(bad):
+            raise MeshValidationError(f"edge {bad[0]} has zero length")
+        t /= self.edge_lengths[:, None]
+        # right-hand normal of v0 -> v1, outward iff the minus cell
+        # traverses the edge in that direction
+        n = np.column_stack([t[:, 1], -t[:, 0]])
+        self.edge_normals = np.where(flip[:, None], -n, n)
+        self.h = float(self.cells.diameter.max())
         self.labeled_h = self.h if labeled_h is None else float(labeled_h)
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        self.bbox = (lo, hi)
-        self.boundary_edge_ids = np.array(
-            [e.index for e in self.edges if e.is_boundary], dtype=np.int64)
-        self.interior_edge_ids = np.array(
-            [e.index for e in self.edges if not e.is_boundary], dtype=np.int64)
+        self.bbox = (self.vertices.min(axis=0), self.vertices.max(axis=0))
+        self.boundary_edge_ids = np.flatnonzero(self.edge_cells[:, 1] < 0)
+        self.interior_edge_ids = np.flatnonzero(self.edge_cells[:, 1] >= 0)
         self.validate()
 
     # -- construction -----------------------------------------------------
 
-    def _build_edges(self):
-        edge_of_pair = {}
-        edges = []
-        pairs = []
-        # first pass: discover edges keyed by the unordered vertex pair
-        for cell in self.cells:
-            ids = cell.vertex_ids
-            cell_edges = []
-            for a, b in zip(ids, np.roll(ids, -1)):
-                key = (min(a, b), max(a, b))
-                if key not in edge_of_pair:
-                    e = Edge(len(edges), key[0], key[1], self.vertices)
-                    edge_of_pair[key] = e
-                    edges.append(e)
-                    pairs.append(key)
-                e = edge_of_pair[key]
-                if e.cell_minus is None:
-                    e.cell_minus = cell.index
-                elif e.cell_plus is None:
-                    e.cell_plus = cell.index
-                else:
-                    raise MeshValidationError(
-                        f"edge ({key[0]}, {key[1]}) is shared by more than two "
-                        f"cells ({e.cell_minus}, {e.cell_plus}, {cell.index})")
-                cell_edges.append(e.index)
-            cell.edge_ids = np.array(cell_edges, dtype=np.int64)
-        self.edge_vertices = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        # second pass: orient normals out of cell_minus
-        for e in edges:
-            minus = self.cells[e.cell_minus]
-            p0, p1 = self.vertices[e.v0], self.vertices[e.v1]
-            t = (p1 - p0) / e.length
-            n = np.array([t[1], -t[0]])  # right-hand normal of v0->v1
-            # v0->v1 agrees with CCW traversal of cell_minus iff n is outward
-            ids = list(minus.vertex_ids)
-            k = ids.index(e.v0)
-            if ids[(k + 1) % len(ids)] != e.v1:
-                n = -n
-            e.normal = n
-        return edges
+    def _cell_geometry(self, cells, pts):
+        """Area, centroid and diameter of the loops ``pts`` (nc, ne, 2)."""
+        x, y = pts[..., 0], pts[..., 1]
+        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        cross = x * yn - xn * y
+        area2 = cross.sum(axis=1)
+        self.cells.area[cells] = 0.5 * area2
+        self.cells.centroid[cells] = np.column_stack(
+            [((x + xn) * cross).sum(axis=1) / (3.0 * area2),
+             ((y + yn) * cross).sum(axis=1) / (3.0 * area2)])
+        d = pts[:, :, None, :] - pts[:, None, :, :]
+        self.cells.diameter[cells] = np.sqrt((d ** 2).sum(-1)).max(
+            axis=(1, 2), initial=0.0)
+
+    def _build_incidence(self):
+        """Fill ``cell_edge_ids``, ``edge_vertices`` and ``edge_cells``.
+
+        Returns per edge whether its minus cell traverses it from the
+        larger vertex id to the smaller.  An edge of three or more cells
+        keeps one of the later ones as plus cell; :meth:`validate` rejects
+        it.
+        """
+        a = self.cell_vertex_ids
+        nxt = np.arange(1, len(a) + 1)
+        nxt[self.cell_offsets[1:] - 1] = self.cell_offsets[:-1]
+        b = a[nxt]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        self.cell_edge_ids, head = _first_occurrence(lo * self.n_vertices + hi)
+        self.edge_vertices = np.column_stack([lo[head], hi[head]])
+        owner = np.repeat(np.arange(self.n_cells), self.cells.edge_count)
+        later = np.ones(len(a), dtype=bool)
+        later[head] = False
+        self.edge_cells = np.full((len(head), 2), -1)
+        self.edge_cells[:, 0] = owner[head]
+        self.edge_cells[self.cell_edge_ids[later], 1] = owner[later]
+        return a[head] > b[head]
 
     # -- queries -----------------------------------------------------------
 
@@ -188,7 +149,7 @@ class Mesh:
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.edge_vertices)
 
     @property
     def n_vertices(self):
@@ -196,24 +157,20 @@ class Mesh:
 
     def cell_vertices(self, c):
         """Coordinates of cell c's vertex loop, shape (n, 2)."""
-        return self.vertices[self.cells[c].vertex_ids]
+        lo, hi = self.cell_offsets[c], self.cell_offsets[c + 1]
+        return self.vertices[self.cell_vertex_ids[lo:hi]]
 
-    def outward_normal(self, edge, cell_index):
-        """Unit normal of ``edge`` pointing out of ``cell_index``."""
-        if cell_index == edge.cell_minus:
-            return edge.normal
-        if cell_index == edge.cell_plus:
-            return -edge.normal
-        raise ValueError(f"cell {cell_index} is not incident to edge {edge.index}")
+    def shape_classes(self):
+        """Yield (edge count ne, cells, positions) per edge-count class.
 
-    def neighbor(self, edge, cell_index):
-        """The cell across ``edge`` from ``cell_index`` (None on the boundary)."""
-        if cell_index == edge.cell_minus:
-            return edge.cell_plus
-        return edge.cell_minus
-
-    def total_area(self):
-        return sum(c.area for c in self.cells)
+        ``cells`` ascend; ``positions`` (nc, ne) index the flat CSR arrays,
+        so ``cell_vertex_ids[positions]`` are the class's vertex loops and
+        ``cell_edge_ids[positions]`` its edges.
+        """
+        counts = np.diff(self.cell_offsets)
+        for ne in np.unique(counts):
+            cells = np.flatnonzero(counts == ne)
+            yield int(ne), cells, self.cell_offsets[cells, None] + np.arange(ne)
 
     # -- validation --------------------------------------------------------
 
@@ -222,23 +179,38 @@ class Mesh:
 
         Besides simple cells and unit normals, the mesh must be conforming:
         every boundary edge lies on the bounding box and V - E + F = 1.
+        Each message names the lowest-index offending cell or edge.
         """
-        for cell in self.cells:
-            if len(set(cell.vertex_ids.tolist())) != len(cell.vertex_ids):
-                raise MeshValidationError(f"cell {cell.index} repeats a vertex")
-            if cell.edge_count < 3:
-                raise MeshValidationError(f"cell {cell.index} has <3 edges")
-            if _polygon_self_intersects(self.vertices[cell.vertex_ids]):
-                raise MeshValidationError(f"cell {cell.index} self-intersects")
-        for e in self.edges:
-            if e.cell_minus is None:
-                raise MeshValidationError(f"edge {e.index} has no incident cell")
-            nrm = np.hypot(e.normal[0], e.normal[1])
-            if abs(nrm - 1.0) > 1e-14:
-                raise MeshValidationError(f"edge {e.index} normal not unit")
-            t = self.vertices[e.v1] - self.vertices[e.v0]
-            if abs(np.dot(t, e.normal)) > 1e-14 * e.length:
-                raise MeshValidationError(f"edge {e.index} normal not perpendicular")
+        count = np.bincount(self.cell_edge_ids)
+        bad = np.flatnonzero(count > 2)
+        if len(bad):
+            owner = np.repeat(np.arange(self.n_cells), self.cells.edge_count)
+            cells = owner[self.cell_edge_ids == bad[0]][:3]
+            v0, v1 = self.edge_vertices[bad[0]]
+            raise MeshValidationError(
+                f"edge ({v0}, {v1}) is shared by more than two cells "
+                f"({cells[0]}, {cells[1]}, {cells[2]})")
+        faults = {"repeats a vertex": [], "has <3 edges": [],
+                  "self-intersects": []}
+        for ne, cells, pos in self.shape_classes():
+            loops = self.cell_vertex_ids[pos]
+            repeats = (np.diff(np.sort(loops, axis=1), axis=1) == 0).any(axis=1)
+            faults["repeats a vertex"].append(cells[repeats])
+            faults["has <3 edges"].append(cells if ne < 3 else cells[:0])
+            faults["self-intersects"].append(
+                cells[_sides_cross(self.vertices[loops])])
+        for fault, cells in faults.items():
+            cells = np.concatenate(cells)
+            if len(cells):
+                raise MeshValidationError(f"cell {cells.min()} {fault}")
+        n = self.edge_normals
+        t = np.diff(self.vertices[self.edge_vertices], axis=1)[:, 0]
+        for fault, bad in (
+                ("normal not unit", np.abs(np.hypot(*n.T) - 1.0) > 1e-14),
+                ("normal not perpendicular", np.abs((t * n).sum(axis=1))
+                 > 1e-14 * self.edge_lengths)):
+            if bad.any():
+                raise MeshValidationError(f"edge {bad.argmax()} {fault}")
         # a boundary edge inside the domain is one side of a hanging node
         lo, hi = self.bbox
         tol = 1e-10 * float((hi - lo).max())
@@ -264,65 +236,79 @@ class Mesh:
         return self.n_vertices - self.n_edges + self.n_cells
 
 
-def _polygon_self_intersects(pts):
-    """Exact-ish O(n^2) segment crossing test; adjacent edges excluded."""
-    n = len(pts)
-    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_cross(*segs[i], *segs[j]):
-                return True
-    return False
+def _csr(loops):
+    """(offsets, flat ids) of a sequence of loops or an (n, m) index array."""
+    if isinstance(loops, np.ndarray) and loops.ndim == 2:
+        n, m = loops.shape
+        return m * np.arange(n + 1), loops.astype(np.int64).ravel()
+    counts = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+    flat = np.fromiter(itertools.chain.from_iterable(loops), dtype=np.int64,
+                       count=int(counts.sum()))
+    return np.concatenate([[0], np.cumsum(counts)]), flat
 
 
-def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+def _first_occurrence(keys):
+    """Number equal keys (rows of ``keys``) by first occurrence.
+
+    Returns each key's number and, per number, its first position.
+    """
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True, axis=0)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
 
 
-def _segments_cross(p, q, r, s):
-    d1 = _cross2(q - p, r - p)
-    d2 = _cross2(q - p, s - p)
-    d3 = _cross2(s - r, p - r)
-    d4 = _cross2(s - r, q - r)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
+def _sides_cross(pts):
+    """Per loop of ``pts`` (nc, ne, 2): do two non-adjacent sides cross
+    strictly (at a point interior to both)?"""
+    ne = pts.shape[1]
+    i, j = np.triu_indices(ne, 2)
+    keep = (i > 0) | (j < ne - 1)
+    i, j = i[keep], j[keep]
+    p, q = pts[:, i], pts[:, (i + 1) % ne]
+    r, s = pts[:, j], pts[:, (j + 1) % ne]
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    d1, d2 = cross(q - p, r - p), cross(q - p, s - p)
+    d3, d4 = cross(s - r, p - r), cross(s - r, q - r)
+    return ((d1 * d2 < 0) & (d3 * d4 < 0)).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # generators (unit square)
 # ---------------------------------------------------------------------------
 
-def generate_uniform_triangular(n_div):
-    """Uniform triangulation of the unit square: n x n squares, each split
-    along the same diagonal into two triangles (2 n^2 cells)."""
+def _unit_square_grid(n_div):
+    """Vertices of the (n+1)^2 lattice, vertex j (n+1) + i at (x_i, y_j),
+    and each square's lower-left vertex, squares ordered row by row."""
     if n_div < 1:
         raise ValueError("n_div must be >= 1")
     n = int(n_div)
     xs = np.linspace(0.0, 1.0, n + 1)
-    vid = lambda i, j: j * (n + 1) + i
-    verts = np.array([[xs[i], xs[j]] for j in range(n + 1) for i in range(n + 1)])
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            # split along the b-d diagonal, both triangles CCW
-            cells.append([a, b, d])
-            cells.append([b, c, d])
+    x, y = np.meshgrid(xs, xs)
+    corner = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return n, np.column_stack([x.ravel(), y.ravel()]), corner
+
+
+def generate_uniform_triangular(n_div):
+    """Uniform triangulation of the unit square: n x n squares, each split
+    along the same diagonal into two triangles (2 n^2 cells)."""
+    n, verts, a = _unit_square_grid(n_div)
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    # split along the b-d diagonal, both triangles CCW
+    cells = np.stack([np.column_stack([a, b, d]),
+                      np.column_stack([b, c, d])], axis=1).reshape(-1, 3)
     return Mesh(verts, cells, labeled_h=1.0 / n)
 
 
 def generate_uniform_rectangular(n_div):
     """Uniform n x n partition of the unit square into axis-aligned squares."""
-    if n_div < 1:
-        raise ValueError("n_div must be >= 1")
-    n = int(n_div)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    vid = lambda i, j: j * (n + 1) + i
-    verts = np.array([[xs[i], xs[j]] for j in range(n + 1) for i in range(n + 1)])
-    cells = [[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-             for j in range(n) for i in range(n)]
+    n, verts, a = _unit_square_grid(n_div)
+    cells = np.column_stack([a, a + 1, a + n + 2, a + n + 1])
     return Mesh(verts, cells, labeled_h=1.0 / n)
 
 
@@ -406,20 +392,12 @@ def _dedupe_loop(pts, tol=1e-12):
 
 
 def _mesh_from_polygons(polys, labeled_h, snap):
-    """Merge per-cell vertex loops into a shared vertex table."""
-    table = {}
-    verts = []
-    cells = []
-    for poly in polys:
-        ids = []
-        for p in poly:
-            key = (round(p[0] / snap), round(p[1] / snap))
-            if key not in table:
-                table[key] = len(verts)
-                verts.append(p)
-            ids.append(table[key])
-        cells.append(ids)
-    return Mesh(np.array(verts), cells, labeled_h=labeled_h)
+    """Merge per-cell vertex loops into a shared vertex table; points that
+    agree to ``snap`` are one vertex, numbered by first occurrence."""
+    pts = np.concatenate(polys)
+    ids, first = _first_occurrence(np.rint(pts / snap).astype(np.int64))
+    cells = np.split(ids, np.cumsum([len(p) for p in polys])[:-1])
+    return Mesh(pts[first], cells, labeled_h=labeled_h)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +415,8 @@ def save_mesh(mesh, path):
         for x, y in mesh.vertices:
             f.write(f"{float(x)!r} {float(y)!r}\n")
         f.write(f"cells {mesh.n_cells}\n")
-        for cell in mesh.cells:
-            f.write(" ".join(str(v) for v in cell.vertex_ids) + "\n")
+        for ids in np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]):
+            f.write(" ".join(map(str, ids.tolist())) + "\n")
 
 
 def load_mesh(path, labeled_h=None):
@@ -458,6 +436,8 @@ def load_mesh(path, labeled_h=None):
         n_verts = int(lines[ln].split()[1])
     except (IndexError, ValueError):
         fail(ln, "bad vertex count")
+    if n_verts < 1:
+        fail(ln, f"vertex count must be positive, got {n_verts}")
     ln += 1
     verts = np.empty((n_verts, 2))
     for i in range(n_verts):
@@ -466,6 +446,8 @@ def load_mesh(path, labeled_h=None):
             verts[i] = (float(x), float(y))
         except (IndexError, ValueError):
             fail(ln + i, "expected 'x y'")
+        if not np.isfinite(verts[i]).all():
+            fail(ln + i, f"vertex {i} is not finite: {x} {y}")
     ln += n_verts
     if ln >= len(lines) or not lines[ln].startswith("cells "):
         fail(ln, "expected 'cells M'")
@@ -473,6 +455,8 @@ def load_mesh(path, labeled_h=None):
         n_cells = int(lines[ln].split()[1])
     except (IndexError, ValueError):
         fail(ln, "bad cell count")
+    if n_cells < 1:
+        fail(ln, f"cell count must be positive, got {n_cells}")
     ln += 1
     cells = []
     for i in range(n_cells):

@@ -260,12 +260,13 @@ def conditioning_report(mesh, degree, threshold=1e9):
     import logging
 
     bad = []
-    for cell in mesh.cells:
-        basis = MonomialBasis(degree, cell.centroid, cell.diameter)
-        rule = cell_quadrature(mesh.cell_vertices(cell.index), 2 * degree)
+    for c, (centroid, diameter) in enumerate(zip(mesh.cells.centroid,
+                                                 mesh.cells.diameter)):
+        basis = MonomialBasis(degree, centroid, diameter)
+        rule = cell_quadrature(mesh.cell_vertices(c), 2 * degree)
         cond = float(np.linalg.cond(gram_matrix(basis, rule)))
         if cond >= threshold:
-            bad.append((cell.index, cond))
+            bad.append((c, cond))
     if bad:
         worst = max(c for _, c in bad)
         logging.getLogger(__name__).warning(

@@ -138,8 +138,10 @@ class HalfEdgeGroup:
 class ShapeClass:
     """Stacked data of the nc cells ``cells`` (ascending) with ``ne`` edges.
 
-    Per cell, along the first axis: ``edges``, ``nbr`` (the neighbour
-    across each local edge, -1 on the boundary) and outward ``normals``;
+    ``positions`` (nc, ne) locate the cells' loops in the mesh's CSR
+    arrays (see ``Mesh.shape_classes``).  Per cell, along the first axis:
+    ``edges``, ``nbr`` (the neighbour across each local edge, -1 on the
+    boundary) and outward ``normals``;
     quadrature ``points`` (nc, nq, 2) and ``weights``; basis values ``phi``
     (nc, dim, nq) of degree ``j``; the Gram matrices ``gram`` and their
     lower Cholesky factors ``chol`` (nc, dim, dim), both None (identity)
@@ -147,25 +149,23 @@ class ShapeClass:
     the volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b).
     """
 
-    def __init__(self, disc, edge_count, cells):
+    def __init__(self, disc, edge_count, cells, positions):
         mesh, k = disc.mesh, disc.k
         self.ne = edge_count
         self.cells = cells
         self.j = target_degree(edge_count, k)
         self.dim = dim_poly(self.j)
-        self.edges = np.array([mesh.cells[c].edge_ids for c in cells],
-                              dtype=np.int64).reshape(len(cells), edge_count)
-        ends = disc._edge_cells[self.edges]
+        self.edges = mesh.cell_edge_ids[positions]
+        ends = mesh.edge_cells[self.edges]
         minus = ends[..., 0] == cells[:, None]
         self.nbr = np.where(minus, ends[..., 1], ends[..., 0])
         self.normals = (np.where(minus, 1.0, -1.0)[..., None]
-                        * disc._edge_normals[self.edges])
-        verts = mesh.vertices[np.array([mesh.cells[c].vertex_ids
-                                        for c in cells])]
+                        * mesh.edge_normals[self.edges])
+        verts = mesh.vertices[mesh.cell_vertex_ids[positions]]
         self.points, self.weights = fan_quadrature(
             verts, 2 * self.j + disc.cell_exactness_bump)
-        scale = disc.diameters[cells][:, None, None]
-        local = (self.points - disc.centroids[cells][:, None, :]) / scale
+        scale = mesh.cells.diameter[cells][:, None, None]
+        local = (self.points - mesh.cells.centroid[cells][:, None, :]) / scale
         # one table of dim x nq per cell is kept; the two gradient tables
         # are made one at a time and dropped once their moments are taken
         raw = monomial_tables(local, self.j)
@@ -252,28 +252,22 @@ class Discretization:
         self.orthonormalize = bool(orthonormalize)
         self.cell_exactness_bump = int(cell_exactness_bump)
         n = mesh.n_cells
-        self.centroids = np.array([c.centroid for c in mesh.cells])
-        self.diameters = np.array([c.diameter for c in mesh.cells])
-        self._edge_cells = np.array(
-            [(e.cell_minus, -1 if e.cell_plus is None else e.cell_plus)
-             for e in mesh.edges], dtype=np.int64)
-        self._edge_normals = np.array([e.normal for e in mesh.edges])
         # DOF layout: velocity blocks per cell (x-comp then y-comp), then
         # pressure blocks per cell, then one multiplier row
         self.velocity_dofs = np.arange(2 * self.dim_k * n).reshape(
             n, 2, self.dim_k)
         self.pressure_dofs = np.arange(self.dim_p * n).reshape(n, self.dim_p)
-        counts = np.array([c.edge_count for c in mesh.cells])
-        self.classes = [ShapeClass(self, ne, np.flatnonzero(counts == ne))
-                        for ne in np.unique(counts)]
+        self.classes = [ShapeClass(self, *cls) for cls in mesh.shape_classes()]
         self.cell_points = np.concatenate(
             [c.points.reshape(-1, 2) for c in self.classes])
         self.cell_owner = np.concatenate(
             [np.repeat(c.cells, c.weights.shape[1]) for c in self.classes])
         self._split = np.cumsum([c.weights.size for c in self.classes])[:-1]
         # shared edge rules: exactness covers both incident target degrees
-        cell_j = np.array([target_degree(c, k) for c in counts])
-        ends = self._edge_cells
+        cell_j = np.empty(n, dtype=np.int64)
+        for cls in self.classes:
+            cell_j[cls.cells] = cls.j
+        ends = mesh.edge_cells
         jmax = np.maximum(cell_j[ends[:, 0]],
                           np.where(ends[:, 1] >= 0, cell_j[ends[:, 1]], 0))
         self._build_half_edges(
@@ -290,7 +284,7 @@ class Discretization:
         self.pre = self.weak_gradient(self.dim_p, self.dim_k, "natural")
 
     def _build_half_edges(self, edge_npts):
-        ends = self.mesh.edge_vertices
+        ends, geo = self.mesh.edge_vertices, self.mesh.cells
         start_of = np.full((self.mesh.n_edges, 2), -1)
         groups, start = [], 0
         for cls in self.classes:
@@ -305,12 +299,13 @@ class Discretization:
                 g.points, g.weights = gauss_segments(
                     self.mesh.vertices[ends[g.edge, 0]],
                     self.mesh.vertices[ends[g.edge, 1]], g.q)
-                local = ((g.points - self.centroids[g.owner][:, None, :])
-                         / self.diameters[g.owner][:, None, None])
+                local = ((g.points - geo.centroid[g.owner][:, None, :])
+                         / geo.diameter[g.owner][:, None, None])
                 g.phi = monomial_tables(local, cls.j)
                 if cls.transform is not None:
                     g.phi = cls.transform[g.slot] @ g.phi
-                g.side = (self._edge_cells[g.edge, 0] != g.owner).astype(int)
+                g.side = (self.mesh.edge_cells[g.edge, 0]
+                          != g.owner).astype(int)
                 start_of[g.edge, g.side] = (g.start
                                             + g.q * np.arange(len(g.edge)))
                 cls.groups.append(g)
@@ -440,12 +435,11 @@ class Discretization:
             raise ValueError("edges must be 'interior' or 'all'")
         if weight not in ("global-h", "edge-h"):
             raise ValueError("weight must be 'global-h' or 'edge-h'")
-        take = self.edge_owner == self._edge_cells[self.edge_index, 0]
+        take = self.edge_owner == self.mesh.edge_cells[self.edge_index, 0]
         take &= (self.edge_twin >= 0) | (edges == "all")
         if weight == "global-h":
             return take, np.full(len(take), self.mesh.h)
-        lengths = np.array([e.length for e in self.mesh.edges])
-        return take, lengths[self.edge_index]
+        return take, self.mesh.edge_lengths[self.edge_index]
 
     def edge_values(self, coef):
         """Owner-side values at every half-edge point.
@@ -478,8 +472,8 @@ class Discretization:
     # -- point evaluation ----------------------------------------------------
 
     def _point_basis(self, cells, points):
-        local = ((points - self.centroids[cells])
-                 / self.diameters[cells][:, None])
+        geo = self.mesh.cells
+        local = ((points - geo.centroid[cells]) / geo.diameter[cells][:, None])
         t = monomial_tables(local[:, None, :], self.k)[..., 0]
         if self._tk is not None:
             t = (self._tk[cells] @ t[..., None])[..., 0]

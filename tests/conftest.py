@@ -50,6 +50,16 @@ def random_polynomial(degree, rng, scale=1.0):
     return value, grad
 
 
+def normal_out_of(mesh, edge, cell):
+    """Unit normal of ``edge`` pointing out of ``cell``, one of its cells."""
+    minus, plus = mesh.edge_cells[edge]
+    if cell == minus:
+        return mesh.edge_normals[edge]
+    if cell == plus:
+        return -mesh.edge_normals[edge]
+    raise ValueError(f"cell {cell} is not incident to edge {edge}")
+
+
 def locate(disc, cell):
     """Class index and slot of ``cell`` in the stacked arrays of ``disc``.
 

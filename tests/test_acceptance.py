@@ -27,8 +27,8 @@ from cdgbrinkman.problems import (cavity_problem, example1, load_kappa_raster,
 from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
 
-from conftest import (MESH_FAMILIES, locate, random_polynomial,
-                      project_scalar_field)
+from conftest import (MESH_FAMILIES, locate, normal_out_of,
+                      random_polynomial, project_scalar_field)
 
 
 def _report(line):
@@ -204,11 +204,11 @@ def _weak_gradient_of_function(disc, cell, fn):
     fv = fn(rule.points)
     rx = -(tgx * rule.weights) @ fv
     ry = -(tgy * rule.weights) @ fv
-    for eid in mesh.cells[cell].edge_ids:
-        e = mesh.edges[eid]
-        n = mesh.outward_normal(e, cell)
-        er = edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1],
-                             2 * j + 4)
+    for e in mesh.cell_edge_ids[mesh.cell_offsets[cell]:
+                                mesh.cell_offsets[cell + 1]]:
+        n = normal_out_of(mesh, e, cell)
+        v0, v1 = mesh.edge_vertices[e]
+        er = edge_quadrature(mesh.vertices[v0], mesh.vertices[v1], 2 * j + 4)
         m = tables(er.points, dim) @ (er.weights * fn(er.points))
         rx += n[0] * m
         ry += n[1] * m

@@ -16,7 +16,7 @@ from cdgbrinkman.problems import constant_flow_problem, example1, polynomial_pat
 from cdgbrinkman.solver import SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
 
-from conftest import locate
+from conftest import locate, normal_out_of
 
 
 def unit_problem(mu=1.0, kappa0=1.0):
@@ -132,7 +132,7 @@ def test_b_against_direct_quadrature_oracle(rng):
         direct = 0.0
         for c in range(mesh.n_cells):
             cell = mesh.cells[c]
-            x0, y0 = mesh.vertices[cell.vertex_ids[0]]
+            x0, y0 = mesh.cell_vertices(c)[0]
             pts, w = _sq_rule(x0, y0, s, n=6)
             tgt = MonomialBasis(k, cell.centroid, cell.diameter)
             vals = tgt.values(pts)
@@ -140,17 +140,18 @@ def test_b_against_direct_quadrature_oracle(rng):
             gx, gy = tgt.gradients(pts)
             rx = -(gx * w) @ disc.pressure_values(q, c, pts)
             ry = -(gy * w) @ disc.pressure_values(q, c, pts)
-            for eid in cell.edge_ids:
-                e = mesh.edges[eid]
-                nb, nrm = mesh.neighbor(e, c), mesh.outward_normal(e, c)
+            for e in mesh.cell_edge_ids[mesh.cell_offsets[c]:
+                                        mesh.cell_offsets[c + 1]]:
+                minus, plus = mesh.edge_cells[e]
+                nb = plus if minus == c else minus
+                nrm = normal_out_of(mesh, e, c)
                 xg, wg = np.polynomial.legendre.leggauss(6)
                 t = 0.5 * (xg + 1.0)
-                epts = (mesh.vertices[e.v0][None, :]
-                        + t[:, None] * (mesh.vertices[e.v1]
-                                        - mesh.vertices[e.v0])[None, :])
-                ew = 0.5 * wg * e.length
+                p0, p1 = mesh.vertices[mesh.edge_vertices[e]]
+                epts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+                ew = 0.5 * wg * mesh.edge_lengths[e]
                 own = disc.pressure_values(q, c, epts)
-                if nb is None:
+                if nb < 0:
                     avg = own
                 else:
                     avg = 0.5 * (own + disc.pressure_values(q, nb, epts))
@@ -414,8 +415,8 @@ def test_assembly_rejects_non_finite_boundary_data_naming_edge():
 
     zero = unit_problem()
     problem = BrinkmanProblem(mu=1.0, kappa_inv=zero.kappa_inv, f=zero.f, g=g)
-    right = min(e.index for e in mesh.edges if e.is_boundary
-                and np.all(mesh.vertices[[e.v0, e.v1], 0] == 1.0))
+    right = min(e for e in mesh.boundary_edge_ids
+                if np.all(mesh.vertices[mesh.edge_vertices[e], 0] == 1.0))
     disc = Discretization(mesh, 1)
     match = rf"non-finite boundary data g .*on edge {right} at point \[1\. "
     with pytest.raises(ValueError, match=match):
@@ -431,7 +432,7 @@ def _perturbed_mesh(family, n, seed, amplitude):
     rng = np.random.default_rng(seed)
     v[inside] += amplitude * mesh.labeled_h * rng.uniform(
         -1.0, 1.0, (inside.sum(), 2))
-    return Mesh(v, [c.vertex_ids for c in mesh.cells],
+    return Mesh(v, np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]),
                 labeled_h=mesh.labeled_h)
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from cdgbrinkman import cli
 from cdgbrinkman.analysis import CSV_COLUMNS
 from cdgbrinkman.cli import main
 from cdgbrinkman.export import CellLocator, write_vtk
@@ -72,6 +73,49 @@ def test_solve_missing_raster_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "--kappa-raster" in err
+
+
+@pytest.fixture
+def no_rect_mesh(monkeypatch):
+    """Fail the run if the CLI builds a rect mesh."""
+    def build(n):
+        raise AssertionError(f"rect mesh n={n} built before the checks")
+
+    monkeypatch.setitem(cli._FAMILIES, "rect", build)
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--kappa-raster", "/nonexistent/k.csv"], "--kappa-raster"),
+    (["--a", "inf"], "--a"),
+    (["--resolution", "0"], "--resolution"),
+    (["--resolution", "-3"], "--resolution"),
+], ids=["raster-missing", "a-inf", "resolution-zero", "resolution-negative"])
+def test_solve_checks_config_before_mesh_exit_2(tmp_path, capsys,
+                                                no_rect_mesh, extra, flag):
+    code = main(["solve", "--mesh", "rect", "--out", str(tmp_path)] + extra)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--n", "0"], "--n must be >= 1 for --mesh rect, got 0"),
+    (["solve", "--mesh", "poly", "--n", "1"],
+     "--n must be >= 2 for --mesh poly, got 1"),
+    (["converge", "--mesh", "poly", "--levels", "1..2"],
+     "--levels must be >= 2 for --mesh poly, got 1"),
+], ids=["solve-rect-n0", "solve-poly-n1", "converge-poly-levels-1"])
+def test_too_few_divisions_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_solve_non_finite_mesh_file_vertex_exit_2(tmp_path, capsys):
+    mpath = tmp_path / "inf.txt"
+    mpath.write_text("cdgmesh 1 2d\nvertices 4\n0 0\n1 0\ninf 1\n0 1\n"
+                     "cells 1\n0 1 2 3\n")
+    code = main(["solve", "--mesh", f"file:{mpath}", "--out", str(tmp_path)])
+    assert code == 2
+    assert "inf.txt:5: vertex 2 is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", ["0", "nan"])

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgbrinkman.mesh import (Mesh, MeshFormatError, MeshValidationError,
                               generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular, load_mesh, save_mesh)
 from cdgbrinkman.polyspace import edge_quadrature
 
-from conftest import MESH_FAMILIES
+from conftest import MESH_FAMILIES, normal_out_of
 
 
 def test_triangular_unit():
@@ -42,7 +43,7 @@ def test_rectangular_examples_resolution():
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_polygonal_validity(n):
     m = generate_polygonal(n)
-    assert m.total_area() == pytest.approx(1.0, abs=1e-12)
+    assert m.cells.area.sum() == pytest.approx(1.0, abs=1e-12)
     assert m.euler_characteristic() == 1
     counts = {c.edge_count for c in m.cells}
     assert max(counts) <= 7
@@ -52,32 +53,32 @@ def test_polygonal_validity(n):
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
 def test_partition_and_euler(family):
     m = MESH_FAMILIES[family](4)
-    assert m.total_area() == pytest.approx(1.0, abs=1e-12)
+    assert m.cells.area.sum() == pytest.approx(1.0, abs=1e-12)
     assert m.euler_characteristic() == 1
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
 def test_normals_antisymmetric_and_unit(family):
     m = MESH_FAMILIES[family](4)
-    for e in m.edges:
-        n_minus = m.outward_normal(e, e.cell_minus)
+    for e, (minus, plus) in enumerate(m.edge_cells):
+        n_minus = normal_out_of(m, e, minus)
         assert np.hypot(*n_minus) == pytest.approx(1.0, abs=1e-14)
-        if not e.is_boundary:
-            n_plus = m.outward_normal(e, e.cell_plus)
+        if plus >= 0:
+            n_plus = normal_out_of(m, e, plus)
             assert np.abs(n_minus + n_plus).max() < 1e-14
 
 
 def test_cell_geometry():
     m = generate_uniform_triangular(2)
-    for c in m.cells:
+    for i, c in enumerate(m.cells):
         assert c.area > 0
-        pts = m.cell_vertices(c.index)
+        pts = m.cell_vertices(i)
         d = max(np.hypot(*(p - q)) for p in pts for q in pts)
         assert c.diameter == pytest.approx(d)
     assert m.h == max(c.diameter for c in m.cells)
-    for e in m.edges:
-        p0, p1 = m.vertices[e.v0], m.vertices[e.v1]
-        assert e.length == pytest.approx(np.hypot(*(p1 - p0)))
+    for (v0, v1), length in zip(m.edge_vertices, m.edge_lengths):
+        p0, p1 = m.vertices[v0], m.vertices[v1]
+        assert length == pytest.approx(np.hypot(*(p1 - p0)))
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
@@ -86,11 +87,11 @@ def test_shared_edge_quadrature_points(family):
     # endpoints, so quadrature points coincide bit-for-bit; check the
     # geometric statement that the rule spans the segment either way.
     m = MESH_FAMILIES[family](4)
-    for eid in m.interior_edge_ids[:20]:
-        e = m.edges[eid]
-        rule = edge_quadrature(m.vertices[e.v0], m.vertices[e.v1], 5)
-        t = m.vertices[e.v1] - m.vertices[e.v0]
-        rel = rule.points - m.vertices[e.v0]
+    for e in m.interior_edge_ids[:20]:
+        p0, p1 = m.vertices[m.edge_vertices[e]]
+        rule = edge_quadrature(p0, p1, 5)
+        t = p1 - p0
+        rel = rule.points - p0
         off = rel[:, 0] * t[1] - rel[:, 1] * t[0]
         assert np.abs(off).max() < 1e-13
 
@@ -102,8 +103,8 @@ def test_save_load_roundtrip(tmp_path):
     m2 = load_mesh(path, labeled_h=m.labeled_h)
     assert np.array_equal(m.vertices, m2.vertices)
     assert m.n_cells == m2.n_cells
-    for a, b in zip(m.cells, m2.cells):
-        assert np.array_equal(a.vertex_ids, b.vertex_ids)
+    assert np.array_equal(m.cell_offsets, m2.cell_offsets)
+    assert np.array_equal(m.cell_vertex_ids, m2.cell_vertex_ids)
     assert m.n_edges == m2.n_edges
 
 
@@ -165,3 +166,92 @@ def test_unused_vertex_rejected():
     verts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
     with pytest.raises(MeshValidationError, match="V - E \\+ F = 2"):
         Mesh(verts, [[0, 1, 2, 3]])
+
+
+def test_non_finite_vertex_rejected_naming_it():
+    verts = [[0, 0], [1, 0], [np.inf, 1], [0, 1]]
+    with pytest.raises(MeshValidationError, match="vertex 2 has non-finite"):
+        Mesh(verts, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("body, line, what", [
+    ("vertices -1\n", 2, "vertex count must be positive"),
+    ("vertices 4\n0 0\n1 0\n1 1\n0 1\ncells 0\n", 7,
+     "cell count must be positive"),
+    ("vertices 4\n0 0\n1 0\n1 1\n0 1\ncells -2\n", 7,
+     "cell count must be positive"),
+    ("vertices 4\n0 0\n1 0\ninf 1\n0 1\ncells 1\n0 1 2 3\n", 5,
+     "vertex 2 is not finite"),
+    ("vertices 4\n0 0\n1 0\nnan 1\n0 1\ncells 1\n0 1 2 3\n", 5,
+     "vertex 2 is not finite"),
+], ids=["vertices-negative", "cells-zero", "cells-negative", "vertex-inf",
+        "vertex-nan"])
+def test_load_rejects_bad_counts_and_coordinates(tmp_path, body, line, what):
+    path = tmp_path / "bad.txt"
+    path.write_text("cdgmesh 1 2d\n" + body)
+    with pytest.raises(MeshFormatError, match=rf"bad\.txt:{line}: {what}"):
+        load_mesh(path)
+
+
+def _reference_edges(mesh):
+    """Edge ids per loop position, ends, cells and normals by a plain loop:
+    first occurrence numbers an edge, and its first cell is the minus side
+    that the normal points out of."""
+    index, ends, cells, normals, ids = {}, [], [], [], []
+    for c in range(mesh.n_cells):
+        loop = mesh.cell_vertex_ids[mesh.cell_offsets[c]:
+                                    mesh.cell_offsets[c + 1]].tolist()
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            key = (min(a, b), max(a, b))
+            if key in index:
+                cells[index[key]][1] = c
+            else:
+                index[key] = len(ends)
+                ends.append(key)
+                cells.append([c, -1])
+                t = mesh.vertices[b] - mesh.vertices[a]
+                normals.append(np.array([t[1], -t[0]]) / np.hypot(*t))
+            ids.append(index[key])
+    return [np.array(x) for x in (ids, ends, cells, normals)]
+
+
+def _check_edge_convention(mesh):
+    ids, ends, cells, normals = _reference_edges(mesh)
+    assert np.array_equal(mesh.cell_edge_ids, ids)
+    assert np.array_equal(mesh.edge_vertices, ends)
+    assert np.array_equal(mesh.edge_cells, cells)
+    assert np.array_equal(mesh.edge_normals, normals)
+    # the two cells of an interior edge traverse it in opposite directions
+    loops = np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1])
+    directed = [(a, b) for loop in map(list, loops)
+                for a, b in zip(loop, loop[1:] + loop[:1])]
+    assert len(set(directed)) == len(directed)
+    directed = set(directed)
+    for v0, v1 in mesh.edge_vertices[mesh.interior_edge_ids].tolist():
+        assert (v0, v1) in directed and (v1, v0) in directed
+    lo, hi = mesh.bbox
+    assert mesh.cells.area.sum() == pytest.approx(np.prod(hi - lo),
+                                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("family, n", [
+    (family, n) for family in MESH_FAMILIES for n in range(1, 9)
+    if family != "poly" or n >= 2])  # the polygonal family starts at 2
+def test_edge_convention_matches_reference(family, n):
+    _check_edge_convention(MESH_FAMILIES[family](n))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(MESH_FAMILIES)), n=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.1))
+def test_edge_convention_on_perturbed_permuted_meshes(family, n, seed,
+                                                      amplitude):
+    base = MESH_FAMILIES[family](n)
+    rng = np.random.default_rng(seed)
+    v = base.vertices.copy()
+    inside = np.all((v > 1e-9) & (v < 1.0 - 1e-9), axis=1)
+    v[inside] += amplitude * base.labeled_h * rng.uniform(
+        -1.0, 1.0, (inside.sum(), 2))
+    loops = np.split(base.cell_vertex_ids, base.cell_offsets[1:-1])
+    _check_edge_convention(
+        Mesh(v, [loops[c] for c in rng.permutation(len(loops))]))

@@ -8,12 +8,18 @@ from cdgbrinkman.weakgrad import (Discretization, edge_average, normal_jump,
                                   scalar_jump, target_degree)
 from cdgbrinkman.analysis import project_tensor
 
-from conftest import (MESH_FAMILIES, locate, project_scalar_field,
-                      random_polynomial)
+from conftest import (MESH_FAMILIES, locate, normal_out_of,
+                      project_scalar_field, random_polynomial)
 
 
 def _edge_rule(mesh, e, exactness):
-    return edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1], exactness)
+    v0, v1 = mesh.edge_vertices[e]
+    return edge_quadrature(mesh.vertices[v0], mesh.vertices[v1], exactness)
+
+
+def _cell_edges(mesh, cell):
+    return mesh.cell_edge_ids[mesh.cell_offsets[cell]:
+                              mesh.cell_offsets[cell + 1]]
 
 
 def test_target_degree_rule():
@@ -51,11 +57,11 @@ def test_continuous_field_has_zero_jumps(rng):
     disc = Discretization(mesh, 2)
     fn, _ = random_polynomial(1, rng)
     p = project_scalar_field(disc, fn, "p").ravel()
-    for eid in mesh.interior_edge_ids:
-        e = mesh.edges[eid]
+    for e in mesh.interior_edge_ids:
+        minus, plus = mesh.edge_cells[e]
         pts = _edge_rule(mesh, e, 7).points
-        qm = disc.pressure_values(p, e.cell_minus, pts)
-        qp = disc.pressure_values(p, e.cell_plus, pts)
+        qm = disc.pressure_values(p, minus, pts)
+        qp = disc.pressure_values(p, plus, pts)
         assert np.abs(qm - qp).max() < 1e-11
 
 
@@ -65,13 +71,13 @@ def test_average_deviation_norm_identity(rng):
     # traces where the identity is exact
     mesh = generate_uniform_rectangular(2)
     disc = Discretization(mesh, 1)
-    for e in mesh.edges:
+    for e in range(mesh.n_edges):
         rule = _edge_rule(mesh, e, 7)
-        n = e.normal
+        n = mesh.edge_normals[e]
         w = rule.weights
         t = np.linspace(0.0, 1.0, len(rule.points))
         vm = np.outer(1.0 + t, n)          # trace from the minus cell
-        if e.is_boundary:
+        if mesh.edge_cells[e, 1] < 0:
             avg = np.zeros_like(vm)        # homogeneous boundary average
             dev2 = w @ ((vm - avg) ** 2).sum(axis=1)
             jump = normal_jump(vm, None, n)
@@ -93,13 +99,14 @@ def test_unit_scalar_jump_norm():
     disc = Discretization(mesh, 1)
     p = np.zeros(disc.n_pressure_dofs)
     p[disc.pressure_dofs[1, 0]] = 1.0  # constant one on the second cell
-    e = mesh.edges[mesh.interior_edge_ids[0]]
+    e = mesh.interior_edge_ids[0]
+    minus, plus = mesh.edge_cells[e]
     rule = _edge_rule(mesh, e, 7)
-    qm = disc.pressure_values(p, e.cell_minus, rule.points)
-    qp = disc.pressure_values(p, e.cell_plus, rule.points)
-    jump = scalar_jump(qm, qp, e.normal)
+    qm = disc.pressure_values(p, minus, rule.points)
+    qp = disc.pressure_values(p, plus, rule.points)
+    jump = scalar_jump(qm, qp, mesh.edge_normals[e])
     norm_sq = rule.weights @ (jump ** 2).sum(axis=1)
-    assert norm_sq == pytest.approx(e.length, abs=1e-14)
+    assert norm_sq == pytest.approx(mesh.edge_lengths[e], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +182,11 @@ def _check_defining_equation(disc, velocity, rng):
         W = maps[ci].W[:, slot]
         cols = disc.columns(disc.classes[ci], table)[slot]
         dim, j = W.shape[1], disc.classes[ci].j
-        edges = [mesh.edges[eid] for eid in mesh.cells[cell].edge_ids]
-        nbrs = [mesh.neighbor(e, cell) for e in edges]
+        edges = _cell_edges(mesh, cell)
+        ends = mesh.edge_cells[edges]
+        nbrs = np.where(ends[:, 0] == cell, ends[:, 1], ends[:, 0])
         involved = list(dict.fromkeys(
-            [cell] + [nb for nb in nbrs if nb is not None]))
+            [cell] + [nb for nb in nbrs if nb >= 0]))
         basis_t = MonomialBasis(j, mesh.cells[cell].centroid,
                                 mesh.cells[cell].diameter)
         rule = cell_quadrature(mesh.cell_vertices(cell), 2 * j + 6)
@@ -199,11 +207,11 @@ def _check_defining_equation(disc, velocity, rng):
             edge_x = np.zeros(dim)
             edge_y = np.zeros(dim)
             for e, nb in zip(edges, nbrs):
-                nrm = mesh.outward_normal(e, cell)
+                nrm = normal_out_of(mesh, e, cell)
                 er = _edge_rule(mesh, e, j + k + 6)
                 ttr = basis_t.values(er.points)[:dim]
                 otr = own @ tables(er.points, fdim)
-                if nb is None:
+                if nb < 0:
                     if velocity:
                         continue  # homogeneous average
                     avg = otr     # pressure: the cell's own trace
@@ -274,9 +282,8 @@ def weak_gradient_of_function(disc, cell, fn, extra_exactness=4):
     fv = fn(rule.points)
     rx = -(tgx * rule.weights) @ fv
     ry = -(tgy * rule.weights) @ fv
-    for eid in mesh.cells[cell].edge_ids:
-        e = mesh.edges[eid]
-        n = mesh.outward_normal(e, cell)
+    for e in _cell_edges(mesh, cell):
+        n = normal_out_of(mesh, e, cell)
         er = _edge_rule(mesh, e, 2 * j + extra_exactness)
         m = tables(er.points, dim) @ (er.weights * fn(er.points))
         rx += n[0] * m
@@ -368,14 +375,15 @@ def test_jump_seminorm_controlled_by_energy(rng):
         for _ in range(50):
             u = rng.standard_normal(disc.n_velocity_dofs)
             num = 0.0
-            for e in mesh.edges:
+            for e in range(mesh.n_edges):
                 rule = _edge_rule(mesh, e, 5)
-                vm = disc.velocity_values(u, e.cell_minus, rule.points)
-                if e.is_boundary:
-                    jump = normal_jump(vm, None, e.normal)
+                (minus, plus), n = mesh.edge_cells[e], mesh.edge_normals[e]
+                vm = disc.velocity_values(u, minus, rule.points)
+                if plus < 0:
+                    jump = normal_jump(vm, None, n)
                 else:
-                    vp = disc.velocity_values(u, e.cell_plus, rule.points)
-                    jump = normal_jump(vm, vp, e.normal)
+                    vp = disc.velocity_values(u, plus, rule.points)
+                    jump = normal_jump(vm, vp, n)
                 num += (rule.weights @ jump ** 2) / mesh.h
             den = norm_triple_bar(disc, problem, u) ** 2
             worst = max(worst, num / den)
