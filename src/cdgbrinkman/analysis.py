@@ -304,7 +304,6 @@ class ErrorReport:
     l2_e: float
     l2_eps: float
     h_eps: float
-    trb1_eps: float
     dof_u: int
     dof_p: int
     seconds: float
@@ -316,7 +315,7 @@ class ConvergenceReport:
 
     reports: List[ErrorReport] = field(default_factory=list)
 
-    RATE_COLUMNS = ("trb_e", "l2_e", "l2_eps", "h_eps", "trb1_eps")
+    RATE_COLUMNS = ("trb_e", "l2_e", "l2_eps", "h_eps")
 
     def rates(self):
         """Dict column -> list of log2(err(h)/err(h/2)), None on level 0."""
@@ -419,9 +418,6 @@ def run_convergence(problem, mesh_factory, k, n_divs, orthonormalize=False,
             l2_eps=norm_l2_pressure(disc, eps),
             h_eps=norm_pressure_jump(disc, eps, edges=stabilizer_edges,
                                      weight=s_weight),
-            trb1_eps=norm_triple_bar_1(disc, problem, eps,
-                                       edges=stabilizer_edges,
-                                       weight=s_weight),
             dof_u=disc.n_velocity_dofs,
             dof_p=disc.n_pressure_dofs,
             seconds=time.perf_counter() - t0,

@@ -1,9 +1,8 @@
 """Global assembly of the saddle-point system.
 
 DOF layout (owned by Discretization): per-cell velocity blocks (x-component
-coefficients then y-component), then per-cell pressure blocks, then one
-Lagrange-multiplier row enforcing the zero pressure mean.  The assembled
-blocks are
+coefficients then y-component), then per-cell pressure blocks.  The
+assembled blocks are
 
     A[I,J]     = mu (grad_w phi_J, grad_w phi_I) + mu (kinv phi_J, phi_I)
     B[I,alpha] = (phi_I, grad_w~ psi_alpha)
@@ -12,9 +11,14 @@ blocks are
     G[alpha]   = <psi_alpha, g . n>_(boundary)
     m[alpha]   = integral of psi_alpha
 
-and the full matrix is [[A, B, 0], [B^T, -S, m], [0, m^T, 0]].  Each block
-is one COO build over the Discretization's stacked per-shape-class arrays,
-appended in a fixed order, so repeated runs produce bit-identical matrices.
+and the full matrix, with one Lagrange multiplier enforcing the zero
+pressure mean, is [[A, B, 0], [B^T, -S, m], [0, m^T, 0]].  The solver
+never forms it: it factors K = [[A, B], [B^T, -S]] and handles the
+constraint in closed form through the coefficients c of the constant
+pressure (K's null vector), which the system carries along with the cell
+count.  Each block is one COO build over the Discretization's stacked
+per-shape-class arrays, appended in a fixed order, so repeated runs
+produce bit-identical matrices.
 """
 
 from dataclasses import dataclass, field
@@ -293,9 +297,24 @@ def assemble_mean_constraint(disc):
     return m
 
 
+def _constant_pressure(disc, m):
+    """Coefficients of the constant pressure 1: its per-cell L2 projection,
+    whose moments are the entries of m."""
+    c = np.empty_like(m)
+    for cls in disc.classes:
+        dofs = disc.pressure_dofs[cls.cells]
+        c[dofs] = cls.gram_solve(m[dofs][..., None])[..., 0]
+    return c
+
+
 @dataclass
 class SaddleSystem:
-    """Assembled sparse blocks plus the zero-mean pressure constraint."""
+    """Assembled sparse blocks plus the zero-mean pressure constraint.
+
+    ``c`` holds the pressure coefficients of the constant function 1, and
+    ``n_cells`` the cell count, by which the solver numbers the DOFs cell
+    by cell.
+    """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -303,6 +322,8 @@ class SaddleSystem:
     m: np.ndarray
     F: np.ndarray
     G: np.ndarray
+    c: np.ndarray
+    n_cells: int
     n_u: int = field(init=False)
     n_p: int = field(init=False)
 
@@ -341,4 +362,6 @@ def assemble_system(disc, problem, stabilizer_edges="interior",
     S = assemble_s(disc, edges=stabilizer_edges, weight=s_weight)
     F, G = assemble_rhs(disc, problem)
     m = assemble_mean_constraint(disc)
-    return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G)
+    return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G,
+                        c=_constant_pressure(disc, m),
+                        n_cells=disc.mesh.n_cells)

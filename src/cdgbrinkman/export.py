@@ -61,19 +61,27 @@ class CellLocator:
         if buckets_per_axis is None:
             buckets_per_axis = max(1, int(np.sqrt(mesh.n_cells)))
         self.nb = buckets_per_axis
-        buckets = [[] for _ in range(self.nb * self.nb)]
-        for c in range(mesh.n_cells):
-            pts = mesh.cell_vertices(c)
-            i0, j0 = self._bucket_of(pts.min(axis=0))
-            i1, j1 = self._bucket_of(pts.max(axis=0))
-            for j in range(j0, j1 + 1):
-                for i in range(i0, i1 + 1):
-                    buckets[j * self.nb + i].append(c)
-        # candidate table padded with -1; polygons padded by repeating the
-        # last vertex, whose zero-length edge passes every winding test
-        self.table = np.full((len(buckets), max(map(len, buckets))), -1)
-        for b, cells in enumerate(buckets):
-            self.table[b, :len(cells)] = cells
+        # each cell goes into every bucket its bounding box touches
+        pts = mesh.vertices[mesh.cell_vertex_ids]
+        starts = mesh.cell_offsets[:-1]
+        i0, j0 = self._bucket_of(np.minimum.reduceat(pts, starts))
+        i1, j1 = self._bucket_of(np.maximum.reduceat(pts, starts))
+        ni = i1 - i0 + 1
+        count = ni * (j1 - j0 + 1)
+        cell = np.repeat(np.arange(mesh.n_cells), count)
+        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+        bucket = (j0[cell] + k // ni[cell]) * self.nb + i0[cell] + k % ni[cell]
+        # a stable sort keeps each bucket's candidates in ascending cell
+        # order; the table is padded with -1
+        order = np.argsort(bucket, kind="stable")
+        bucket, cell = bucket[order], cell[order]
+        per_bucket = np.bincount(bucket, minlength=self.nb * self.nb)
+        slot = np.arange(len(cell)) - (np.cumsum(per_bucket)
+                                       - per_bucket)[bucket]
+        self.table = np.full((len(per_bucket), per_bucket.max()), -1)
+        self.table[bucket, slot] = cell
+        # polygons padded by repeating the last vertex, whose zero-length
+        # edge passes every winding test
         counts = mesh.cells.edge_count
         local = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
         self.polygons = mesh.cell_vertex_ids[mesh.cell_offsets[:-1, None]
@@ -136,7 +144,7 @@ def write_lattice_csv(path, disc, u, p, resolution=128):
 
 
 def write_summary(path, disc, solution, extra=None):
-    """JSON run summary: sizes, residual, and field ranges."""
+    """JSON run summary: sizes, residual, solver stats and field ranges."""
     fields = cell_center_fields(disc, solution.u, solution.p)
     data = {
         "n_cells": disc.mesh.n_cells,
@@ -145,6 +153,9 @@ def write_summary(path, disc, solution, extra=None):
         "residual": solution.residual,
         "multiplier": solution.multiplier,
         "pressure_mean": solution.stats.get("pressure_mean"),
+        "solver": {key: solution.stats.get(key) for key in (
+            "ordering", "regularization", "nnz_factor",
+            "refinement_residuals")},
         "ranges": {name: [float(v.min()), float(v.max())]
                    for name, v in fields.items()},
     }

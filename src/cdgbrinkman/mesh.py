@@ -70,6 +70,15 @@ class Mesh:
                 f"vertex {bad[0]} has non-finite coordinates "
                 f"{tuple(self.vertices[bad[0]].tolist())}")
         self.cell_offsets, self.cell_vertex_ids = _csr(cell_vertex_ids)
+        if len(self.cell_offsets) < 2:
+            raise MeshValidationError("mesh has no cells")
+        ids = self.cell_vertex_ids
+        bad = np.flatnonzero((ids < 0) | (ids >= len(self.vertices)))
+        if len(bad):
+            cell = np.searchsorted(self.cell_offsets, bad[0], side="right") - 1
+            raise MeshValidationError(
+                f"cell {cell} has vertex id {ids[bad[0]]} outside "
+                f"[0, {len(self.vertices)})")
         self.cells = np.zeros(len(self.cell_offsets) - 1,
                               _CELL_FIELDS).view(np.recarray)
         self.cells.edge_count = np.diff(self.cell_offsets)

@@ -5,12 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from cdgbrinkman import cli
+from cdgbrinkman import cli, export
 from cdgbrinkman.analysis import CSV_COLUMNS
 from cdgbrinkman.cli import main
-from cdgbrinkman.export import CellLocator, write_vtk
-from cdgbrinkman.mesh import generate_polygonal, generate_uniform_triangular, save_mesh
+from cdgbrinkman.export import CellLocator, write_lattice_csv, write_vtk
+from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
+                              generate_uniform_triangular, save_mesh)
 from cdgbrinkman.problems import sample_raster_path
+from cdgbrinkman.weakgrad import Discretization
 
 
 def test_converge_writes_schema_csv(tmp_path):
@@ -65,6 +67,12 @@ def test_solve_produces_three_valid_files(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["residual"] <= 1e-9
     assert summary["n_cells"] == 256
+    solver = summary["solver"]
+    assert solver["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert solver["regularization"] == 1e-8
+    assert solver["nnz_factor"] > 0
+    assert len(solver["refinement_residuals"]) == 3
+    assert solver["refinement_residuals"][-1] == summary["residual"]
 
 
 def test_solve_missing_raster_exit_2(tmp_path, capsys):
@@ -209,6 +217,46 @@ def test_cell_locator_polygonal():
         cross = ((nxt[:, 0] - pts[:, 0]) * (p[1] - pts[:, 1])
                  - (nxt[:, 1] - pts[:, 1]) * (p[0] - pts[:, 0]))
         assert cross.min() > -1e-9
+
+
+class LoopLocator(CellLocator):
+    """CellLocator with its bucket table refilled by a loop over cells."""
+
+    def __init__(self, mesh, buckets_per_axis=None):
+        super().__init__(mesh, buckets_per_axis)
+        buckets = [[] for _ in range(self.nb * self.nb)]
+        for c in range(mesh.n_cells):
+            pts = mesh.cell_vertices(c)
+            i0, j0 = self._bucket_of(pts.min(axis=0))
+            i1, j1 = self._bucket_of(pts.max(axis=0))
+            for j in range(j0, j1 + 1):
+                for i in range(i0, i1 + 1):
+                    buckets[j * self.nb + i].append(c)
+        self.table = np.full((len(buckets), max(map(len, buckets))), -1)
+        for b, cells in enumerate(buckets):
+            self.table[b, :len(cells)] = cells
+
+
+@pytest.mark.parametrize("factory, n", [(generate_uniform_rectangular, 8),
+                                        (generate_polygonal, 4)])
+def test_lattice_csv_matches_loop_filled_locator(tmp_path, monkeypatch,
+                                                  factory, n):
+    # the bucket table is filled by a stable sort; candidates must keep
+    # ascending cell order within a bucket, so ties on shared edges resolve
+    # as the per-cell loop resolved them and the CSV is byte-identical
+    mesh = factory(n)
+    for nb in (None, 1, 3):
+        assert np.array_equal(CellLocator(mesh, nb).table,
+                              LoopLocator(mesh, nb).table)
+    disc = Discretization(mesh, 1)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(disc.n_velocity_dofs)
+    p = rng.standard_normal(disc.n_pressure_dofs)
+    write_lattice_csv(tmp_path / "a.csv", disc, u, p, resolution=20)
+    monkeypatch.setattr(export, "CellLocator", LoopLocator)
+    write_lattice_csv(tmp_path / "b.csv", disc, u, p, resolution=20)
+    a, b = (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes()
+    assert a == b
 
 
 def test_vtk_polygon_counts(tmp_path):

@@ -174,6 +174,21 @@ def test_non_finite_vertex_rejected_naming_it():
         Mesh(verts, [[0, 1, 2, 3]])
 
 
+@pytest.mark.parametrize("loops, what", [
+    ([[0, 1, 2, 3], [-4, 1, 2]], r"cell 1 has vertex id -4 outside \[0, 4\)"),
+    ([[0, 1, 2, 7]], r"cell 0 has vertex id 7 outside \[0, 4\)"),
+    (np.array([[0, 1, 4]]), r"cell 0 has vertex id 4 outside \[0, 4\)"),
+    ([], "mesh has no cells"),
+    (np.zeros((0, 3), dtype=int), "mesh has no cells"),
+])
+def test_vertex_ids_range_checked(loops, what):
+    # numpy would wrap a negative id and raise a bare IndexError or a
+    # zero-size reduction error for the others
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    with pytest.raises(MeshValidationError, match=what):
+        Mesh(verts, loops)
+
+
 @pytest.mark.parametrize("body, line, what", [
     ("vertices -1\n", 2, "vertex count must be positive"),
     ("vertices 4\n0 0\n1 0\n1 1\n0 1\ncells 0\n", 7,

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cdgbrinkman.assembly import assemble_system
-from cdgbrinkman.mesh import generate_uniform_triangular
+from cdgbrinkman.mesh import (generate_uniform_rectangular,
+                              generate_uniform_triangular)
 from cdgbrinkman.problems import example1
 from cdgbrinkman.solver import SingularSystemError, solve
 from cdgbrinkman.weakgrad import Discretization
@@ -58,33 +59,32 @@ def test_solve_deterministic_bit_identical(small_setup):
 
 
 def test_singular_system_structured_error(small_setup):
-    # dropping the mean constraint leaves a constant-pressure null vector;
-    # with mass data that violates net-flux compatibility the system has no
-    # solution, which the factorization or residual check must flag; the
-    # error carries the stats gathered up to the failure
-    disc, _, system = small_setup
-    M = system.matrix(constrained=False)
+    # a velocity DOF decoupled from everything (a zero row and column of A
+    # and a zero row of B) leaves a zero column in K, which the static-pivot
+    # factorization must flag and attribute to A; the error carries the
+    # stats gathered up to the failure
+    _, _, system = small_setup
+    import copy
 
-    class Unconstrained:
-        n_u = system.n_u
-        n_p = system.n_p
-        A = system.A
-        S = system.S
-        m = system.m
-
-        def matrix(self, constrained=True):
-            return M
-
-        def rhs(self, constrained=True):
-            return np.concatenate([system.F, system.G + 1.0])
-
-    with pytest.raises(SingularSystemError, match="pressure") as err:
-        solve(Unconstrained())
+    broken = copy.copy(system)
+    keep = sp.diags((np.arange(system.n_u) != 5).astype(float))
+    broken.A = (keep @ system.A @ keep).tocsr()
+    broken.B = (keep @ system.B).tocsr()
+    with pytest.raises(SingularSystemError,
+                       match="zero pivot in the velocity block A") as err:
+        solve(broken)
     stats = err.value.stats
     assert stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
-    assert stats["pivot_threshold"] == 0.01
+    assert stats["regularization"] == 1e-8
+    assert "nnz_factor" not in stats
+    assert "refinement_residuals" not in stats
+    # a residual check that cannot pass reports the refinement history
+    with pytest.raises(SingularSystemError, match="exceeds 1.0e-20") as err:
+        solve(system, rtol=1e-20)
+    stats = err.value.stats
+    assert stats["nnz_factor"] > 0
     history = stats["refinement_residuals"]
-    assert len(history) == 3 and history[-1] > 1e-9
+    assert len(history) == 3 and history[-1] > 1e-20
 
 
 def test_unconstrained_nullspace_is_constant_pressure(small_setup):
@@ -117,7 +117,7 @@ def test_symmetric_mode_fill_below_colamd(small_setup):
     sol = solve(system)
     assert sol.stats["nnz_factor"] <= 0.75 * (general.L.nnz + general.U.nnz)
     assert sol.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
-    assert sol.stats["pivot_threshold"] == 0.01
+    assert sol.stats["regularization"] == 1e-8
 
 
 def test_refinement_residuals_recorded(small_setup):
@@ -127,3 +127,68 @@ def test_refinement_residuals_recorded(small_setup):
     assert len(history) == 3
     assert all(np.isfinite(history))
     assert history[-1] == sol.residual
+
+
+def _nudged(S, rng, direction):
+    """S made exactly symmetric from its upper triangle, with about half of
+    its nonzero upper entries (and their mirrors) moved by one ulp toward
+    ``direction``; ``direction=None`` moves none."""
+    U = sp.triu(S, format="coo")
+    data = U.data.copy()
+    if direction is not None:
+        sel = (rng.random(len(data)) < 0.5) & (data != 0.0)
+        data[sel] = np.nextafter(data[sel], direction)
+    U = sp.coo_matrix((data, (U.row, U.col)), shape=S.shape)
+    return (U + sp.triu(U, k=1).T).tocsr()
+
+
+def test_fill_ignores_one_ulp_perturbations(rng):
+    # with static pivots the pivot sequence follows the pattern, not the
+    # values, so roundoff in S cannot swing the fill (a threshold of 0.01
+    # moved it by 485 to 1871 entries under these perturbations)
+    import copy
+
+    disc = Discretization(generate_uniform_rectangular(16), 3)
+    system = assemble_system(disc, example1(mu=1.0, a=1e4))
+    fills = []
+    for direction in (None, np.inf, -np.inf, np.inf):
+        nudged = copy.copy(system)
+        nudged.S = _nudged(system.S, rng, direction)
+        sol = solve(nudged)
+        assert sol.residual <= 1e-9
+        fills.append(sol.stats["nnz_factor"])
+    assert max(abs(f - fills[0]) for f in fills) <= 10
+
+
+@pytest.mark.parametrize("orthonormalize", [False, True])
+def test_constant_pressure_is_null_vector(orthonormalize):
+    disc = Discretization(generate_uniform_triangular(4), 3,
+                          orthonormalize=orthonormalize)
+    system = assemble_system(disc, example1(mu=1.0, a=1.0))
+    c = system.c
+    ones = np.zeros(system.n_p)
+    ones[disc.pressure_dofs[:, 0]] = 1.0
+    # the constant's coefficients are the indicator of the first pressure
+    # DOF only for the raw scaled monomials
+    assert np.allclose(c, ones, atol=1e-12) != orthonormalize
+    K = system.matrix(constrained=False)
+    null = np.concatenate([np.zeros(system.n_u), c])
+    assert (np.linalg.norm(K @ null)
+            <= 1e-12 * abs(K).max() * np.linalg.norm(c))
+    assert float(system.m @ c) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_incompatible_pressure_data_goes_to_multiplier(small_setup):
+    # G + 1 has net flux; the closed-form multiplier c^T G / c^T m absorbs
+    # it and the pressure keeps its zero mean
+    _, _, system = small_setup
+    import copy
+
+    bad = copy.copy(system)
+    bad.G = system.G + 1.0
+    sol = solve(bad)
+    c, m = system.c, system.m
+    assert sol.residual <= 1e-9
+    assert sol.multiplier == float(c @ bad.G) / float(c @ m)
+    assert abs(sol.stats["pressure_mean"]) <= 1e-12
+    assert abs(float(m @ sol.p)) <= 1e-12
