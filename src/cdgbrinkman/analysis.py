@@ -132,29 +132,28 @@ def norm_l2_pressure(disc, p):
     return math.sqrt(max(total, 0.0))
 
 
-def _pressure_jump_sq(disc, p, inverse_weight=False, edges="interior",
-                      weight="global-h"):
-    take, h = disc.jump_points(edges, weight)
+def _pressure_jump_sq(disc, p, inverse_weight=False):
+    take = disc.jump_points()
     q = disc.edge_values(p[disc.pressure_dofs])
-    twin = disc.edge_twin
     # ||[[q]]||^2 integrates |q_m n + q_p (-n)|^2 = (q_m - q_p)^2
-    diff = np.where(twin >= 0, q - q[twin], q)[take]
-    fac = 1.0 / h[take] if inverse_weight else h[take]
+    diff = q[take] - q[disc.edge_twin[take]]
+    h = disc.mesh.h
+    fac = 1.0 / h if inverse_weight else h
     return float((fac * disc.edge_weights[take] * diff ** 2).sum())
 
 
-def norm_pressure_jump(disc, p, edges="interior", weight="global-h"):
+def norm_pressure_jump(disc, p):
     """||q||_h: sqrt(sum_e h ||[[q]]||_e^2), same edge set as the stabilizer."""
-    return math.sqrt(max(_pressure_jump_sq(disc, p, False, edges, weight), 0.0))
+    return math.sqrt(max(_pressure_jump_sq(disc, p), 0.0))
 
 
-def norm_triple_bar_1(disc, problem, p, edges="interior", weight="global-h"):
+def norm_triple_bar_1(disc, problem, p):
     """Pressure energy norm: sqrt(||kappa^{1/2} grad_w~ q||^2 + sum h^{-1}||[[q]]||^2).
 
     Scalar permeability only (the tensor square root is not needed by any
     runnable problem).
     """
-    total = _pressure_jump_sq(disc, p, True, edges, weight)
+    total = _pressure_jump_sq(disc, p, True)
     kv, tensor = problem.kappa_inv_at(disc.cell_points)
     if tensor:
         raise NotImplementedError(
@@ -189,8 +188,7 @@ def pressure_error_l2(disc, p, p_exact):
 # error-equation oracle
 # ---------------------------------------------------------------------------
 
-def error_equation_residual(disc, problem, system, solution,
-                            stabilizer_edges="interior", s_weight="global-h"):
+def error_equation_residual(disc, problem, system, solution):
     """Residuals of the two exact discrete error identities.
 
     For every velocity test DOF I and pressure test DOF alpha the identities
@@ -388,7 +386,6 @@ def _as_fraction(h):
 
 
 def run_convergence(problem, mesh_factory, k, n_divs, orthonormalize=False,
-                    stabilizer_edges="interior", s_weight="global-h",
                     on_level=None):
     """Solve a manufactured problem across refinement levels.
 
@@ -403,9 +400,7 @@ def run_convergence(problem, mesh_factory, k, n_divs, orthonormalize=False,
         t0 = time.perf_counter()
         mesh = mesh_factory(n)
         disc = Discretization(mesh, k, orthonormalize=orthonormalize)
-        system = assemble_system(disc, problem,
-                                 stabilizer_edges=stabilizer_edges,
-                                 s_weight=s_weight)
+        system = assemble_system(disc, problem)
         sol = solve(system)
         uQ = project_velocity(disc, problem.u)
         pQ = project_pressure(disc, problem.p)
@@ -416,8 +411,7 @@ def run_convergence(problem, mesh_factory, k, n_divs, orthonormalize=False,
             trb_e=norm_triple_bar(disc, problem, e),
             l2_e=norm_l2_velocity(disc, e),
             l2_eps=norm_l2_pressure(disc, eps),
-            h_eps=norm_pressure_jump(disc, eps, edges=stabilizer_edges,
-                                     weight=s_weight),
+            h_eps=norm_pressure_jump(disc, eps),
             dof_u=disc.n_velocity_dofs,
             dof_p=disc.n_pressure_dofs,
             seconds=time.perf_counter() - t0,

@@ -151,7 +151,11 @@ class _Coo:
             (np.concatenate(self.vals),
              (np.concatenate(self.rows), np.concatenate(self.cols))),
             shape=shape)
-        return m.tocsr()
+        m = m.tocsr()
+        # basis moments that vanish on symmetric cells, and duplicates that
+        # cancel, sum to exact zeros: fill for the factor, work for a matvec
+        m.eliminate_zeros()
+        return m
 
 
 def _matrix_a(disc, problem):
@@ -227,36 +231,33 @@ def assemble_b(disc):
     return acc.tocsr((disc.n_velocity_dofs, disc.n_pressure_dofs))
 
 
-def assemble_s(disc, edges="interior", weight="global-h"):
+def assemble_s(disc):
     """Pressure jump stabilizer S (positive semidefinite).
 
-    ``edges`` selects the summation set ("interior" per the consistency
-    argument; "all" adds boundary edges).  ``weight`` is the factor h: the
-    global geometric mesh size, or per-edge lengths ("edge-h").
+    S sums h <[[psi_b]], [[psi_a]]>_e over the interior edges only, as the
+    consistency argument requires, with h the global mesh size.  A
+    constant pressure has no interior jumps, so S c = 0 for its
+    coefficients c, which the solver's closed-form multiplier relies on.
     """
-    take, h = disc.jump_points(edges, weight)
+    take = disc.jump_points()
+    h = disc.mesh.h
     dp = disc.dim_p
     acc = _Coo()
     for cls in disc.classes:
         for g in cls.groups:
             sl = slice(g.start, g.stop)
             rows = take[sl].reshape(-1, g.q)[:, 0]
-            hr = h[sl].reshape(-1, 1, g.q)[rows, :, :1]
             w = disc.edge_weights[sl].reshape(-1, 1, g.q)[rows]
             tm = disc.trace_k[sl, :dp].reshape(-1, g.q, dp)[rows]
             tm = tm.transpose(0, 2, 1)
-            twin = g.twin[rows]
-            tp = disc.trace_k[twin, :dp].transpose(0, 2, 1)
+            tp = disc.trace_k[g.twin[rows], :dp].transpose(0, 2, 1)
             own = disc.pressure_dofs[g.owner[rows]]
-            # -1 drops the other side of a boundary edge
-            nbr = np.where(twin[:, :1] >= 0,
-                           disc.pressure_dofs[cls.nbr[g.slot, g.local][rows]],
-                           -1)
-            mp = hr * (tm * w) @ tp.transpose(0, 2, 1)
-            acc.add(own, own, hr * (tm * w) @ tm.transpose(0, 2, 1))
+            nbr = disc.pressure_dofs[cls.nbr[g.slot, g.local][rows]]
+            mp = h * (tm * w) @ tp.transpose(0, 2, 1)
+            acc.add(own, own, h * (tm * w) @ tm.transpose(0, 2, 1))
             acc.add(own, nbr, -mp)
             acc.add(nbr, own, -mp.transpose(0, 2, 1))
-            acc.add(nbr, nbr, hr * (tp * w) @ tp.transpose(0, 2, 1))
+            acc.add(nbr, nbr, h * (tp * w) @ tp.transpose(0, 2, 1))
     n_p = disc.n_pressure_dofs
     return acc.tocsr((n_p, n_p))
 
@@ -354,12 +355,11 @@ class SaddleSystem:
         return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
-def assemble_system(disc, problem, stabilizer_edges="interior",
-                    s_weight="global-h"):
+def assemble_system(disc, problem):
     """Assemble all blocks of the discrete Brinkman saddle system."""
     A = _matrix_a(disc, problem)
     B = assemble_b(disc)
-    S = assemble_s(disc, edges=stabilizer_edges, weight=s_weight)
+    S = assemble_s(disc)
     F, G = assemble_rhs(disc, problem)
     m = assemble_mean_constraint(disc)
     return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G,

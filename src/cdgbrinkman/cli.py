@@ -1,15 +1,10 @@
 """Command-line interface: convergence studies, single solves, patch tests.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
-``CDG_THREADS`` caps BLAS/LAPACK parallelism for reproducible timings
-through threadpoolctl.  Without threadpoolctl the cap cannot act, since
-BLAS has loaded by then: a warning names the variables to set before
-launch (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS).
 """
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -36,25 +31,6 @@ _FAMILIES = {
 }
 # the smallest n_div each generator accepts
 _MIN_DIVISIONS = {"tri": 1, "rect": 1, "poly": 2}
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("CDG_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise ConfigError(f"CDG_THREADS must be an integer, got {cap!r}")
-    try:
-        import threadpoolctl
-    except ImportError:
-        # BLAS read its thread variables when numpy loaded, before this runs
-        print(f"warning: CDG_THREADS={n} not applied: threadpoolctl is not "
-              "installed; set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and "
-              "MKL_NUM_THREADS before launch instead", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(n)
 
 
 def _parse_levels(spec):
@@ -97,18 +73,16 @@ def _mesh_factory(spec):
     raise ConfigError(f"--mesh must be tri|rect|poly|file:PATH, got {spec!r}")
 
 
+def _add_orthonormalize(p):
+    p.add_argument("--orthonormalize", action="store_true",
+                   help="orthonormalize the cell bases (Gram-Cholesky)")
+
+
 def _add_common(p):
     p.add_argument("--k", type=int, default=1, choices=(1, 2, 3),
                    help="velocity polynomial degree")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--stabilizer-edges", default="interior",
-                   choices=("interior", "all"),
-                   help="edge set of the pressure jump stabilizer")
-    p.add_argument("--s-weight", default="global-h",
-                   choices=("global-h", "edge-h"),
-                   help="h factor in the stabilizer")
-    p.add_argument("--orthonormalize", action="store_true",
-                   help="orthonormalize the cell bases (Gram-Cholesky)")
+    _add_orthonormalize(p)
 
 
 def _build_parser():
@@ -138,11 +112,10 @@ def _build_parser():
                     help="sampling lattice for the CSV export")
     _add_common(ps)
 
-    pp = sub.add_parser("patchtest", help="polynomial exactness suite")
-    pp.add_argument("--all", action="store_true",
-                    help="run every family and degree (default)")
+    pp = sub.add_parser("patchtest", help="polynomial exactness suite "
+                        "(every family, k = 1..3, n = 4 and 8)")
     pp.add_argument("--tol", type=float, default=1e-9)
-    _add_common(pp)
+    _add_orthonormalize(pp)
     return ap
 
 
@@ -166,8 +139,7 @@ def cmd_converge(args):
 
     report = run_convergence(problem, factory, args.k, levels,
                              orthonormalize=args.orthonormalize,
-                             stabilizer_edges=args.stabilizer_edges,
-                             s_weight=args.s_weight, on_level=progress)
+                             on_level=progress)
     csv_path = outdir / f"converge_{args.mesh}_k{args.k}.csv"
     report.to_csv(csv_path)
     print(report.table())
@@ -200,9 +172,7 @@ def cmd_solve(args):
     else:
         mesh = load_mesh(args.mesh[5:])
     disc = Discretization(mesh, args.k, orthonormalize=args.orthonormalize)
-    system = assemble_system(disc, problem,
-                             stabilizer_edges=args.stabilizer_edges,
-                             s_weight=args.s_weight)
+    system = assemble_system(disc, problem)
     solution = solve(system)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -227,9 +197,7 @@ def cmd_patchtest(args):
                 disc = Discretization(mesh, k,
                                       orthonormalize=args.orthonormalize)
                 problem = polynomial_patch(k)
-                system = assemble_system(
-                    disc, problem, stabilizer_edges=args.stabilizer_edges,
-                    s_weight=args.s_weight)
+                system = assemble_system(disc, problem)
                 sol = solve(system)
                 e = project_velocity(disc, problem.u) - sol.u
                 eps = project_pressure(disc, problem.p) - sol.p
@@ -248,7 +216,6 @@ def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_thread_cap()
         if args.command == "converge":
             return cmd_converge(args)
         if args.command == "solve":

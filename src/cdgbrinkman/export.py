@@ -51,16 +51,17 @@ def write_vtk(path, mesh, cell_data):
 
 
 class CellLocator:
-    """Uniform-bucket point locator over a mesh (bbox prefilter + winding)."""
+    """Uniform-bucket point locator over a mesh (bbox prefilter + winding).
 
-    def __init__(self, mesh, buckets_per_axis=None):
+    The bounding box is split into floor(sqrt(n_cells)) buckets per axis.
+    """
+
+    def __init__(self, mesh):
         self.mesh = mesh
         lo, hi = mesh.bbox
         self.lo = lo
         self.span = np.maximum(hi - lo, 1e-300)
-        if buckets_per_axis is None:
-            buckets_per_axis = max(1, int(np.sqrt(mesh.n_cells)))
-        self.nb = buckets_per_axis
+        self.nb = max(1, int(np.sqrt(mesh.n_cells)))
         # each cell goes into every bucket its bounding box touches
         pts = mesh.vertices[mesh.cell_vertex_ids]
         starts = mesh.cell_offsets[:-1]

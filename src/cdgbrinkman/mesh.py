@@ -75,10 +75,9 @@ class Mesh:
         ids = self.cell_vertex_ids
         bad = np.flatnonzero((ids < 0) | (ids >= len(self.vertices)))
         if len(bad):
-            cell = np.searchsorted(self.cell_offsets, bad[0], side="right") - 1
             raise MeshValidationError(
-                f"cell {cell} has vertex id {ids[bad[0]]} outside "
-                f"[0, {len(self.vertices)})")
+                f"cell {_cell_of(self.cell_offsets, bad[0])} has vertex id "
+                f"{ids[bad[0]]} outside [0, {len(self.vertices)})")
         self.cells = np.zeros(len(self.cell_offsets) - 1,
                               _CELL_FIELDS).view(np.recarray)
         self.cells.edge_count = np.diff(self.cell_offsets)
@@ -245,15 +244,34 @@ class Mesh:
         return self.n_vertices - self.n_edges + self.n_cells
 
 
+def _cell_of(offsets, position):
+    """Cell whose loop holds flat position ``position``."""
+    return np.searchsorted(offsets, position, side="right") - 1
+
+
 def _csr(loops):
-    """(offsets, flat ids) of a sequence of loops or an (n, m) index array."""
+    """(offsets, flat ids) of a sequence of loops or an (n, m) index array.
+
+    Raises MeshValidationError for an id that is not an integer; an
+    integral float such as 3.0 is accepted.
+    """
     if isinstance(loops, np.ndarray) and loops.ndim == 2:
         n, m = loops.shape
-        return m * np.arange(n + 1), loops.astype(np.int64).ravel()
-    counts = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
-    flat = np.fromiter(itertools.chain.from_iterable(loops), dtype=np.int64,
-                       count=int(counts.sum()))
-    return np.concatenate([[0], np.cumsum(counts)]), flat
+        offsets, raw = m * np.arange(n + 1), loops.ravel()
+    else:
+        counts = np.fromiter(map(len, loops), dtype=np.int64,
+                             count=len(loops))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        raw = np.fromiter(itertools.chain.from_iterable(loops), dtype=float,
+                          count=int(counts.sum()))
+    with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+        flat = raw.astype(np.int64)
+    bad = np.flatnonzero(flat != raw)
+    if len(bad):
+        raise MeshValidationError(
+            f"cell {_cell_of(offsets, bad[0])} has non-integer vertex id "
+            f"{raw[bad[0]].item()}")
+    return offsets, flat
 
 
 def _first_occurrence(keys):

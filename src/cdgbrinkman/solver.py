@@ -6,9 +6,10 @@ The discrete problem is the bordered system
 
 whose last row fixes the pressure's constant mode by its zero mean.  The
 solver never forms it.  Let c hold the pressure coefficients of the
-constant function 1 (``SaddleSystem.c``).  Then B c = 0 and S c = 0, so
-[0; c] spans the null space of K = [[A, B], [B^T, -S]].  Dotting the
-pressure rows with c gives the multiplier in closed form,
+constant function 1 (``SaddleSystem.c``).  Then B c = 0, and S c = 0
+because S sums pressure jumps over interior edges only, where a constant
+has none; so [0; c] spans the null space of K = [[A, B], [B^T, -S]].
+Dotting the pressure rows with c gives the multiplier in closed form,
 lam = c^T G / c^T m, and K [u; p] = [F; G - lam m] is then compatible,
 even for a G that is not: lam absorbs the net flux.  Any solution of it is
 moved along c to zero mean, p -= (m^T p / m^T c) c.  The dense row and
@@ -129,14 +130,10 @@ def _shifted_matrix(system, scale, pos):
     vals = np.concatenate([A.data, B.data, B.data, -S.data])
     vals *= scale[rows] * scale[cols]
     p_diag = pos[n_u:]
-    M = sp.csc_matrix(
+    return sp.csc_matrix(
         (np.append(vals, np.full(system.n_p, -DELTA)),
          (np.append(pos[rows], p_diag), np.append(pos[cols], p_diag))),
         shape=(n, n))
-    # the blocks store exact zeros (a quarter of K's entries on k = 1
-    # triangles); left in, they are fill for the ordering
-    M.eliminate_zeros()
-    return M
 
 
 def _factor_shifted(system, stats):
@@ -149,12 +146,18 @@ def _factor_shifted(system, stats):
     d[d == 0.0] = 1.0
     scale = 1.0 / np.sqrt(d)
     perm = _cell_order(system)
+    K = _shifted_matrix(system, scale, np.argsort(perm))
     try:
-        lu = _factor(_shifted_matrix(system, scale, np.argsort(perm)))
+        lu = _factor(K)
     except RuntimeError as exc:
         raise SingularSystemError(
             f"factorization hit a zero pivot in the {_diagnose_singular(system)}",
             stats) from exc
+    except MemoryError as exc:
+        raise SolverError(
+            f"out of memory factoring K ({K.shape[0]} DOFs, {K.nnz} stored "
+            "entries)", stats) from exc
+    del K  # the factor holds its own copy; free this one before L and U
     stats["nnz_factor"] = int(lu.L.nnz + lu.U.nnz)
 
     def apply(r):
@@ -175,7 +178,9 @@ def solve(system, rtol=1e-9):
     """Solve the constrained saddle system to a relative residual <= rtol.
 
     Raises SingularSystemError, carrying the stats gathered so far, when
-    the factorization hits a zero pivot or the residual exceeds rtol.
+    the factorization hits a zero pivot or the residual exceeds rtol, and
+    SolverError, naming the DOF count and K's stored entries, when the
+    factorization runs out of memory.
     """
     m, c, G = system.m, system.c, system.G
     stats = {"ordering": f"{ORDERING}/symmetric", "regularization": DELTA}

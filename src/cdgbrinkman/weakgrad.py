@@ -253,7 +253,7 @@ class Discretization:
         self.cell_exactness_bump = int(cell_exactness_bump)
         n = mesh.n_cells
         # DOF layout: velocity blocks per cell (x-comp then y-comp), then
-        # pressure blocks per cell, then one multiplier row
+        # pressure blocks per cell
         self.velocity_dofs = np.arange(2 * self.dim_k * n).reshape(
             n, 2, self.dim_k)
         self.pressure_dofs = np.arange(self.dim_p * n).reshape(n, self.dim_p)
@@ -423,23 +423,14 @@ class Discretization:
             out.append(rhs)
         return out
 
-    def jump_points(self, edges="interior", weight="global-h"):
-        """Half-edge points of an edge-jump sum and the factor h per point.
+    def jump_points(self):
+        """Mask of the half-edge points of the edge-jump sums.
 
-        Returns a mask that visits each summed edge once, from its minus
-        side: interior edges, plus boundary edges for ``edges="all"``; and h
-        at every half-edge point: the global mesh size ("global-h") or the
-        edge's length ("edge-h").
+        It visits each interior edge once, from its minus side; boundary
+        edges carry no jump term.
         """
-        if edges not in ("interior", "all"):
-            raise ValueError("edges must be 'interior' or 'all'")
-        if weight not in ("global-h", "edge-h"):
-            raise ValueError("weight must be 'global-h' or 'edge-h'")
-        take = self.edge_owner == self.mesh.edge_cells[self.edge_index, 0]
-        take &= (self.edge_twin >= 0) | (edges == "all")
-        if weight == "global-h":
-            return take, np.full(len(take), self.mesh.h)
-        return take, self.mesh.edge_lengths[self.edge_index]
+        return ((self.edge_owner == self.mesh.edge_cells[self.edge_index, 0])
+                & (self.edge_twin >= 0))
 
     def edge_values(self, coef):
         """Owner-side values at every half-edge point.

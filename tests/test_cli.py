@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
-import sys
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,35 +175,48 @@ def test_solve_solver_flag_removed_exit_2(tmp_path, capsys):
     assert "--solver" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--stabilizer-edges", "all", "--n", "8"], "--stabilizer-edges"),
+    (["converge", "--s-weight", "edge-h", "--levels", "2..2"], "--s-weight"),
+    (["patchtest", "--all"], "--all"),
+    (["patchtest", "--k", "2"], "--k"),
+], ids=["solve-stabilizer-edges", "converge-s-weight", "patchtest-all",
+        "patchtest-k"])
+def test_removed_flags_exit_2(tmp_path, capsys, monkeypatch, argv, flag):
+    # S sums interior edges with the global h, and patchtest runs every
+    # degree; argparse rejects the flags that chose otherwise
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_patchtest_passes_every_case(capsys):
+    assert main(["patchtest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # three families, k = 1..3, n = 4 and 8
+    assert len(lines) == 18
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_readme_lists_exactly_the_cli_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    registered = {opt for parser in sub.choices.values()
+                  for action in parser._actions
+                  for opt in action.option_strings} - {"-h", "--help"}
+    assert not registered - documented, "flags missing from README"
+    assert not documented - registered, "README lists flags the CLI lacks"
+
+
 def test_unknown_mesh_family_exit_2(tmp_path, capsys):
     code = main(["solve", "--mesh", "hexagonal", "--out", str(tmp_path)])
     assert code == 2
     assert "--mesh" in capsys.readouterr().err
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("CDG_THREADS", "1")
-    code = main(["converge", "--mesh", "rect", "--k", "1",
-                 "--levels", "2..2", "--out", str(tmp_path)])
-    assert code == 0
-    monkeypatch.setenv("CDG_THREADS", "zebra")
-    code = main(["converge", "--mesh", "rect", "--k", "1",
-                 "--levels", "2..2", "--out", str(tmp_path)])
-    assert code == 2
-
-
-def test_thread_cap_without_threadpoolctl_warns(tmp_path, monkeypatch,
-                                                capsys):
-    # BLAS has loaded before the cap could act, so the run goes on and
-    # stderr names the variables to set before launch
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setenv("CDG_THREADS", "1")
-    code = main(["converge", "--mesh", "rect", "--k", "1",
-                 "--levels", "2..2", "--out", str(tmp_path)])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "CDG_THREADS=1 not applied" in err
-    assert "OPENBLAS_NUM_THREADS" in err
 
 
 def test_cell_locator_polygonal():
@@ -222,8 +237,8 @@ def test_cell_locator_polygonal():
 class LoopLocator(CellLocator):
     """CellLocator with its bucket table refilled by a loop over cells."""
 
-    def __init__(self, mesh, buckets_per_axis=None):
-        super().__init__(mesh, buckets_per_axis)
+    def __init__(self, mesh):
+        super().__init__(mesh)
         buckets = [[] for _ in range(self.nb * self.nb)]
         for c in range(mesh.n_cells):
             pts = mesh.cell_vertices(c)
@@ -238,16 +253,17 @@ class LoopLocator(CellLocator):
 
 
 @pytest.mark.parametrize("factory, n", [(generate_uniform_rectangular, 8),
-                                        (generate_polygonal, 4)])
+                                        (generate_polygonal, 4),
+                                        (generate_uniform_rectangular, 1),
+                                        (generate_uniform_rectangular, 3)])
 def test_lattice_csv_matches_loop_filled_locator(tmp_path, monkeypatch,
                                                   factory, n):
     # the bucket table is filled by a stable sort; candidates must keep
     # ascending cell order within a bucket, so ties on shared edges resolve
-    # as the per-cell loop resolved them and the CSV is byte-identical
+    # as the per-cell loop resolved them and the CSV is byte-identical.
+    # rect n=1 and n=3 give one and three buckets per axis
     mesh = factory(n)
-    for nb in (None, 1, 3):
-        assert np.array_equal(CellLocator(mesh, nb).table,
-                              LoopLocator(mesh, nb).table)
+    assert np.array_equal(CellLocator(mesh).table, LoopLocator(mesh).table)
     disc = Discretization(mesh, 1)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(disc.n_velocity_dofs)

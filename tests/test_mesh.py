@@ -189,6 +189,19 @@ def test_vertex_ids_range_checked(loops, what):
         Mesh(verts, loops)
 
 
+@pytest.mark.parametrize("loops, integral, value", [
+    ([[0, 1, 2, 3.5]], [[0, 1, 2, 3.0]], "3.5"),
+    (np.array([[0, 1, 2, 3.7]]), np.array([[0, 1, 2, 3.0]]), "3.7"),
+], ids=["list", "array"])
+def test_non_integer_vertex_id_rejected(loops, integral, value):
+    # the id would otherwise be truncated to 3 and the mesh built
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    with pytest.raises(MeshValidationError,
+                       match=f"cell 0 has non-integer vertex id {value}"):
+        Mesh(verts, loops)
+    assert Mesh(verts, integral).cell_vertex_ids.tolist() == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("body, line, what", [
     ("vertices -1\n", 2, "vertex count must be positive"),
     ("vertices 4\n0 0\n1 0\n1 1\n0 1\ncells 0\n", 7,

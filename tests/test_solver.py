@@ -9,7 +9,9 @@ from cdgbrinkman.assembly import assemble_system
 from cdgbrinkman.mesh import (generate_uniform_rectangular,
                               generate_uniform_triangular)
 from cdgbrinkman.problems import example1
-from cdgbrinkman.solver import SingularSystemError, solve
+from cdgbrinkman import solver
+from cdgbrinkman.cli import main
+from cdgbrinkman.solver import SingularSystemError, SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
 
 
@@ -192,3 +194,33 @@ def test_incompatible_pressure_data_goes_to_multiplier(small_setup):
     assert sol.multiplier == float(c @ bad.G) / float(c @ m)
     assert abs(sol.stats["pressure_mean"]) <= 1e-12
     assert abs(float(m @ sol.p)) <= 1e-12
+
+
+def _out_of_memory(K):
+    raise MemoryError
+
+
+def test_factor_out_of_memory_is_solver_error(small_setup, monkeypatch):
+    # the message names the size of what did not fit, and the stats go
+    # with it, as for a zero pivot
+    _, _, system = small_setup
+    monkeypatch.setattr(solver, "_factor", _out_of_memory)
+    n_p = system.n_p
+    stored = (system.A.nnz + 2 * system.B.nnz
+              + (system.S + sp.identity(n_p)).nnz)
+    with pytest.raises(SolverError) as err:
+        solve(system)
+    assert str(err.value) == (f"out of memory factoring K ({system.n_u + n_p}"
+                              f" DOFs, {stored} stored entries)")
+    assert err.value.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert "nnz_factor" not in err.value.stats
+
+
+def test_cli_factor_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_factor", _out_of_memory)
+    code = main(["solve", "--mesh", "rect", "--n", "2", "--out",
+                 str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == ("numerical failure: out of memory "
+                                       "factoring K (28 DOFs, 324 stored "
+                                       "entries)\n")
