@@ -166,8 +166,8 @@ def _matrix_a(disc, problem):
     _kappa_range(kv, tensor, disc.cell_points, disc.cell_owner)
     acc = _Coo()
     for cls, vel, kc in zip(disc.classes, disc.vel, disc.split(kv)):
-        ZT = vel.Z.transpose(0, 1, 3, 2)
-        visc = mu * (ZT[0] @ vel.Z[0] + ZT[1] @ vel.Z[1])
+        velT = vel.transpose(0, 1, 3, 2)
+        visc = mu * (velT[0] @ vel[0] + velT[1] @ vel[1])
         for comp in (0, 1):
             idx = disc.columns(cls, disc.velocity_dofs[:, comp])
             acc.add(idx, idx, visc)
@@ -203,7 +203,7 @@ def _lifting(disc, mu, g_values):
     moments = disc.boundary_lifting_rhs(g_values)
     for cls, vel, rhs in zip(disc.classes, disc.vel, moments):
         for comp in (0, 1):
-            contrib = mu * (rhs[comp][:, :, None, :] @ vel.W)[:, :, 0].sum(0)
+            contrib = mu * (rhs[comp][:, :, None, :] @ vel)[:, :, 0].sum(0)
             idx = disc.columns(cls, disc.velocity_dofs[:, comp])
             keep = idx >= 0
             lift -= np.bincount(idx[keep], contrib[keep], minlength=n_u)
@@ -227,7 +227,7 @@ def assemble_b(disc):
     for cls, pre in zip(disc.classes, disc.pre):
         cols = disc.columns(cls, disc.pressure_dofs)
         for comp in (0, 1):
-            acc.add(disc.velocity_dofs[cls.cells, comp], cols, pre.B[comp])
+            acc.add(disc.velocity_dofs[cls.cells, comp], cols, pre[comp])
     return acc.tocsr((disc.n_velocity_dofs, disc.n_pressure_dofs))
 
 
@@ -298,16 +298,6 @@ def assemble_mean_constraint(disc):
     return m
 
 
-def _constant_pressure(disc, m):
-    """Coefficients of the constant pressure 1: its per-cell L2 projection,
-    whose moments are the entries of m."""
-    c = np.empty_like(m)
-    for cls in disc.classes:
-        dofs = disc.pressure_dofs[cls.cells]
-        c[dofs] = cls.gram_solve(m[dofs][..., None])[..., 0]
-    return c
-
-
 @dataclass
 class SaddleSystem:
     """Assembled sparse blocks plus the zero-mean pressure constraint.
@@ -362,6 +352,7 @@ def assemble_system(disc, problem):
     S = assemble_s(disc)
     F, G = assemble_rhs(disc, problem)
     m = assemble_mean_constraint(disc)
-    return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G,
-                        c=_constant_pressure(disc, m),
+    # in an orthonormal basis the coefficients of the projection of 1 are
+    # its moments
+    return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G, c=m,
                         n_cells=disc.mesh.n_cells)

@@ -73,16 +73,10 @@ def _mesh_factory(spec):
     raise ConfigError(f"--mesh must be tri|rect|poly|file:PATH, got {spec!r}")
 
 
-def _add_orthonormalize(p):
-    p.add_argument("--orthonormalize", action="store_true",
-                   help="orthonormalize the cell bases (Gram-Cholesky)")
-
-
 def _add_common(p):
     p.add_argument("--k", type=int, default=1, choices=(1, 2, 3),
                    help="velocity polynomial degree")
     p.add_argument("--out", default=".", help="output directory")
-    _add_orthonormalize(p)
 
 
 def _build_parser():
@@ -115,7 +109,6 @@ def _build_parser():
     pp = sub.add_parser("patchtest", help="polynomial exactness suite "
                         "(every family, k = 1..3, n = 4 and 8)")
     pp.add_argument("--tol", type=float, default=1e-9)
-    _add_orthonormalize(pp)
     return ap
 
 
@@ -138,7 +131,6 @@ def cmd_converge(args):
               f"{rep.seconds:.2f}s", flush=True)
 
     report = run_convergence(problem, factory, args.k, levels,
-                             orthonormalize=args.orthonormalize,
                              on_level=progress)
     csv_path = outdir / f"converge_{args.mesh}_k{args.k}.csv"
     report.to_csv(csv_path)
@@ -171,7 +163,7 @@ def cmd_solve(args):
         mesh = factory(args.n)
     else:
         mesh = load_mesh(args.mesh[5:])
-    disc = Discretization(mesh, args.k, orthonormalize=args.orthonormalize)
+    disc = Discretization(mesh, args.k)
     system = assemble_system(disc, problem)
     solution = solve(system)
     outdir = Path(args.out)
@@ -194,8 +186,7 @@ def cmd_patchtest(args):
         for k in (1, 2, 3):
             for n in (4, 8):
                 mesh = factory(n)
-                disc = Discretization(mesh, k,
-                                      orthonormalize=args.orthonormalize)
+                disc = Discretization(mesh, k)
                 problem = polynomial_patch(k)
                 system = assemble_system(disc, problem)
                 sol = solve(system)

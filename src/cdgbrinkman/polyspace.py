@@ -25,7 +25,6 @@ __all__ = [
     "cell_quadrature",
     "edge_quadrature",
     "gram_matrix",
-    "conditioning_report",
 ]
 
 
@@ -242,35 +241,8 @@ def gram_solve(chol, rhs):
     The solve is backward stable: the polynomial that ``x`` represents is
     accurate to roundoff in the G-norm, but the coefficients themselves
     carry relative errors up to about cond(G) * eps.  Scaled monomials of
-    high degree reach cond(G) ~ 1e8; :func:`conditioning_report` flags
-    such cells and ``--orthonormalize`` switches to per-cell orthonormal
-    bases.
+    high degree reach cond(G) ~ 1e12 (degree 8 on hexagons), which is why
+    the discretization orthonormalizes its cell bases once, at build, and
+    needs no Gram solve afterwards.
     """
     return cho_solve(chol, rhs)
-
-
-def conditioning_report(mesh, degree, threshold=1e9):
-    """Cells whose degree-``degree`` Gram matrix exceeds ``threshold``.
-
-    Plain scaled monomials lose orthogonality quickly with degree; entries
-    here signal that the orthonormalization flag (or a lower degree) is
-    advisable.  Returns a list of (cell index, condition number), and logs
-    a warning when it is nonempty.
-    """
-    import logging
-
-    bad = []
-    for c, (centroid, diameter) in enumerate(zip(mesh.cells.centroid,
-                                                 mesh.cells.diameter)):
-        basis = MonomialBasis(degree, centroid, diameter)
-        rule = cell_quadrature(mesh.cell_vertices(c), 2 * degree)
-        cond = float(np.linalg.cond(gram_matrix(basis, rule)))
-        if cond >= threshold:
-            bad.append((c, cond))
-    if bad:
-        worst = max(c for _, c in bad)
-        logging.getLogger(__name__).warning(
-            "degree-%d Gram matrices exceed condition %g on %d cells "
-            "(worst %.3e); consider orthonormalization", degree, threshold,
-            len(bad), worst)
-    return bad

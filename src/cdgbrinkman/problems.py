@@ -254,11 +254,18 @@ def _load_pgm(path):
             if line.startswith("#"):
                 parts = line[1:].split()
                 if parts[:1] == ["kappa-inv-map"]:
+                    if len(parts) < 3:
+                        bound = ("lo", "hi")[len(parts) - 1]
+                        raise ValueError(f"{path}: '# kappa-inv-map lo hi' "
+                                         f"lacks its {bound} bound")
                     lo, hi = float(parts[1]), float(parts[2])
                 continue
             tokens.extend(line.split())
-    if tokens[0] != "P2":
+    if tokens[:1] != ["P2"]:
         raise ValueError(f"{path}: not a P2 PGM file")
+    if len(tokens) < 4:
+        field = ("width", "height", "maxval")[len(tokens) - 1]
+        raise ValueError(f"{path}: PGM header lacks its {field} field")
     cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     vals = np.array(tokens[4:4 + rows * cols], dtype=float).reshape(rows, cols)
     return RasterKappa(lo + (hi - lo) * vals / maxval)

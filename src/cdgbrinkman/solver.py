@@ -56,8 +56,9 @@ class SolverError(Exception):
     """Numerical failure in the linear solve.
 
     ``stats`` holds what the solve gathered before it failed: ``ordering``
-    and ``regularization`` (the shift DELTA), plus ``nnz_factor`` and
-    ``refinement_residuals`` when the residual check failed.
+    and ``regularization`` (the shift DELTA), plus ``nnz_factor`` (stored
+    entries of the supernodal factor) and ``refinement_residuals`` when the
+    residual check failed.
     """
 
     def __init__(self, message, stats=None):
@@ -73,11 +74,11 @@ class SingularSystemError(SolverError):
 class Solution:
     """Velocity/pressure coefficients, multiplier, and solve diagnostics.
 
-    ``stats`` holds ``nnz_factor`` (entries of L + U), ``ordering``,
-    ``regularization`` (the shift DELTA), ``refinement_residuals`` (the
-    relative residual of K before each of the two refinement sweeps, then
-    the final one of the constrained system, equal to ``residual``) and
-    ``pressure_mean``.
+    ``stats`` holds ``nnz_factor`` (stored entries of the supernodal
+    factor), ``ordering``, ``regularization`` (the shift DELTA),
+    ``refinement_residuals`` (the relative residual of K before each of the
+    two refinement sweeps, then the final one of the constrained system,
+    equal to ``residual``) and ``pressure_mean``.
     """
 
     u: np.ndarray
@@ -157,8 +158,9 @@ def _factor_shifted(system, stats):
         raise SolverError(
             f"out of memory factoring K ({K.shape[0]} DOFs, {K.nnz} stored "
             "entries)", stats) from exc
-    del K  # the factor holds its own copy; free this one before L and U
-    stats["nnz_factor"] = int(lu.L.nnz + lu.U.nnz)
+    del K  # the factor holds its own copy
+    # the supernodal count; reading lu.L and lu.U would build CSC copies
+    stats["nnz_factor"] = int(lu.nnz)
 
     def apply(r):
         x = np.empty(len(perm))

@@ -14,20 +14,25 @@ operators apply this primitive to each component.
 Per-cell target degrees: dt = k+1 on triangles and n+k-1 on n-gons for the
 velocity operator; dt = k for the pressure operator.
 
+Cell bases: on every cell, the scaled monomials of degree j are
+orthonormalized by their Gram-Cholesky factor, so every Gram matrix is
+the identity and a projection's coefficients are its moments.  High
+target degrees (n+k-1 = 8 on hexagons at k = 3) drive the monomial Gram
+matrices to cond ~ 1e12; the orthonormal basis keeps the weak-gradient
+maps and projections free of Gram solves.
+
 Stacked layout: Discretization groups the cells by edge count into
 ShapeClass objects, whose cells share the target degree j and the
-quadrature size, and stacks their bases, Gram factors and weak-gradient
-maps as arrays over the class's cells.  The degree-k and k-1 bases are the
-leading rows of the degree-j table (graded monomial order; the
-lower-triangular orthonormalizing transform keeps the nesting), so each
-point set is evaluated once.  Half-edges (cell, local edge) are grouped
-per class by edge point count, and all their points are also laid out
-flat with the owner's degree-k values (``trace_k``) and the index of the
-same point seen from the neighbour (``edge_twin``, -1 on the boundary),
-so two-sided edge terms are gathers.
+quadrature size, and stacks their bases and weak-gradient maps as arrays
+over the class's cells.  The degree-k and k-1 bases are the leading rows
+of the degree-j table (graded monomial order; the lower-triangular
+orthonormalizing transform keeps the nesting), so each point set is
+evaluated once.  Half-edges (cell, local edge) are grouped per class by
+edge point count, and all their points are also laid out flat with the
+owner's degree-k values (``trace_k``) and the index of the same point seen
+from the neighbour (``edge_twin``, -1 on the boundary), so two-sided edge
+terms are gathers.
 """
-
-from collections import namedtuple
 
 import numpy as np
 
@@ -87,20 +92,18 @@ def target_degree(edge_count, k):
 # stacked per-shape-class data
 # ---------------------------------------------------------------------------
 
-def _trisolve(L, B, transpose=False):
-    """Solve L X = B (or L^T X = B) for stacked lower-triangular L.
+def _trisolve(L, B):
+    """Solve L X = B for stacked lower-triangular L.
 
-    Row-by-row substitution, as a triangular LAPACK solve does, over the
-    whole stack at once; B has shape (..., d, m) and broadcasts against L.
+    Row-by-row forward substitution, as a triangular LAPACK solve does,
+    over the whole stack at once; B has shape (..., d, m) and broadcasts
+    against L.
     """
     shape = np.broadcast_shapes(L.shape[:-2], np.shape(B)[:-2])
     X = np.array(np.broadcast_to(B, shape + np.shape(B)[-2:]), dtype=float)
-    d = L.shape[-1]
-    for r in (range(d - 1, -1, -1) if transpose else range(d)):
-        coef = L[..., r + 1:, r] if transpose else L[..., r, :r]
-        if coef.shape[-1]:
-            rest = X[..., r + 1:, :] if transpose else X[..., :r, :]
-            X[..., r, :] -= (coef[..., None, :] @ rest)[..., 0, :]
+    for r in range(L.shape[-1]):
+        if r:
+            X[..., r, :] -= (L[..., r, None, :r] @ X[..., :r, :])[..., 0, :]
         X[..., r, :] /= L[..., r, r, None]
     return X
 
@@ -118,9 +121,6 @@ def _cholesky(gram, cells, degree):
                     f"Gram matrix not SPD for cell {c} degree {degree} "
                     f"(size {len(g)})") from exc
         raise
-
-
-WeakGradientMaps = namedtuple("WeakGradientMaps", "B Z W")
 
 
 class HalfEdgeGroup:
@@ -142,11 +142,11 @@ class ShapeClass:
     arrays (see ``Mesh.shape_classes``).  Per cell, along the first axis:
     ``edges``, ``nbr`` (the neighbour across each local edge, -1 on the
     boundary) and outward ``normals``;
-    quadrature ``points`` (nc, nq, 2) and ``weights``; basis values ``phi``
-    (nc, dim, nq) of degree ``j``; the Gram matrices ``gram`` and their
-    lower Cholesky factors ``chol`` (nc, dim, dim), both None (identity)
-    when ``transform`` maps raw monomials to an orthonormalized basis; and
-    the volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b).
+    quadrature ``points`` (nc, nq, 2) and ``weights``; the lower-triangular
+    ``transform`` (nc, dim, dim), the inverse of the cells' monomial Gram
+    Cholesky factors, which maps the scaled monomials of degree ``j`` to
+    the orthonormal basis; its values ``phi`` (nc, dim, nq); and the
+    volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b).
     """
 
     def __init__(self, disc, edge_count, cells, positions):
@@ -172,23 +172,15 @@ class ShapeClass:
         w = self.weights[:, None, :]
         gram = (raw * w) @ raw.transpose(0, 2, 1)
         gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-        chol = _cholesky(gram, cells, self.j)
-        if disc.orthonormalize:
-            self.transform = _trisolve(chol, np.eye(self.dim))
-            raw = self.transform @ raw
-            self.gram = self.chol = None
-        else:
-            self.transform = None
-            self.gram, self.chol = gram, chol
-        self.phi = raw
+        self.transform = _trisolve(_cholesky(gram, cells, self.j),
+                                   np.eye(self.dim))
+        self.phi = raw = self.transform @ raw
         fw = (raw[:, :disc.dim_k] * w).transpose(0, 2, 1)
         moments = []
         for d in (0, 1):
             grad = monomial_tables(local, self.j, d)
             grad /= scale
-            if self.transform is not None:
-                grad = self.transform @ grad
-            moments.append(grad @ fw)
+            moments.append((self.transform @ grad) @ fw)
         self.vx, self.vy = moments
         self.groups = []
 
@@ -200,22 +192,6 @@ class ShapeClass:
         """
         return np.einsum("c...d,cdq->cq...", coef,
                          self.phi[:, :coef.shape[-1]])
-
-    def gram_solve(self, rhs):
-        """Solve G x = rhs per cell for the leading block; rhs (nc, d, m)."""
-        if self.chol is None:
-            return rhs
-        d = rhs.shape[-2]
-        L = self.chol[:, :d, :d]
-        return _trisolve(L, _trisolve(L, rhs), transpose=True)
-
-    def mass_sq(self, coef):
-        """Sum over the cells of coef^T G coef; ``coef`` (nc, ..., d)."""
-        if self.gram is None:
-            return float((coef ** 2).sum())
-        d = coef.shape[-1]
-        c = coef.reshape(len(coef), -1, d)
-        return float((c * (c @ self.gram[:, :d, :d])).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +206,13 @@ class Discretization:
     mesh : Mesh
     k : int
         Velocity degree (pressure degree is k-1), k >= 1.
-    orthonormalize : bool
-        Replace scaled monomials by their Gram-Cholesky orthonormalization.
 
-    ``classes`` holds the ShapeClass objects, ``vel``/``pre`` the per-class
-    maps of the velocity (field k, target j, zero boundary average) and
-    pressure (field k-1, target k, own boundary trace) weak gradients, and
+    Every cell basis is orthonormal (see the module docstring), so DOF
+    vectors hold coefficients in those bases.  ``classes`` holds the
+    ShapeClass objects, ``vel``/``pre`` the per-class maps (see
+    :meth:`weak_gradient`) of the velocity (field k, target j, zero
+    boundary average) and pressure (field k-1, target k, own boundary
+    trace) weak gradients, and
     ``velocity_dofs`` (n_cells, 2, dim_k) / ``pressure_dofs`` (n_cells,
     dim_p) each cell's DOF indices.  Flat arrays over all cell quadrature
     points: ``cell_points``, ``cell_owner``; over all half-edge points:
@@ -243,13 +220,11 @@ class Discretization:
     of the owner), ``edge_index``, ``edge_twin`` and ``trace_k``.
     """
 
-    def __init__(self, mesh, k, orthonormalize=False,
-                 cell_exactness_bump=2, edge_exactness_bump=2):
+    def __init__(self, mesh, k, cell_exactness_bump=2, edge_exactness_bump=2):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.mesh = mesh
         self.k = int(k)
-        self.orthonormalize = bool(orthonormalize)
         self.cell_exactness_bump = int(cell_exactness_bump)
         n = mesh.n_cells
         # DOF layout: velocity blocks per cell (x-comp then y-comp), then
@@ -272,13 +247,9 @@ class Discretization:
                           np.where(ends[:, 1] >= 0, cell_j[ends[:, 1]], 0))
         self._build_half_edges(
             edge_point_count(jmax + k + edge_exactness_bump))
-        if self.orthonormalize:
-            self._tk = np.empty((n, self.dim_k, self.dim_k))
-            for cls in self.classes:
-                self._tk[cls.cells] = cls.transform[:, :self.dim_k,
-                                                    :self.dim_k]
-        else:
-            self._tk = None
+        self._tk = np.empty((n, self.dim_k, self.dim_k))
+        for cls in self.classes:
+            self._tk[cls.cells] = cls.transform[:, :self.dim_k, :self.dim_k]
         self._maps = {}
         self.vel = self.weak_gradient(self.dim_k, None, "zero")
         self.pre = self.weak_gradient(self.dim_p, self.dim_k, "natural")
@@ -301,9 +272,7 @@ class Discretization:
                     self.mesh.vertices[ends[g.edge, 1]], g.q)
                 local = ((g.points - geo.centroid[g.owner][:, None, :])
                          / geo.diameter[g.owner][:, None, None])
-                g.phi = monomial_tables(local, cls.j)
-                if cls.transform is not None:
-                    g.phi = cls.transform[g.slot] @ g.phi
+                g.phi = cls.transform[g.slot] @ monomial_tables(local, cls.j)
                 g.side = (self.mesh.edge_cells[g.edge, 0]
                           != g.owner).astype(int)
                 start_of[g.edge, g.side] = (g.start
@@ -340,6 +309,10 @@ class Discretization:
         ``field`` is the number of leading basis functions of the field
         (at most dim_k), ``target`` that of the target space, None for the
         class's full degree-j basis; ``boundary`` is "zero" or "natural".
+        Each map has shape (2, nc, dt, (1 + ne) df): it takes a cell's field
+        coefficients followed by its neighbours' (see :meth:`columns`) to
+        the coefficients of the two gradient components in the orthonormal
+        target basis, which are also their moments against that basis.
         """
         if boundary not in ("zero", "natural"):
             raise ValueError("boundary must be 'zero' or 'natural'")
@@ -366,12 +339,7 @@ class Discretization:
                 n = cls.normals[:, i, d, None, None]
                 B[d, :, :, 0] += n * own[:, i]
                 B[d, :, :, i + 1] = n * nbr[:, i]
-        B = B.reshape(2, nc, dt, -1)
-        if cls.chol is None:
-            return WeakGradientMaps(B, B, B)
-        L = cls.chol[:, :dt, :dt]
-        Z = _trisolve(L, B)
-        return WeakGradientMaps(B, Z, _trisolve(L, Z, transpose=True))
+        return B.reshape(2, nc, dt, -1)
 
     def columns(self, cls, table):
         """DOF columns of a class's maps: (nc, (1 + n) d), -1 on boundaries.
@@ -403,7 +371,8 @@ class Discretization:
         :meth:`boundary_values`).  Returns arrays (comp, i, nc, dim_j).  This
         is the inhomogeneous part of the velocity weak gradient: the full
         operator applied to a field with Dirichlet trace g decomposes as the
-        homogeneous operator plus G^{-1} of this vector.
+        homogeneous operator plus this vector, the coefficients of the
+        lifting in the orthonormal target basis.
         """
         out = []
         for cls in self.classes:
@@ -465,10 +434,8 @@ class Discretization:
     def _point_basis(self, cells, points):
         geo = self.mesh.cells
         local = ((points - geo.centroid[cells]) / geo.diameter[cells][:, None])
-        t = monomial_tables(local[:, None, :], self.k)[..., 0]
-        if self._tk is not None:
-            t = (self._tk[cells] @ t[..., None])[..., 0]
-        return t
+        t = monomial_tables(local[:, None, :], self.k)
+        return (self._tk[cells] @ t)[..., 0]
 
     def velocity_values(self, u, cell, points):
         """Velocity (n, 2) at points (n, 2) inside ``cell``.

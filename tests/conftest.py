@@ -75,8 +75,7 @@ def locate(disc, cell):
 
     def tables(points, dim, grad=False):
         raw = basis.gradients(points) if grad else [basis.values(points)]
-        out = [r[:dim] if cls.transform is None
-               else cls.transform[slot, :dim, :dim] @ r[:dim] for r in raw]
+        out = [cls.transform[slot, :dim, :dim] @ r[:dim] for r in raw]
         return out if grad else out[0]
 
     return ci, slot, tables

@@ -139,6 +139,22 @@ def test_solve_bad_raster_entry_exit_2(tmp_path, capsys, entry):
     assert "--kappa-raster" in err and "row 0, col 1" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("P2\n", "PGM header lacks its width field"),
+    ("P2\n# kappa-inv-map 1\n2 2\n3\n0 1\n2 3\n",
+     "'# kappa-inv-map lo hi' lacks its hi bound"),
+], ids=["magic-only", "one-map-bound"])
+def test_solve_truncated_pgm_exit_2(tmp_path, capsys, no_rect_mesh, text,
+                                    message):
+    raster = tmp_path / "k.pgm"
+    raster.write_text(text)
+    code = main(["solve", "--mesh", "rect", "--kappa-raster", str(raster),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{raster}: {message}" in err
+
+
 def test_solve_negative_mu_exit_2(tmp_path, capsys):
     code = main(["solve", "--mesh", "rect", "--n", "2", "--mu", "-1",
                  "--out", str(tmp_path)])
@@ -180,11 +196,16 @@ def test_solve_solver_flag_removed_exit_2(tmp_path, capsys):
     (["converge", "--s-weight", "edge-h", "--levels", "2..2"], "--s-weight"),
     (["patchtest", "--all"], "--all"),
     (["patchtest", "--k", "2"], "--k"),
+    (["converge", "--orthonormalize", "--levels", "2..2"], "--orthonormalize"),
+    (["solve", "--orthonormalize", "--n", "2"], "--orthonormalize"),
+    (["patchtest", "--orthonormalize"], "--orthonormalize"),
 ], ids=["solve-stabilizer-edges", "converge-s-weight", "patchtest-all",
-        "patchtest-k"])
+        "patchtest-k", "converge-orthonormalize", "solve-orthonormalize",
+        "patchtest-orthonormalize"])
 def test_removed_flags_exit_2(tmp_path, capsys, monkeypatch, argv, flag):
-    # S sums interior edges with the global h, and patchtest runs every
-    # degree; argparse rejects the flags that chose otherwise
+    # S sums interior edges with the global h, patchtest runs every degree
+    # and the cell bases are always orthonormal; argparse rejects the flags
+    # that chose otherwise
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)

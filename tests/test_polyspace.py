@@ -106,17 +106,6 @@ def test_gram_spd_up_to_degree_nine(family_n):
             gram_cholesky(g, where=f"{family} cell {i}")  # must not raise
 
 
-def test_conditioning_report_flags_high_degree(caplog):
-    from cdgbrinkman.polyspace import conditioning_report
-
-    mesh = generate_uniform_triangular(2)
-    assert conditioning_report(mesh, 2) == []
-    with caplog.at_level("WARNING"):
-        bad = conditioning_report(mesh, 9)
-    assert len(bad) == mesh.n_cells
-    assert "orthonormalization" in caplog.text
-
-
 def test_gram_reproducing_property(rng):
     mesh = generate_uniform_triangular(2)
     c = mesh.cells[0]

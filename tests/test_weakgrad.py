@@ -50,6 +50,19 @@ def test_average_and_jump_pointwise():
     assert np.allclose(j, [[0.0, 1.5]])
 
 
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cell_bases_orthonormal(family, k):
+    # the analysis and the constant-pressure vector read coefficients as
+    # moments, which holds only if every Gram matrix is the identity
+    for n in (4, 8):
+        disc = Discretization(MESH_FAMILIES[family](n), k)
+        for cls in disc.classes:
+            gram = (cls.phi * cls.weights[:, None, :]) @ cls.phi.transpose(
+                0, 2, 1)
+            assert np.abs(gram - np.eye(cls.dim)).max() <= 1e-10
+
+
 def test_continuous_field_has_zero_jumps(rng):
     # restriction of one global polynomial representable in the space:
     # [v] = 0 and [[q]] = 0 on interior edges
@@ -136,8 +149,10 @@ def test_two_cell_brute_force_oracle():
     u = np.zeros(disc.n_velocity_dofs + 1)
     u[disc.velocity_dofs[1, 0, 0]] = 1.0
     ci, slot, _ = locate(disc, 0)
-    cx, cy = disc.vel[ci].W[:, slot] @ u[disc.columns(
+    cx, cy = disc.vel[ci][:, slot] @ u[disc.columns(
         disc.classes[ci], disc.velocity_dofs[:, 0])[slot]]
+    # the same polynomials in raw monomial coefficients: phi = T monomials
+    cx, cy = (disc.classes[ci].transform[slot].T @ c for c in (cx, cy))
 
     # brute force: dense Gram of the target basis on the left cell via
     # tensor Gauss, rhs only from the shared edge
@@ -160,26 +175,23 @@ def test_two_cell_brute_force_oracle():
 def test_defining_equation_random_dofs(rng):
     # recompute both sides of the defining relation with independent
     # higher-order rules on every cell, boundary cells included, for both
-    # operators, on a triangular and a mixed-shape mesh, with and without
-    # orthonormalized bases
+    # operators, on a triangular and a mixed-shape mesh
     for family, n in (("tri", 2), ("poly", 4)):
-        mesh = MESH_FAMILIES[family](n)
-        for orthonormalize in (False, True):
-            disc = Discretization(mesh, 2, orthonormalize=orthonormalize)
-            for velocity in (True, False):
-                _check_defining_equation(disc, velocity, rng)
+        disc = Discretization(MESH_FAMILIES[family](n), 2)
+        for velocity in (True, False):
+            _check_defining_equation(disc, velocity, rng)
 
 
 def _check_defining_equation(disc, velocity, rng):
     # residual <= 1e-10 * scale for every monomial test function (they span
-    # the target space whether or not its basis is orthonormalized)
+    # the target space, as its orthonormal basis does)
     mesh, k = disc.mesh, disc.k
     maps = disc.vel if velocity else disc.pre
     table = disc.velocity_dofs[:, 0] if velocity else disc.pressure_dofs
     fdim = table.shape[1]
     for cell in range(mesh.n_cells):
         ci, slot, tables = locate(disc, cell)
-        W = maps[ci].W[:, slot]
+        W = maps[ci][:, slot]
         cols = disc.columns(disc.classes[ci], table)[slot]
         dim, j = W.shape[1], disc.classes[ci].j
         edges = _cell_edges(mesh, cell)
@@ -234,10 +246,11 @@ def test_constant_field_zero_gradient():
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 1)
     u = np.zeros(disc.n_velocity_dofs + 1)
-    u[disc.velocity_dofs[:, 0, 0]] = 1.0
+    u[disc.velocity_dofs[:, 0]] = project_scalar_field(
+        disc, lambda pts: np.ones(len(pts)), "k")
     for cls, maps in zip(disc.classes, disc.vel):
         cols = disc.columns(cls, disc.velocity_dofs[:, 0])
-        coef = np.einsum("dcti,ci->dct", maps.W, u[cols])
+        coef = np.einsum("dcti,ci->dct", maps, u[cols])
         # the homogeneous operator sees the boundary
         assert np.abs(coef[:, (cls.nbr >= 0).all(axis=1)]).max() < 1e-10
 
@@ -257,7 +270,7 @@ def test_gradient_reproduces_low_degree_polynomials(family, k, rng):
         for cell in range(mesh.n_cells):
             ci, slot, tables = locate(disc, cell)
             cls = disc.classes[ci]
-            cx, cy = maps[ci].W[:, slot] @ u[disc.columns(
+            cx, cy = maps[ci][:, slot] @ u[disc.columns(
                 cls, disc.velocity_dofs[:, 0])[slot]]
             rule = cell_quadrature(mesh.cell_vertices(cell), 2 * cls.j + 2)
             gx, gy = (c @ tables(rule.points, cls.dim) for c in (cx, cy))
@@ -322,17 +335,18 @@ def test_pressure_gradient_identities(rng):
     disc = Discretization(mesh, k)
     # constants vanish
     p = np.zeros(disc.n_pressure_dofs + 1)
-    p[disc.pressure_dofs[:, 0]] = 1.0
+    p[:-1] = project_scalar_field(disc, lambda pts: np.ones(len(pts)),
+                                  "p").ravel()
     for cls, maps in zip(disc.classes, disc.pre):
         cols = disc.columns(cls, disc.pressure_dofs)
-        assert np.abs(np.einsum("dcti,ci->dct", maps.W, p[cols])).max() < 1e-11
+        assert np.abs(np.einsum("dcti,ci->dct", maps, p[cols])).max() < 1e-11
     # degree <= k-1 reproduces the analytic gradient
     fn, gr = random_polynomial(k - 1, rng)
     p[:-1] = project_scalar_field(disc, fn, "p").ravel()
     for cell in range(mesh.n_cells):
         ci, slot, tables = locate(disc, cell)
         cls = disc.classes[ci]
-        cx, cy = disc.pre[ci].W[:, slot] @ p[disc.columns(
+        cx, cy = disc.pre[ci][:, slot] @ p[disc.columns(
             cls, disc.pressure_dofs)[slot]]
         rule = cell_quadrature(mesh.cell_vertices(cell), 2 * cls.j + 2)
         gx, gy = (c @ tables(rule.points, disc.dim_k) for c in (cx, cy))
@@ -346,7 +360,7 @@ def test_single_cell_x_gradient():
     # <x, phi . n> makes the result exactly (1, 0)
     mesh = generate_uniform_rectangular(1)
     disc = Discretization(mesh, 1)
-    W = disc.weak_gradient(disc.dim_k, disc.dim_k, "natural")[0].W[:, 0]
+    W = disc.weak_gradient(disc.dim_k, disc.dim_k, "natural")[0][:, 0]
     _, _, tables = locate(disc, 0)
     rule = cell_quadrature(mesh.cell_vertices(0), 2 * disc.classes[0].j + 2)
     vals = tables(rule.points, disc.dim_k)
