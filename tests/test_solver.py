@@ -163,8 +163,11 @@ def test_fill_ignores_one_ulp_perturbations(rng):
     assert max(abs(f - fills[0]) for f in fills) <= 10
 
 
-def test_constant_pressure_is_null_vector():
-    disc = Discretization(generate_uniform_triangular(4), 3)
+@pytest.mark.parametrize("triangular", [False, True])
+def test_constant_pressure_is_null_vector(triangular):
+    mesh = (generate_uniform_triangular(4) if triangular
+            else generate_uniform_rectangular(4))
+    disc = Discretization(mesh, 3)
     system = assemble_system(disc, example1(mu=1.0, a=1.0))
     c = system.c
     # in orthonormal bases the constant's coefficients are its moments
