@@ -155,6 +155,9 @@ class _Coo:
         # basis moments that vanish on symmetric cells, and duplicates that
         # cancel, sum to exact zeros: fill for the factor, work for a matvec
         m.eliminate_zeros()
+        # roundoff-level entries stay: dropping |D K D| < 1e-12 gives minimum
+        # degree a sparser pattern but more fill (rect n=16 k=3: 5.41 M ->
+        # 7.21 M, factor 0.29 -> 0.55 s)
         return m
 
 

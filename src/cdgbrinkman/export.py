@@ -155,7 +155,7 @@ def write_summary(path, disc, solution, extra=None):
         "multiplier": solution.multiplier,
         "pressure_mean": solution.stats.get("pressure_mean"),
         "solver": {key: solution.stats.get(key) for key in (
-            "ordering", "regularization", "nnz_factor",
+            "ordering", "regularization", "factor_dtype", "nnz_factor",
             "refinement_residuals")},
         "ranges": {name: [float(v.min()), float(v.max())]
                    for name, v in fields.items()},

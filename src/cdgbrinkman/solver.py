@@ -23,10 +23,25 @@ every symmetric ordering (Vanderbei 1995, SIAM J. Optim. 5:100).  SuperLU
 runs in symmetric mode with minimum degree on K + K^T and a diagonal-pivot
 threshold of 0: the pivot sequence follows the pattern alone (barring an
 exact zero pivot), so roundoff in the assembled values cannot move the
-fill.  Two refinement sweeps against the unshifted K remove the shift's
-error (static pivots plus refinement, Li & Demmel 1998, SC'98); the
-direction c, which the shift turns from null into nearly null, is removed
-by the zero-mean step.
+fill.  Refinement sweeps against the unshifted K remove the shift's error
+(static pivots plus refinement, Li & Demmel 1998, SC'98); the direction
+c, which the shift turns from null into nearly null, is removed by the
+zero-mean step.
+
+The numeric factor is computed in float32, which halves its memory and
+cuts the factor time by a third or more; everything else stays in
+float64: the residuals, the corrections, the multiplier and the zero-mean
+step (mixed-precision refinement, Buttari et al. 2008, ACM TOMS 34:17;
+Carson & Higham 2018, SIAM J. Sci. Comput. 40:A817).  DELTA = 1e-6 is
+about 8 ulp of the unit pressure diagonal in float32, so the shift
+survives the cast (a 1e-8 shift rounds away, and rect n=16, k=3, a=1e4
+then needs 9 sweeps to reach the roundoff floor instead of 4).  The sweeps go on while each at least halves the
+relative residual of K, up to MAX_SWEEPS, and the iterate with the
+smallest residual is kept.  The float32 attempt is accepted only if the
+sweeps stagnated before the cap, i.e. reached the roundoff floor, and the
+final residual meets the tolerance; otherwise, or on a zero pivot, K is
+factored again in float64 and refined by the same rule.  The rule has no
+knob and depends on the values alone, so a re-run is bit-identical.
 
 Before the factorization the DOFs are renumbered cell by cell: each
 cell's velocity DOFs, then its pressure DOFs.  Minimum degree breaks ties
@@ -47,18 +62,22 @@ import scipy.sparse.linalg as spla
 __all__ = ["Solution", "SolverError", "SingularSystemError", "solve"]
 
 # SuperLU ordering and the shift of the scaled pressure diagonal for every
-# factorization in this module (see the module docstring)
+# factorization in this module, and the cap on refinement sweeps per
+# factorization (see the module docstring)
 ORDERING = "MMD_AT_PLUS_A"
-DELTA = 1e-8
+DELTA = 1e-6
+MAX_SWEEPS = 10
 
 
 class SolverError(Exception):
     """Numerical failure in the linear solve.
 
-    ``stats`` holds what the solve gathered before it failed: ``ordering``
-    and ``regularization`` (the shift DELTA), plus ``nnz_factor`` (stored
+    ``stats`` holds what the solve gathered before it failed: ``ordering``,
+    ``regularization`` (the shift DELTA) and ``factor_dtype`` (the
+    precision of the factor that failed), plus ``nnz_factor`` (stored
     entries of the supernodal factor) and ``refinement_residuals`` when the
-    residual check failed.
+    residual check failed, and ``float32_refinement_residuals`` when a
+    float32 attempt was abandoned after its refinement.
     """
 
     def __init__(self, message, stats=None):
@@ -76,9 +95,12 @@ class Solution:
 
     ``stats`` holds ``nnz_factor`` (stored entries of the supernodal
     factor), ``ordering``, ``regularization`` (the shift DELTA),
-    ``refinement_residuals`` (the relative residual of K before each of the
-    two refinement sweeps, then the final one of the constrained system,
-    equal to ``residual``) and ``pressure_mean``.
+    ``factor_dtype`` (``"float32"``, or ``"float64"`` after a fallback),
+    ``refinement_residuals`` (the relative residual of K at each iterate of
+    the accepted refinement, then the final one of the constrained system,
+    equal to ``residual``), ``float32_refinement_residuals`` (the same
+    history of an abandoned float32 attempt, if there was one) and
+    ``pressure_mean``.
     """
 
     u: np.ndarray
@@ -137,23 +159,22 @@ def _shifted_matrix(system, scale, pos):
         shape=(n, n))
 
 
-def _factor_shifted(system, stats):
-    """Factor of the scaled, shifted, cell-ordered K.
+def _factor_shifted(system, stats, dtype):
+    """Factor in ``dtype`` of the scaled, shifted, cell-ordered K.
 
-    Returns ``apply(r)``, which maps a residual r of K to the correction
-    D P^T (P (D K D - DELTA I_p) P^T)^{-1} P D r.
+    Returns ``apply(r)``, which maps a float64 residual r of K to the
+    float64 correction D P^T (P (D K D - DELTA I_p) P^T)^{-1} P D r.
+    A zero pivot raises SuperLU's RuntimeError.
     """
     d = np.abs(np.concatenate([system.A.diagonal(), system.S.diagonal()]))
     d[d == 0.0] = 1.0
     scale = 1.0 / np.sqrt(d)
     perm = _cell_order(system)
-    K = _shifted_matrix(system, scale, np.argsort(perm))
+    # assembled and summed in float64, rounded once
+    K = _shifted_matrix(system, scale, np.argsort(perm)).astype(
+        dtype, copy=False)
     try:
         lu = _factor(K)
-    except RuntimeError as exc:
-        raise SingularSystemError(
-            f"factorization hit a zero pivot in the {_diagnose_singular(system)}",
-            stats) from exc
     except MemoryError as exc:
         raise SolverError(
             f"out of memory factoring K ({K.shape[0]} DOFs, {K.nnz} stored "
@@ -164,7 +185,7 @@ def _factor_shifted(system, stats):
 
     def apply(r):
         x = np.empty(len(perm))
-        x[perm] = lu.solve((scale * r)[perm])
+        x[perm] = lu.solve((scale * r)[perm].astype(dtype, copy=False))
         return scale * x
 
     return apply
@@ -176,36 +197,74 @@ def _residual(system, u, p, g):
                            g - system.B.T @ u + system.S @ p])
 
 
+def _refine(system, apply, g, rhs_norm, history):
+    """Solve K x = [F; g] by ``apply`` and float64 refinement on the blocks.
+
+    Sweeps while each sweep at least halves the relative residual of K, at
+    most MAX_SWEEPS times, and keeps the iterate with the smallest one.
+    Appends each iterate's residual and then the final one to ``history``.
+    Returns the kept iterate's zero-mean (u, p), the final relative
+    residual of the constrained system and whether the sweeps stagnated
+    before the cap.
+    """
+    n_u, m, c = system.n_u, system.m, system.c
+    x = apply(np.concatenate([system.F, g]))
+    for sweep in range(MAX_SWEEPS + 1):
+        r = _residual(system, x[:n_u], x[n_u:], g)
+        history.append(_relative_norm(r, rhs_norm))
+        # a NaN residual compares false and ends the sweeps too
+        stagnated = sweep > 0 and not history[-1] < 0.5 * history[-2]
+        if stagnated or sweep == MAX_SWEEPS:
+            break
+        prev, x = x, x + apply(r)
+    if stagnated and not history[-1] < history[-2]:
+        x = prev
+    u, p = x[:n_u], x[n_u:]
+    p = p - (float(m @ p) / float(m @ c)) * c
+    res = _relative_norm(np.append(_residual(system, u, p, g),
+                                   -float(m @ p)), rhs_norm)
+    history.append(res)
+    return u, p, res, stagnated
+
+
 def solve(system, rtol=1e-9):
     """Solve the constrained saddle system to a relative residual <= rtol.
 
-    Raises SingularSystemError, carrying the stats gathered so far, when
-    the factorization hits a zero pivot or the residual exceeds rtol, and
-    SolverError, naming the DOF count and K's stored entries, when the
-    factorization runs out of memory.
+    The factor is computed in float32 first and in float64 only when the
+    float32 attempt hits a zero pivot or its refinement does not reach
+    the roundoff floor (see the module docstring).  Raises
+    SingularSystemError, carrying the stats gathered so far, when the
+    float64 factorization hits a zero pivot or its residual exceeds rtol,
+    and SolverError, naming the DOF count and K's stored entries, when a
+    factorization runs out of memory (at once: float64 needs twice the
+    memory).
     """
     m, c, G = system.m, system.c, system.G
     stats = {"ordering": f"{ORDERING}/symmetric", "regularization": DELTA}
-    apply = _factor_shifted(system, stats)
     lam = float(c @ G) / float(c @ m)
     g = G - lam * m
     rhs_norm = float(np.hypot(np.linalg.norm(system.F), np.linalg.norm(G)))
-    x = apply(np.concatenate([system.F, g]))
-    # relative residual before each refinement sweep, then the final one
-    history = stats["refinement_residuals"] = []
-    for _ in range(2):
-        r = _residual(system, x[:system.n_u], x[system.n_u:], g)
-        history.append(_relative_norm(r, rhs_norm))
-        x = x + apply(r)
-    u, p = x[:system.n_u], x[system.n_u:]
-    p = p - (float(m @ p) / float(m @ c)) * c
-    mean = float(m @ p)
-    res = _relative_norm(np.append(_residual(system, u, p, g), -mean),
-                         rhs_norm)
-    history.append(res)
-    if not np.isfinite(res) or res > rtol:
-        raise SingularSystemError(
-            f"direct solve residual {res:.3e} exceeds {rtol:.1e}; "
-            f"suspect the {_diagnose_singular(system)}", stats)
-    stats["pressure_mean"] = mean
+    for dtype in (np.float32, np.float64):
+        last = dtype is np.float64
+        stats["factor_dtype"] = np.dtype(dtype).name
+        try:
+            apply = _factor_shifted(system, stats, dtype)
+        except RuntimeError as exc:
+            if last:
+                raise SingularSystemError(
+                    "factorization hit a zero pivot in the "
+                    f"{_diagnose_singular(system)}", stats) from exc
+            continue
+        history = stats["refinement_residuals"] = []
+        u, p, res, stagnated = _refine(system, apply, g, rhs_norm, history)
+        del apply  # frees the factor before a float64 attempt
+        if res <= rtol and (stagnated or last):
+            break
+        if last:
+            raise SingularSystemError(
+                f"direct solve residual {res:.3e} exceeds {rtol:.1e}; "
+                f"suspect the {_diagnose_singular(system)}", stats)
+        stats["float32_refinement_residuals"] = stats.pop(
+            "refinement_residuals")
+    stats["pressure_mean"] = float(m @ p)
     return Solution(u=u, p=p, multiplier=lam, residual=res, stats=stats)

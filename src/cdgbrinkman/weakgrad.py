@@ -127,8 +127,9 @@ class HalfEdgeGroup:
     """The half-edges of one shape class whose edges have ``q`` points.
 
     Per half-edge: ``slot``/``local`` in the class arrays, ``edge``,
-    ``owner``, its outward ``normal`` and Gauss ``points``/``weights``
-    (rows ``start`` to ``stop`` of the flat edge arrays, q per half-edge);
+    ``owner``, its outward ``normal`` and Gauss ``points`` (a view of the
+    flat ``edge_points``) and ``weights`` (rows ``start`` to ``stop`` of the
+    flat edge arrays, q per half-edge);
     ``phi`` (ng, dim_j, q) is the owner's basis there.  ``own_m`` and
     ``nbr_m`` (ng, dim_j, dim_k) are the edge moments <phi_a, psi_b> against
     the owner's and the neighbour's degree-k basis (zero on the boundary).
@@ -142,7 +143,8 @@ class ShapeClass:
     arrays (see ``Mesh.shape_classes``).  Per cell, along the first axis:
     ``edges``, ``nbr`` (the neighbour across each local edge, -1 on the
     boundary) and outward ``normals``;
-    quadrature ``points`` (nc, nq, 2) and ``weights``; the lower-triangular
+    quadrature ``points`` (nc, nq, 2; a view of the flat
+    ``Discretization.cell_points``) and ``weights``; the lower-triangular
     ``transform`` (nc, dim, dim), the inverse of the cells' monomial Gram
     Cholesky factors, which maps the scaled monomials of degree ``j`` to
     the orthonormal basis; its values ``phi`` (nc, dim, nq); and the
@@ -238,6 +240,9 @@ class Discretization:
         self.cell_owner = np.concatenate(
             [np.repeat(c.cells, c.weights.shape[1]) for c in self.classes])
         self._split = np.cumsum([c.weights.size for c in self.classes])[:-1]
+        # one copy of the points: the classes keep views of the flat array
+        for cls, points in zip(self.classes, self.split(self.cell_points)):
+            cls.points = points
         # shared edge rules: exactness covers both incident target degrees
         cell_j = np.empty(n, dtype=np.int64)
         for cls in self.classes:
@@ -286,6 +291,8 @@ class Discretization:
 
         self.edge_points = np.concatenate(
             [g.points.reshape(-1, 2) for g in groups])
+        for g in groups:
+            g.points = self.edge_points[g.start:g.stop].reshape(g.points.shape)
         self.edge_weights = np.concatenate([g.weights.ravel() for g in groups])
         self.edge_owner, self.edge_normal, self.edge_index = (
             flat(name) for name in ("owner", "normal", "edge"))

@@ -7,6 +7,7 @@ from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular)
 from cdgbrinkman.polyspace import (MonomialBasis, cell_quadrature,
                                    gram_cholesky, gram_solve)
+from cdgbrinkman.solver import MAX_SWEEPS
 
 MESH_FAMILIES = {
     "tri": generate_uniform_triangular,
@@ -97,3 +98,12 @@ def project_scalar_field(disc, fn, block_name):
         out[c] = gram_solve(gram_cholesky(gram), vals @ (rule.weights
                                                           * fn(rule.points)))
     return out
+
+
+def refinement_stopped_by_rule(history):
+    """The solver's stopping rule holds for a ``refinement_residuals``
+    history: the last sweep failed to halve the relative residual of K, or
+    the sweeps reached the cap (the last entry is the constrained one)."""
+    sweeps = history[:-1]
+    return (len(sweeps) == MAX_SWEEPS + 1
+            or (len(sweeps) >= 2 and not sweeps[-1] < 0.5 * sweeps[-2]))

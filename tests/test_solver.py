@@ -14,6 +14,7 @@ from cdgbrinkman import solver
 from cdgbrinkman.cli import main
 from cdgbrinkman.solver import SingularSystemError, SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
+from conftest import refinement_stopped_by_rule
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +65,8 @@ def test_solve_deterministic_bit_identical(small_setup):
 def test_singular_system_structured_error(small_setup):
     # a velocity DOF decoupled from everything (a zero row and column of A
     # and a zero row of B) leaves a zero column in K, which the static-pivot
-    # factorization must flag and attribute to A; the error carries the
-    # stats gathered up to the failure
+    # factorization must flag (in float32, then in float64) and attribute
+    # to A; the error carries the stats gathered up to the failure
     _, _, system = small_setup
     import copy
 
@@ -78,16 +79,21 @@ def test_singular_system_structured_error(small_setup):
         solve(broken)
     stats = err.value.stats
     assert stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
-    assert stats["regularization"] == 1e-8
+    assert stats["regularization"] == solver.DELTA
+    assert stats["factor_dtype"] == "float64"
     assert "nnz_factor" not in stats
     assert "refinement_residuals" not in stats
-    # a residual check that cannot pass reports the refinement history
+    assert "float32_refinement_residuals" not in stats
+    # a residual check that cannot pass reports the refinement history of
+    # the float64 attempt and of the abandoned float32 one
     with pytest.raises(SingularSystemError, match="exceeds 1.0e-20") as err:
         solve(system, rtol=1e-20)
     stats = err.value.stats
     assert stats["nnz_factor"] > 0
-    history = stats["refinement_residuals"]
-    assert len(history) == 3 and history[-1] > 1e-20
+    assert stats["factor_dtype"] == "float64"
+    for key in ("float32_refinement_residuals", "refinement_residuals"):
+        history = stats[key]
+        assert refinement_stopped_by_rule(history) and history[-1] > 1e-20
 
 
 def test_unconstrained_nullspace_is_constant_pressure(small_setup):
@@ -120,16 +126,68 @@ def test_symmetric_mode_fill_below_colamd(small_setup):
     sol = solve(system)
     assert sol.stats["nnz_factor"] <= 0.75 * general.nnz
     assert sol.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
-    assert sol.stats["regularization"] == 1e-8
+    assert sol.stats["regularization"] == solver.DELTA
 
 
 def test_refinement_residuals_recorded(small_setup):
     _, _, system = small_setup
     sol = solve(system)
     history = sol.stats["refinement_residuals"]
-    assert len(history) == 3
+    assert refinement_stopped_by_rule(history)
     assert all(np.isfinite(history))
     assert history[-1] == sol.residual
+    assert sol.stats["factor_dtype"] == "float32"
+    assert "float32_refinement_residuals" not in sol.stats
+
+
+def test_float32_factor_refines_to_float64_accuracy(small_setup):
+    # refinement must run to the roundoff floor, not stop at rtol: the
+    # reference is a float64 spsolve of the bordered system with one
+    # float64 refinement step (spsolve alone is off by 1.1e-12 in p here)
+    _, _, system = small_setup
+    sol = solve(system)
+    assert sol.stats["factor_dtype"] == "float32"
+    M, rhs = system.matrix().tocsc(), system.rhs()
+    x = spla.spsolve(M, rhs)
+    x += spla.spsolve(M, rhs - M @ x)
+    u, p = x[:system.n_u], x[system.n_u:-1]
+    assert np.linalg.norm(sol.u - u) <= 1e-12 * np.linalg.norm(u)
+    assert np.linalg.norm(sol.p - p) <= 1e-12 * np.linalg.norm(p)
+
+
+def test_float32_failure_falls_back_to_float64():
+    # at mu = 1e-3, a = 1e4 and k = 3 the float32 refinement contracts too
+    # slowly to reach the roundoff floor within MAX_SWEEPS; the solve is
+    # done again from a float64 factor, and both histories are reported
+    disc = Discretization(generate_uniform_triangular(4), 3)
+    system = assemble_system(disc, example1(mu=1e-3, a=1e4))
+    sol = solve(system)
+    assert sol.stats["factor_dtype"] == "float64"
+    assert sol.residual <= 1e-9
+    assert refinement_stopped_by_rule(sol.stats["refinement_residuals"])
+    abandoned = sol.stats["float32_refinement_residuals"]
+    assert len(abandoned) == solver.MAX_SWEEPS + 2
+    assert sol.stats["refinement_residuals"][-1] == sol.residual
+
+
+def test_float32_zero_pivot_falls_back_to_float64(small_setup, monkeypatch):
+    # a zero pivot in the float32 factor alone is not an error
+    _, _, system = small_setup
+    factor = solver._factor
+    dtypes = []
+
+    def float32_singular(K):
+        dtypes.append(K.dtype)
+        if K.dtype == np.float32:
+            raise RuntimeError("Factor is exactly singular")
+        return factor(K)
+
+    monkeypatch.setattr(solver, "_factor", float32_singular)
+    sol = solve(system)
+    assert dtypes == [np.float32, np.float64]
+    assert sol.stats["factor_dtype"] == "float64"
+    assert sol.residual <= 1e-9
+    assert "float32_refinement_residuals" not in sol.stats
 
 
 def _nudged(S, rng, direction):
@@ -213,6 +271,24 @@ def test_factor_out_of_memory_is_solver_error(small_setup, monkeypatch):
                               f" DOFs, {stored} stored entries)")
     assert err.value.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
     assert "nnz_factor" not in err.value.stats
+
+
+def test_float32_out_of_memory_is_not_retried(small_setup, monkeypatch):
+    # float64 would need twice the memory, so a float32 factor that does
+    # not fit ends the solve at once
+    _, _, system = small_setup
+    dtypes = []
+
+    def out_of_memory(K):
+        dtypes.append(K.dtype)
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "_factor", out_of_memory)
+    with pytest.raises(SolverError, match="out of memory") as err:
+        solve(system)
+    assert not isinstance(err.value, SingularSystemError)
+    assert dtypes == [np.float32]
+    assert err.value.stats["factor_dtype"] == "float32"
 
 
 def test_cli_factor_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
