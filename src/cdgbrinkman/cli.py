@@ -181,6 +181,7 @@ def cmd_solve(args):
 
 
 def cmd_patchtest(args):
+    _check_positive("--tol", args.tol)
     failures = 0
     for fname, factory in _FAMILIES.items():
         for k in (1, 2, 3):

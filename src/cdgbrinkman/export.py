@@ -155,8 +155,8 @@ def write_summary(path, disc, solution, extra=None):
         "multiplier": solution.multiplier,
         "pressure_mean": solution.stats.get("pressure_mean"),
         "solver": {key: solution.stats.get(key) for key in (
-            "ordering", "regularization", "factor_dtype", "nnz_factor",
-            "refinement_residuals")},
+            "ordering", "regularization", "nnz_factor",
+            "refinement_residuals", "inner_iterations")},
         "ranges": {name: [float(v.min()), float(v.max())]
                    for name, v in fields.items()},
     }

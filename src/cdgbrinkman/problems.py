@@ -199,6 +199,9 @@ class RasterKappa:
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 2:
             raise ValueError("raster grid must be 2D")
+        if self.grid.size == 0:
+            raise ValueError("raster grid is empty ({} rows, {} cols)"
+                             .format(*self.grid.shape))
         ok = np.isfinite(self.grid) & (self.grid > 0.0)
         if not ok.all():
             r, c = np.unravel_index(np.argmin(ok), self.grid.shape)
@@ -242,8 +245,11 @@ def _load_csv(path):
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'rows cols' header")
         rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh).reshape(rows, cols)
-    return RasterKappa(data)
+        data = np.loadtxt(fh)
+    if data.size != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} values, found "
+                         f"{data.size}")
+    return RasterKappa(data.reshape(rows, cols))
 
 
 def _load_pgm(path):
@@ -267,6 +273,8 @@ def _load_pgm(path):
         field = ("width", "height", "maxval")[len(tokens) - 1]
         raise ValueError(f"{path}: PGM header lacks its {field} field")
     cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if maxval <= 0:
+        raise ValueError(f"{path}: PGM maxval must be positive, got {maxval}")
     vals = np.array(tokens[4:4 + rows * cols], dtype=float).reshape(rows, cols)
     return RasterKappa(lo + (hi - lo) * vals / maxval)
 

@@ -74,10 +74,11 @@ def test_solve_produces_three_valid_files(tmp_path):
     solver = summary["solver"]
     assert solver["ordering"] == "MMD_AT_PLUS_A/symmetric"
     assert solver["regularization"] == DELTA
-    assert solver["factor_dtype"] == "float32"
     assert solver["nnz_factor"] > 0
     assert refinement_stopped_by_rule(solver["refinement_residuals"])
     assert solver["refinement_residuals"][-1] == summary["residual"]
+    assert (solver["inner_iterations"]
+            == [1] * (len(solver["refinement_residuals"]) - 1))
 
 
 def test_solve_missing_raster_exit_2(tmp_path, capsys):
@@ -235,6 +236,40 @@ def test_readme_lists_exactly_the_cli_flags():
                   for opt in action.option_strings} - {"-h", "--help"}
     assert not registered - documented, "flags missing from README"
     assert not documented - registered, "README lists flags the CLI lacks"
+
+
+def test_readme_lists_exactly_the_summary_solver_keys(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if "under `solver`" in p)
+    section = paragraph.split("under `solver`", 1)[1]
+    documented = set(re.findall(r"`([a-z_]+)`", section))
+    assert main(["solve", "--mesh", "rect", "--n", "2", "--resolution", "2",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert documented == set(summary["solver"])
+
+
+def test_patchtest_rejects_bad_tol_exit_2(capsys):
+    for tol in ("nan", "-1", "0"):
+        assert main(["patchtest", "--tol", tol]) == 2
+        assert "--tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("k.csv", "0 0\n", "raster grid is empty (0 rows, 0 cols)"),
+    ("k.csv", "3 3\n1 2 3\n4 5 6\n", "k.csv: expected 9 values, found 6"),
+    ("k.pgm", "P2\n2 2\n0\n0 0\n0 0\n",
+     "k.pgm: PGM maxval must be positive, got 0"),
+], ids=["csv-empty", "csv-short", "pgm-maxval-0"])
+def test_solve_malformed_raster_exit_2(tmp_path, capsys, no_rect_mesh, name,
+                                       text, message):
+    raster = tmp_path / name
+    raster.write_text(text)
+    code = main(["solve", "--mesh", "rect", "--kappa-raster", str(raster),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--kappa-raster" in err and message in err
 
 
 def test_unknown_mesh_family_exit_2(tmp_path, capsys):

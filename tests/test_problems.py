@@ -108,6 +108,13 @@ def test_raster_csv_rejects_non_finite_entry(tmp_path, entry):
         load_kappa_raster(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+def test_raster_rejects_empty_grid(shape):
+    with pytest.raises(ValueError, match=(f"empty \\({shape[0]} rows, "
+                                          f"{shape[1]} cols\\)")):
+        RasterKappa(np.ones(shape))
+
+
 def test_raster_csv_roundtrip(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("2 3\n1 2 3\n4 5 6\n")

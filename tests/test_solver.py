@@ -1,9 +1,11 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from cdgbrinkman.analysis import project_pressure
 from cdgbrinkman.assembly import assemble_system
@@ -14,7 +16,7 @@ from cdgbrinkman import solver
 from cdgbrinkman.cli import main
 from cdgbrinkman.solver import SingularSystemError, SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
-from conftest import refinement_stopped_by_rule
+from conftest import MESH_FAMILIES, refinement_stopped_by_rule
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +67,8 @@ def test_solve_deterministic_bit_identical(small_setup):
 def test_singular_system_structured_error(small_setup):
     # a velocity DOF decoupled from everything (a zero row and column of A
     # and a zero row of B) leaves a zero column in K, which the static-pivot
-    # factorization must flag (in float32, then in float64) and attribute
-    # to A; the error carries the stats gathered up to the failure
+    # factorization must flag and attribute to A; the error carries the
+    # stats gathered up to the failure
     _, _, system = small_setup
     import copy
 
@@ -80,20 +82,16 @@ def test_singular_system_structured_error(small_setup):
     stats = err.value.stats
     assert stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
     assert stats["regularization"] == solver.DELTA
-    assert stats["factor_dtype"] == "float64"
     assert "nnz_factor" not in stats
     assert "refinement_residuals" not in stats
-    assert "float32_refinement_residuals" not in stats
-    # a residual check that cannot pass reports the refinement history of
-    # the float64 attempt and of the abandoned float32 one
+    # a residual check that cannot pass reports the refinement history
     with pytest.raises(SingularSystemError, match="exceeds 1.0e-20") as err:
         solve(system, rtol=1e-20)
     stats = err.value.stats
     assert stats["nnz_factor"] > 0
-    assert stats["factor_dtype"] == "float64"
-    for key in ("float32_refinement_residuals", "refinement_residuals"):
-        history = stats[key]
-        assert refinement_stopped_by_rule(history) and history[-1] > 1e-20
+    history = stats["refinement_residuals"]
+    assert refinement_stopped_by_rule(history) and history[-1] > 1e-20
+    assert len(stats["inner_iterations"]) == len(history) - 1
 
 
 def test_unconstrained_nullspace_is_constant_pressure(small_setup):
@@ -136,8 +134,9 @@ def test_refinement_residuals_recorded(small_setup):
     assert refinement_stopped_by_rule(history)
     assert all(np.isfinite(history))
     assert history[-1] == sol.residual
-    assert sol.stats["factor_dtype"] == "float32"
-    assert "float32_refinement_residuals" not in sol.stats
+    # where the float32 solve contracts the residual a hundredfold, each
+    # iterate takes one GMRES step
+    assert sol.stats["inner_iterations"] == [1] * (len(history) - 1)
 
 
 def test_float32_factor_refines_to_float64_accuracy(small_setup):
@@ -146,7 +145,6 @@ def test_float32_factor_refines_to_float64_accuracy(small_setup):
     # float64 refinement step (spsolve alone is off by 1.1e-12 in p here)
     _, _, system = small_setup
     sol = solve(system)
-    assert sol.stats["factor_dtype"] == "float32"
     M, rhs = system.matrix().tocsc(), system.rhs()
     x = spla.spsolve(M, rhs)
     x += spla.spsolve(M, rhs - M @ x)
@@ -155,39 +153,58 @@ def test_float32_factor_refines_to_float64_accuracy(small_setup):
     assert np.linalg.norm(sol.p - p) <= 1e-12 * np.linalg.norm(p)
 
 
-def test_float32_failure_falls_back_to_float64():
-    # at mu = 1e-3, a = 1e4 and k = 3 the float32 refinement contracts too
-    # slowly to reach the roundoff floor within MAX_SWEEPS; the solve is
-    # done again from a float64 factor, and both histories are reported
+def _counting_factor():
+    """A spy on ``solver._factor`` that counts its calls."""
+    return mock.patch.object(solver, "_factor", side_effect=solver._factor)
+
+
+def test_slow_float32_regime_refines_from_one_factor():
+    # at mu = 1e-3, a = 1e4 and k = 3 the float32 solve alone contracts the
+    # residual less than a hundredfold, so sweeps take several GMRES steps;
+    # they reach the roundoff floor from the one float32 factor
     disc = Discretization(generate_uniform_triangular(4), 3)
     system = assemble_system(disc, example1(mu=1e-3, a=1e4))
-    sol = solve(system)
-    assert sol.stats["factor_dtype"] == "float64"
+    with _counting_factor() as factor:
+        sol = solve(system)
+    assert factor.call_count == 1
+    assert sol.residual <= 1e-14
+    history = sol.stats["refinement_residuals"]
+    assert refinement_stopped_by_rule(history)
+    assert len(history) - 1 <= solver.MAX_SWEEPS
+    assert max(sol.stats["inner_iterations"]) > 1
+
+
+def test_pressure_shift_follows_the_coupling():
+    # at mu = 1e-3, a = 1 and k = 3 the scaled columns of B have squared
+    # norms near 25; a shift of DELTA alone left float32 factor entries of
+    # 1e7 and took 23 to 31 GMRES steps per sweep here, the shift of
+    # DELTA max(1, |B col|^2) takes at most three
+    disc = Discretization(generate_uniform_triangular(4), 3)
+    sol = solve(assemble_system(disc, example1(mu=1e-3, a=1.0)))
+    assert sol.residual <= 1e-14
+    assert max(sol.stats["inner_iterations"]) <= 3
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(sorted(MESH_FAMILIES)),
+       n=st.integers(3, 6), k=st.sampled_from([1, 2, 3]),
+       mu=st.sampled_from([1e-3, 1e-2, 1.0]), a=st.sampled_from([1.0, 1e4]))
+def test_one_factor_per_solve_across_regimes(family, n, k, mu, a):
+    # from the Stokes to the Darcy end, one float32 factor and its
+    # refinement reach the residual gate by the stopping rule, and a re-run
+    # is bit-identical
+    disc = Discretization(MESH_FAMILIES[family](n), k)
+    system = assemble_system(disc, example1(mu=mu, a=a))
+    with _counting_factor() as factor:
+        sol = solve(system)
+    assert factor.call_count == 1
     assert sol.residual <= 1e-9
-    assert refinement_stopped_by_rule(sol.stats["refinement_residuals"])
-    abandoned = sol.stats["float32_refinement_residuals"]
-    assert len(abandoned) == solver.MAX_SWEEPS + 2
-    assert sol.stats["refinement_residuals"][-1] == sol.residual
-
-
-def test_float32_zero_pivot_falls_back_to_float64(small_setup, monkeypatch):
-    # a zero pivot in the float32 factor alone is not an error
-    _, _, system = small_setup
-    factor = solver._factor
-    dtypes = []
-
-    def float32_singular(K):
-        dtypes.append(K.dtype)
-        if K.dtype == np.float32:
-            raise RuntimeError("Factor is exactly singular")
-        return factor(K)
-
-    monkeypatch.setattr(solver, "_factor", float32_singular)
-    sol = solve(system)
-    assert dtypes == [np.float32, np.float64]
-    assert sol.stats["factor_dtype"] == "float64"
-    assert sol.residual <= 1e-9
-    assert "float32_refinement_residuals" not in sol.stats
+    history = sol.stats["refinement_residuals"]
+    assert refinement_stopped_by_rule(history)
+    assert len(history) - 1 <= solver.MAX_SWEEPS
+    again = solve(system)
+    assert np.array_equal(sol.u, again.u) and np.array_equal(sol.p, again.p)
+    assert sol.stats == again.stats
 
 
 def _nudged(S, rng, direction):
@@ -259,36 +276,26 @@ def _out_of_memory(K):
 
 def test_factor_out_of_memory_is_solver_error(small_setup, monkeypatch):
     # the message names the size of what did not fit, and the stats go
-    # with it, as for a zero pivot
+    # with it, as for a zero pivot; the solve ends at once, with no retry
     _, _, system = small_setup
-    monkeypatch.setattr(solver, "_factor", _out_of_memory)
+    calls = []
+
+    def out_of_memory(K):
+        calls.append(K.dtype)
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "_factor", out_of_memory)
     n_p = system.n_p
     stored = (system.A.nnz + 2 * system.B.nnz
               + (system.S + sp.identity(n_p)).nnz)
     with pytest.raises(SolverError) as err:
         solve(system)
+    assert not isinstance(err.value, SingularSystemError)
+    assert calls == [np.float32]
     assert str(err.value) == (f"out of memory factoring K ({system.n_u + n_p}"
                               f" DOFs, {stored} stored entries)")
     assert err.value.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
     assert "nnz_factor" not in err.value.stats
-
-
-def test_float32_out_of_memory_is_not_retried(small_setup, monkeypatch):
-    # float64 would need twice the memory, so a float32 factor that does
-    # not fit ends the solve at once
-    _, _, system = small_setup
-    dtypes = []
-
-    def out_of_memory(K):
-        dtypes.append(K.dtype)
-        raise MemoryError
-
-    monkeypatch.setattr(solver, "_factor", out_of_memory)
-    with pytest.raises(SolverError, match="out of memory") as err:
-        solve(system)
-    assert not isinstance(err.value, SingularSystemError)
-    assert dtypes == [np.float32]
-    assert err.value.stats["factor_dtype"] == "float32"
 
 
 def test_cli_factor_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
