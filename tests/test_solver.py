@@ -276,26 +276,35 @@ def _out_of_memory(K):
 
 def test_factor_out_of_memory_is_solver_error(small_setup, monkeypatch):
     # the message names the size of what did not fit, and the stats go
-    # with it, as for a zero pivot; the solve ends at once, with no retry
+    # with it, as for a zero pivot
     _, _, system = small_setup
-    calls = []
-
-    def out_of_memory(K):
-        calls.append(K.dtype)
-        raise MemoryError
-
-    monkeypatch.setattr(solver, "_factor", out_of_memory)
+    monkeypatch.setattr(solver, "_factor", _out_of_memory)
     n_p = system.n_p
     stored = (system.A.nnz + 2 * system.B.nnz
               + (system.S + sp.identity(n_p)).nnz)
     with pytest.raises(SolverError) as err:
         solve(system)
-    assert not isinstance(err.value, SingularSystemError)
-    assert calls == [np.float32]
     assert str(err.value) == (f"out of memory factoring K ({system.n_u + n_p}"
                               f" DOFs, {stored} stored entries)")
     assert err.value.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
     assert "nnz_factor" not in err.value.stats
+
+
+def test_float32_out_of_memory_is_not_retried(small_setup, monkeypatch):
+    # float64 would need twice the memory, so a float32 factor that does
+    # not fit ends the solve at once
+    _, _, system = small_setup
+    dtypes = []
+
+    def out_of_memory(K):
+        dtypes.append(K.dtype)
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "_factor", out_of_memory)
+    with pytest.raises(SolverError, match="out of memory") as err:
+        solve(system)
+    assert not isinstance(err.value, SingularSystemError)
+    assert dtypes == [np.float32]
 
 
 def test_cli_factor_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
