@@ -13,8 +13,7 @@ from .assembly import (BrinkmanProblem, SaddleSystem, assemble_a, assemble_b,
 from .mesh import (Mesh, MeshFormatError, MeshValidationError,
                    generate_polygonal, generate_uniform_rectangular,
                    generate_uniform_triangular, load_mesh, save_mesh)
-from .polyspace import (ConditioningError, MonomialBasis, QuadratureRule,
-                        cell_quadrature, dim_poly, edge_quadrature, gram_matrix)
+from .polyspace import ConditioningError, dim_poly
 from .problems import (ManufacturedProblem, RasterKappa, cavity_problem,
                        constant_flow_problem, example1, load_kappa_raster,
                        polynomial_patch, sample_raster_path)

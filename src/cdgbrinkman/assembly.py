@@ -16,7 +16,7 @@ pressure mean, is [[A, B, 0], [B^T, -S, m], [0, m^T, 0]].  The solver
 never forms it: it factors K = [[A, B], [B^T, -S]] and handles the
 constraint in closed form through the coefficients c of the constant
 pressure (K's null vector), which the system carries along with the cell
-count.  Each block is one COO build over the Discretization's stacked
+centroids.  Each block is one COO build over the Discretization's stacked
 per-shape-class arrays, appended in a fixed order, so repeated runs
 produce bit-identical matrices.
 """
@@ -306,8 +306,7 @@ class SaddleSystem:
     """Assembled sparse blocks plus the zero-mean pressure constraint.
 
     ``c`` holds the pressure coefficients of the constant function 1, and
-    ``n_cells`` the cell count, by which the solver numbers the DOFs cell
-    by cell.
+    ``centroids`` the cell centroids, which the solver's ordering dissects.
     """
 
     A: sp.csr_matrix
@@ -317,11 +316,13 @@ class SaddleSystem:
     F: np.ndarray
     G: np.ndarray
     c: np.ndarray
-    n_cells: int
+    centroids: np.ndarray
+    n_cells: int = field(init=False)
     n_u: int = field(init=False)
     n_p: int = field(init=False)
 
     def __post_init__(self):
+        self.n_cells = len(self.centroids)
         self.n_u = self.A.shape[0]
         self.n_p = self.S.shape[0]
 
@@ -358,4 +359,4 @@ def assemble_system(disc, problem):
     # in an orthonormal basis the coefficients of the projection of 1 are
     # its moments
     return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G, c=m,
-                        n_cells=disc.mesh.n_cells)
+                        centroids=disc.mesh.cells.centroid)

@@ -11,20 +11,14 @@ through the collapsed-square (Duffy) transform.
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
-    "MonomialBasis",
-    "QuadratureRule",
     "monomial_tables",
     "fan_quadrature",
     "gauss_segments",
     "ConditioningError",
     "dim_poly",
     "poly_exponents",
-    "cell_quadrature",
-    "edge_quadrature",
-    "gram_matrix",
 ]
 
 
@@ -42,43 +36,6 @@ def poly_exponents(m):
     """Exponent pairs (p, q) of P_m in graded lex order, shape (dim, 2)."""
     exps = [(d - i, i) for d in range(m + 1) for i in range(d + 1)]
     return np.array(exps, dtype=np.int64)
-
-
-class MonomialBasis:
-    """Centered scaled monomials of total degree <= m on one cell.
-
-    Parameters
-    ----------
-    degree : int
-    center : (2,) array, the cell centroid
-    scale : float, the cell diameter hT
-    """
-
-    def __init__(self, degree, center, scale):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = int(degree)
-        self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
-        self.dim = dim_poly(self.degree)
-        self.exponents = poly_exponents(self.degree)
-
-    def _local(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.center) / self.scale
-
-    def values(self, points):
-        """Value table of shape (dim, npoints)."""
-        return monomial_tables(self._local(points), self.degree)
-
-    def gradients(self, points):
-        """Gradient tables (d/dx, d/dy), each of shape (dim, npoints).
-
-        Includes the 1/hT chain-rule factor.
-        """
-        loc = self._local(points)
-        return tuple(monomial_tables(loc, self.degree, d) / self.scale
-                     for d in (0, 1))
 
 
 def monomial_tables(local, degree, derivative=None):
@@ -105,20 +62,6 @@ def monomial_tables(local, degree, derivative=None):
         elif derivative == 1 and q:
             np.multiply(q * xp[p], yp[q - 1], out=row)
     return out
-
-
-class QuadratureRule:
-    """Points (n, 2) or (n,) with weights summing to the region measure."""
-
-    __slots__ = ("points", "weights")
-
-    def __init__(self, points, weights):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-
-    def integrate(self, values):
-        """Weighted sum along the last axis of ``values``."""
-        return np.asarray(values) @ self.weights
 
 
 @lru_cache(maxsize=128)
@@ -177,17 +120,6 @@ def fan_quadrature(vertices, exactness):
     return points.reshape(m, -1, 2), (wr * jac[..., None]).reshape(m, -1)
 
 
-def cell_quadrature(vertices, exactness):
-    """Quadrature on a simple CCW polygon, exact for degree <= exactness.
-
-    The polygon is fanned into triangles from its area centroid (see
-    :func:`fan_quadrature`); a degenerate sub-triangle raises ValueError.
-    """
-    pts, wts = fan_quadrature(np.asarray(vertices, dtype=float)[None],
-                              exactness)
-    return QuadratureRule(pts[0], wts[0])
-
-
 def edge_point_count(exactness):
     """Gauss points per edge for exactness ``exactness``: ceil((e+1)/2)."""
     return np.maximum(1, (np.asarray(exactness, dtype=np.int64) + 2) // 2)
@@ -205,44 +137,3 @@ def gauss_segments(p0, p1, npts):
     pts = p0[:, None, :] + t[:, None] * d[:, None, :]
     length = np.hypot(d[:, 0], d[:, 1])
     return pts, 0.5 * w * length[:, None]
-
-
-def edge_quadrature(p0, p1, exactness):
-    """Gauss rule with ceil((exactness+1)/2) points on the segment p0->p1.
-
-    Weights sum to the segment length.
-    """
-    p0 = np.asarray(p0, dtype=float)[None]
-    p1 = np.asarray(p1, dtype=float)[None]
-    pts, wts = gauss_segments(p0, p1, edge_point_count(exactness))
-    return QuadratureRule(pts[0], wts[0])
-
-
-def gram_matrix(basis, rule):
-    """Inner-product matrix of ``basis`` under ``rule`` (symmetric PD)."""
-    vals = basis.values(rule.points)
-    g = (vals * rule.weights) @ vals.T
-    return 0.5 * (g + g.T)
-
-
-def gram_cholesky(gram, where=""):
-    """Cholesky factor of a Gram matrix; failure raises ConditioningError."""
-    try:
-        return cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(
-            f"Gram matrix not SPD{' for ' + where if where else ''} "
-            f"(size {gram.shape[0]})") from exc
-
-
-def gram_solve(chol, rhs):
-    """Solve G x = rhs given the factor from :func:`gram_cholesky`.
-
-    The solve is backward stable: the polynomial that ``x`` represents is
-    accurate to roundoff in the G-norm, but the coefficients themselves
-    carry relative errors up to about cond(G) * eps.  Scaled monomials of
-    high degree reach cond(G) ~ 1e12 (degree 8 on hexagons), which is why
-    the discretization orthonormalizes its cell bases once, at build, and
-    needs no Gram solve afterwards.
-    """
-    return cho_solve(chol, rhs)

@@ -245,7 +245,8 @@ def _load_csv(path):
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'rows cols' header")
         rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh)
+        # np.loadtxt warns on stderr about a file without values
+        data = np.array(fh.read().split(), dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found "
                          f"{data.size}")
@@ -275,8 +276,11 @@ def _load_pgm(path):
     cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval <= 0:
         raise ValueError(f"{path}: PGM maxval must be positive, got {maxval}")
-    vals = np.array(tokens[4:4 + rows * cols], dtype=float).reshape(rows, cols)
-    return RasterKappa(lo + (hi - lo) * vals / maxval)
+    vals = np.array(tokens[4:4 + rows * cols], dtype=float)
+    if vals.size != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} gray values, found "
+                         f"{vals.size}")
+    return RasterKappa(lo + (hi - lo) * vals.reshape(rows, cols) / maxval)
 
 
 def sample_raster_path(name):

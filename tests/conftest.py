@@ -5,9 +5,8 @@ import pytest
 
 from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular)
-from cdgbrinkman.polyspace import (MonomialBasis, cell_quadrature,
-                                   gram_cholesky, gram_solve)
 from cdgbrinkman.solver import MAX_SWEEPS
+from polyref import MonomialBasis, cell_quadrature, gram_cholesky, gram_solve
 
 MESH_FAMILIES = {
     "tri": generate_uniform_triangular,

@@ -20,13 +20,12 @@ from cdgbrinkman.assembly import BrinkmanProblem, assemble_system
 from cdgbrinkman.cli import main
 from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular)
-from cdgbrinkman.polyspace import (cell_quadrature, edge_quadrature,
-                                   gram_cholesky, gram_solve)
 from cdgbrinkman.problems import (cavity_problem, example1, load_kappa_raster,
                                   polynomial_patch, sample_raster_path)
 from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
 
+from polyref import cell_quadrature, edge_quadrature, gram_cholesky, gram_solve
 from conftest import (MESH_FAMILIES, locate, normal_out_of,
                       random_polynomial, project_scalar_field)
 

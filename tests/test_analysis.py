@@ -38,7 +38,7 @@ def test_project_velocity_reproduces_members(rng):
 
     # evaluate the member cellwise and re-project: coefficients identical
     out = np.zeros_like(coeffs)
-    from cdgbrinkman.polyspace import cell_quadrature, gram_cholesky, gram_solve
+    from polyref import cell_quadrature, gram_cholesky, gram_solve
 
     for c in range(mesh.n_cells):
         ci, _, tables = locate(disc, c)

@@ -11,11 +11,11 @@ from cdgbrinkman.analysis import (norm_l2_pressure, norm_l2_velocity,
 from cdgbrinkman.mesh import (Mesh, generate_polygonal,
                               generate_uniform_rectangular,
                               generate_uniform_triangular)
-from cdgbrinkman.polyspace import MonomialBasis, cell_quadrature
 from cdgbrinkman.problems import constant_flow_problem, example1, polynomial_patch
 from cdgbrinkman.solver import SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
 
+from polyref import MonomialBasis, cell_quadrature
 from conftest import locate, normal_out_of
 
 

@@ -1,12 +1,16 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdgbrinkman
 from cdgbrinkman import cli, export
 from cdgbrinkman.analysis import CSV_COLUMNS
 from cdgbrinkman.cli import main
@@ -72,9 +76,13 @@ def test_solve_produces_three_valid_files(tmp_path):
     assert summary["residual"] <= 1e-9
     assert summary["n_cells"] == 256
     solver = summary["solver"]
-    assert solver["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert solver["ordering"] == "cell-nested-dissection"
     assert solver["regularization"] == DELTA
     assert solver["nnz_factor"] > 0
+    assert solver["fronts"] > 1
+    assert 0 < solver["max_front"] <= summary["dof_velocity"] + summary[
+        "dof_pressure"]
+    assert solver["factor_flops"] > solver["nnz_factor"]
     assert refinement_stopped_by_rule(solver["refinement_residuals"])
     assert solver["refinement_residuals"][-1] == summary["residual"]
     assert (solver["inner_iterations"]
@@ -249,6 +257,19 @@ def test_readme_lists_exactly_the_summary_solver_keys(tmp_path):
     assert documented == set(summary["solver"])
 
 
+def test_cli_import_leaves_dense_scipy_modules_unloaded():
+    # the package needs scipy.sparse alone; scipy.linalg and
+    # scipy.sparse.linalg would add their import time to every run
+    src = str(Path(cdgbrinkman.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, cdgbrinkman.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout == "[]\n"
+
+
 def test_patchtest_rejects_bad_tol_exit_2(capsys):
     for tol in ("nan", "-1", "0"):
         assert main(["patchtest", "--tol", tol]) == 2
@@ -260,7 +281,10 @@ def test_patchtest_rejects_bad_tol_exit_2(capsys):
     ("k.csv", "3 3\n1 2 3\n4 5 6\n", "k.csv: expected 9 values, found 6"),
     ("k.pgm", "P2\n2 2\n0\n0 0\n0 0\n",
      "k.pgm: PGM maxval must be positive, got 0"),
-], ids=["csv-empty", "csv-short", "pgm-maxval-0"])
+    ("k.pgm", "P2\n2 2\n3\n0 1\n", "k.pgm: expected 4 gray values, found 2"),
+], ids=["csv-empty", "csv-short", "pgm-maxval-0", "pgm-short"])
+# a warning would reach stderr outside pytest, which records it instead
+@pytest.mark.filterwarnings("error")
 def test_solve_malformed_raster_exit_2(tmp_path, capsys, no_rect_mesh, name,
                                        text, message):
     raster = tmp_path / name
@@ -269,6 +293,8 @@ def test_solve_malformed_raster_exit_2(tmp_path, capsys, no_rect_mesh, name,
                  "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
+    # the error line alone: no warning from the loader goes to stderr
+    assert err.count("\n") == 1
     assert "--kappa-raster" in err and message in err
 
 

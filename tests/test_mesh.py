@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from cdgbrinkman.mesh import (Mesh, MeshFormatError, MeshValidationError,
                               generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular, load_mesh, save_mesh)
-from cdgbrinkman.polyspace import edge_quadrature
 
+from polyref import edge_quadrature
 from conftest import MESH_FAMILIES, normal_out_of
 
 

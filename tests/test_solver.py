@@ -66,9 +66,9 @@ def test_solve_deterministic_bit_identical(small_setup):
 
 def test_singular_system_structured_error(small_setup):
     # a velocity DOF decoupled from everything (a zero row and column of A
-    # and a zero row of B) leaves a zero column in K, which the static-pivot
-    # factorization must flag and attribute to A; the error carries the
-    # stats gathered up to the failure
+    # and a zero row of B) leaves a zero column in K, which the velocity
+    # block's Cholesky factor must flag and attribute to A; the error
+    # carries the stats gathered up to the failure
     _, _, system = small_setup
     import copy
 
@@ -80,10 +80,17 @@ def test_singular_system_structured_error(small_setup):
                        match="zero pivot in the velocity block A") as err:
         solve(broken)
     stats = err.value.stats
-    assert stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert stats["ordering"] == "cell-nested-dissection"
     assert stats["regularization"] == solver.DELTA
     assert "nnz_factor" not in stats
     assert "refinement_residuals" not in stats
+    # a pressure block that is not negative semidefinite breaks the pressure
+    # block's Cholesky factor, which names it
+    flipped = copy.copy(system)
+    flipped.S = (system.S - sp.identity(system.n_p)).tocsr()
+    with pytest.raises(SingularSystemError,
+                       match="zero pivot in the pressure block"):
+        solve(flipped)
     # a residual check that cannot pass reports the refinement history
     with pytest.raises(SingularSystemError, match="exceeds 1.0e-20") as err:
         solve(system, rtol=1e-20)
@@ -112,9 +119,9 @@ def test_desk_scale_solve_under_one_second(small_setup):
 
 
 def test_symmetric_mode_fill_below_colamd(small_setup):
-    # the same Jacobi-equilibrated matrix, factored in general mode with a
-    # COLAMD column ordering, has about 1.6x the fill of the symmetric mode
-    # (both counted as stored entries of the supernodal factor)
+    # the same Jacobi-equilibrated matrix, factored by SuperLU in general
+    # mode with a COLAMD column ordering, stores about 1.7x the entries of
+    # the multifrontal LDL^T factor L
     _, _, system = small_setup
     M = system.matrix()
     d = np.abs(M.diagonal())
@@ -123,8 +130,28 @@ def test_symmetric_mode_fill_below_colamd(small_setup):
     general = spla.splu((scale @ M @ scale).tocsc(), permc_spec="COLAMD")
     sol = solve(system)
     assert sol.stats["nnz_factor"] <= 0.75 * general.nnz
-    assert sol.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert sol.stats["ordering"] == "cell-nested-dissection"
     assert sol.stats["regularization"] == solver.DELTA
+
+
+def test_ldlt_stores_less_than_superlu_mmd():
+    # at rect n=16, k=3 the LDL^T factor keeps fewer entries than SuperLU's
+    # symmetric-mode minimum-degree factor of the scaled K with a shifted
+    # pressure diagonal, with static pivots, so that the pattern alone sets
+    # both counts (4.6 M against 5.4 M)
+    disc = Discretization(generate_uniform_rectangular(16), 3)
+    system = assemble_system(disc, example1(mu=1.0, a=1e4))
+    K = system.matrix(constrained=False).tocsc()
+    d = np.abs(K.diagonal())
+    d[d == 0.0] = 1.0
+    scale = sp.diags(1.0 / np.sqrt(d))
+    shift = sp.diags(np.append(np.zeros(system.n_u),
+                               np.full(system.n_p, -solver.DELTA)))
+    lu = spla.splu((scale @ K @ scale + shift).tocsc().astype(np.float32),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    sol = solve(system)
+    assert sol.stats["nnz_factor"] < lu.nnz
 
 
 def test_refinement_residuals_recorded(small_setup):
@@ -158,10 +185,12 @@ def _counting_factor():
     return mock.patch.object(solver, "_factor", side_effect=solver._factor)
 
 
-def test_slow_float32_regime_refines_from_one_factor():
-    # at mu = 1e-3, a = 1e4 and k = 3 the float32 solve alone contracts the
+def test_slow_float32_regime_refines_from_one_factor(monkeypatch):
+    # a pressure shift of 1e-2 leaves a float32 solve that contracts the
     # residual less than a hundredfold, so sweeps take several GMRES steps;
-    # they reach the roundoff floor from the one float32 factor
+    # they reach the roundoff floor from the one float32 factor (with the
+    # shift of 1e-6, every sweep of a regime scan takes one step)
+    monkeypatch.setattr(solver, "DELTA", 1e-2)
     disc = Discretization(generate_uniform_triangular(4), 3)
     system = assemble_system(disc, example1(mu=1e-3, a=1e4))
     with _counting_factor() as factor:
@@ -221,9 +250,9 @@ def _nudged(S, rng, direction):
 
 
 def test_fill_ignores_one_ulp_perturbations(rng):
-    # with static pivots the pivot sequence follows the pattern, not the
-    # values, so roundoff in S cannot swing the fill (a threshold of 0.01
-    # moved it by 485 to 1871 entries under these perturbations)
+    # the symbolic phase reads the pattern alone, so roundoff in S cannot
+    # move the fill (SuperLU with a pivot threshold of 0.01 moved it by 485
+    # to 1871 entries under these perturbations)
     import copy
 
     disc = Discretization(generate_uniform_rectangular(16), 3)
@@ -235,7 +264,7 @@ def test_fill_ignores_one_ulp_perturbations(rng):
         sol = solve(nudged)
         assert sol.residual <= 1e-9
         fills.append(sol.stats["nnz_factor"])
-    assert max(abs(f - fills[0]) for f in fills) <= 10
+    assert fills == [fills[0]] * len(fills)
 
 
 @pytest.mark.parametrize("triangular", [False, True])
@@ -270,7 +299,7 @@ def test_incompatible_pressure_data_goes_to_multiplier(small_setup):
     assert abs(float(m @ sol.p)) <= 1e-12
 
 
-def _out_of_memory(K):
+def _out_of_memory(K, tree):
     raise MemoryError
 
 
@@ -286,7 +315,7 @@ def test_factor_out_of_memory_is_solver_error(small_setup, monkeypatch):
         solve(system)
     assert str(err.value) == (f"out of memory factoring K ({system.n_u + n_p}"
                               f" DOFs, {stored} stored entries)")
-    assert err.value.stats["ordering"] == "MMD_AT_PLUS_A/symmetric"
+    assert err.value.stats["ordering"] == "cell-nested-dissection"
     assert "nnz_factor" not in err.value.stats
 
 
@@ -296,7 +325,7 @@ def test_float32_out_of_memory_is_not_retried(small_setup, monkeypatch):
     _, _, system = small_setup
     dtypes = []
 
-    def out_of_memory(K):
+    def out_of_memory(K, tree):
         dtypes.append(K.dtype)
         raise MemoryError
 
@@ -322,3 +351,34 @@ def test_cli_factor_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         f"numerical failure: out of memory factoring K "
         f"({system.n_u + n_p} DOFs, {stored} stored entries)\n")
+
+
+def test_factor_too_large_fails_before_numeric_work(small_setup, monkeypatch):
+    # the symbolic phase sizes the factor; when it cannot fit in the
+    # available memory the solve stops before the numeric phase, naming the
+    # DOFs, the factor's stored entries and the GB needed and available
+    _, _, system = small_setup
+    monkeypatch.setattr(solver, "_available_bytes", lambda: 1000)
+    with _counting_factor() as factor, pytest.raises(SolverError) as err:
+        solve(system)
+    assert factor.call_count == 0
+    assert not isinstance(err.value, SingularSystemError)
+    n = system.n_u + system.n_p
+    message = str(err.value)
+    assert message.startswith(f"factoring K ({n} DOFs, ")
+    assert "stored entries of L" in message
+    assert message.endswith("but only 0.00 GB is available")
+    assert "nnz_factor" not in err.value.stats
+    # an unreadable availability skips the check
+    monkeypatch.setattr(solver, "_available_bytes", lambda: None)
+    assert solve(system).residual <= 1e-9
+
+
+def test_cli_factor_too_large_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_available_bytes", lambda: 1000)
+    code = main(["solve", "--mesh", "rect", "--n", "2", "--out",
+                 str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: factoring K (")
+    assert err.endswith("GB is available\n")

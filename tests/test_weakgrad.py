@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cdgbrinkman.mesh import Mesh, generate_uniform_rectangular, generate_uniform_triangular
-from cdgbrinkman.polyspace import (MonomialBasis, cell_quadrature,
-                                   edge_quadrature, gram_cholesky, gram_solve)
 from cdgbrinkman.weakgrad import (Discretization, edge_average, normal_jump,
                                   scalar_jump, target_degree)
 from cdgbrinkman.analysis import project_tensor
 
+from polyref import (MonomialBasis, cell_quadrature, edge_quadrature,
+                     gram_cholesky, gram_solve)
 from conftest import (MESH_FAMILIES, locate, normal_out_of,
                       project_scalar_field, random_polynomial)
 
