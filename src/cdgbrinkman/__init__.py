@@ -18,5 +18,4 @@ from .problems import (ManufacturedProblem, RasterKappa, cavity_problem,
                        constant_flow_problem, example1, load_kappa_raster,
                        polynomial_patch, sample_raster_path)
 from .solver import SingularSystemError, Solution, SolverError, solve
-from .weakgrad import (Discretization, edge_average, normal_jump, scalar_jump,
-                       target_degree)
+from .weakgrad import Discretization, target_degree

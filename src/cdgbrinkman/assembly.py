@@ -61,13 +61,6 @@ class BrinkmanProblem:
             return v, True
         raise ValueError("kappa_inv must return (n,) or (n, 2, 2) values")
 
-    def validate_kappa(self, points, rtol=1e-12):
-        """Sample kappa^{-1}: finite and positive (scalar) or SPD (tensor).
-
-        Returns the sampled eigenvalue range (lambda_min, lambda_max).
-        """
-        v, tensor = self.kappa_inv_at(points)
-        return _kappa_range(v, tensor, points, rtol=rtol)
 
 
 def _first(bad, owner):
@@ -341,12 +334,6 @@ class SaddleSystem:
         if constrained:
             return np.concatenate([self.F, self.G, [0.0]])
         return np.concatenate([self.F, self.G])
-
-    def symmetry_defect(self):
-        """max |M - M^T| over the full constrained matrix."""
-        M = self.matrix()
-        d = (M - M.T).tocoo()
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
 def assemble_system(disc, problem):

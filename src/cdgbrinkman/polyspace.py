@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "monomial_tables",
+    "derivative_matrix",
     "fan_quadrature",
     "gauss_segments",
     "ConditioningError",
@@ -38,13 +39,12 @@ def poly_exponents(m):
     return np.array(exps, dtype=np.int64)
 
 
-def monomial_tables(local, degree, derivative=None):
+def monomial_tables(local, degree):
     """Monomials of total degree <= ``degree`` at local coordinates.
 
     ``local`` has shape (..., npoints, 2); the table has shape
     (..., dim, npoints) in graded lex order, so every lower-degree table is
-    its leading block.  ``derivative`` 0 or 1 gives the d/dxi or d/deta
-    table instead (without any chain-rule factor).
+    its leading block.
     """
     x, y = local[..., 0], local[..., 1]
     xp, yp = [np.ones_like(x)], [np.ones_like(y)]
@@ -52,16 +52,28 @@ def monomial_tables(local, degree, derivative=None):
         xp.append(xp[-1] * x)
         yp.append(yp[-1] * y)
     exps = poly_exponents(degree)
-    out = np.zeros(x.shape[:-1] + (len(exps), x.shape[-1]))
+    out = np.empty(x.shape[:-1] + (len(exps), x.shape[-1]))
     for r, (p, q) in enumerate(exps):
-        row = out[..., r, :]
-        if derivative is None:
-            np.multiply(xp[p], yp[q], out=row)
-        elif derivative == 0 and p:
-            np.multiply(p * xp[p - 1], yp[q], out=row)
-        elif derivative == 1 and q:
-            np.multiply(q * xp[p], yp[q - 1], out=row)
+        np.multiply(xp[p], yp[q], out=out[..., r, :])
     return out
+
+
+@lru_cache(maxsize=64)
+def derivative_matrix(degree, axis):
+    """D (dim, dim) with d m_a / d xi_axis = sum_b D[a, b] m_b.
+
+    The monomials are those of :func:`poly_exponents`; the entries are the
+    exponents along ``axis`` (0 for xi, 1 for eta), so D is exact.
+    """
+    exps = poly_exponents(degree)
+    e = exps[:, axis]
+    lower = exps - np.eye(2, dtype=np.int64)[axis]
+    d = lower.sum(axis=1)
+    rows = np.flatnonzero(e)
+    D = np.zeros((len(exps), len(exps)))
+    D[rows, d[rows] * (d[rows] + 1) // 2 + lower[rows, 1]] = e[rows]
+    D.flags.writeable = False
+    return D
 
 
 @lru_cache(maxsize=128)

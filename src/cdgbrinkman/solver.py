@@ -58,8 +58,18 @@ pools, used in turn, slowed a 200 x 200 front eightfold at two threads.
 K is factored once, in float32, which halves the factor's memory; the
 residuals, corrections, multiplier and zero-mean step stay in float64.
 DELTA = 1e-6 is about 8 ulp of a unit diagonal in float32, so the shift
-survives the cast.  Each refinement sweep against the unshifted K (static
-pivots plus refinement, Li & Demmel 1998, SC'98) solves K d = r for its
+survives the cast.  Each front sums W^T W, and factors G + W^T W, in
+float64, and only then rounds L_S^{-1} to float32: W^T W is semidefinite
+for any W, so the sum is at least as definite as G.  Along c the exact sum
+is as small as the shift, while float32 sums of W^T W carry errors of about
+6e-8 |W|^2; at rect n=3, k=3, mu=1e-3, a=1 (|W|^2 near 200, a shift near
+2e-5) they made the block indefinite.  With the float64 sum, every input of
+a regime scan (tri/rect/poly, n = 3..6, k = 1..3, mu = 1e-3..1, a = 1 and
+1e4) factors at a tenth of DELTA too; with the float32 sum, 57 of its 216
+inputs did not.
+
+Each refinement sweep against the unshifted K (static pivots plus
+refinement, Li & Demmel 1998, SC'98) solves K d = r for its
 correction by right-preconditioned GMRES, the preconditioner being the
 float32 solve followed by the zero-mean step, which removes the direction
 c that the shift turns from null into nearly null.  GMRES stops once its
@@ -336,11 +346,13 @@ def _factor(K, tree):
             raise np.linalg.LinAlgError("velocity block A") from None
         Ih = _tri_inv(Lh)
         W = Ih @ F[nv:p, :nv].T
+        # G + W^T W in float64 (see the module docstring)
+        W64 = W.astype(np.float64)
         try:
-            Ls = np.linalg.cholesky(W.T @ W - F[nv:p, nv:p])
+            Ls = np.linalg.cholesky(W64.T @ W64 - F[nv:p, nv:p])
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError("pressure block (B, S)") from None
-        Is = _tri_inv(Ls)
+        Is = _tri_inv(Ls).astype(K.dtype)
         inv = np.zeros((p, p), K.dtype)
         inv[:nv, :nv] = Ih
         inv[nv:, nv:] = Is

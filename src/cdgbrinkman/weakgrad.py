@@ -1,4 +1,4 @@
-"""Discrete weak gradients and the edge average/jump calculus.
+"""Discrete weak gradients on stacked orthonormal cell bases.
 
 Both weak-gradient operators reduce to one scalar primitive: for a piecewise
 polynomial w of degree df, the lifted gradient on cell T is the pair
@@ -21,6 +21,18 @@ target degrees (n+k-1 = 8 on hexagons at k = 3) drive the monomial Gram
 matrices to cond ~ 1e12; the orthonormal basis keeps the weak-gradient
 maps and projections free of Gram solves.
 
+Volume moments: with G = L L^T the Gram matrix of the scaled monomials m
+on a cell of diameter h, T = L^{-1} the transform (phi = T m) and D_i the
+exact matrix with d m_a / d xi_i = sum_b D_i[a, b] m_b (a derivative
+lowers the degree, so the monomials span it),
+
+    (d_i phi_a, phi_b) = (T D_i G T_k^T / h)[a, b] = (T D_i L_k / h)[a, b]
+
+for the degree-k functions b, where L_k holds the leading dim_k columns
+of L: G[:, :dim_k] T_k^T = L[:, :dim_k], as L^T is upper triangular and
+T_k is the inverse of L's leading block.  So the moments cost no table
+beyond the one that forms the Gram matrix.
+
 Stacked layout: Discretization groups the cells by edge count into
 ShapeClass objects, whose cells share the target degree j and the
 quadrature size, and stacks their bases and weak-gradient maps as arrays
@@ -36,51 +48,14 @@ terms are gathers.
 
 import numpy as np
 
-from .polyspace import (ConditioningError, dim_poly, edge_point_count,
-                        fan_quadrature, gauss_segments, monomial_tables)
+from .polyspace import (ConditioningError, derivative_matrix, dim_poly,
+                        edge_point_count, fan_quadrature, gauss_segments,
+                        monomial_tables)
 
 __all__ = [
-    "edge_average",
-    "normal_jump",
-    "scalar_jump",
     "target_degree",
     "Discretization",
 ]
-
-
-# ---------------------------------------------------------------------------
-# pointwise average / jump helpers (trace values at shared edge points)
-# ---------------------------------------------------------------------------
-
-def edge_average(minus_vals, plus_vals=None, boundary_value=None):
-    """{v} at edge points: two-sided mean, or the boundary-edge trace.
-
-    ``boundary_value`` replaces the trace on boundary edges (0.0 for the
-    homogeneous velocity space, prescribed data for the lifting); None keeps
-    the cell's own trace (pressure rule).
-    """
-    if plus_vals is not None:
-        return 0.5 * (minus_vals + plus_vals)
-    if boundary_value is None:
-        return minus_vals
-    return np.broadcast_to(boundary_value, np.shape(minus_vals)).astype(float)
-
-
-def normal_jump(minus_vec, plus_vec, normal):
-    """[v] = v_minus . n + v_plus . (-n) for vector traces (n out of minus).
-
-    On boundary edges pass ``plus_vec=None``: [v] = v|_e . n.
-    """
-    j = minus_vec @ normal
-    if plus_vec is not None:
-        j = j - plus_vec @ normal
-    return j
-
-
-def scalar_jump(minus_vals, plus_vals, normal):
-    """[[q]] = q_minus n + q_plus (-n), a vector per edge point."""
-    d = minus_vals if plus_vals is None else minus_vals - plus_vals
-    return d[:, None] * normal[None, :]
 
 
 def target_degree(edge_count, k):
@@ -148,7 +123,10 @@ class ShapeClass:
     ``transform`` (nc, dim, dim), the inverse of the cells' monomial Gram
     Cholesky factors, which maps the scaled monomials of degree ``j`` to
     the orthonormal basis; its values ``phi`` (nc, dim, nq); and the
-    volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b).
+    volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b),
+    ``transform @ D_i @ L[..., :dim_k] / h`` with L the Gram Cholesky
+    factor and D_i the monomials' derivative matrix (see the module
+    docstring).
     """
 
     def __init__(self, disc, edge_count, cells, positions):
@@ -168,22 +146,17 @@ class ShapeClass:
             verts, 2 * self.j + disc.cell_exactness_bump)
         scale = mesh.cells.diameter[cells][:, None, None]
         local = (self.points - mesh.cells.centroid[cells][:, None, :]) / scale
-        # one table of dim x nq per cell is kept; the two gradient tables
-        # are made one at a time and dropped once their moments are taken
         raw = monomial_tables(local, self.j)
-        w = self.weights[:, None, :]
-        gram = (raw * w) @ raw.transpose(0, 2, 1)
+        gram = (raw * self.weights[:, None, :]) @ raw.transpose(0, 2, 1)
         gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-        self.transform = _trisolve(_cholesky(gram, cells, self.j),
-                                   np.eye(self.dim))
-        self.phi = raw = self.transform @ raw
-        fw = (raw[:, :disc.dim_k] * w).transpose(0, 2, 1)
-        moments = []
-        for d in (0, 1):
-            grad = monomial_tables(local, self.j, d)
-            grad /= scale
-            moments.append((self.transform @ grad) @ fw)
-        self.vx, self.vy = moments
+        chol = _cholesky(gram, cells, self.j)
+        self.transform = _trisolve(chol, np.eye(self.dim))
+        self.phi = self.transform @ raw
+        # the volume moments from the factor (see the module docstring)
+        lk = chol[..., :disc.dim_k] / scale
+        self.vx, self.vy = (
+            self.transform @ (derivative_matrix(self.j, d) @ lk)
+            for d in (0, 1))
         self.groups = []
 
     def values(self, coef):

@@ -4,12 +4,14 @@ A scaled monomial basis on one cell, single-polygon and single-edge
 quadrature rules built on the library's stacked ones, and Gram matrix
 solves by scipy's Cholesky.  The library builds all of these stacked over
 shape classes and never reads the per-cell forms; the tests use them as
-independent references.
+independent references.  Also the pointwise edge average and jumps, the
+symmetry defect of an assembled system and a sampled check of kappa^{-1}.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from cdgbrinkman.assembly import _kappa_range
 from cdgbrinkman.polyspace import (ConditioningError, dim_poly,
                                    edge_point_count, fan_quadrature,
                                    gauss_segments, monomial_tables,
@@ -48,9 +50,12 @@ class MonomialBasis:
 
         Includes the 1/hT chain-rule factor.
         """
-        loc = self._local(points)
-        return tuple(monomial_tables(loc, self.degree, d) / self.scale
-                     for d in (0, 1))
+        x, y = self._local(points).T
+        p, q = self.exponents.T[:, :, None]
+        # each monomial differentiated term by term, apart from the library
+        dx = p * x ** np.maximum(p - 1, 0) * y ** q
+        dy = q * x ** p * y ** np.maximum(q - 1, 0)
+        return dx / self.scale, dy / self.scale
 
 
 class QuadratureRule:
@@ -117,3 +122,48 @@ def gram_solve(chol, rhs):
     needs no Gram solve afterwards.
     """
     return cho_solve(chol, rhs)
+
+
+def edge_average(minus_vals, plus_vals=None, boundary_value=None):
+    """{v} at edge points: two-sided mean, or the boundary-edge trace.
+
+    ``boundary_value`` replaces the trace on boundary edges (0.0 for the
+    homogeneous velocity space, prescribed data for the lifting); None keeps
+    the cell's own trace (pressure rule).
+    """
+    if plus_vals is not None:
+        return 0.5 * (minus_vals + plus_vals)
+    if boundary_value is None:
+        return minus_vals
+    return np.broadcast_to(boundary_value, np.shape(minus_vals)).astype(float)
+
+
+def normal_jump(minus_vec, plus_vec, normal):
+    """[v] = v_minus . n + v_plus . (-n) for vector traces (n out of minus).
+
+    On boundary edges pass ``plus_vec=None``: [v] = v|_e . n.
+    """
+    j = minus_vec @ normal
+    if plus_vec is not None:
+        j = j - plus_vec @ normal
+    return j
+
+
+def scalar_jump(minus_vals, plus_vals, normal):
+    """[[q]] = q_minus n + q_plus (-n), a vector per edge point."""
+    d = minus_vals if plus_vals is None else minus_vals - plus_vals
+    return d[:, None] * normal[None, :]
+
+
+def symmetry_defect(system):
+    """max |M - M^T| over a system's full constrained matrix."""
+    M = system.matrix()
+    d = (M - M.T).tocoo()
+    return float(np.abs(d.data).max()) if d.nnz else 0.0
+
+
+def validate_kappa(problem, points):
+    """Sample a problem's kappa^{-1}: finite and positive (scalar) or SPD
+    (tensor); returns the sampled eigenvalue range (lambda_min,
+    lambda_max)."""
+    return _kappa_range(*problem.kappa_inv_at(points), points)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdgbrinkman.mesh import generate_polygonal, generate_uniform_triangular
-from cdgbrinkman.polyspace import dim_poly, poly_exponents
+from cdgbrinkman.polyspace import derivative_matrix, dim_poly, poly_exponents
 from polyref import (MonomialBasis, cell_quadrature, edge_quadrature,
                      gram_cholesky, gram_matrix, gram_solve)
 
@@ -34,6 +34,18 @@ def test_basis_gradient_finite_difference(rng):
     scale = np.abs(gx).max() + np.abs(gy).max()
     assert np.abs(gx - fx).max() / scale < 1e-7
     assert np.abs(gy - fy).max() / scale < 1e-7
+
+
+def test_derivative_matrix_maps_values_to_gradients(rng):
+    # D_i applied to the monomial values gives the term-by-term derivatives
+    # (without the 1/hT factor) at any point, for every degree up to 8
+    pts = rng.uniform(-1.0, 1.0, (12, 2))
+    for m in range(9):
+        b = MonomialBasis(m, center=[0.0, 0.0], scale=1.0)
+        vals = b.values(pts)
+        for d, grad in enumerate(b.gradients(pts)):
+            assert np.abs(derivative_matrix(m, d) @ vals - grad).max() <= (
+                1e-13 * max(1.0, np.abs(grad).max()))
 
 
 def test_cell_quadrature_unit_square():

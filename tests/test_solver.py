@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdgbrinkman.analysis import project_pressure
 from cdgbrinkman.assembly import assemble_system
@@ -218,6 +218,8 @@ def test_pressure_shift_follows_the_coupling():
 @given(family=st.sampled_from(sorted(MESH_FAMILIES)),
        n=st.integers(3, 6), k=st.sampled_from([1, 2, 3]),
        mu=st.sampled_from([1e-3, 1e-2, 1.0]), a=st.sampled_from([1.0, 1e4]))
+# the float32 pressure block once lost definiteness here (zero pivot)
+@example(family="rect", n=3, k=3, mu=1e-3, a=1.0)
 def test_one_factor_per_solve_across_regimes(family, n, k, mu, a):
     # from the Stokes to the Darcy end, one float32 factor and its
     # refinement reach the residual gate by the stopping rule, and a re-run
@@ -234,6 +236,31 @@ def test_one_factor_per_solve_across_regimes(family, n, k, mu, a):
     again = solve(system)
     assert np.array_equal(sol.u, again.u) and np.array_equal(sol.p, again.p)
     assert sol.stats == again.stats
+
+
+@pytest.mark.parametrize("family", sorted(MESH_FAMILIES))
+@pytest.mark.parametrize("a", [1.0, 1e4])
+def test_one_factor_at_the_regime_corner(family, a):
+    # k = 3 at mu = 1e-3 gives the largest |W|^2 against the pressure
+    # shift; every n of the property test's range, without its draws
+    for n in range(3, 7):
+        disc = Discretization(MESH_FAMILIES[family](n), 3)
+        system = assemble_system(disc, example1(mu=1e-3, a=a))
+        with _counting_factor() as factor:
+            sol = solve(system)
+        assert factor.call_count == 1
+        assert sol.residual <= 1e-9
+
+
+def test_pressure_block_definite_at_a_tenth_of_the_shift(monkeypatch):
+    # G + W^T W is summed in float64, so the pivot block stays definite
+    # with a tenth of the shift; summed in float32, both inputs hit a zero
+    # pivot in the pressure block
+    monkeypatch.setattr(solver, "DELTA", solver.DELTA / 10)
+    for n in (3, 4):
+        disc = Discretization(generate_uniform_rectangular(n), 3)
+        sol = solve(assemble_system(disc, example1(mu=1e-3, a=1.0)))
+        assert sol.residual <= 1e-9
 
 
 def _nudged(S, rng, direction):

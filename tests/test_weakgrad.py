@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cdgbrinkman.mesh import Mesh, generate_uniform_rectangular, generate_uniform_triangular
-from cdgbrinkman.weakgrad import (Discretization, edge_average, normal_jump,
-                                  scalar_jump, target_degree)
+from cdgbrinkman.weakgrad import Discretization, target_degree
 from cdgbrinkman.analysis import project_tensor
 
-from polyref import (MonomialBasis, cell_quadrature, edge_quadrature,
-                     gram_cholesky, gram_solve)
+from polyref import (MonomialBasis, cell_quadrature, edge_average,
+                     edge_quadrature, gram_cholesky, gram_solve, normal_jump,
+                     scalar_jump)
 from conftest import (MESH_FAMILIES, locate, normal_out_of,
                       project_scalar_field, random_polynomial)
 
@@ -61,6 +61,24 @@ def test_cell_bases_orthonormal(family, k):
             gram = (cls.phi * cls.weights[:, None, :]) @ cls.phi.transpose(
                 0, 2, 1)
             assert np.abs(gram - np.eye(cls.dim)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_volume_moments_against_quadrature(family, k):
+    # vx/vy come from the Gram factor; here (d_i phi_a, phi_b) is summed
+    # from polyref's term-by-term derivatives on a rule of exactness 2j + 6
+    disc = Discretization(MESH_FAMILIES[family](4), k)
+    for cell in range(disc.mesh.n_cells):
+        ci, slot, tables = locate(disc, cell)
+        cls = disc.classes[ci]
+        rule = cell_quadrature(disc.mesh.cell_vertices(cell), 2 * cls.j + 6)
+        wphi = tables(rule.points, disc.dim_k) * rule.weights
+        grads = tables(rule.points, cls.dim, grad=True)
+        for vol, grad in zip((cls.vx, cls.vy), grads):
+            ref = grad @ wphi.T
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(vol[slot] - ref).max() <= 1e-11 * scale
 
 
 def test_continuous_field_has_zero_jumps(rng):
