@@ -17,7 +17,8 @@ never forms it: it factors K = [[A, B], [B^T, -S]] and handles the
 constraint in closed form through the coefficients c of the constant
 pressure (K's null vector), which the system carries along with the cell
 centroids.  Each block is one COO build over the Discretization's stacked
-per-shape-class arrays, appended in a fixed order, so repeated runs
+per-shape-class arrays, appended in a fixed order and summed into a
+``CsrMatrix`` by one stable sort of their keys, so repeated runs
 produce bit-identical matrices.
 """
 
@@ -25,10 +26,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "BrinkmanProblem",
+    "CsrMatrix",
     "SaddleSystem",
     "assemble_a",
     "assemble_b",
@@ -116,42 +117,124 @@ def _check_mu(mu):
         raise ValueError(f"viscosity mu must be finite and positive, got {mu}")
 
 
-class _Coo:
-    """Deterministic COO accumulator (fixed append order)."""
+class CsrMatrix:
+    """Sparse matrix in compressed sparse row form.
 
-    def __init__(self):
-        self.rows = []
-        self.cols = []
+    Row i stores the values ``data[indptr[i]:indptr[i + 1]]`` at the
+    ascending columns ``indices[indptr[i]:indptr[i + 1]]``.  ``M @ x`` and
+    ``M.T @ x`` take a vector x.  Where scipy is installed, the same matrix
+    is ``scipy.sparse.csr_matrix((M.data, M.indices, M.indptr), M.shape)``.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = tuple(shape)
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    @property
+    def T(self):
+        return _Transpose(self)
+
+    def row_ids(self):
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        y = np.zeros(self.shape[0])
+        rows = np.flatnonzero(np.diff(self.indptr))  # the nonempty ones
+        if len(rows):
+            prod = np.take(np.asarray(x, float), self.indices)
+            prod *= self.data
+            y[rows] = np.add.reduceat(prod, self.indptr[rows])
+        return y
+
+
+class _Transpose:
+    """M^T, for ``M.T @ x``."""
+
+    def __init__(self, m):
+        self.m = m
+        self.shape = m.shape[::-1]
+
+    def __matmul__(self, x):
+        m = self.m
+        prod = np.repeat(np.asarray(x, float), np.diff(m.indptr))
+        prod *= m.data
+        return np.bincount(m.indices, prod, minlength=m.shape[1])
+
+
+class _Coo:
+    """Deterministic COO accumulator (fixed append order).
+
+    The columns of each added block come in runs of ``run`` consecutive
+    indices that start at a multiple of ``run`` (a cell's DOFs), so each row
+    of a block is kept as a few runs: ``run`` times fewer keys to sort than
+    entries.
+    """
+
+    def __init__(self, shape, run):
+        self.shape = shape
+        self.run = run
+        self.keys = []
         self.vals = []
 
     def add(self, rows, cols, blocks):
         """Stacked blocks (m, a, b) at rows (m, a) x cols (m, b).
 
         Entries with a row or column index of -1 (boundary neighbour slots)
-        are dropped.
+        are dropped.  Each run is kept as its key row * ncols / run +
+        first column / run.
         """
-        r = np.broadcast_to(rows[:, :, None], blocks.shape)
-        c = np.broadcast_to(cols[:, None, :], blocks.shape)
+        d = self.run
+        m, a, b = blocks.shape
+        r = rows[:, :, None]
+        c = cols[:, None, ::d] // d
         keep = (r >= 0) & (c >= 0)
-        self.rows.append(r[keep])
-        self.cols.append(c[keep])
-        self.vals.append(blocks[keep])
+        self.keys.append((r * np.int64(self.shape[1] // d) + c)[keep])
+        self.vals.append(blocks.reshape(m, a, b // d, d)[keep])
 
-    def tocsr(self, shape):
-        if not self.rows:
-            return sp.csr_matrix(shape)
-        m = sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=shape)
-        m = m.tocsr()
+    def tocsr(self):
+        """The CSR matrix of the sum, duplicates summed in append order and
+        exact zeros dropped."""
+        n, ncols = self.shape
+        d = self.run
+        # each list is freed once concatenated, to keep the peak down
+        keys = np.concatenate(self.keys or [np.empty(0, np.int64)])
+        self.keys = None
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.empty(len(keys), bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        # the distinct run that each added run sums into
+        slot = np.empty(len(keys), np.intp)
+        slot[order] = np.cumsum(new) - 1
+        del order
+        keys = keys[new]
+        vals = np.concatenate(self.vals or [np.empty((0, d))])
+        self.vals = None
+        # bincount adds in index order, so duplicates sum in append order
+        sums = np.empty((len(keys), d))
+        for j in range(d):
+            sums[:, j] = np.bincount(slot, vals[:, j], minlength=len(keys))
+        del slot, vals
         # basis moments that vanish on symmetric cells, and duplicates that
         # cancel, sum to exact zeros: fill for the factor, work for a matvec
-        m.eliminate_zeros()
+        nz = np.flatnonzero(sums)
         # roundoff-level entries stay: dropping |D K D| < 1e-12 gives minimum
         # degree a sparser pattern but more fill (rect n=16 k=3: 5.41 M ->
         # 7.21 M, factor 0.29 -> 0.55 s)
-        return m
+        first = np.arange(n + 1) * np.int64(ncols // d)
+        runs = np.searchsorted(keys, first)
+        keys -= np.repeat(first[:-1], np.diff(runs))
+        return CsrMatrix(np.searchsorted(nz, runs * d),
+                         keys[nz // d] * d + nz % d, sums.ravel()[nz],
+                         self.shape)
 
 
 def _matrix_a(disc, problem):
@@ -160,7 +243,8 @@ def _matrix_a(disc, problem):
     _check_mu(mu)
     kv, tensor = problem.kappa_inv_at(disc.cell_points)
     _kappa_range(kv, tensor, disc.cell_points, disc.cell_owner)
-    acc = _Coo()
+    n_u = disc.n_velocity_dofs
+    acc = _Coo((n_u, n_u), disc.dim_k)
     for cls, vel, kc in zip(disc.classes, disc.vel, disc.split(kv)):
         velT = vel.transpose(0, 1, 3, 2)
         visc = mu * (velT[0] @ vel[0] + velT[1] @ vel[1])
@@ -179,8 +263,7 @@ def _matrix_a(disc, problem):
             mass = mu * (vals * (cls.weights * kc)[:, None, :]) @ valsT
             for comp in (0, 1):
                 acc.add(own[:, comp], own[:, comp], mass)
-    n_u = disc.n_velocity_dofs
-    return acc.tocsr((n_u, n_u))
+    return acc.tocsr()
 
 
 def _boundary_data(disc, g):
@@ -219,12 +302,12 @@ def assemble_a(disc, problem):
 
 def assemble_b(disc):
     """Coupling block B[I, alpha] = (phi_I, grad_w~ psi_alpha)."""
-    acc = _Coo()
+    acc = _Coo((disc.n_velocity_dofs, disc.n_pressure_dofs), disc.dim_p)
     for cls, pre in zip(disc.classes, disc.pre):
         cols = disc.columns(cls, disc.pressure_dofs)
         for comp in (0, 1):
             acc.add(disc.velocity_dofs[cls.cells, comp], cols, pre[comp])
-    return acc.tocsr((disc.n_velocity_dofs, disc.n_pressure_dofs))
+    return acc.tocsr()
 
 
 def assemble_s(disc):
@@ -238,7 +321,8 @@ def assemble_s(disc):
     take = disc.jump_points()
     h = disc.mesh.h
     dp = disc.dim_p
-    acc = _Coo()
+    n_p = disc.n_pressure_dofs
+    acc = _Coo((n_p, n_p), dp)
     for cls in disc.classes:
         for g in cls.groups:
             sl = slice(g.start, g.stop)
@@ -254,8 +338,7 @@ def assemble_s(disc):
             acc.add(own, nbr, -mp)
             acc.add(nbr, own, -mp.transpose(0, 2, 1))
             acc.add(nbr, nbr, h * (tp * w) @ tp.transpose(0, 2, 1))
-    n_p = disc.n_pressure_dofs
-    return acc.tocsr((n_p, n_p))
+    return acc.tocsr()
 
 
 def assemble_rhs(disc, problem):
@@ -302,9 +385,9 @@ class SaddleSystem:
     ``centroids`` the cell centroids, which the solver's ordering dissects.
     """
 
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    S: sp.csr_matrix
+    A: CsrMatrix
+    B: CsrMatrix
+    S: CsrMatrix
     m: np.ndarray
     F: np.ndarray
     G: np.ndarray
@@ -318,22 +401,6 @@ class SaddleSystem:
         self.n_cells = len(self.centroids)
         self.n_u = self.A.shape[0]
         self.n_p = self.S.shape[0]
-
-    def matrix(self, constrained=True):
-        """Full symmetric indefinite matrix, CSC for factorization."""
-        if constrained:
-            mc = sp.csc_matrix(self.m[:, None])
-            blocks = [[self.A, self.B, None],
-                      [self.B.T, -self.S, mc],
-                      [None, mc.T, None]]
-        else:
-            blocks = [[self.A, self.B], [self.B.T, -self.S]]
-        return sp.bmat(blocks, format="csc")
-
-    def rhs(self, constrained=True):
-        if constrained:
-            return np.concatenate([self.F, self.G, [0.0]])
-        return np.concatenate([self.F, self.G])
 
 
 def assemble_system(disc, problem):

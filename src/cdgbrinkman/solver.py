@@ -52,8 +52,9 @@ quasi-definite.  With Y = L^{-1} F_12 for the pivot block's factor L, the
 front passes F_22 - Y^T D Y to its parent.  Each front keeps L^{-1}, built
 by blocked inversion, and D Y, so the solve is matrix-vector products.
 Every dense kernel is numpy's (cholesky, inv on small triangular blocks,
-matmul): numpy and scipy each bundle their own OpenBLAS, whose thread
-pools, used in turn, slowed a 200 x 200 front eightfold at two threads.
+matmul), and the package loads no other BLAS: scipy bundles an OpenBLAS of
+its own, and the two thread pools, used in turn, slowed a 200 x 200 front
+eightfold at two threads.
 
 K is factored once, in float32, which halves the factor's memory; the
 residuals, corrections, multiplier and zero-mean step stay in float64.
@@ -85,7 +86,6 @@ rules depend on the values alone, so a re-run is bit-identical.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["Solution", "SolverError", "SingularSystemError", "solve"]
 
@@ -318,8 +318,8 @@ def _extend_add(F, loc, U):
 
 
 def _factor(K, tree):
-    """The numeric phase: the LDL^T factor of K, given in the tree's
-    numbering as CSC, front by front.
+    """The numeric phase: the LDL^T factor of K, given as its lower
+    triangle's entries in the tree's numbering, grouped by front.
 
     Only the lower triangle of a front is formed.  Returns per front
     (start, stop, velocities, update positions, L^{-1} of its pivot block,
@@ -332,11 +332,9 @@ def _factor(K, tree):
         upd, nv, p = tree.update[f], int(tree.n_vel[f]), e - s
         idx = np.concatenate([np.arange(s, e), upd])
         F = np.zeros((len(idx), len(idx)), K.dtype)
-        lo, hi = K.indptr[s], K.indptr[e]
-        r = K.indices[lo:hi]
-        c = np.repeat(np.arange(s, e), np.diff(K.indptr[s:e + 1]))
-        lower = r >= c
-        F[np.searchsorted(idx, r[lower]), c[lower] - s] = K.data[lo:hi][lower]
+        lo, hi = K.cut[f], K.cut[f + 1]
+        F[np.searchsorted(idx, K.rows[lo:hi]), K.cols[lo:hi] - s] = \
+            K.data[lo:hi]
         for child in tree.children[f]:
             cidx, U = pending.pop(child)
             _extend_add(F, np.searchsorted(idx, cidx), U)
@@ -368,6 +366,72 @@ def _factor(K, tree):
     return factors
 
 
+def _scaled_entries(system):
+    """K's entries, each stored once, in COO form: Jacobi-scaled, with the
+    pressure shift on the diagonal.  Returns rows, cols, values and the
+    scaling."""
+    n_u, n_p = system.n_u, system.n_p
+    A, B, S = system.A, system.B, system.S
+    ra, rb, rs = A.row_ids(), B.row_ids(), S.row_ids()
+    on_a, on = ra == A.indices, rs == S.indices  # the stored diagonals
+    d = np.zeros(n_u + n_p)
+    d[ra[on_a]] = np.abs(A.data[on_a])
+    d[n_u + rs[on]] = np.abs(S.data[on])
+    d[d == 0.0] = 1.0
+    scale = 1.0 / np.sqrt(d)
+    # the shift joins S's stored diagonal, and the pressures whose diagonal
+    # S does not store get an entry of their own
+    bare = np.ones(n_p, bool)
+    bare[rs[on]] = False
+    bare = np.flatnonzero(bare) + n_u
+    rows = np.concatenate([ra, rb, B.indices + n_u, rs + n_u, bare])
+    cols = np.concatenate([A.indices, B.indices + n_u, rb, S.indices + n_u,
+                           bare])
+    vals = np.concatenate([A.data, B.data, B.data, -S.data,
+                           np.zeros(len(bare))])
+    vals *= scale[rows] * scale[cols]
+    coupling = np.bincount(B.indices, vals[A.nnz:A.nnz + B.nnz] ** 2, n_p)
+    shift = -DELTA * np.maximum(1.0, coupling)
+    at = A.nnz + 2 * B.nnz
+    vals[at + np.flatnonzero(on)] += shift[S.indices[on]]
+    vals[at + S.nnz:] = shift[bare - n_u]
+    return rows, cols, vals, scale
+
+
+@dataclass
+class _Lower:
+    """K's lower-triangle entries in the tree's numbering, rounded to
+    float32: those of front f, whose pivot range holds their column, are
+    ``rows``, ``cols``, ``data`` at ``cut[f]:cut[f + 1]``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    cut: np.ndarray
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+
+def _by_front(tree, rows, cols, vals):
+    """The ``_Lower`` of K's entries (rows, cols, vals)."""
+    pos = np.argsort(tree.perm)
+    rows, cols = pos[rows], pos[cols]
+    lower = rows >= cols
+    rows, cols = rows[lower], cols[lower]
+    # summed in float64, rounded once
+    vals = vals[lower].astype(np.float32)
+    nf = len(tree.update)
+    front = np.repeat(np.arange(nf), np.diff(tree.start))[cols].astype(
+        np.min_scalar_type(nf))
+    # a stable sort of small ints is a radix sort
+    order = np.argsort(front, kind="stable")
+    cut = np.concatenate([[0], np.cumsum(np.bincount(front, minlength=nf))])
+    return _Lower(rows=rows[order], cols=cols[order], data=vals[order],
+                  cut=cut)
+
+
 def _factor_shifted(system, stats):
     """Float32 factor of the scaled, shifted K.
 
@@ -375,25 +439,11 @@ def _factor_shifted(system, stats):
     float64 correction D (D K D - E)^{-1} D r, with D the Jacobi scaling and
     E the pressure shift, and records the factor's stats.
     """
-    n_u, n_p = system.n_u, system.n_p
-    d = np.abs(np.concatenate([system.A.diagonal(), system.S.diagonal()]))
-    d[d == 0.0] = 1.0
-    scale = 1.0 / np.sqrt(d)
-    A, B, S = system.A.tocoo(), system.B.tocoo(), system.S.tocoo()
-    diag = n_u + np.arange(n_p)
-    rows = np.concatenate([A.row, B.row, B.col + n_u, S.row + n_u, diag])
-    cols = np.concatenate([A.col, B.col + n_u, B.row, S.col + n_u, diag])
-    vals = np.concatenate([A.data, B.data, B.data, -S.data, np.zeros(n_p)])
-    vals *= scale[rows] * scale[cols]
-    coupling = np.bincount(B.col, vals[A.nnz:A.nnz + B.nnz] ** 2, n_p)
-    vals[-n_p:] = -DELTA * np.maximum(1.0, coupling)
+    rows, cols, vals, scale = _scaled_entries(system)
     tree = _analyse(system, rows, cols)
-    pos = np.argsort(tree.perm)
-    n = n_u + n_p
-    # assembled and summed in float64, rounded once
-    K = sp.csc_matrix((vals, (pos[rows], pos[cols])), shape=(n, n)).astype(
-        np.float32, copy=False)
-    size = f"{n} DOFs, {K.nnz} stored entries"
+    size = f"{system.n_u + system.n_p} DOFs, {len(vals)} stored entries"
+    K = _by_front(tree, rows, cols, vals)
+    del rows, cols, vals
     need = 4 * (tree.held + tree.peak)
     avail = _available_bytes()
     if avail is not None and need > avail:

@@ -5,13 +5,16 @@ quadrature rules built on the library's stacked ones, and Gram matrix
 solves by scipy's Cholesky.  The library builds all of these stacked over
 shape classes and never reads the per-cell forms; the tests use them as
 independent references.  Also the pointwise edge average and jumps, the
-symmetry defect of an assembled system and a sampled check of kappa^{-1}.
+symmetry defect of an assembled system and a sampled check of kappa^{-1},
+and the conversions between the library's sparse blocks and scipy's, with
+the full saddle matrix and right-hand side built from them.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from cdgbrinkman.assembly import _kappa_range
+from cdgbrinkman.assembly import CsrMatrix, _kappa_range
 from cdgbrinkman.polyspace import (ConditioningError, dim_poly,
                                    edge_point_count, fan_quadrature,
                                    gauss_segments, monomial_tables,
@@ -155,9 +158,41 @@ def scalar_jump(minus_vals, plus_vals, normal):
     return d[:, None] * normal[None, :]
 
 
+def to_scipy(block):
+    """A ``CsrMatrix`` block as a scipy CSR matrix."""
+    return sp.csr_matrix((block.data, block.indices, block.indptr),
+                         shape=block.shape)
+
+
+def from_scipy(matrix):
+    """A scipy sparse matrix as a ``CsrMatrix``, duplicates summed."""
+    m = sp.csr_matrix(matrix, copy=True)
+    m.sum_duplicates()
+    return CsrMatrix(m.indptr, m.indices, m.data, m.shape)
+
+
+def system_matrix(system, constrained=True):
+    """The full symmetric indefinite matrix of a system, CSC: K bordered by
+    the mean constraint m, or K alone."""
+    A, B, S = map(to_scipy, (system.A, system.B, system.S))
+    if constrained:
+        mc = sp.csc_matrix(system.m[:, None])
+        blocks = [[A, B, None], [B.T, -S, mc], [None, mc.T, None]]
+    else:
+        blocks = [[A, B], [B.T, -S]]
+    return sp.bmat(blocks, format="csc")
+
+
+def system_rhs(system, constrained=True):
+    """The right-hand side [F; G; 0] of a system, or [F; G]."""
+    if constrained:
+        return np.concatenate([system.F, system.G, [0.0]])
+    return np.concatenate([system.F, system.G])
+
+
 def symmetry_defect(system):
     """max |M - M^T| over a system's full constrained matrix."""
-    M = system.matrix()
+    M = system_matrix(system)
     d = (M - M.T).tocoo()
     return float(np.abs(d.data).max()) if d.nnz else 0.0
 

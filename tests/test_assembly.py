@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from cdgbrinkman.assembly import (BrinkmanProblem, assemble_a, assemble_b,
-                                  assemble_mean_constraint, assemble_rhs,
-                                  assemble_s, assemble_system)
+from cdgbrinkman.assembly import (BrinkmanProblem, _Coo, assemble_a,
+                                  assemble_b, assemble_mean_constraint,
+                                  assemble_rhs, assemble_s, assemble_system)
 from cdgbrinkman.analysis import (norm_l2_pressure, norm_l2_velocity,
                                   norm_pressure_jump, norm_triple_bar,
                                   project_pressure, project_velocity)
@@ -16,7 +17,7 @@ from cdgbrinkman.solver import SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
 
 from polyref import (MonomialBasis, cell_quadrature, symmetry_defect,
-                     validate_kappa)
+                     system_matrix, to_scipy, validate_kappa)
 from conftest import locate, normal_out_of
 
 
@@ -34,12 +35,104 @@ TWO_CELLS = Mesh([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]],
                  [[0, 1, 4, 3], [1, 2, 5, 4]])
 
 
+def _random_blocks(rng, shape, sizes, values, run=1):
+    """Stacked blocks for ``_Coo.add``: (m, a) row and (m, b run) column
+    indices, -1 among them, the columns in runs of ``run`` that start at a
+    multiple of it, and (m, a, b run) values drawn from ``values``."""
+    out = []
+    for m, a, b in sizes:
+        rows = rng.integers(-1, shape[0], (m, a))
+        first = rng.integers(-1, shape[1] // run, (m, b, 1))
+        cols = np.where(first >= 0, first * run + np.arange(run), -1)
+        out.append((rows, cols.reshape(m, b * run),
+                    rng.choice(values, (m, a, b * run))))
+    return out
+
+
+def _build(shape, blocks, run):
+    acc = _Coo(shape, run)
+    for rows, cols, vals in blocks:
+        acc.add(rows, cols, vals)
+    return acc.tocsr()
+
+
+def _same(a, b):
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nrows=st.integers(1, 9), ncols=st.integers(1, 4),
+       run=st.integers(1, 3),
+       sizes=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4),
+                                st.integers(1, 3)), max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_csr_build_and_matvecs_match_scipy(nrows, ncols, run, sizes, seed):
+    # few indices give many duplicates, empty rows and sums that cancel;
+    # dyadic values sum exactly in any order, so the pattern and the values
+    # must be scipy's; no blocks at all is the empty accumulator
+    rng = np.random.default_rng(seed)
+    shape = (nrows, ncols * run)
+    blocks = _random_blocks(rng, shape, sizes, [-1.0, -0.5, 0.0, 0.25, 1.0],
+                            run)
+    M = _build(shape, blocks, run)
+    rows, cols, vals = [], [], []
+    for r, c, v in blocks:
+        r, c = np.broadcast_arrays(r[:, :, None], c[:, None, :])
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(v[keep])
+    ref = sp.coo_matrix((np.concatenate([[]] + vals),
+                         (np.concatenate([[]] + rows).astype(int),
+                          np.concatenate([[]] + cols).astype(int))),
+                        shape=shape).tocsr()
+    ref.eliminate_zeros()
+    assert M.shape == shape and M.nnz == ref.nnz
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    assert np.array_equal(M.data, ref.data)
+    x, y = rng.standard_normal(shape[1]), rng.standard_normal(nrows)
+    assert np.allclose(M @ x, ref @ x, rtol=1e-14, atol=1e-14)
+    assert np.allclose(M.T @ y, ref.T @ y, rtol=1e-14, atol=1e-14)
+    # a rebuild, and a build that keys single entries, are bit-identical
+    assert _same(_build(shape, blocks, run), M)
+    assert _same(_build(shape, blocks, 1), M)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4),
+                                st.integers(1, 2)), min_size=1, max_size=4),
+       run=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_csr_sums_duplicates_in_append_order(sizes, run, seed):
+    # values whose sums round: each stored value is the left-to-right sum of
+    # its entries in append order, and exact zeros are dropped
+    rng = np.random.default_rng(seed)
+    shape = (3, 4)
+    blocks = _random_blocks(rng, shape, sizes, [-0.1, 0.1, 1 / 3, -1 / 3, 0.7],
+                            run)
+    sums = {}
+    for rows, cols, vals in blocks:
+        for i, r in enumerate(rows):
+            for a, row in enumerate(r):
+                for b, col in enumerate(cols[i]):
+                    if row >= 0 and col >= 0:
+                        key = (int(row), int(col))
+                        sums[key] = sums.get(key, 0.0) + float(vals[i, a, b])
+    expect = sorted((k, v) for k, v in sums.items() if v != 0.0)
+    M = _build(shape, blocks, run)
+    got = [((int(r), int(c)), float(v))
+           for r, c, v in zip(M.row_ids(), M.indices, M.data)]
+    assert got == expect
+
+
 def test_single_cell_a_is_spd_6x6():
     mesh = generate_uniform_rectangular(1)
     disc = Discretization(mesh, 1)
     A, lift = assemble_a(disc, unit_problem())
     assert A.shape == (6, 6)
-    w = np.linalg.eigvalsh(A.toarray())
+    w = np.linalg.eigvalsh(to_scipy(A).toarray())
     assert w.min() > 0
     assert np.abs(lift).max() == 0.0
 
@@ -47,7 +140,7 @@ def test_single_cell_a_is_spd_6x6():
 def test_two_cell_a_spd_dense_eigen_oracle():
     disc = Discretization(TWO_CELLS, 1)
     A, _ = assemble_a(disc, unit_problem(kappa0=3.0))
-    w = np.linalg.eigvalsh(A.toarray())
+    w = np.linalg.eigvalsh(to_scipy(A).toarray())
     assert w.min() > 0
 
 
@@ -92,7 +185,7 @@ def test_tensor_kappa_mass_couples_components(rng):
     assert lam_min > 0 and lam_max < 4.0
     mesh = generate_uniform_rectangular(2)
     disc = Discretization(mesh, 1)
-    A, _ = assemble_a(disc, problem)
+    A = to_scipy(assemble_a(disc, problem)[0])
     # cross-component block must be present and the matrix SPD
     cross = A[disc.velocity_dofs[0, 0]][:, disc.velocity_dofs[0, 1]].toarray()
     assert np.abs(cross).max() > 0
@@ -198,7 +291,7 @@ def test_s_semidefinite_and_boundary_flag():
     mesh = generate_uniform_rectangular(2)
     disc = Discretization(mesh, 1)
     S = assemble_s(disc)
-    assert np.linalg.eigvalsh(S.toarray()).min() > -1e-13
+    assert np.linalg.eigvalsh(to_scipy(S).toarray()).min() > -1e-13
     # a globally constant pressure has no interior jumps, and boundary
     # edges are not summed
     ones = project_pressure(disc, lambda pts: np.ones(len(pts)))
@@ -291,10 +384,10 @@ def test_unconstrained_system_is_singular():
     mesh = generate_uniform_rectangular(2)
     disc = Discretization(mesh, 1)
     system = assemble_system(disc, unit_problem())
-    M = system.matrix(constrained=False).toarray()
+    M = system_matrix(system, constrained=False).toarray()
     sv = np.linalg.svd(M, compute_uv=False)
     assert sv[-1] < 1e-12 * sv[0]
-    Mc = system.matrix(constrained=True).toarray()
+    Mc = system_matrix(system, constrained=True).toarray()
     svc = np.linalg.svd(Mc, compute_uv=False)
     assert svc[-1] > 1e-12 * svc[0]
 
@@ -303,7 +396,7 @@ def test_full_matrix_symmetric():
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 2)
     system = assemble_system(disc, example1(mu=0.5, a=3.0))
-    M = system.matrix()
+    M = system_matrix(system)
     assert symmetry_defect(system) <= 1e-12 * np.abs(M.data).max()
 
 
@@ -459,7 +552,8 @@ def test_assembly_invariants_on_perturbed_meshes(family, n, k, seed,
         assert np.array_equal(ma.data, mb.data)
     for name in ("F", "G", "m"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert abs(a.A - a.A.T).max() <= 1e-14 * abs(a.A).max()
+    A = to_scipy(a.A)
+    assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
     disc = discs[0]
     sol = solve(a)
     assert norm_l2_velocity(disc, sol.u - project_velocity(disc, problem.u)) \

@@ -17,6 +17,7 @@ from cdgbrinkman.cli import main
 from cdgbrinkman.solver import SingularSystemError, SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
 from conftest import MESH_FAMILIES, refinement_stopped_by_rule
+from polyref import from_scipy, system_matrix, system_rhs, to_scipy
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +50,9 @@ def test_residual_definition_random_rhs(small_setup, rng):
     sysr.G = rng.standard_normal(system.n_p)
     sol = solve(sysr)
     assert sol.residual <= 1e-9
-    M = sysr.matrix()
+    M = system_matrix(sysr)
     x = np.concatenate([sol.u, sol.p, [sol.multiplier]])
-    rhs = sysr.rhs()
+    rhs = system_rhs(sysr)
     assert np.linalg.norm(M @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
@@ -74,8 +75,8 @@ def test_singular_system_structured_error(small_setup):
 
     broken = copy.copy(system)
     keep = sp.diags((np.arange(system.n_u) != 5).astype(float))
-    broken.A = (keep @ system.A @ keep).tocsr()
-    broken.B = (keep @ system.B).tocsr()
+    broken.A = from_scipy(keep @ to_scipy(system.A) @ keep)
+    broken.B = from_scipy(keep @ to_scipy(system.B))
     with pytest.raises(SingularSystemError,
                        match="zero pivot in the velocity block A") as err:
         solve(broken)
@@ -87,7 +88,7 @@ def test_singular_system_structured_error(small_setup):
     # a pressure block that is not negative semidefinite breaks the pressure
     # block's Cholesky factor, which names it
     flipped = copy.copy(system)
-    flipped.S = (system.S - sp.identity(system.n_p)).tocsr()
+    flipped.S = from_scipy(to_scipy(system.S) - sp.identity(system.n_p))
     with pytest.raises(SingularSystemError,
                        match="zero pivot in the pressure block"):
         solve(flipped)
@@ -103,7 +104,7 @@ def test_singular_system_structured_error(small_setup):
 
 def test_unconstrained_nullspace_is_constant_pressure(small_setup):
     disc, _, system = small_setup
-    M = system.matrix(constrained=False)
+    M = system_matrix(system, constrained=False)
     ones = project_pressure(disc, lambda pts: np.ones(len(pts)))
     null = np.concatenate([np.zeros(system.n_u), ones])
     assert np.abs(M @ null).max() < 1e-12
@@ -123,7 +124,7 @@ def test_symmetric_mode_fill_below_colamd(small_setup):
     # mode with a COLAMD column ordering, stores about 1.7x the entries of
     # the multifrontal LDL^T factor L
     _, _, system = small_setup
-    M = system.matrix()
+    M = system_matrix(system)
     d = np.abs(M.diagonal())
     d[d == 0.0] = 1.0
     scale = sp.diags(1.0 / np.sqrt(d))
@@ -141,7 +142,7 @@ def test_ldlt_stores_less_than_superlu_mmd():
     # both counts (4.6 M against 5.4 M)
     disc = Discretization(generate_uniform_rectangular(16), 3)
     system = assemble_system(disc, example1(mu=1.0, a=1e4))
-    K = system.matrix(constrained=False).tocsc()
+    K = system_matrix(system, constrained=False).tocsc()
     d = np.abs(K.diagonal())
     d[d == 0.0] = 1.0
     scale = sp.diags(1.0 / np.sqrt(d))
@@ -172,7 +173,7 @@ def test_float32_factor_refines_to_float64_accuracy(small_setup):
     # float64 refinement step (spsolve alone is off by 1.1e-12 in p here)
     _, _, system = small_setup
     sol = solve(system)
-    M, rhs = system.matrix().tocsc(), system.rhs()
+    M, rhs = system_matrix(system).tocsc(), system_rhs(system)
     x = spla.spsolve(M, rhs)
     x += spla.spsolve(M, rhs - M @ x)
     u, p = x[:system.n_u], x[system.n_u:-1]
@@ -287,7 +288,7 @@ def test_fill_ignores_one_ulp_perturbations(rng):
     fills = []
     for direction in (None, np.inf, -np.inf, np.inf):
         nudged = copy.copy(system)
-        nudged.S = _nudged(system.S, rng, direction)
+        nudged.S = from_scipy(_nudged(to_scipy(system.S), rng, direction))
         sol = solve(nudged)
         assert sol.residual <= 1e-9
         fills.append(sol.stats["nnz_factor"])
@@ -303,7 +304,7 @@ def test_constant_pressure_is_null_vector(triangular):
     c = system.c
     # in orthonormal bases the constant's coefficients are its moments
     assert np.array_equal(c, system.m)
-    K = system.matrix(constrained=False)
+    K = system_matrix(system, constrained=False)
     null = np.concatenate([np.zeros(system.n_u), c])
     assert (np.linalg.norm(K @ null)
             <= 1e-12 * abs(K).max() * np.linalg.norm(c))
@@ -337,7 +338,7 @@ def test_factor_out_of_memory_is_solver_error(small_setup, monkeypatch):
     monkeypatch.setattr(solver, "_factor", _out_of_memory)
     n_p = system.n_p
     stored = (system.A.nnz + 2 * system.B.nnz
-              + (system.S + sp.identity(n_p)).nnz)
+              + (to_scipy(system.S) + sp.identity(n_p)).nnz)
     with pytest.raises(SolverError) as err:
         solve(system)
     assert str(err.value) == (f"out of memory factoring K ({system.n_u + n_p}"
@@ -370,7 +371,7 @@ def test_cli_factor_out_of_memory_exit_1(tmp_path, capsys, monkeypatch):
         example1(mu=0.01, a=1.0))
     n_p = system.n_p
     stored = (system.A.nnz + 2 * system.B.nnz
-              + (system.S + sp.identity(n_p)).nnz)
+              + (to_scipy(system.S) + sp.identity(n_p)).nnz)
     monkeypatch.setattr(solver, "_factor", _out_of_memory)
     code = main(["solve", "--mesh", "rect", "--n", "2", "--out",
                  str(tmp_path)])
