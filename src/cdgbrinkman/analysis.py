@@ -29,7 +29,6 @@ __all__ = [
     "norm_pressure_jump",
     "norm_triple_bar_1",
     "velocity_error_l2",
-    "pressure_error_l2",
     "error_equation_residual",
     "ErrorReport",
     "ConvergenceReport",
@@ -42,43 +41,18 @@ __all__ = [
 # per-cell L2 projections
 # ---------------------------------------------------------------------------
 
-def _cell_values(disc, fn):
-    """``fn`` at every cell quadrature point, split per shape class."""
-    return disc.split(np.asarray(fn(disc.cell_points), dtype=float))
-
-
-def _padded(x):
-    """x with a trailing zero: gathers at the -1 of a boundary slot read 0."""
-    return np.append(x, 0.0)
+def _sample(disc, fn):
+    return np.asarray(fn(disc.cell_points), dtype=float)
 
 
 def project_velocity(disc, u_exact):
     """Projection onto the piecewise [P_k]^2 space, as a global DOF vector."""
-    out = np.zeros(disc.n_velocity_dofs)
-    for cls, uv in zip(disc.classes, _cell_values(disc, u_exact)):
-        rhs = cls.phi[:, :disc.dim_k] @ (cls.weights[..., None] * uv)
-        out[disc.velocity_dofs[cls.cells]] = rhs.transpose(0, 2, 1)
-    return out
+    return disc.cell_moments(_sample(disc, u_exact), disc.dim_k).ravel()
 
 
 def project_pressure(disc, p_exact):
     """Projection onto the piecewise P_{k-1} space."""
-    out = np.zeros(disc.n_pressure_dofs)
-    for cls, pv in zip(disc.classes, _cell_values(disc, p_exact)):
-        rhs = cls.phi[:, :disc.dim_p] @ (cls.weights * pv)[..., None]
-        out[disc.pressure_dofs[cls.cells]] = rhs[..., 0]
-    return out
-
-
-def _tensor_coefficients(disc, grad_exact):
-    """Per-class target-space coefficients (nc, 2, 2, dim_j) of a tensor."""
-    out = []
-    for cls, gv in zip(disc.classes, _cell_values(disc, grad_exact)):
-        nc, nq = cls.weights.shape
-        wg = (cls.weights[..., None] * gv.reshape(nc, nq, 4))
-        coef = cls.phi @ wg
-        out.append(coef.transpose(0, 2, 1).reshape(nc, 2, 2, cls.dim))
-    return out
+    return disc.cell_moments(_sample(disc, p_exact), disc.dim_p).ravel()
 
 
 def project_tensor(disc, grad_exact):
@@ -88,7 +62,8 @@ def project_tensor(disc, grad_exact):
     tensor entry in the cell's weak-gradient basis.
     """
     out = [None] * disc.mesh.n_cells
-    for cls, coef in zip(disc.classes, _tensor_coefficients(disc, grad_exact)):
+    coefs = disc.cell_moments(_sample(disc, grad_exact))
+    for cls, coef in zip(disc.classes, coefs):
         for c, cc in zip(cls.cells, coef):
             out[c] = cc
     return out
@@ -104,19 +79,15 @@ def norm_triple_bar(disc, problem, u):
     Matches a(v, v) of the assembled A block to roundoff.
     """
     kv, tensor = problem.kappa_inv_at(disc.cell_points)
-    up = _padded(u)
-    total = 0.0
-    for cls, vel, kc in zip(disc.classes, disc.vel, disc.split(kv)):
-        vals = cls.values(u[disc.velocity_dofs[cls.cells]])
-        if tensor:
-            quad = np.einsum("cqr,cqrs,cqs->cq", vals, kc, vals)
-        else:
-            quad = kc * (vals ** 2).sum(axis=-1)
-        total += problem.mu * float((cls.weights * quad).sum())
-        for comp in (0, 1):
-            loc = up[disc.columns(cls, disc.velocity_dofs[:, comp])]
-            total += problem.mu * float(((vel @ loc[..., None]) ** 2).sum())
-    return math.sqrt(max(total, 0.0))
+    coef = u[disc.velocity_dofs]
+    vals = disc.cell_values(coef)
+    if tensor:
+        quad = np.einsum("nr,nrs,ns->n", vals, kv, vals)
+    else:
+        quad = kv * (vals ** 2).sum(axis=-1)
+    total = float((disc.cell_weights * quad).sum())
+    total += sum(float((g ** 2).sum()) for g in disc.apply(disc.vel, coef))
+    return math.sqrt(max(problem.mu * total, 0.0))
 
 
 def norm_l2_velocity(disc, u):
@@ -130,7 +101,9 @@ def norm_l2_pressure(disc, p):
 
 
 def _pressure_jump_sq(disc, p, inverse_weight=False):
-    take = disc.jump_points()
+    # each interior edge once, from its minus side
+    take = ((disc.edge_owner == disc.mesh.edge_cells[disc.edge_index, 0])
+            & (disc.edge_twin >= 0))
     q = disc.edge_values(p[disc.pressure_dofs])
     # ||[[q]]||^2 integrates |q_m n + q_p (-n)|^2 = (q_m - q_p)^2
     diff = q[take] - q[disc.edge_twin[take]]
@@ -155,29 +128,15 @@ def norm_triple_bar_1(disc, problem, p):
     if tensor:
         raise NotImplementedError(
             "triple-bar-1 norm supports scalar permeability only")
-    pp = _padded(p)
-    for cls, pre, kc in zip(disc.classes, disc.pre, disc.split(kv)):
-        loc = pp[disc.columns(cls, disc.pressure_dofs)]
-        coef = (pre @ loc[..., None])[..., 0]
-        grad = cls.values(coef.transpose(1, 0, 2))
-        total += float((cls.weights * (grad ** 2).sum(axis=-1) / kc).sum())
+    grad = disc.cell_values(disc.apply(disc.pre, p[disc.pressure_dofs]))
+    total += float((disc.cell_weights * (grad ** 2).sum(axis=-1) / kv).sum())
     return math.sqrt(max(total, 0.0))
 
 
 def velocity_error_l2(disc, u, u_exact):
     """||u_exact - u_h|| by quadrature (not the projected error)."""
-    total = 0.0
-    for cls, ex in zip(disc.classes, _cell_values(disc, u_exact)):
-        vals = cls.values(u[disc.velocity_dofs[cls.cells]])
-        total += float((cls.weights * ((ex - vals) ** 2).sum(axis=-1)).sum())
-    return math.sqrt(max(total, 0.0))
-
-
-def pressure_error_l2(disc, p, p_exact):
-    total = 0.0
-    for cls, ex in zip(disc.classes, _cell_values(disc, p_exact)):
-        vals = cls.values(p[disc.pressure_dofs[cls.cells]])
-        total += float((cls.weights * (ex - vals) ** 2).sum())
+    diff = _sample(disc, u_exact) - disc.cell_values(u[disc.velocity_dofs])
+    total = float((disc.cell_weights * (diff ** 2).sum(axis=-1)).sum())
     return math.sqrt(max(total, 0.0))
 
 
@@ -202,41 +161,28 @@ def error_equation_residual(disc, problem, system, solution):
     per-equation max residuals and the scale max(1, |F|_inf).
     """
     mu = problem.mu
-    n_u, dk, dp = disc.n_velocity_dofs, disc.dim_k, disc.dim_p
     uQ = project_velocity(disc, problem.u)
     pQ = project_pressure(disc, problem.p)
-    gQ = _tensor_coefficients(disc, problem.grad_u)
+    # the projected exact gradient, per class in the target space
+    gQ = disc.cell_moments(_sample(disc, problem.grad_u))
     e = uQ - solution.u
     eps = pQ - solution.p
 
     lhs1 = system.A @ e + system.B @ eps
     lhs2 = system.B.T @ e - system.S @ eps
 
-    rhs1 = np.zeros(n_u)
+    # cell terms: L0 (permeability defect) and L1 (weak-gradient defect)
     kv, tensor = problem.kappa_inv_at(disc.cell_points)
-    lifts = disc.boundary_lifting_rhs(disc.boundary_values(problem.g))
-    up = _padded(uQ)
-
-    # cell terms: L1 (weak-gradient defect) and L0 (permeability defect)
-    for cls, vel, kc, uv, gq, lift in zip(
-            disc.classes, disc.vel, disc.split(kv),
-            _cell_values(disc, problem.u), gQ, lifts):
-        own = disc.velocity_dofs[cls.cells]
-        du = uv - cls.values(uQ[own])
-        kdu = (np.einsum("cqrs,cqs->cqr", kc, du) if tensor
-               else kc[..., None] * du)
-        # L0: (kinv (u - Q_h u), phi)_T
-        rhs1[own] -= mu * (cls.phi[:, :dk] @ (cls.weights[..., None] * kdu)
-                           ).transpose(0, 2, 1)
-        for comp in (0, 1):
-            # L1: (grad_w u - grad_w Q_h u, grad_w phi)_T with grad_w u
-            # realized as the projected exact gradient
-            cols = disc.columns(cls, disc.velocity_dofs[:, comp])
-            grad_q = (vel @ up[cols][..., None])[..., 0]
-            t = gq[:, comp].transpose(1, 0, 2) - grad_q - lift[comp]
-            contrib = (t[:, :, None, :] @ vel)[:, :, 0].sum(axis=0)
-            keep = cols >= 0
-            rhs1 -= mu * np.bincount(cols[keep], contrib[keep], minlength=n_u)
+    uc = uQ[disc.velocity_dofs]
+    du = _sample(disc, problem.u) - disc.cell_values(uc)
+    kdu = np.einsum("nrs,ns->nr", kv, du) if tensor else kv[:, None] * du
+    # L0: (kinv (u - Q_h u), phi)_T
+    rhs1 = -mu * disc.cell_moments(kdu, disc.dim_k).ravel()
+    # L1: (grad_w u - grad_w Q_h u, grad_w phi)_T with grad_w u realized as
+    # the projected exact gradient
+    lifts = disc.lifting(disc.boundary_values(problem.g))
+    t = [q - g - f for q, g, f in zip(gQ, disc.apply(disc.vel, uc), lifts)]
+    rhs1 -= mu * disc.apply_transpose(disc.vel, t).ravel()
 
     # edge terms per half-edge point, owner side; the twin is the other side
     pts, twin, n = disc.edge_points, disc.edge_twin, disc.edge_normal
@@ -244,12 +190,8 @@ def error_equation_residual(disc, problem, system, solution):
     gv = np.asarray(problem.grad_u(pts), dtype=float)
     uv = np.asarray(problem.u(pts), dtype=float)
     pv = np.asarray(problem.p(pts), dtype=float)
-    gq = np.empty_like(gv)
-    for cls, coef in zip(disc.classes, gQ):
-        for g in cls.groups:
-            gq[g.start:g.stop] = np.einsum("crsd,cdq->cqrs", coef[g.slot],
-                                           g.phi).reshape(-1, 2, 2)
-    uq = disc.edge_values(uQ[disc.velocity_dofs])
+    gq = disc.edge_values(gQ)
+    uq = disc.edge_values(uc)
     pq = disc.edge_values(pQ[disc.pressure_dofs])
     # L2: <(grad u - Q grad u) . n_side, v - {v}>; v - {v} = (v - v_other)/2
     # inside, v on the boundary (homogeneous average)
@@ -258,19 +200,12 @@ def error_equation_residual(disc, problem, system, solution):
     l2 = np.where(inner[:, None], 0.5 * (d_own - d_other), d_own)
     # L3: <p - Q p, v . n_side>; L3x: <[[Q p]], {v}> on interior edges
     l3 = n * ((pv - pq) + np.where(inner, 0.5 * (pq - pq[twin]), 0.0))[:, None]
-    w = disc.edge_weights[:, None]
-    vel_dofs = disc.velocity_dofs[disc.edge_owner]
-    rhs1 += np.bincount(vel_dofs.ravel(), (
-        disc.trace_k[:, None, :] * (w * (mu * l2 - l3))[..., None]).ravel(),
-        minlength=n_u)
+    rhs1 += disc.edge_moments(mu * l2 - l3, disc.dim_k).ravel()
     # L4: <(u - Q u) . n_side, q - {q}>; q - {q} = (q - q_other)/2 inside
     du = ((uv - uq) * n).sum(axis=1)
     du_other = -((uv - uq[twin]) * n).sum(axis=1)
     l4 = np.where(inner, 0.5 * (du - du_other), 0.0)
-    rhs2 = np.bincount(disc.pressure_dofs[disc.edge_owner].ravel(),
-                       (disc.trace_k[:, :dp] * (w * l4[:, None])).ravel(),
-                       minlength=disc.n_pressure_dofs)
-    rhs2 -= system.S @ pQ
+    rhs2 = disc.edge_moments(l4, disc.dim_p).ravel() - system.S @ pQ
 
     scale = max(1.0, float(np.abs(system.F).max()))
     return {

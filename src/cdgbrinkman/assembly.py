@@ -14,12 +14,11 @@ assembled blocks are
 and the full matrix, with one Lagrange multiplier enforcing the zero
 pressure mean, is [[A, B, 0], [B^T, -S, m], [0, m^T, 0]].  The solver
 never forms it: it factors K = [[A, B], [B^T, -S]] and handles the
-constraint in closed form through the coefficients c of the constant
-pressure (K's null vector), which the system carries along with the cell
-centroids.  Each block is one COO build over the Discretization's stacked
-per-shape-class arrays, appended in a fixed order and summed into a
-``CsrMatrix`` by one stable sort of their keys, so repeated runs
-produce bit-identical matrices.
+constraint in closed form through the coefficients of the constant
+pressure (K's null vector), which in the orthonormal bases are m itself.
+Each block is one COO build over the Discretization's per-class maps,
+appended in a fixed order and summed into a ``CsrMatrix`` by one stable
+sort of their keys, so repeated runs produce bit-identical matrices.
 """
 
 from dataclasses import dataclass, field
@@ -237,8 +236,13 @@ class _Coo:
                          self.shape)
 
 
-def _matrix_a(disc, problem):
-    """Velocity block A; checks mu and the kappa^{-1} values it evaluates."""
+def assemble_a(disc, problem):
+    """Velocity block A (SPD).
+
+    Raises ValueError for a viscosity that is not finite and positive, and
+    for kappa^{-1} values at the cell quadrature points that are not finite
+    and positive (SPD for a tensor), naming the cell and the point.
+    """
     mu = problem.mu
     _check_mu(mu)
     kv, tensor = problem.kappa_inv_at(disc.cell_points)
@@ -277,68 +281,37 @@ def _boundary_data(disc, g):
 
 def _lifting(disc, mu, g_values):
     """-mu (lift(g), grad_w phi_I): the Dirichlet lifting part of F."""
-    n_u = disc.n_velocity_dofs
-    lift = np.zeros(n_u)
-    moments = disc.boundary_lifting_rhs(g_values)
-    for cls, vel, rhs in zip(disc.classes, disc.vel, moments):
-        for comp in (0, 1):
-            contrib = mu * (rhs[comp][:, :, None, :] @ vel)[:, :, 0].sum(0)
-            idx = disc.columns(cls, disc.velocity_dofs[:, comp])
-            keep = idx >= 0
-            lift -= np.bincount(idx[keep], contrib[keep], minlength=n_u)
-    return lift
+    return -mu * disc.apply_transpose(disc.vel, disc.lifting(g_values)).ravel()
 
 
-def assemble_a(disc, problem):
-    """Velocity block A (SPD) and the boundary-lifting contribution to F.
-
-    Raises ValueError for a viscosity that is not finite and positive, and
-    for kappa^{-1} values at the cell quadrature points that are not finite
-    and positive (SPD for a tensor), naming the cell and the point.
-    """
-    A = _matrix_a(disc, problem)
-    return A, _lifting(disc, problem.mu, _boundary_data(disc, problem.g))
+def _pressure_columns(disc, n_rows, rows, maps):
+    """The block whose rows ``rows[cell, r]`` hold a cell's ``maps[r]``
+    over the pressure DOFs of the cell and its neighbours."""
+    acc = _Coo((n_rows, disc.n_pressure_dofs), disc.dim_p)
+    for cls, mp in zip(disc.classes, maps):
+        cols = disc.columns(cls, disc.pressure_dofs)
+        for r, block in enumerate(mp):
+            acc.add(rows[cls.cells, r], cols, block)
+    return acc.tocsr()
 
 
 def assemble_b(disc):
     """Coupling block B[I, alpha] = (phi_I, grad_w~ psi_alpha)."""
-    acc = _Coo((disc.n_velocity_dofs, disc.n_pressure_dofs), disc.dim_p)
-    for cls, pre in zip(disc.classes, disc.pre):
-        cols = disc.columns(cls, disc.pressure_dofs)
-        for comp in (0, 1):
-            acc.add(disc.velocity_dofs[cls.cells, comp], cols, pre[comp])
-    return acc.tocsr()
+    return _pressure_columns(disc, disc.n_velocity_dofs, disc.velocity_dofs,
+                             disc.pre)
 
 
 def assemble_s(disc):
     """Pressure jump stabilizer S (positive semidefinite).
 
     S sums h <[[psi_b]], [[psi_a]]>_e over the interior edges only, as the
-    consistency argument requires, with h the global mesh size.  A
+    consistency argument requires, with h the global mesh size; a cell's
+    rows are its jump map, as B's are its pressure weak gradient.  A
     constant pressure has no interior jumps, so S c = 0 for its
     coefficients c, which the solver's closed-form multiplier relies on.
     """
-    take = disc.jump_points()
-    h = disc.mesh.h
-    dp = disc.dim_p
-    n_p = disc.n_pressure_dofs
-    acc = _Coo((n_p, n_p), dp)
-    for cls in disc.classes:
-        for g in cls.groups:
-            sl = slice(g.start, g.stop)
-            rows = take[sl].reshape(-1, g.q)[:, 0]
-            w = disc.edge_weights[sl].reshape(-1, 1, g.q)[rows]
-            tm = disc.trace_k[sl, :dp].reshape(-1, g.q, dp)[rows]
-            tm = tm.transpose(0, 2, 1)
-            tp = disc.trace_k[g.twin[rows], :dp].transpose(0, 2, 1)
-            own = disc.pressure_dofs[g.owner[rows]]
-            nbr = disc.pressure_dofs[cls.nbr[g.slot, g.local][rows]]
-            mp = h * (tm * w) @ tp.transpose(0, 2, 1)
-            acc.add(own, own, h * (tm * w) @ tm.transpose(0, 2, 1))
-            acc.add(own, nbr, -mp)
-            acc.add(nbr, own, -mp.transpose(0, 2, 1))
-            acc.add(nbr, nbr, h * (tp * w) @ tp.transpose(0, 2, 1))
-    return acc.tocsr()
+    return _pressure_columns(disc, disc.n_pressure_dofs,
+                             disc.pressure_dofs[:, None], disc.jump_maps())
 
 
 def assemble_rhs(disc, problem):
@@ -354,35 +327,27 @@ def assemble_rhs(disc, problem):
     _check_finite(fv, disc.cell_points, disc.cell_owner, "body force f",
                   "in cell")
     gv = _boundary_data(disc, problem.g)
-    F = _lifting(disc, problem.mu, gv)
-    for cls, fc in zip(disc.classes, disc.split(fv)):
-        load = cls.phi[:, :disc.dim_k] @ (cls.weights[..., None] * fc)
-        F[disc.velocity_dofs[cls.cells]] += load.transpose(0, 2, 1)
+    F = (_lifting(disc, problem.mu, gv)
+         + disc.cell_moments(fv, disc.dim_k).ravel())
     # a boundary half-edge belongs to the edge's minus cell, so its normal
     # is the edge's
-    gn = disc.edge_weights * (gv * disc.edge_normal).sum(axis=1)
-    dp = disc.dim_p
-    G = np.bincount(disc.pressure_dofs[disc.edge_owner].ravel(),
-                    (disc.trace_k[:, :dp] * gn[:, None]).ravel(),
-                    minlength=disc.n_pressure_dofs)
-    return F, G
+    G = disc.edge_moments((gv * disc.edge_normal).sum(axis=1), disc.dim_p)
+    return F, G.ravel()
 
 
 def assemble_mean_constraint(disc):
-    """Vector m with m_alpha = integral of psi_alpha over the domain."""
-    m = np.zeros(disc.n_pressure_dofs)
-    for cls in disc.classes:
-        m[disc.pressure_dofs[cls.cells]] = (
-            cls.phi[:, :disc.dim_p] @ cls.weights[..., None])[..., 0]
-    return m
+    """m_alpha = integral of psi_alpha, also the coefficients of 1."""
+    return disc.cell_moments(np.ones(len(disc.cell_points)),
+                             disc.dim_p).ravel()
 
 
 @dataclass
 class SaddleSystem:
     """Assembled sparse blocks plus the zero-mean pressure constraint.
 
-    ``c`` holds the pressure coefficients of the constant function 1, and
-    ``centroids`` the cell centroids, which the solver's ordering dissects.
+    ``m`` also holds the pressure coefficients of the constant function 1
+    (see :func:`assemble_mean_constraint`), and ``centroids`` the cell
+    centroids, which the solver's ordering dissects.
     """
 
     A: CsrMatrix
@@ -391,7 +356,6 @@ class SaddleSystem:
     m: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    c: np.ndarray
     centroids: np.ndarray
     n_cells: int = field(init=False)
     n_u: int = field(init=False)
@@ -405,12 +369,10 @@ class SaddleSystem:
 
 def assemble_system(disc, problem):
     """Assemble all blocks of the discrete Brinkman saddle system."""
-    A = _matrix_a(disc, problem)
+    A = assemble_a(disc, problem)
     B = assemble_b(disc)
     S = assemble_s(disc)
     F, G = assemble_rhs(disc, problem)
     m = assemble_mean_constraint(disc)
-    # in an orthonormal basis the coefficients of the projection of 1 are
-    # its moments
-    return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G, c=m,
+    return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G,
                         centroids=disc.mesh.cells.centroid)

@@ -93,7 +93,7 @@ class CellLocator:
         idx = np.clip((rel * self.nb).astype(int), 0, self.nb - 1)
         return idx[..., 0], idx[..., 1]
 
-    def locate_all(self, points, tol=1e-12):
+    def locate_all(self, points):
         """Cell index per point (n,), -1 where no cell contains it.
 
         Candidates are tried in bucket order, so ties resolve to the first.
@@ -110,19 +110,21 @@ class CellLocator:
             rel = points[todo, None, :] - pts
             cross = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
             scale = np.abs(edge).sum(axis=-1)
-            # CCW polygon: inside iff every cross product is >= -tol
-            inside = np.all(cross >= -tol * np.maximum(scale, 1.0), axis=1)
+            # CCW polygon: inside iff no cross product falls below -1e-12
+            # times the edge's scale (at least 1)
+            inside = np.all(cross >= -1e-12 * np.maximum(scale, 1.0), axis=1)
             out[todo[inside]] = c[inside]
         return out
 
-    def locate(self, point, tol=1e-12):
+    def locate(self, point):
         """Index of a cell containing ``point`` (ties resolved to the first)."""
-        c = int(self.locate_all(np.asarray(point, dtype=float)[None], tol)[0])
+        c = int(self.locate_all(np.asarray(point, dtype=float)[None])[0])
         return None if c < 0 else c
 
 
-def write_lattice_csv(path, disc, u, p, resolution=128):
-    """Sample u1, u2, p on a uniform lattice of cell-center points.
+def write_lattice_csv(path, disc, u, p, resolution):
+    """Sample u1, u2, p on a resolution x resolution lattice of cell-center
+    points.
 
     Columns: x, y, u1, u2, p.  Points falling outside every cell (possible
     only for non-covering meshes) are skipped.

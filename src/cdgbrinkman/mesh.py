@@ -185,8 +185,9 @@ class Mesh:
     def validate(self):
         """Check the structural invariants; raise MeshValidationError.
 
-        Besides simple cells and unit normals, the mesh must be conforming:
-        every boundary edge lies on the bounding box and V - E + F = 1.
+        Besides simple cells, star-shaped about their centroids, and unit
+        normals, the mesh must be conforming: every boundary edge lies on
+        the bounding box and V - E + F = 1.
         Each message names the lowest-index offending cell or edge.
         """
         count = np.bincount(self.cell_edge_ids)
@@ -198,15 +199,22 @@ class Mesh:
             raise MeshValidationError(
                 f"edge ({v0}, {v1}) is shared by more than two cells "
                 f"({cells[0]}, {cells[1]}, {cells[2]})")
+        star = "is not star-shaped about its centroid"
         faults = {"repeats a vertex": [], "has <3 edges": [],
-                  "self-intersects": []}
+                  "self-intersects": [], star: []}
         for ne, cells, pos in self.shape_classes():
             loops = self.cell_vertex_ids[pos]
+            pts, geo = self.vertices[loops], self.cells[cells]
             repeats = (np.diff(np.sort(loops, axis=1), axis=1) == 0).any(axis=1)
             faults["repeats a vertex"].append(cells[repeats])
             faults["has <3 edges"].append(cells if ne < 3 else cells[:0])
-            faults["self-intersects"].append(
-                cells[_sides_cross(self.vertices[loops])])
+            faults["self-intersects"].append(cells[_sides_cross(pts)])
+            # the cell quadrature fans the cell from its centroid; a fan
+            # triangle of no or negative area would cover the wrong region
+            e, b = np.roll(pts, -1, axis=1) - pts, geo.centroid[:, None] - pts
+            fan = 0.5 * (e[..., 0] * b[..., 1] - e[..., 1] * b[..., 0])
+            faults[star].append(cells[(
+                fan < 1e-14 * geo.diameter[:, None] ** 2).any(axis=1)])
         for fault, cells in faults.items():
             cells = np.concatenate(cells)
             if len(cells):
@@ -446,7 +454,7 @@ def save_mesh(mesh, path):
             f.write(" ".join(map(str, ids.tolist())) + "\n")
 
 
-def load_mesh(path, labeled_h=None):
+def load_mesh(path):
     """Read a mesh file; clockwise cells are re-oriented with a warning."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -501,4 +509,4 @@ def load_mesh(path, labeled_h=None):
                           stacklevel=2)
             ids = ids[::-1]
         cells.append(ids)
-    return Mesh(verts, cells, labeled_h=labeled_h)
+    return Mesh(verts, cells)

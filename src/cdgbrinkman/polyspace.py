@@ -97,33 +97,19 @@ def _duffy_reference(exactness):
     return XI.ravel(), (XI * ETA).ravel(), WA.ravel() * XI.ravel()
 
 
-def fan_quadrature(vertices, exactness):
-    """Fan rules on a stack of simple CCW polygons with one vertex count.
+def fan_quadrature(vertices, centroids, exactness):
+    """Fan rules on a stack of CCW polygons with one vertex count.
 
-    ``vertices`` has shape (m, n, 2).  Each polygon is fanned into the n
-    triangles (v_i, v_i+1, centroid) and the reference rule is mapped onto
-    each; returns points (m, n * nt, 2) and weights (m, n * nt), triangle by
-    triangle.  A degenerate sub-triangle (area < 1e-14 * hT^2) raises
-    ValueError naming the polygon's row and vertex.
+    ``vertices`` has shape (m, n, 2) and ``centroids`` (m, 2).  Each polygon
+    is fanned into the n triangles (v_i, v_i+1, centroid) and the reference
+    rule is mapped onto each; returns points (m, n * nt, 2) and weights
+    (m, n * nt), triangle by triangle.  The rule covers the polygon only if
+    it is star-shaped about its centroid, which ``Mesh.validate`` checks.
     """
     pts = np.asarray(vertices, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
-    cross = x * yn - xn * y
-    area2 = cross.sum(axis=-1)
-    c = np.stack([((x + xn) * cross).sum(axis=-1) / (3.0 * area2),
-                  ((y + yn) * cross).sum(axis=-1) / (3.0 * area2)], axis=-1)
-    diam2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(-1)
     v1 = np.roll(pts, -1, axis=1)
     e1 = v1 - pts
-    e2 = c[:, None, :] - v1
-    b = c[:, None, :] - pts
-    tri_area = 0.5 * np.abs(e1[..., 0] * b[..., 1] - e1[..., 1] * b[..., 0])
-    bad = tri_area < 1e-14 * diam2.max(axis=(1, 2))[:, None]
-    if bad.any():
-        m, i = np.argwhere(bad)[0]
-        raise ValueError(f"degenerate fan triangle at polygon vertex {i} "
-                         f"(row {m}, area {tri_area[m, i]:g})")
+    e2 = np.asarray(centroids, dtype=float)[:, None, :] - v1
     xi, xe, wr = _duffy_reference(exactness)
     points = (pts[:, :, None, :] + xi[:, None] * e1[:, :, None, :]
               + xe[:, None] * e2[:, :, None, :])

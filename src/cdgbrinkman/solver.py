@@ -6,7 +6,8 @@ The discrete problem is the bordered system
 
 whose last row fixes the pressure's constant mode by its zero mean.  The
 solver never forms it.  Let c hold the pressure coefficients of the
-constant function 1 (``SaddleSystem.c``).  Then B c = 0, and S c = 0
+constant function 1; in the orthonormal cell bases these are its moments,
+so c = m.  Then B c = 0, and S c = 0
 because S sums pressure jumps over interior edges only, where a constant
 has none; so [0; c] spans the null space of K = [[A, B], [B^T, -S]].
 Dotting the pressure rows with c gives the multiplier in closed form,
@@ -492,8 +493,8 @@ def _matvec(system, x):
 
 def _zero_mean(system, x):
     """x moved along [0; c] to zero pressure mean m^T p, in place."""
-    p = x[system.n_u:]
-    p -= (float(system.m @ p) / float(system.m @ system.c)) * system.c
+    p, m = x[system.n_u:], system.m
+    p -= (float(m @ p) / float(m @ m)) * m
     return x
 
 
@@ -558,9 +559,9 @@ def solve(system, rtol=1e-9):
     count and K's stored entries, when the factor will not fit in the
     available memory or runs out of it.
     """
-    m, c, G = system.m, system.c, system.G
+    m, G = system.m, system.G
     stats = {"ordering": "cell-nested-dissection", "regularization": DELTA}
-    lam = float(c @ G) / float(c @ m)
+    lam = float(m @ G) / float(m @ m)
     g = G - lam * m
     # the residuals are relative, or absolute for a zero right-hand side
     rhs_norm = float(np.hypot(np.linalg.norm(system.F),

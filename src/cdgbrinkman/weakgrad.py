@@ -83,6 +83,21 @@ def _trisolve(L, B):
     return X
 
 
+def _values(coef, phi):
+    """Values (nc nq, ...) of coefficients (nc, ..., d) of tables phi."""
+    return np.einsum("c...d,cdq->cq...", coef, phi[:, :coef.shape[-1]]
+                     ).reshape((-1,) + coef.shape[1:-1])
+
+
+def _sum_rows(owner, rows, n):
+    """Sums (n, m, d) of rows (P, m, d) by owner (P,; -1 drops a row)."""
+    _, m, d = rows.shape
+    owner = np.where(owner >= 0, owner, n)[:, None, None]
+    index = (owner * m + np.arange(m)[:, None]) * d + np.arange(d)
+    out = np.bincount(index.ravel(), rows.ravel(), minlength=(n + 1) * m * d)
+    return out.reshape(n + 1, m, d)[:n]
+
+
 def _cholesky(gram, cells, degree):
     """Stacked Cholesky factors; a failure names the first failing cell."""
     try:
@@ -117,12 +132,11 @@ class ShapeClass:
     ``positions`` (nc, ne) locate the cells' loops in the mesh's CSR
     arrays (see ``Mesh.shape_classes``).  Per cell, along the first axis:
     ``edges``, ``nbr`` (the neighbour across each local edge, -1 on the
-    boundary) and outward ``normals``;
-    quadrature ``points`` (nc, nq, 2; a view of the flat
-    ``Discretization.cell_points``) and ``weights``; the lower-triangular
-    ``transform`` (nc, dim, dim), the inverse of the cells' monomial Gram
-    Cholesky factors, which maps the scaled monomials of degree ``j`` to
-    the orthonormal basis; its values ``phi`` (nc, dim, nq); and the
+    boundary) and outward ``normals``; quadrature ``points`` (nc, nq, 2)
+    and ``weights`` (nc, nq), views of the flat ``cell_points`` and
+    ``cell_weights``; the lower-triangular ``transform`` (nc, dim, dim),
+    the inverse of the cells' monomial Gram Cholesky factors, which maps
+    the scaled monomials of degree ``j`` to the orthonormal basis; its values ``phi`` (nc, dim, nq); and the
     volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b),
     ``transform @ D_i @ L[..., :dim_k] / h`` with L the Gram Cholesky
     factor and D_i the monomials' derivative matrix (see the module
@@ -143,7 +157,8 @@ class ShapeClass:
                         * mesh.edge_normals[self.edges])
         verts = mesh.vertices[mesh.cell_vertex_ids[positions]]
         self.points, self.weights = fan_quadrature(
-            verts, 2 * self.j + disc.cell_exactness_bump)
+            verts, mesh.cells.centroid[cells],
+            2 * self.j + disc.cell_exactness_bump)
         scale = mesh.cells.diameter[cells][:, None, None]
         local = (self.points - mesh.cells.centroid[cells][:, None, :]) / scale
         raw = monomial_tables(local, self.j)
@@ -158,15 +173,6 @@ class ShapeClass:
             self.transform @ (derivative_matrix(self.j, d) @ lk)
             for d in (0, 1))
         self.groups = []
-
-    def values(self, coef):
-        """Values at the quadrature points of per-cell coefficients.
-
-        ``coef`` has shape (nc, ..., d) for the leading d basis functions;
-        the result has shape (nc, nq, ...).
-        """
-        return np.einsum("c...d,cdq->cq...", coef,
-                         self.phi[:, :coef.shape[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +196,14 @@ class Discretization:
     trace) weak gradients, and
     ``velocity_dofs`` (n_cells, 2, dim_k) / ``pressure_dofs`` (n_cells,
     dim_p) each cell's DOF indices.  Flat arrays over all cell quadrature
-    points: ``cell_points``, ``cell_owner``; over all half-edge points:
-    ``edge_points``, ``edge_weights``, ``edge_owner``, ``edge_normal`` (out
-    of the owner), ``edge_index``, ``edge_twin`` and ``trace_k``.
+    points: ``cell_points``, ``cell_weights``, ``cell_owner``; over all
+    half-edge points: ``edge_points``, ``edge_weights``, ``edge_owner``,
+    ``edge_normal`` (out of the owner), ``edge_index``, ``edge_twin`` and
+    ``trace_k``.
+
+    Assembly and analysis read the classes through the kernels
+    :meth:`cell_moments`, :meth:`cell_values`, :meth:`edge_moments`,
+    :meth:`edge_values`, :meth:`apply` and :meth:`apply_transpose`.
     """
 
     def __init__(self, mesh, k, cell_exactness_bump=2, edge_exactness_bump=2):
@@ -210,12 +221,16 @@ class Discretization:
         self.classes = [ShapeClass(self, *cls) for cls in mesh.shape_classes()]
         self.cell_points = np.concatenate(
             [c.points.reshape(-1, 2) for c in self.classes])
+        self.cell_weights = np.concatenate(
+            [c.weights.ravel() for c in self.classes])
         self.cell_owner = np.concatenate(
             [np.repeat(c.cells, c.weights.shape[1]) for c in self.classes])
         self._split = np.cumsum([c.weights.size for c in self.classes])[:-1]
-        # one copy of the points: the classes keep views of the flat array
-        for cls, points in zip(self.classes, self.split(self.cell_points)):
-            cls.points = points
+        # one copy of the points and weights: the classes keep views
+        for cls, points, weights in zip(self.classes,
+                                        self.split(self.cell_points),
+                                        self.split(self.cell_weights)):
+            cls.points, cls.weights = points, weights
         # shared edge rules: exactness covers both incident target degrees
         cell_j = np.empty(n, dtype=np.int64)
         for cls in self.classes:
@@ -281,7 +296,7 @@ class Discretization:
             g.nbr_m = wphi @ nbr
         self.edge_twin = np.concatenate([g.twin.ravel() for g in groups])
 
-    # -- weak-gradient maps --------------------------------------------------
+    # -- weak-gradient and jump maps ------------------------------------------
 
     def weak_gradient(self, field, target, boundary):
         """Per-class maps of one scalar weak-gradient operator (cached).
@@ -302,16 +317,23 @@ class Discretization:
                                for cls in self.classes]
         return self._maps[key]
 
+    def _edge_blocks(self, cls, df, dt, inner, boundary, across):
+        """Per local edge (nc, ne, dt, df): ``own_m`` times ``inner`` on
+        interior and ``boundary`` on boundary edges, ``nbr_m`` times
+        ``across``."""
+        own = np.zeros((len(cls.cells), cls.ne, dt, df))
+        nbr = np.zeros_like(own)
+        for g in cls.groups:
+            fac = np.where((g.twin[:, :1] >= 0)[..., None], inner, boundary)
+            own[g.slot, g.local] = fac * g.own_m[:, :dt, :df]
+            nbr[g.slot, g.local] = across * g.nbr_m[:, :dt, :df]
+        return own, nbr
+
     def _class_maps(self, cls, df, dt, boundary):
         nc, ne = len(cls.cells), cls.ne
         dt = cls.dim if dt is None else dt
-        own = np.zeros((nc, ne, dt, df))
-        nbr = np.zeros((nc, ne, dt, df))
-        for g in cls.groups:
-            inner = (g.twin[:, :1] >= 0)[..., None]
-            fac = np.where(inner, 0.5, 1.0 if boundary == "natural" else 0.0)
-            own[g.slot, g.local] = fac * g.own_m[:, :dt, :df]
-            nbr[g.slot, g.local] = 0.5 * g.nbr_m[:, :dt, :df]
+        own, nbr = self._edge_blocks(
+            cls, df, dt, 0.5, 1.0 if boundary == "natural" else 0.0, 0.5)
         B = np.zeros((2, nc, dt, ne + 1, df))
         for d, vol in enumerate((cls.vx, cls.vy)):
             B[d, :, :, 0] = -vol[:, :dt, :df]
@@ -321,20 +343,140 @@ class Discretization:
                 B[d, :, :, i + 1] = n * nbr[:, i]
         return B.reshape(2, nc, dt, -1)
 
+    def jump_maps(self):
+        """Per-class maps (1, nc, dp, (1 + ne) dp), laid out as
+        :meth:`weak_gradient`'s: each cell's rows of the stabilizer S.
+
+        Row a of cell T is sum_e h <[[q]], [[psi_a]]>_e over T's interior
+        edges.  [[psi_a]] . [[psi_b]] is psi_a psi_b within a cell and
+        -psi_a psi_b across an edge: the leading dp x dp of the edge
+        moments, scaled by h before the edges are summed."""
+        dp, h = self.dim_p, self.mesh.h
+        out = []
+        for cls in self.classes:
+            own, nbr = self._edge_blocks(cls, dp, dp, h, 0.0, -h)
+            blocks = np.concatenate([own.sum(axis=1, keepdims=True), nbr],
+                                    axis=1)
+            out.append(blocks.transpose(0, 2, 1, 3).reshape(
+                1, len(cls.cells), dp, -1))
+        return out
+
+    def _slots(self, cls):
+        """Each cell of a class, then its neighbours (-1 on the boundary)."""
+        return np.column_stack([cls.cells, cls.nbr])
+
     def columns(self, cls, table):
         """DOF columns of a class's maps: (nc, (1 + n) d), -1 on boundaries.
 
         ``table`` (n_cells, d) holds each cell's DOF indices, e.g.
         ``velocity_dofs[:, comp]`` or ``pressure_dofs``.
         """
-        slots = np.column_stack([cls.cells, cls.nbr])
+        slots = self._slots(cls)
         cols = np.where(slots[..., None] >= 0, table[slots], -1)
         return cols.reshape(len(slots), -1)
+
+    def apply(self, maps, coef):
+        """Products of per-class maps (r, nc, dt, (1 + ne) df), such as
+        ``vel``, ``pre`` or :meth:`jump_maps`, with coefficients (n_cells,
+        ..., df) in DOF layout, e.g. ``u[velocity_dofs]``, boundary slots
+        reading zero: per class (nc, ..., r, dt)."""
+        coef = np.asarray(coef, dtype=float)
+        padded = np.concatenate([coef, np.zeros((1,) + coef.shape[1:])])
+        out = []
+        for cls, mp in zip(self.classes, maps):
+            loc = np.moveaxis(padded[self._slots(cls)], 1, -2)
+            shape = loc.shape[:-2] + mp.shape[:1] + mp.shape[2:3]
+            loc = loc.reshape(len(loc), -1, 1, mp.shape[-1], 1)
+            out.append((np.moveaxis(mp, 1, 0)[:, None] @ loc).reshape(shape))
+        return out
+
+    def apply_transpose(self, maps, coef):
+        """The transpose of :meth:`apply`: per-class (nc, ..., r, dt) to
+        (n_cells, ..., df), summed over the maps that read each cell."""
+        owners, rows = [], []
+        for cls, mp, c in zip(self.classes, maps, coef):
+            r, nc, dt, _ = mp.shape
+            prod = (c.reshape(nc, -1, r, dt).transpose(2, 0, 1, 3) @ mp).sum(0)
+            m, slots = prod.shape[1], self._slots(cls)
+            rows.append(prod.reshape(nc, m, cls.ne + 1, -1)
+                        .transpose(0, 2, 1, 3).reshape(slots.size, m, -1))
+            owners.append(slots.ravel())
+        out = _sum_rows(np.concatenate(owners), np.concatenate(rows),
+                        self.mesh.n_cells)
+        return out.reshape(out.shape[:1] + c.shape[1:-2] + out.shape[-1:])
+
+    # -- cell and edge kernels ------------------------------------------------
 
     def split(self, values):
         """Per-class (nc, nq, ...) views of values at ``cell_points``."""
         return [v.reshape(c.weights.shape + values.shape[1:])
                 for c, v in zip(self.classes, np.split(values, self._split))]
+
+    def cell_moments(self, values, d=None):
+        """Moments of values (n_points, ...) at ``cell_points`` against each
+        cell's leading d <= dim_k basis functions, (n_cells, ..., d) in DOF
+        layout: the coefficients of the L2 projection.  With d None, per
+        class (nc, ..., dim_j) against the degree-j target basis of ``vel``.
+        """
+        values = np.asarray(values, dtype=float)
+        moments = []
+        for cls, v in zip(self.classes, self.split(values)):
+            nc, nq = cls.weights.shape
+            m = cls.phi[:, :d] @ (cls.weights[..., None]
+                                  * v.reshape(nc, nq, -1))
+            moments.append(m.transpose(0, 2, 1).reshape(
+                (nc,) + values.shape[1:] + (-1,)))
+        if d is None:
+            return moments
+        out = np.empty((self.mesh.n_cells,) + values.shape[1:] + (d,))
+        for cls, m in zip(self.classes, moments):
+            out[cls.cells] = m
+        return out
+
+    def cell_values(self, coef):
+        """Values (n_points, ...) at ``cell_points`` of the coefficients of
+        each cell's leading d basis functions: (n_cells, ..., d) in DOF
+        layout, or a per-class list of (nc, ..., d) as :meth:`apply` and
+        :meth:`cell_moments` return."""
+        if not isinstance(coef, list):
+            coef = [coef[cls.cells] for cls in self.classes]
+        return np.concatenate([_values(c, cls.phi)
+                               for cls, c in zip(self.classes, coef)])
+
+    def edge_values(self, coef):
+        """Owner-side values (n_points, ...) at every half-edge point of
+        coefficients as for :meth:`cell_values` (at most dim_k in DOF
+        layout)."""
+        if not isinstance(coef, list):
+            return np.einsum("n...d,nd->n...", coef[self.edge_owner],
+                             self.trace_k[:, :coef.shape[-1]])
+        out = np.empty((len(self.edge_points),) + coef[0].shape[1:-1])
+        for cls, c in zip(self.classes, coef):
+            for g in cls.groups:
+                out[g.start:g.stop] = _values(c[g.slot], g.phi)
+        return out
+
+    def edge_moments(self, values, d=None):
+        """Moments of values (n_points, ...) at the half-edge points against
+        the owners' basis, summed over each cell's boundary; laid out as
+        :meth:`cell_moments` returns them for the same d."""
+        values = np.asarray(values, dtype=float)
+        wv = (self.edge_weights.reshape((-1,) + (1,) * (values.ndim - 1))
+              * values).reshape(len(values), -1)
+        if d is not None:
+            out = _sum_rows(self.edge_owner,
+                            self.trace_k[:, None, :d] * wv[..., None],
+                            self.mesh.n_cells)
+            return out.reshape(out.shape[:1] + values.shape[1:] + (d,))
+        moments = []
+        for cls in self.classes:
+            m = np.zeros((len(cls.cells), cls.dim, wv.shape[1]))
+            for g in cls.groups:
+                np.add.at(m, g.slot, g.phi @ wv[g.start:g.stop].reshape(
+                    len(g.slot), g.q, -1))
+            moments.append(m.transpose(0, 2, 1).reshape(
+                m.shape[:1] + values.shape[1:] + (-1,)))
+        return moments
 
     def boundary_values(self, fn):
         """``fn`` at the boundary half-edge points; zero at interior ones."""
@@ -344,52 +486,14 @@ class Discretization:
         out[bnd] = vals
         return out
 
-    def boundary_lifting_rhs(self, g_values):
-        """<g_comp, eta n_i> over each cell's boundary edges, per class.
-
-        ``g_values`` holds the Dirichlet data at the half-edge points (see
-        :meth:`boundary_values`).  Returns arrays (comp, i, nc, dim_j).  This
-        is the inhomogeneous part of the velocity weak gradient: the full
-        operator applied to a field with Dirichlet trace g decomposes as the
-        homogeneous operator plus this vector, the coefficients of the
-        lifting in the orthonormal target basis.
-        """
-        out = []
-        for cls in self.classes:
-            rhs = np.zeros((2, 2, len(cls.cells), cls.dim))
-            for g in cls.groups:
-                bnd = g.twin[:, 0] < 0
-                if not bnd.any():
-                    continue
-                wg = g.weights[..., None] * g_values[g.start:g.stop].reshape(
-                    -1, g.q, 2)
-                m = g.phi[bnd] @ wg[bnd]
-                n = g.normal[bnd]
-                for comp in (0, 1):
-                    for i in (0, 1):
-                        np.add.at(rhs[comp, i], g.slot[bnd],
-                                  n[:, i, None] * m[:, :, comp])
-            out.append(rhs)
-        return out
-
-    def jump_points(self):
-        """Mask of the half-edge points of the edge-jump sums.
-
-        It visits each interior edge once, from its minus side; boundary
-        edges carry no jump term.
-        """
-        return ((self.edge_owner == self.mesh.edge_cells[self.edge_index, 0])
-                & (self.edge_twin >= 0))
-
-    def edge_values(self, coef):
-        """Owner-side values at every half-edge point.
-
-        ``coef`` (n_cells, ..., d) holds per-cell coefficients of the leading
-        d <= dim_k basis functions; the result has shape (n_points, ...).
-        """
-        d = coef.shape[-1]
-        return np.einsum("n...d,nd->n...", coef[self.edge_owner],
-                         self.trace_k[:, :d])
+    def lifting(self, g_values):
+        """lift(g), laid out as ``apply(vel, ...)``, of Dirichlet data g at
+        the half-edge points (see :meth:`boundary_values`): its moments are
+        <g_comp, eta n_i> over each cell's boundary edges, and the velocity
+        weak gradient of a field with trace g is the homogeneous one plus
+        lift(g)."""
+        return self.edge_moments(g_values[:, :, None]
+                                 * self.edge_normal[:, None, :])
 
     # -- DOF layout -----------------------------------------------------------
 

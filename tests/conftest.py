@@ -50,6 +50,25 @@ def random_polynomial(degree, rng, scale=1.0):
     return value, grad
 
 
+# the x of the notch's inner edge at which the C-shaped cell's centroid lies
+# on that edge's line
+NOTCH_ON_CENTROID = 0.4721359549993876
+
+
+def notched_square(x):
+    """Vertices and loops of the unit square cut into a C-shaped cell 0
+    and the notch 1 that fills it, the notch's inner edge at ``x``.
+
+    The C-shaped cell is not star-shaped about its centroid: at y = 0.5,
+    the centroid sees the notch's top and bottom edges from outside the
+    cell.  At x = 0.3 the centroid lies in the notch; at x =
+    NOTCH_ON_CENTROID it lies on the line of the notch's inner edge.
+    """
+    verts = [[0, 0], [1, 0], [1, 0.4], [x, 0.4], [x, 0.6], [1, 0.6], [1, 1],
+             [0, 1]]
+    return verts, [[0, 1, 2, 3, 4, 5, 6, 7], [3, 2, 5, 4]]
+
+
 def normal_out_of(mesh, edge, cell):
     """Unit normal of ``edge`` pointing out of ``cell``, one of its cells."""
     minus, plus = mesh.edge_cells[edge]

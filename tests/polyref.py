@@ -76,13 +76,21 @@ class QuadratureRule:
 
 
 def cell_quadrature(vertices, exactness):
-    """Quadrature on a simple CCW polygon, exact for degree <= exactness.
+    """Quadrature on a CCW polygon, star-shaped about its area centroid,
+    exact for degree <= exactness.
 
-    The polygon is fanned into triangles from its area centroid (see
-    :func:`fan_quadrature`); a degenerate sub-triangle raises ValueError.
+    The polygon is fanned into triangles from its centroid, computed by the
+    formula ``Mesh`` uses (see :func:`fan_quadrature`).
     """
-    pts, wts = fan_quadrature(np.asarray(vertices, dtype=float)[None],
-                              exactness)
+    pts = np.asarray(vertices, dtype=float)[None]
+    x, y = pts[..., 0], pts[..., 1]
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    cross = x * yn - xn * y
+    area2 = cross.sum(axis=1)
+    centroid = np.column_stack(
+        [((x + xn) * cross).sum(axis=1) / (3.0 * area2),
+         ((y + yn) * cross).sum(axis=1) / (3.0 * area2)])
+    pts, wts = fan_quadrature(pts, centroid, exactness)
     return QuadratureRule(pts[0], wts[0])
 
 
@@ -156,6 +164,33 @@ def scalar_jump(minus_vals, plus_vals, normal):
     """[[q]] = q_minus n + q_plus (-n), a vector per edge point."""
     d = minus_vals if plus_vals is None else minus_vals - plus_vals
     return d[:, None] * normal[None, :]
+
+
+def jump_stabilizer(disc, tables):
+    """Dense S = sum over interior edges e of h <[[psi_b]], [[psi_a]]>_e.
+
+    Each pressure basis function's jump is taken point by point with
+    :func:`scalar_jump` at an edge Gauss rule of its own; ``tables(cell,
+    points, dim)`` gives the leading ``dim`` basis functions of ``cell`` at
+    ``points``, and h is the global mesh size.
+    """
+    mesh, dp = disc.mesh, disc.dim_p
+    S = np.zeros((disc.n_pressure_dofs, disc.n_pressure_dofs))
+    for e in mesh.interior_edge_ids:
+        minus, plus = mesh.edge_cells[e]
+        rule = edge_quadrature(*mesh.vertices[mesh.edge_vertices[e]], 2 * dp)
+        n = mesh.edge_normals[e]
+        jumps, dofs = [], []
+        for cell, side in ((minus, 0), (plus, 1)):
+            for a, vals in enumerate(tables(cell, rule.points, dp)):
+                zero = np.zeros_like(vals)
+                jumps.append(scalar_jump(*((vals, zero) if side == 0
+                                           else (zero, vals)), n))
+                dofs.append(disc.pressure_dofs[cell, a])
+        for i, ji in zip(dofs, jumps):
+            for j, jj in zip(dofs, jumps):
+                S[i, j] += mesh.h * rule.integrate((ji * jj).sum(axis=1))
+    return S
 
 
 def to_scipy(block):

@@ -82,7 +82,7 @@ def test_triple_bar_squared_equals_a_quadratic_form(rng):
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 1)
     problem = example1(mu=0.3, a=2.5)
-    A, _ = assemble_a(disc, problem)
+    A = assemble_a(disc, problem)
     for _ in range(50):
         v = rng.standard_normal(disc.n_velocity_dofs)
         assert norm_triple_bar(disc, problem, v) ** 2 == pytest.approx(

@@ -16,9 +16,9 @@ from cdgbrinkman.problems import constant_flow_problem, example1, polynomial_pat
 from cdgbrinkman.solver import SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
 
-from polyref import (MonomialBasis, cell_quadrature, symmetry_defect,
-                     system_matrix, to_scipy, validate_kappa)
-from conftest import locate, normal_out_of
+from polyref import (MonomialBasis, cell_quadrature, jump_stabilizer,
+                     symmetry_defect, system_matrix, to_scipy, validate_kappa)
+from conftest import MESH_FAMILIES, locate, normal_out_of
 
 
 def unit_problem(mu=1.0, kappa0=1.0):
@@ -130,16 +130,15 @@ def test_csr_sums_duplicates_in_append_order(sizes, run, seed):
 def test_single_cell_a_is_spd_6x6():
     mesh = generate_uniform_rectangular(1)
     disc = Discretization(mesh, 1)
-    A, lift = assemble_a(disc, unit_problem())
+    A = assemble_a(disc, unit_problem())
     assert A.shape == (6, 6)
     w = np.linalg.eigvalsh(to_scipy(A).toarray())
     assert w.min() > 0
-    assert np.abs(lift).max() == 0.0
 
 
 def test_two_cell_a_spd_dense_eigen_oracle():
     disc = Discretization(TWO_CELLS, 1)
-    A, _ = assemble_a(disc, unit_problem(kappa0=3.0))
+    A = assemble_a(disc, unit_problem(kappa0=3.0))
     w = np.linalg.eigvalsh(to_scipy(A).toarray())
     assert w.min() > 0
 
@@ -148,7 +147,7 @@ def test_a_quadratic_form_matches_energy_norm(rng):
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 2)
     problem = example1(mu=0.7, a=2.0)
-    A, _ = assemble_a(disc, problem)
+    A = assemble_a(disc, problem)
     for _ in range(10):
         v = rng.standard_normal(disc.n_velocity_dofs)
         quad = float(v @ (A @ v))
@@ -160,7 +159,7 @@ def test_a_cauchy_schwarz_boundedness(rng):
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 1)
     problem = example1(mu=1.0, a=1.0)
-    A, _ = assemble_a(disc, problem)
+    A = assemble_a(disc, problem)
     for _ in range(100):
         v = rng.standard_normal(disc.n_velocity_dofs)
         w = rng.standard_normal(disc.n_velocity_dofs)
@@ -185,7 +184,7 @@ def test_tensor_kappa_mass_couples_components(rng):
     assert lam_min > 0 and lam_max < 4.0
     mesh = generate_uniform_rectangular(2)
     disc = Discretization(mesh, 1)
-    A = to_scipy(assemble_a(disc, problem)[0])
+    A = to_scipy(assemble_a(disc, problem))
     # cross-component block must be present and the matrix SPD
     cross = A[disc.velocity_dofs[0, 0]][:, disc.velocity_dofs[0, 1]].toarray()
     assert np.abs(cross).max() > 0
@@ -285,6 +284,27 @@ def test_s_unit_jump_two_cells():
     S = assemble_s(disc)
     q = project_pressure(disc, lambda pts: (pts[:, 0] > 1.0).astype(float))
     assert float(q @ (S @ q)) == pytest.approx(TWO_CELLS.h, abs=1e-14)
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_s_matches_pointwise_jump_sum(family, k, rng):
+    disc = Discretization(MESH_FAMILIES[family](3), k)
+    S = assemble_s(disc)
+
+    def tables(cell, points, dim):
+        return locate(disc, cell)[2](points, dim)
+
+    ref = jump_stabilizer(disc, tables)
+    assert np.abs(to_scipy(S).toarray() - ref).max() <= 1e-12 * np.abs(
+        ref).max()
+    # the jump maps are S's rows cell by cell
+    p = rng.standard_normal(disc.n_pressure_dofs)
+    rows = np.empty((disc.mesh.n_cells, disc.dim_p))
+    for cls, row in zip(disc.classes, disc.apply(disc.jump_maps(),
+                                                 p[disc.pressure_dofs])):
+        rows[cls.cells] = row[:, 0]
+    assert np.abs(rows.ravel() - S @ p).max() <= 1e-12 * np.abs(S @ p).max()
 
 
 def test_s_semidefinite_and_boundary_flag():

@@ -20,7 +20,8 @@ from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
 from cdgbrinkman.problems import sample_raster_path
 from cdgbrinkman.solver import DELTA
 from cdgbrinkman.weakgrad import Discretization
-from conftest import refinement_stopped_by_rule
+from conftest import (NOTCH_ON_CENTROID, notched_square,
+                      refinement_stopped_by_rule)
 
 
 def test_converge_writes_schema_csv(tmp_path):
@@ -192,6 +193,24 @@ def test_solve_hanging_node_mesh_file_exit_2(tmp_path, capsys):
     code = main(["solve", "--mesh", f"file:{mpath}", "--out", str(tmp_path)])
     assert code == 2
     assert "boundary edge 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", [0.3, NOTCH_ON_CENTROID],
+                         ids=["centroid-outside", "centroid-on-edge-line"])
+def test_solve_cell_not_star_shaped_mesh_file_exit_2(tmp_path, capsys, x):
+    # the cell quadrature fans each cell from its centroid; these meshes
+    # used to fail in the solve (residual 9.2e-2) or with a traceback
+    verts, loops = notched_square(x)
+    mpath = tmp_path / "notched.txt"
+    mpath.write_text("cdgmesh 1 2d\nvertices 8\n"
+                     + "".join(f"{vx!r} {vy!r}\n" for vx, vy in verts)
+                     + "cells 2\n"
+                     + "".join(" ".join(map(str, c)) + "\n" for c in loops))
+    code = main(["solve", "--mesh", f"file:{mpath}", "--k", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert ("cell 0 is not star-shaped about its centroid"
+            in capsys.readouterr().err)
 
 
 def test_solve_solver_flag_removed_exit_2(tmp_path, capsys):

@@ -6,8 +6,9 @@ from cdgbrinkman.mesh import (Mesh, MeshFormatError, MeshValidationError,
                               generate_polygonal, generate_uniform_rectangular,
                               generate_uniform_triangular, load_mesh, save_mesh)
 
-from polyref import edge_quadrature
-from conftest import MESH_FAMILIES, normal_out_of
+from polyref import cell_quadrature, edge_quadrature
+from conftest import (MESH_FAMILIES, NOTCH_ON_CENTROID, normal_out_of,
+                      notched_square)
 
 
 def test_triangular_unit():
@@ -100,7 +101,7 @@ def test_save_load_roundtrip(tmp_path):
     m = generate_uniform_triangular(4)
     path = tmp_path / "mesh.txt"
     save_mesh(m, path)
-    m2 = load_mesh(path, labeled_h=m.labeled_h)
+    m2 = load_mesh(path)
     assert np.array_equal(m.vertices, m2.vertices)
     assert m.n_cells == m2.n_cells
     assert np.array_equal(m.cell_offsets, m2.cell_offsets)
@@ -140,6 +141,34 @@ def test_self_intersecting_cell_rejected():
     verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
     with pytest.raises(MeshValidationError):
         Mesh(verts, [[0, 1, 3, 2]])  # bow-tie
+
+
+def test_sliver_cell_with_degenerate_fan_triangle_rejected():
+    # the fan triangles (v_i, v_i+1, centroid) of this sliver have areas
+    # near 1e-20, far below 1e-14 h_T^2
+    sliver = np.array([[0, 0], [1, 0], [2, 0], [1, 1e-20]])
+    with pytest.raises(MeshValidationError,
+                       match="cell 0 is not star-shaped about its centroid"):
+        Mesh(sliver, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("x", [0.3, NOTCH_ON_CENTROID],
+                         ids=["centroid-outside", "centroid-on-edge-line"])
+def test_cell_not_star_shaped_about_centroid_rejected(x):
+    # the fan rule would integrate over triangles outside the cell (area
+    # 1.035 against 0.86 at x = 0.3) or of no area
+    with pytest.raises(MeshValidationError,
+                       match="cell 0 is not star-shaped about its centroid"):
+        Mesh(*notched_square(x))
+
+
+def test_nonconvex_cell_star_shaped_about_centroid_accepted():
+    # the unit square dented from the top to (0.5, 0.5), and the triangle
+    # that fills the dent; the fan rule then integrates the dented area
+    verts = [[0, 0], [1, 0], [1, 1], [0.5, 0.5], [0, 1]]
+    mesh = Mesh(verts, [[0, 1, 2, 3, 4], [3, 2, 4]])
+    rule = cell_quadrature(mesh.cell_vertices(0), 2)
+    assert rule.weights.sum() == pytest.approx(0.75, abs=1e-14)
 
 
 # the hanging vertex 6 = (1, 1) splits the right side of the left cell

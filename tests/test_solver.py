@@ -301,8 +301,8 @@ def test_constant_pressure_is_null_vector(triangular):
             else generate_uniform_rectangular(4))
     disc = Discretization(mesh, 3)
     system = assemble_system(disc, example1(mu=1.0, a=1.0))
-    c = system.c
-    # in orthonormal bases the constant's coefficients are its moments
+    # in orthonormal bases the constant's coefficients are its moments, m
+    c = project_pressure(disc, lambda x: np.ones(len(x)))
     assert np.array_equal(c, system.m)
     K = system_matrix(system, constrained=False)
     null = np.concatenate([np.zeros(system.n_u), c])
@@ -312,7 +312,7 @@ def test_constant_pressure_is_null_vector(triangular):
 
 
 def test_incompatible_pressure_data_goes_to_multiplier(small_setup):
-    # G + 1 has net flux; the closed-form multiplier c^T G / c^T m absorbs
+    # G + 1 has net flux; the closed-form multiplier m^T G / m^T m absorbs
     # it and the pressure keeps its zero mean
     _, _, system = small_setup
     import copy
@@ -320,9 +320,9 @@ def test_incompatible_pressure_data_goes_to_multiplier(small_setup):
     bad = copy.copy(system)
     bad.G = system.G + 1.0
     sol = solve(bad)
-    c, m = system.c, system.m
+    m = system.m
     assert sol.residual <= 1e-9
-    assert sol.multiplier == float(c @ bad.G) / float(c @ m)
+    assert sol.multiplier == float(m @ bad.G) / float(m @ m)
     assert abs(sol.stats["pressure_mean"]) <= 1e-12
     assert abs(float(m @ sol.p)) <= 1e-12
 

@@ -260,6 +260,68 @@ def _check_defining_equation(disc, velocity, rng):
 # reproduction identities
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cell_moments_recover_cell_values_coefficients(family, k, rng):
+    # orthonormal bases: the moments of a polynomial's values at the cell
+    # points are its coefficients
+    disc = Discretization(MESH_FAMILIES[family](3), k)
+    for d in (disc.dim_p, disc.dim_k):
+        c = rng.standard_normal((disc.mesh.n_cells, 2, d))
+        back = disc.cell_moments(disc.cell_values(c), d)
+        assert np.abs(back - c).max() <= 1e-12
+    # per-class coefficients in the degree-j target space, whose Gram
+    # matrices are the identity to 1e-10 (test_cell_bases_orthonormal)
+    c = [rng.standard_normal((len(cls.cells), 2, 2, cls.dim))
+         for cls in disc.classes]
+    for back, ci in zip(disc.cell_moments(disc.cell_values(c)), c):
+        assert np.abs(back - ci).max() <= 1e-10
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_apply_transpose_is_adjoint(family, k, rng):
+    # <apply(maps, x), t> = <x, apply_transpose(maps, t)>
+    disc = Discretization(MESH_FAMILIES[family](3), k)
+    n = disc.mesh.n_cells
+    for maps, shape in ((disc.vel, (n, 2, disc.dim_k)),
+                        (disc.pre, (n, disc.dim_p)),
+                        (disc.jump_maps(), (n, disc.dim_p))):
+        x = rng.standard_normal(shape)
+        y = disc.apply(maps, x)
+        t = [rng.standard_normal(yi.shape) for yi in y]
+        lhs = sum(float((yi * ti).sum()) for yi, ti in zip(y, t))
+        rhs = float((x * disc.apply_transpose(maps, t)).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+def test_edge_moments_are_weighted_transpose_of_edge_values(family, rng):
+    disc = Discretization(MESH_FAMILIES[family](3), 2)
+    v = rng.standard_normal((len(disc.edge_points), 2))
+    w = disc.edge_weights[:, None]
+    c = rng.standard_normal((disc.mesh.n_cells, 2, disc.dim_k))
+    assert float((w * disc.edge_values(c) * v).sum()) == pytest.approx(
+        float((c * disc.edge_moments(v, disc.dim_k)).sum()), rel=1e-12)
+    c = [rng.standard_normal((len(cls.cells), 2, cls.dim))
+         for cls in disc.classes]
+    assert float((w * disc.edge_values(c) * v).sum()) == pytest.approx(
+        sum(float((a * b).sum()) for a, b in zip(c, disc.edge_moments(v))),
+        rel=1e-12)
+
+
+def test_apply_matches_map_columns(rng):
+    # each cell's map reads its coefficients, then its neighbours', with
+    # zero in a boundary slot
+    disc = Discretization(MESH_FAMILIES["poly"](3), 2)
+    p = rng.standard_normal(disc.n_pressure_dofs)
+    padded = np.append(p, 0.0)
+    for cls, maps, got in zip(disc.classes, disc.pre,
+                              disc.apply(disc.pre, p[disc.pressure_dofs])):
+        want = maps @ padded[disc.columns(cls, disc.pressure_dofs)][..., None]
+        assert np.abs(got - want[..., 0].transpose(1, 0, 2)).max() <= 1e-14
+
+
 def test_constant_field_zero_gradient():
     mesh = generate_uniform_triangular(2)
     disc = Discretization(mesh, 1)
