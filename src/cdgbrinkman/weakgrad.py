@@ -472,8 +472,9 @@ class Discretization:
         for cls in self.classes:
             m = np.zeros((len(cls.cells), cls.dim, wv.shape[1]))
             for g in cls.groups:
-                np.add.at(m, g.slot, g.phi @ wv[g.start:g.stop].reshape(
-                    len(g.slot), g.q, -1))
+                v = wv[g.start:g.stop].reshape(len(g.slot), g.q, -1)
+                h = np.flatnonzero(v.any(axis=(1, 2)))  # skip zero data
+                np.add.at(m, g.slot[h], g.phi[h] @ v[h])
             moments.append(m.transpose(0, 2, 1).reshape(
                 m.shape[:1] + values.shape[1:] + (-1,)))
         return moments

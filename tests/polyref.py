@@ -178,14 +178,14 @@ def jump_stabilizer(disc, tables):
     S = np.zeros((disc.n_pressure_dofs, disc.n_pressure_dofs))
     for e in mesh.interior_edge_ids:
         minus, plus = mesh.edge_cells[e]
-        rule = edge_quadrature(*mesh.vertices[mesh.edge_vertices[e]], 2 * dp)
+        rule = edge_quadrature(*mesh.vertices[mesh.edge_vertices[e]],
+                               2 * disc.k)
         n = mesh.edge_normals[e]
         jumps, dofs = [], []
-        for cell, side in ((minus, 0), (plus, 1)):
+        for cell in (minus, plus):
             for a, vals in enumerate(tables(cell, rule.points, dp)):
-                zero = np.zeros_like(vals)
-                jumps.append(scalar_jump(*((vals, zero) if side == 0
-                                           else (zero, vals)), n))
+                pair = (vals, 0 * vals) if cell == minus else (0 * vals, vals)
+                jumps.append(scalar_jump(*pair, n))
                 dofs.append(disc.pressure_dofs[cell, a])
         for i, ji in zip(dofs, jumps):
             for j, jj in zip(dofs, jumps):
