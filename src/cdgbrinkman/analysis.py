@@ -258,10 +258,6 @@ class ConvergenceReport:
                     out[c].append(None)
         return out
 
-    def final_rate(self, column):
-        r = self.rates()[column]
-        return r[-1] if r and r[-1] is not None else float("nan")
-
     def to_csv(self, path_or_buf):
         rates = self.rates()
 

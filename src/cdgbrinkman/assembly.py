@@ -16,7 +16,7 @@ pressure mean, is [[A, B, 0], [B^T, -S, m], [0, m^T, 0]].  The solver
 never forms it: it factors K = [[A, B], [B^T, -S]] and handles the
 constraint in closed form through the coefficients of the constant
 pressure (K's null vector), which in the orthonormal bases are m itself.
-Each block is one COO build over the Discretization's per-class maps,
+Each block is one COO build over the Discretization's per-key maps,
 appended in a fixed order and summed into a ``CsrMatrix`` by one stable
 sort of their keys, so repeated runs produce bit-identical matrices.
 """
@@ -249,24 +249,22 @@ def assemble_a(disc, problem):
     _kappa_range(kv, tensor, disc.cell_points, disc.cell_owner)
     n_u = disc.n_velocity_dofs
     acc = _Coo((n_u, n_u), disc.dim_k)
-    for cls, vel, kc in zip(disc.classes, disc.vel, disc.split(kv)):
+    for cls, vel, mass in zip(disc.classes, disc.vel,
+                              disc.cell_mass(kv, disc.dim_k)):
         velT = vel.transpose(0, 1, 3, 2)
-        visc = mu * (velT[0] @ vel[0] + velT[1] @ vel[1])
+        visc = mu * (velT[:, 0] @ vel[:, 0] + velT[:, 1] @ vel[:, 1])
+        visc = visc[cls.key]
         for comp in (0, 1):
             idx = disc.columns(cls, disc.velocity_dofs[:, comp])
             acc.add(idx, idx, visc)
-        vals = cls.phi[:, :disc.dim_k]
-        valsT = vals.transpose(0, 2, 1)
         own = disc.velocity_dofs[cls.cells]
         if tensor:
             for r in (0, 1):
                 for s in (0, 1):
-                    wk = (cls.weights * kc[..., r, s])[:, None, :]
-                    acc.add(own[:, r], own[:, s], mu * (vals * wk) @ valsT)
+                    acc.add(own[:, r], own[:, s], mu * mass[:, r, s])
         else:
-            mass = mu * (vals * (cls.weights * kc)[:, None, :]) @ valsT
             for comp in (0, 1):
-                acc.add(own[:, comp], own[:, comp], mass)
+                acc.add(own[:, comp], own[:, comp], mu * mass)
     return acc.tocsr()
 
 
@@ -290,8 +288,8 @@ def _pressure_columns(disc, n_rows, rows, maps):
     acc = _Coo((n_rows, disc.n_pressure_dofs), disc.dim_p)
     for cls, mp in zip(disc.classes, maps):
         cols = disc.columns(cls, disc.pressure_dofs)
-        for r, block in enumerate(mp):
-            acc.add(rows[cls.cells, r], cols, block)
+        for r in range(mp.shape[1]):
+            acc.add(rows[cls.cells, r], cols, mp[cls.key, r])
     return acc.tocsr()
 
 

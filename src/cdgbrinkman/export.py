@@ -147,7 +147,8 @@ def write_lattice_csv(path, disc, u, p, resolution):
 
 
 def write_summary(path, disc, solution, extra=None):
-    """JSON run summary: sizes, residual, solver stats and field ranges."""
+    """JSON run summary: sizes, residual, solver stats, the Gram condition
+    estimates and field ranges."""
     fields = cell_center_fields(disc, solution.u, solution.p)
     data = {
         "n_cells": disc.mesh.n_cells,
@@ -156,6 +157,8 @@ def write_summary(path, disc, solution, extra=None):
         "residual": solution.residual,
         "multiplier": solution.multiplier,
         "pressure_mean": solution.stats.get("pressure_mean"),
+        "gram_condition": {str(j): v for j, v in
+                           sorted(disc.gram_condition.items())},
         "solver": {key: solution.stats.get(key) for key in (
             "ordering", "regularization", "nnz_factor", "fronts",
             "max_front", "factor_flops", "refinement_residuals",

@@ -163,11 +163,6 @@ class Mesh:
     def n_vertices(self):
         return len(self.vertices)
 
-    def cell_vertices(self, c):
-        """Coordinates of cell c's vertex loop, shape (n, 2)."""
-        lo, hi = self.cell_offsets[c], self.cell_offsets[c + 1]
-        return self.vertices[self.cell_vertex_ids[lo:hi]]
-
     def shape_classes(self):
         """Yield (edge count ne, cells, positions) per edge-count class.
 

@@ -33,17 +33,33 @@ of L: G[:, :dim_k] T_k^T = L[:, :dim_k], as L^T is upper triangular and
 T_k is the inverse of L's leading block.  So the moments cost no table
 beyond the one that forms the Gram matrix.
 
-Stacked layout: Discretization groups the cells by edge count into
+Shared layout: Discretization groups the cells by edge count into
 ShapeClass objects, whose cells share the target degree j and the
-quadrature size, and stacks their bases and weak-gradient maps as arrays
-over the class's cells.  The degree-k and k-1 bases are the leading rows
-of the degree-j table (graded monomial order; the lower-triangular
-orthonormalizing transform keeps the nesting), so each point set is
-evaluated once.  Half-edges (cell, local edge) are grouped per class by
-edge point count, and all their points are also laid out flat with the
-owner's degree-k values (``trace_k``) and the index of the same point seen
-from the neighbour (``edge_twin``, -1 on the boundary), so two-sided edge
-terms are gathers.
+quadrature size.  Within a class, everything built per cell depends only
+on the cell's vertex loop measured from its first vertex, on which of its
+edges lie on the boundary, on its neighbours' shapes and offsets (first
+vertex to first vertex), and on the direction in which each edge's Gauss
+points run.  These make up the cell's congruence key, with coordinates
+rounded at 1e-12 h.  (Measured from the centroid instead, congruent
+polygons differ by up to 2e-13 h: the centroid formula cancels.)  On the
+generated meshes a class has a handful of keys, so the bases, volume
+moments, half-edge tables and weak-gradient maps are stacked once per key,
+built from the key's first cell, and a per-cell ``key`` index reads them.
+Every other cell of a key is that cell translated: its basis center
+(``Discretization.centers``) is its first vertex plus the first cell's
+centroid offset, its quadrature points are that center plus the key's
+points, and its weights are the key's.  A mesh without repeated shapes
+simply gets one key per cell.  The kernels multiply the key tables by
+the cells' data batch by batch (see ``ShapeClass.batches``).
+
+The degree-k and k-1 bases are the leading rows of the degree-j table
+(graded monomial order; the lower-triangular orthonormalizing transform
+keeps the nesting), so each point set is evaluated once.
+Half-edges (cell, local edge) are grouped per class by edge point count,
+and all their points are also laid out flat with the owner's degree-k
+values (``trace_k``) and the index of the same point seen from the
+neighbour (``edge_twin``, -1 on the boundary), so two-sided edge terms are
+gathers.
 """
 
 import numpy as np
@@ -57,10 +73,96 @@ __all__ = [
     "Discretization",
 ]
 
+# congruence keys round coordinates at this fraction of the mesh size h
+_KEY_RESOLUTION = 1e-12
+# the edge kernels gather per-key tables in pieces of at most this size
+_CHUNK_BYTES = 1 << 24
+
 
 def target_degree(edge_count, k):
     """Weak-gradient degree on an n-gon: k+1 for triangles, n+k-1 otherwise."""
     return k + 1 if edge_count == 3 else edge_count + k - 1
+
+
+# ---------------------------------------------------------------------------
+# congruence keys
+# ---------------------------------------------------------------------------
+
+def _grid(offsets, unit):
+    return np.rint(offsets / unit).astype(np.int64)
+
+
+def _number_rows(rows):
+    """Number the distinct rows of an integer array (n, m) by first
+    occurrence.  Each row is compared as one run of bytes, which sorts
+    several times faster than ``np.unique(axis=0)``."""
+    rows = np.ascontiguousarray(rows)
+    runs = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, ids = np.unique(runs.ravel(), return_index=True,
+                              return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[ids.ravel()]
+
+
+def _anchors(mesh):
+    """Each cell's first loop vertex, from which its key measures."""
+    return mesh.vertices[mesh.cell_vertex_ids[mesh.cell_offsets[:-1]]]
+
+
+def _keyed_classes(mesh):
+    """Yield (ne, cells, positions, key) per class of ``Mesh.shape_classes``,
+    the cells ordered by their congruence key (see the module docstring),
+    ascending within a key; ``key`` numbers the class's keys from 0."""
+    unit = _KEY_RESOLUTION * mesh.h
+    anchor = _anchors(mesh)
+    classes = list(mesh.shape_classes())
+    # shape ids, distinct across classes
+    shape, base, repeats = np.empty(mesh.n_cells, np.int64), 0, []
+    for ne, cells, pos in classes:
+        loops = mesh.vertices[mesh.cell_vertex_ids[pos]] - anchor[cells, None]
+        ids = _number_rows(_grid(loops, unit).reshape(len(cells), -1))
+        shape[cells] = base + ids
+        base += len(cells)
+        repeats.append(ids.max() + 1 < len(cells))
+    for (ne, cells, pos), repeat in zip(classes, repeats):
+        if not repeat:  # no two cells of one shape: every key its own
+            yield ne, cells, pos, np.arange(len(cells))
+            continue
+        edges = mesh.cell_edge_ids[pos]
+        ends = mesh.edge_cells[edges]
+        nbr = np.where(ends[..., 0] == cells[:, None], ends[..., 1],
+                       ends[..., 0])
+        inner = nbr >= 0
+        offset = np.where(inner[..., None],
+                          _grid(anchor[nbr] - anchor[cells, None], unit), 0)
+        forward = mesh.cell_vertex_ids[pos] == mesh.edge_vertices[edges, 0]
+        rows = np.column_stack([shape[cells], np.where(inner, shape[nbr], -1),
+                                offset.reshape(len(cells), -1), forward])
+        # numbered by first occurrence, so the cells keep their order as
+        # far as their keys allow
+        key = _number_rows(rows)
+        order = np.argsort(key, kind="stable")
+        yield ne, cells[order], pos[order], key[order]
+
+
+def _batches(key):
+    """(key slice, slot slice) pairs covering slots sorted by ``key``: each
+    key of several cells alone, each run of one-cell keys together, so that
+    per-key tables indexed by the first slice line up with, or broadcast
+    over, per-cell arrays indexed by the second."""
+    counts = np.bincount(key)
+    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    single = counts == 1
+    start = np.flatnonzero(~single | np.append(True, ~single[:-1])).tolist()
+    return [(slice(a, b), slice(bounds[a], bounds[b]))
+            for a, b in zip(start, start[1:] + [len(counts)])]
+
+
+def _chunks(n, table):
+    """Slices of range(n) that gather at most _CHUNK_BYTES of ``table``."""
+    step = max(1, _CHUNK_BYTES // table[0].nbytes)
+    return (slice(s, s + step) for s in range(0, n, step))
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +185,11 @@ def _trisolve(L, B):
     return X
 
 
-def _values(coef, phi):
-    """Values (nc nq, ...) of coefficients (nc, ..., d) of tables phi."""
-    return np.einsum("c...d,cdq->cq...", coef, phi[:, :coef.shape[-1]]
-                     ).reshape((-1,) + coef.shape[1:-1])
+def _values(coef, phi, out):
+    """Values out (n, q, m) of coefficients (n, ..., d), the m trailing
+    entries flattened, in the tables phi (n or 1, >= d, q)."""
+    c = coef.reshape(len(coef), -1, coef.shape[-1]).transpose(0, 2, 1)
+    np.matmul(phi[:, :c.shape[1]].transpose(0, 2, 1), c, out=out)
 
 
 def _sum_rows(owner, rows, n):
@@ -117,36 +220,46 @@ class HalfEdgeGroup:
     """The half-edges of one shape class whose edges have ``q`` points.
 
     Per half-edge: ``slot``/``local`` in the class arrays, ``edge``,
-    ``owner``, its outward ``normal`` and Gauss ``points`` (a view of the
-    flat ``edge_points``) and ``weights`` (rows ``start`` to ``stop`` of the
-    flat edge arrays, q per half-edge);
-    ``phi`` (ng, dim_j, q) is the owner's basis there.  ``own_m`` and
-    ``nbr_m`` (ng, dim_j, dim_k) are the edge moments <phi_a, psi_b> against
-    the owner's and the neighbour's degree-k basis (zero on the boundary).
+    ``owner``, its outward ``normal``, Gauss ``points`` and ``weights``
+    and ``twin`` (views of rows ``start`` to ``stop`` of the flat edge
+    arrays, q per half-edge), and ``hk``, its row in the per-key tables.
+    These hold one half-edge per (key, local edge), the first, at the
+    positions ``rep`` of the group: ``phi`` (nh, dim_j, q) is the owner's
+    basis at its points, and ``own_m`` and ``nbr_m`` (nh, dim_j, dim_k) are
+    the edge moments <phi_a, psi_b> against the owner's and the neighbour's
+    degree-k basis (zero on the boundary).
     """
 
 
 class ShapeClass:
-    """Stacked data of the nc cells ``cells`` (ascending) with ``ne`` edges.
+    """Stacked data of the nc cells ``cells`` with ``ne`` edges.
 
-    ``positions`` (nc, ne) locate the cells' loops in the mesh's CSR
-    arrays (see ``Mesh.shape_classes``).  Per cell, along the first axis:
+    The cells are ordered by their congruence ``key`` (nc,), which numbers
+    the class's nk keys; ``first`` (nk,) holds each key's first slot, the
+    cell whose geometry its tables are built from, and ``batches`` the
+    (key slice, slot slice) pairs by which the kernels read them.
+    ``positions`` (nc, ne) locate the cells' loops in the mesh's CSR arrays
+    (see ``Mesh.shape_classes``).  Per cell, along the first axis:
     ``edges``, ``nbr`` (the neighbour across each local edge, -1 on the
     boundary) and outward ``normals``; quadrature ``points`` (nc, nq, 2)
     and ``weights`` (nc, nq), views of the flat ``cell_points`` and
-    ``cell_weights``; the lower-triangular ``transform`` (nc, dim, dim),
-    the inverse of the cells' monomial Gram Cholesky factors, which maps
-    the scaled monomials of degree ``j`` to the orthonormal basis; its values ``phi`` (nc, dim, nq); and the
-    volume moments ``vx``/``vy`` (nc, dim, dim_k) of (d_i phi_a, phi_b),
-    ``transform @ D_i @ L[..., :dim_k] / h`` with L the Gram Cholesky
-    factor and D_i the monomials' derivative matrix (see the module
-    docstring).
+    ``cell_weights``.  Per key: the rule ``local_rule`` (points about the
+    centroid (nk, nq, 2) and weights (nk, nq)) until :meth:`place` writes
+    it out, the centroid's offset from the first vertex ``center``, the
+    diameter ``scale``, the lower-triangular ``transform`` (nk, dim, dim),
+    the inverse of the monomial Gram Cholesky factor, which maps the scaled
+    monomials of degree ``j`` to the orthonormal basis; its values ``phi``
+    (nk, dim, nq); the volume moments ``vx``/``vy`` (nk, dim, dim_k) of
+    (d_i phi_a, phi_b), ``transform @ D_i @ L[..., :dim_k] / h`` with L
+    the Gram Cholesky factor and D_i the monomials' derivative matrix (see
+    the module docstring); and ``condition``, the largest (max L_ii /
+    min L_ii)^2, a lower bound of the Gram matrices' condition numbers.
     """
 
-    def __init__(self, disc, edge_count, cells, positions):
+    def __init__(self, disc, edge_count, cells, positions, key):
         mesh, k = disc.mesh, disc.k
         self.ne = edge_count
-        self.cells = cells
+        self.cells, self.key = cells, key
         self.j = target_degree(edge_count, k)
         self.dim = dim_poly(self.j)
         self.edges = mesh.cell_edge_ids[positions]
@@ -155,24 +268,44 @@ class ShapeClass:
         self.nbr = np.where(minus, ends[..., 1], ends[..., 0])
         self.normals = (np.where(minus, 1.0, -1.0)[..., None]
                         * mesh.edge_normals[self.edges])
-        verts = mesh.vertices[mesh.cell_vertex_ids[positions]]
-        self.points, self.weights = fan_quadrature(
-            verts, mesh.cells.centroid[cells],
+        self.first = np.flatnonzero(np.diff(key, prepend=-1))
+        self.batches = _batches(key)
+        rep = cells[self.first]
+        centroid = mesh.cells.centroid[rep]
+        self.scale = mesh.cells.diameter[rep]
+        self.center = centroid - _anchors(mesh)[rep]
+        loops = (mesh.vertices[mesh.cell_vertex_ids[positions[self.first]]]
+                 - centroid[:, None])
+        self.local_rule = fan_quadrature(
+            loops, np.zeros_like(centroid),
             2 * self.j + disc.cell_exactness_bump)
-        scale = mesh.cells.diameter[cells][:, None, None]
-        local = (self.points - mesh.cells.centroid[cells][:, None, :]) / scale
-        raw = monomial_tables(local, self.j)
-        gram = (raw * self.weights[:, None, :]) @ raw.transpose(0, 2, 1)
+        offsets, weights = self.local_rule
+        self.nq = weights.shape[1]
+        raw = monomial_tables(offsets / self.scale[:, None, None], self.j)
+        gram = (raw * weights[:, None, :]) @ raw.transpose(0, 2, 1)
         gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-        chol = _cholesky(gram, cells, self.j)
+        chol = _cholesky(gram, rep, self.j)
+        diag = chol.diagonal(axis1=1, axis2=2)
+        self.condition = float(((diag.max(1) / diag.min(1)) ** 2).max())
         self.transform = _trisolve(chol, np.eye(self.dim))
         self.phi = self.transform @ raw
         # the volume moments from the factor (see the module docstring)
-        lk = chol[..., :disc.dim_k] / scale
+        lk = chol[..., :disc.dim_k] / self.scale[:, None, None]
         self.vx, self.vy = (
             self.transform @ (derivative_matrix(self.j, d) @ lk)
             for d in (0, 1))
         self.groups = []
+
+    def place(self, centers, points, weights):
+        """Write each cell's rule, its center plus its key's points, into
+        ``points`` (nc, nq, 2) and ``weights`` (nc, nq), and keep them."""
+        offsets, rule = self.local_rule
+        del self.local_rule  # a copy per cell once no two cells share a key
+        # mode "clip" writes straight into out ("raise" buffers it)
+        np.take(offsets, self.key, axis=0, out=points, mode="clip")
+        points += centers[self.cells, None]
+        np.take(rule, self.key, axis=0, out=weights, mode="clip")
+        self.points, self.weights = points, weights
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +328,20 @@ class Discretization:
     boundary average) and pressure (field k-1, target k, own boundary
     trace) weak gradients, and
     ``velocity_dofs`` (n_cells, 2, dim_k) / ``pressure_dofs`` (n_cells,
-    dim_p) each cell's DOF indices.  Flat arrays over all cell quadrature
+    dim_p) each cell's DOF indices, ``centers`` (n_cells, 2) the points
+    its basis monomials are centered at (see the module docstring).  Flat
+    arrays over all cell quadrature
     points: ``cell_points``, ``cell_weights``, ``cell_owner``; over all
     half-edge points: ``edge_points``, ``edge_weights``, ``edge_owner``,
     ``edge_normal`` (out of the owner), ``edge_index``, ``edge_twin`` and
-    ``trace_k``.
+    ``trace_k``.  ``gram_condition`` maps each target degree to the worst
+    lower bound of its monomial Gram matrices' condition numbers (see
+    ShapeClass ``condition``).
 
     Assembly and analysis read the classes through the kernels
-    :meth:`cell_moments`, :meth:`cell_values`, :meth:`edge_moments`,
-    :meth:`edge_values`, :meth:`apply` and :meth:`apply_transpose`.
+    :meth:`cell_moments`, :meth:`cell_values`, :meth:`cell_mass`,
+    :meth:`edge_moments`, :meth:`edge_values`, :meth:`apply` and
+    :meth:`apply_transpose`.
     """
 
     def __init__(self, mesh, k, cell_exactness_bump=2, edge_exactness_bump=2):
@@ -218,19 +356,33 @@ class Discretization:
         self.velocity_dofs = np.arange(2 * self.dim_k * n).reshape(
             n, 2, self.dim_k)
         self.pressure_dofs = np.arange(self.dim_p * n).reshape(n, self.dim_p)
-        self.classes = [ShapeClass(self, *cls) for cls in mesh.shape_classes()]
-        self.cell_points = np.concatenate(
-            [c.points.reshape(-1, 2) for c in self.classes])
-        self.cell_weights = np.concatenate(
-            [c.weights.ravel() for c in self.classes])
-        self.cell_owner = np.concatenate(
-            [np.repeat(c.cells, c.weights.shape[1]) for c in self.classes])
-        self._split = np.cumsum([c.weights.size for c in self.classes])[:-1]
-        # one copy of the points and weights: the classes keep views
+        self.classes = [ShapeClass(self, *cls) for cls in _keyed_classes(mesh)]
+        self.centers = _anchors(mesh).copy()
+        for cls in self.classes:
+            self.centers[cls.cells] += cls.center[cls.key]
+        sizes = [len(c.cells) * c.nq for c in self.classes]
+        self._split = np.cumsum(sizes)[:-1]
+        self.cell_points = np.empty((sum(sizes), 2))
+        self.cell_weights = np.empty(sum(sizes))
         for cls, points, weights in zip(self.classes,
                                         self.split(self.cell_points),
                                         self.split(self.cell_weights)):
-            cls.points, cls.weights = points, weights
+            cls.place(self.centers, points, weights)
+        self.cell_owner = np.concatenate(
+            [np.repeat(c.cells, c.nq) for c in self.classes])
+        self.gram_condition = {}
+        for cls in self.classes:
+            self.gram_condition[cls.j] = max(
+                cls.condition, self.gram_condition.get(cls.j, 1.0))
+        # each cell's key among all classes' keys, for point evaluation
+        self._key_of = np.empty(n, dtype=np.int64)
+        base = 0
+        for cls in self.classes:
+            self._key_of[cls.cells] = base + cls.key
+            base += len(cls.first)
+        self._tk = np.concatenate(
+            [c.transform[:, :self.dim_k, :self.dim_k] for c in self.classes])
+        self._scale = np.concatenate([c.scale for c in self.classes])
         # shared edge rules: exactness covers both incident target degrees
         cell_j = np.empty(n, dtype=np.int64)
         for cls in self.classes:
@@ -240,16 +392,22 @@ class Discretization:
                           np.where(ends[:, 1] >= 0, cell_j[ends[:, 1]], 0))
         self._build_half_edges(
             edge_point_count(jmax + k + edge_exactness_bump))
-        self._tk = np.empty((n, self.dim_k, self.dim_k))
-        for cls in self.classes:
-            self._tk[cls.cells] = cls.transform[:, :self.dim_k, :self.dim_k]
         self._maps = {}
         self.vel = self.weak_gradient(self.dim_k, None, "zero")
         self.pre = self.weak_gradient(self.dim_p, self.dim_k, "natural")
 
     def _build_half_edges(self, edge_npts):
-        ends, geo = self.mesh.edge_vertices, self.mesh.cells
-        start_of = np.full((self.mesh.n_edges, 2), -1)
+        mesh, dk = self.mesh, self.dim_k
+        ends = mesh.edge_vertices
+        total = sum(int(edge_npts[c.edges].sum()) for c in self.classes)
+        self.edge_points = np.empty((total, 2))
+        self.edge_weights = np.empty(total)
+        self.edge_owner = np.empty(total, dtype=np.int64)
+        self.edge_normal = np.empty((total, 2))
+        self.edge_index = np.empty(total, dtype=np.int64)
+        self.edge_twin = np.empty(total, dtype=np.int64)
+        self.trace_k = np.empty((total, dk))
+        start_of = np.full((mesh.n_edges, 2), -1)
         groups, start = [], 0
         for cls in self.classes:
             npts = edge_npts[cls.edges]
@@ -260,41 +418,44 @@ class Discretization:
                 g.normal = cls.normals[g.slot, g.local]
                 g.q, g.start = int(q), start
                 g.stop = start = start + len(g.edge) * g.q
-                g.points, g.weights = gauss_segments(
-                    self.mesh.vertices[ends[g.edge, 0]],
-                    self.mesh.vertices[ends[g.edge, 1]], g.q)
-                local = ((g.points - geo.centroid[g.owner][:, None, :])
-                         / geo.diameter[g.owner][:, None, None])
-                g.phi = cls.transform[g.slot] @ monomial_tables(local, cls.j)
-                g.side = (self.mesh.edge_cells[g.edge, 0]
-                          != g.owner).astype(int)
+                rows = slice(g.start, g.stop)
+                g.points = self.edge_points[rows].reshape(-1, g.q, 2)
+                g.weights = self.edge_weights[rows].reshape(-1, g.q)
+                g.twin = self.edge_twin[rows].reshape(-1, g.q)
+                g.points[...], g.weights[...] = gauss_segments(
+                    mesh.vertices[ends[g.edge, 0]],
+                    mesh.vertices[ends[g.edge, 1]], g.q)
+                for flat, v in ((self.edge_owner, g.owner),
+                                (self.edge_normal, g.normal),
+                                (self.edge_index, g.edge)):
+                    flat[rows] = np.repeat(v, g.q, axis=0)
+                g.side = (mesh.edge_cells[g.edge, 0] != g.owner).astype(int)
                 start_of[g.edge, g.side] = (g.start
                                             + g.q * np.arange(len(g.edge)))
+                # the tables of each (key, local edge), from the key's first
+                # cell: a key's cells share their edges' point counts
+                key = cls.key[g.slot]
+                g.rep = np.flatnonzero(cls.first[key] == g.slot)
+                rk = key[g.rep]
+                row = np.empty((len(cls.first), cls.ne), dtype=np.int64)
+                row[rk, g.local[g.rep]] = np.arange(len(g.rep))
+                g.hk = row[key, g.local]
+                local = ((g.points[g.rep] - self.centers[g.owner[g.rep], None])
+                         / cls.scale[rk, None, None])
+                g.phi = cls.transform[rk] @ monomial_tables(local, cls.j)
+                np.take(g.phi[:, :dk].transpose(0, 2, 1), g.hk, axis=0,
+                        out=self.trace_k[rows].reshape(-1, g.q, dk),
+                        mode="clip")
                 cls.groups.append(g)
                 groups.append(g)
-
-        def flat(name):
-            return np.concatenate([np.repeat(getattr(g, name), g.q, axis=0)
-                                   for g in groups])
-
-        self.edge_points = np.concatenate(
-            [g.points.reshape(-1, 2) for g in groups])
-        for g in groups:
-            g.points = self.edge_points[g.start:g.stop].reshape(g.points.shape)
-        self.edge_weights = np.concatenate([g.weights.ravel() for g in groups])
-        self.edge_owner, self.edge_normal, self.edge_index = (
-            flat(name) for name in ("owner", "normal", "edge"))
-        self.trace_k = np.concatenate(
-            [g.phi[:, :self.dim_k].transpose(0, 2, 1).reshape(-1, self.dim_k)
-             for g in groups])
         for g in groups:
             other = start_of[g.edge, 1 - g.side][:, None]
-            g.twin = np.where(other >= 0, other + np.arange(g.q), -1)
-            nbr = np.where(g.twin[..., None] >= 0, self.trace_k[g.twin], 0.0)
-            wphi = g.phi * g.weights[:, None, :]
-            g.own_m = wphi @ g.phi[:, :self.dim_k].transpose(0, 2, 1)
+            g.twin[...] = np.where(other >= 0, other + np.arange(g.q), -1)
+            twin = g.twin[g.rep]
+            nbr = np.where(twin[..., None] >= 0, self.trace_k[twin], 0.0)
+            wphi = g.phi * g.weights[g.rep, None, :]
+            g.own_m = wphi @ g.phi[:, :dk].transpose(0, 2, 1)
             g.nbr_m = wphi @ nbr
-        self.edge_twin = np.concatenate([g.twin.ravel() for g in groups])
 
     # -- weak-gradient and jump maps ------------------------------------------
 
@@ -304,10 +465,11 @@ class Discretization:
         ``field`` is the number of leading basis functions of the field
         (at most dim_k), ``target`` that of the target space, None for the
         class's full degree-j basis; ``boundary`` is "zero" or "natural".
-        Each map has shape (2, nc, dt, (1 + ne) df): it takes a cell's field
-        coefficients followed by its neighbours' (see :meth:`columns`) to
-        the coefficients of the two gradient components in the orthonormal
-        target basis, which are also their moments against that basis.
+        Each map has shape (nk, 2, dt, (1 + ne) df), one per key: it takes a
+        cell's field coefficients followed by its neighbours' (see
+        :meth:`columns`) to the coefficients of the two gradient components
+        in the orthonormal target basis, which are also their moments
+        against that basis.
         """
         if boundary not in ("zero", "natural"):
             raise ValueError("boundary must be 'zero' or 'natural'")
@@ -318,33 +480,36 @@ class Discretization:
         return self._maps[key]
 
     def _edge_blocks(self, cls, df, dt, inner, boundary, across):
-        """Per local edge (nc, ne, dt, df): ``own_m`` times ``inner`` on
-        interior and ``boundary`` on boundary edges, ``nbr_m`` times
-        ``across``."""
-        own = np.zeros((len(cls.cells), cls.ne, dt, df))
+        """Per key and local edge (nk, ne, dt, df): ``own_m`` times
+        ``inner`` on interior and ``boundary`` on boundary edges, ``nbr_m``
+        times ``across``."""
+        own = np.zeros((len(cls.first), cls.ne, dt, df))
         nbr = np.zeros_like(own)
         for g in cls.groups:
-            fac = np.where((g.twin[:, :1] >= 0)[..., None], inner, boundary)
-            own[g.slot, g.local] = fac * g.own_m[:, :dt, :df]
-            nbr[g.slot, g.local] = across * g.nbr_m[:, :dt, :df]
+            at = cls.key[g.slot[g.rep]], g.local[g.rep]
+            fac = np.where((g.twin[g.rep, :1] >= 0)[..., None], inner,
+                           boundary)
+            own[at] = fac * g.own_m[:, :dt, :df]
+            nbr[at] = across * g.nbr_m[:, :dt, :df]
         return own, nbr
 
     def _class_maps(self, cls, df, dt, boundary):
-        nc, ne = len(cls.cells), cls.ne
+        nk, ne = len(cls.first), cls.ne
         dt = cls.dim if dt is None else dt
         own, nbr = self._edge_blocks(
             cls, df, dt, 0.5, 1.0 if boundary == "natural" else 0.0, 0.5)
-        B = np.zeros((2, nc, dt, ne + 1, df))
+        normals = cls.normals[cls.first]
+        B = np.zeros((nk, 2, dt, ne + 1, df))
         for d, vol in enumerate((cls.vx, cls.vy)):
-            B[d, :, :, 0] = -vol[:, :dt, :df]
+            B[:, d, :, 0] = -vol[:, :dt, :df]
             for i in range(ne):
-                n = cls.normals[:, i, d, None, None]
-                B[d, :, :, 0] += n * own[:, i]
-                B[d, :, :, i + 1] = n * nbr[:, i]
-        return B.reshape(2, nc, dt, -1)
+                n = normals[:, i, d, None, None]
+                B[:, d, :, 0] += n * own[:, i]
+                B[:, d, :, i + 1] = n * nbr[:, i]
+        return B.reshape(nk, 2, dt, -1)
 
     def jump_maps(self):
-        """Per-class maps (1, nc, dp, (1 + ne) dp), laid out as
+        """Per-class maps (nk, 1, dp, (1 + ne) dp), laid out as
         :meth:`weak_gradient`'s: each cell's rows of the stabilizer S.
 
         Row a of cell T is sum_e h <[[q]], [[psi_a]]>_e over T's interior
@@ -358,7 +523,7 @@ class Discretization:
             blocks = np.concatenate([own.sum(axis=1, keepdims=True), nbr],
                                     axis=1)
             out.append(blocks.transpose(0, 2, 1, 3).reshape(
-                1, len(cls.cells), dp, -1))
+                len(cls.first), 1, dp, -1))
         return out
 
     def _slots(self, cls):
@@ -376,7 +541,7 @@ class Discretization:
         return cols.reshape(len(slots), -1)
 
     def apply(self, maps, coef):
-        """Products of per-class maps (r, nc, dt, (1 + ne) df), such as
+        """Products of per-class maps (nk, r, dt, (1 + ne) df), such as
         ``vel``, ``pre`` or :meth:`jump_maps`, with coefficients (n_cells,
         ..., df) in DOF layout, e.g. ``u[velocity_dofs]``, boundary slots
         reading zero: per class (nc, ..., r, dt)."""
@@ -385,9 +550,12 @@ class Discretization:
         out = []
         for cls, mp in zip(self.classes, maps):
             loc = np.moveaxis(padded[self._slots(cls)], 1, -2)
-            shape = loc.shape[:-2] + mp.shape[:1] + mp.shape[2:3]
+            shape = loc.shape[:-2] + mp.shape[1:3]
             loc = loc.reshape(len(loc), -1, 1, mp.shape[-1], 1)
-            out.append((np.moveaxis(mp, 1, 0)[:, None] @ loc).reshape(shape))
+            prod = np.empty(loc.shape[:2] + mp.shape[1:3] + (1,))
+            for keys, slots in cls.batches:
+                np.matmul(mp[keys, None], loc[slots], out=prod[slots])
+            out.append(prod.reshape(shape))
         return out
 
     def apply_transpose(self, maps, coef):
@@ -395,8 +563,12 @@ class Discretization:
         (n_cells, ..., df), summed over the maps that read each cell."""
         owners, rows = [], []
         for cls, mp, c in zip(self.classes, maps, coef):
-            r, nc, dt, _ = mp.shape
-            prod = (c.reshape(nc, -1, r, dt).transpose(2, 0, 1, 3) @ mp).sum(0)
+            _, r, dt, width = mp.shape
+            nc = len(cls.cells)
+            ct = c.reshape(nc, -1, r, dt).transpose(0, 2, 1, 3)
+            prod = np.empty((nc, ct.shape[2], width))
+            for keys, slots in cls.batches:
+                prod[slots] = (ct[slots] @ mp[keys]).sum(1)
             m, slots = prod.shape[1], self._slots(cls)
             rows.append(prod.reshape(nc, m, cls.ne + 1, -1)
                         .transpose(0, 2, 1, 3).reshape(slots.size, m, -1))
@@ -409,7 +581,7 @@ class Discretization:
 
     def split(self, values):
         """Per-class (nc, nq, ...) views of values at ``cell_points``."""
-        return [v.reshape(c.weights.shape + values.shape[1:])
+        return [v.reshape((len(c.cells), c.nq) + values.shape[1:])
                 for c, v in zip(self.classes, np.split(values, self._split))]
 
     def cell_moments(self, values, d=None):
@@ -421,9 +593,11 @@ class Discretization:
         values = np.asarray(values, dtype=float)
         moments = []
         for cls, v in zip(self.classes, self.split(values)):
-            nc, nq = cls.weights.shape
-            m = cls.phi[:, :d] @ (cls.weights[..., None]
-                                  * v.reshape(nc, nq, -1))
+            nc = len(cls.cells)
+            wv = cls.weights[..., None] * v.reshape(nc, cls.nq, -1)
+            m = np.empty((nc, cls.dim if d is None else d, wv.shape[-1]))
+            for keys, slots in cls.batches:
+                np.matmul(cls.phi[keys, :d], wv[slots], out=m[slots])
             moments.append(m.transpose(0, 2, 1).reshape(
                 (nc,) + values.shape[1:] + (-1,)))
         if d is None:
@@ -440,8 +614,29 @@ class Discretization:
         :meth:`cell_moments` return."""
         if not isinstance(coef, list):
             coef = [coef[cls.cells] for cls in self.classes]
-        return np.concatenate([_values(c, cls.phi)
-                               for cls, c in zip(self.classes, coef)])
+        out = np.empty((len(self.cell_points),) + coef[0].shape[1:-1])
+        for cls, c, o in zip(self.classes, coef, self.split(out)):
+            o = o.reshape(len(c), cls.nq, -1)
+            for keys, slots in cls.batches:
+                _values(c[slots], cls.phi[keys], o[slots])
+        return out
+
+    def cell_mass(self, values, d):
+        """Per class (nc, ..., d, d): each cell's sum over its points of
+        weight times value (``values`` (n_points, ...) at ``cell_points``)
+        times phi_a phi_b, for its leading d <= dim_k basis functions."""
+        values = np.asarray(values, dtype=float)
+        out = []
+        for cls, v in zip(self.classes, self.split(values)):
+            nc = len(cls.cells)
+            wv = (cls.weights[..., None] * v.reshape(nc, cls.nq, -1)
+                  ).transpose(0, 2, 1)[:, :, None]
+            mass = np.empty((nc, wv.shape[1], d, d))
+            for keys, slots in cls.batches:
+                phi = cls.phi[keys, None, :d]
+                mass[slots] = (phi * wv[slots]) @ phi.transpose(0, 1, 3, 2)
+            out.append(mass.reshape((nc,) + values.shape[1:] + (d, d)))
+        return out
 
     def edge_values(self, coef):
         """Owner-side values (n_points, ...) at every half-edge point of
@@ -453,7 +648,9 @@ class Discretization:
         out = np.empty((len(self.edge_points),) + coef[0].shape[1:-1])
         for cls, c in zip(self.classes, coef):
             for g in cls.groups:
-                out[g.start:g.stop] = _values(c[g.slot], g.phi)
+                o = out[g.start:g.stop].reshape(len(g.slot), g.q, -1)
+                for h in _chunks(len(g.slot), g.phi):
+                    _values(c[g.slot[h]], g.phi[g.hk[h]], o[h])
         return out
 
     def edge_moments(self, values, d=None):
@@ -473,8 +670,10 @@ class Discretization:
             m = np.zeros((len(cls.cells), cls.dim, wv.shape[1]))
             for g in cls.groups:
                 v = wv[g.start:g.stop].reshape(len(g.slot), g.q, -1)
-                h = np.flatnonzero(v.any(axis=(1, 2)))  # skip zero data
-                np.add.at(m, g.slot[h], g.phi[h] @ v[h])
+                nonzero = np.flatnonzero(v.any(axis=(1, 2)))  # skip zero data
+                for part in _chunks(len(nonzero), g.phi):
+                    h = nonzero[part]
+                    np.add.at(m, g.slot[h], g.phi[g.hk[h]] @ v[h])
             moments.append(m.transpose(0, 2, 1).reshape(
                 m.shape[:1] + values.shape[1:] + (-1,)))
         return moments
@@ -517,10 +716,10 @@ class Discretization:
     # -- point evaluation ----------------------------------------------------
 
     def _point_basis(self, cells, points):
-        geo = self.mesh.cells
-        local = ((points - geo.centroid[cells]) / geo.diameter[cells][:, None])
+        key = self._key_of[cells]
+        local = (points - self.centers[cells]) / self._scale[key][:, None]
         t = monomial_tables(local[:, None, :], self.k)
-        return (self._tk[cells] @ t)[..., 0]
+        return (self._tk[key] @ t)[..., 0]
 
     def velocity_values(self, u, cell, points):
         """Velocity (n, 2) at points (n, 2) inside ``cell``.

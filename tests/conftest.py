@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
+from cdgbrinkman.mesh import (Mesh, generate_polygonal,
+                              generate_uniform_rectangular,
                               generate_uniform_triangular)
 from cdgbrinkman.solver import MAX_SWEEPS
-from polyref import MonomialBasis, cell_quadrature, gram_cholesky, gram_solve
+from polyref import (CellTables, cell_quadrature, cell_vertices, gram_cholesky,
+                     gram_solve)
 
 MESH_FAMILIES = {
     "tri": generate_uniform_triangular,
@@ -69,6 +71,18 @@ def notched_square(x):
     return verts, [[0, 1, 2, 3, 4, 5, 6, 7], [3, 2, 5, 4]]
 
 
+def perturbed_mesh(family, n, seed, amplitude):
+    """A generated mesh with its interior vertices moved at random."""
+    mesh = MESH_FAMILIES[family](n)
+    v = mesh.vertices.copy()
+    inside = np.all((v > 1e-9) & (v < 1.0 - 1e-9), axis=1)
+    rng = np.random.default_rng(seed)
+    v[inside] += amplitude * mesh.labeled_h * rng.uniform(
+        -1.0, 1.0, (inside.sum(), 2))
+    return Mesh(v, np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]),
+                labeled_h=mesh.labeled_h)
+
+
 def normal_out_of(mesh, edge, cell):
     """Unit normal of ``edge`` pointing out of ``cell``, one of its cells."""
     minus, plus = mesh.edge_cells[edge]
@@ -79,27 +93,6 @@ def normal_out_of(mesh, edge, cell):
     raise ValueError(f"cell {cell} is not incident to edge {edge}")
 
 
-def locate(disc, cell):
-    """Class index and slot of ``cell`` in the stacked arrays of ``disc``.
-
-    Also returns ``tables(points, dim, grad=False)``: the leading ``dim``
-    basis functions of the cell at ``points`` (their x and y derivatives
-    with ``grad``), from polyspace monomials and the class's transform.
-    """
-    ci = next(i for i, c in enumerate(disc.classes) if cell in c.cells)
-    cls = disc.classes[ci]
-    slot = int(np.searchsorted(cls.cells, cell))
-    basis = MonomialBasis(cls.j, disc.mesh.cells[cell].centroid,
-                          disc.mesh.cells[cell].diameter)
-
-    def tables(points, dim, grad=False):
-        raw = basis.gradients(points) if grad else [basis.values(points)]
-        out = [cls.transform[slot, :dim, :dim] @ r[:dim] for r in raw]
-        return out if grad else out[0]
-
-    return ci, slot, tables
-
-
 def project_scalar_field(disc, fn, block_name):
     """Per-cell L2 projection onto the leading "k" or "p" basis functions.
 
@@ -108,10 +101,9 @@ def project_scalar_field(disc, fn, block_name):
     dim = {"k": disc.dim_k, "p": disc.dim_p}[block_name]
     out = np.zeros((disc.mesh.n_cells, dim))
     for c in range(disc.mesh.n_cells):
-        ci, _, tables = locate(disc, c)
-        rule = cell_quadrature(disc.mesh.cell_vertices(c),
-                               2 * disc.classes[ci].j + 2)
-        vals = tables(rule.points, dim)
+        ct = CellTables(disc, c)
+        rule = cell_quadrature(cell_vertices(disc.mesh, c), 2 * ct.j + 2)
+        vals = ct.tables(rule.points, dim)
         gram = (vals * rule.weights) @ vals.T
         out[c] = gram_solve(gram_cholesky(gram), vals @ (rule.weights
                                                           * fn(rule.points)))

@@ -7,18 +7,34 @@ shape classes and never reads the per-cell forms; the tests use them as
 independent references.  Also the pointwise edge average and jumps, the
 symmetry defect of an assembled system and a sampled check of kappa^{-1},
 and the conversions between the library's sparse blocks and scipy's, with
-the full saddle matrix and right-hand side built from them.
+the full saddle matrix and right-hand side built from them.  One cell's
+tables in a Discretization, read through the cell's congruence key
+(:class:`CellTables`), and the same tables rebuilt from the cell's own
+geometry (:func:`own_basis`, :func:`own_maps`).
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from cdgbrinkman.assembly import CsrMatrix, _kappa_range
-from cdgbrinkman.polyspace import (ConditioningError, dim_poly,
-                                   edge_point_count, fan_quadrature,
-                                   gauss_segments, monomial_tables,
-                                   poly_exponents)
+from cdgbrinkman.polyspace import (ConditioningError, derivative_matrix,
+                                   dim_poly, edge_point_count,
+                                   fan_quadrature, gauss_segments,
+                                   monomial_tables, poly_exponents)
+from cdgbrinkman.weakgrad import target_degree
+
+
+def cell_vertices(mesh, c):
+    """Coordinates of cell c's vertex loop, shape (n, 2)."""
+    lo, hi = mesh.cell_offsets[c], mesh.cell_offsets[c + 1]
+    return mesh.vertices[mesh.cell_vertex_ids[lo:hi]]
+
+
+def final_rate(report, column):
+    """The last rate of a ConvergenceReport column, NaN if there is none."""
+    r = report.rates()[column]
+    return r[-1] if r and r[-1] is not None else float("nan")
 
 
 class MonomialBasis:
@@ -237,3 +253,113 @@ def validate_kappa(problem, points):
     (tensor); returns the sampled eigenvalue range (lambda_min,
     lambda_max)."""
     return _kappa_range(*problem.kappa_inv_at(points), points)
+
+
+class CellTables:
+    """One cell's tables in a Discretization, read through its key.
+
+    ``ci`` and ``cls`` are its shape class and that class's index,
+    ``slot`` its row in the class's per-cell arrays (``points``,
+    ``weights``) and ``key`` its row in the per-key ones: ``transform``,
+    ``phi``, ``vx``, ``vy`` and ``scale``.  ``basis`` holds the scaled
+    monomials of degree ``j`` about the cell's basis center.
+    """
+
+    def __init__(self, disc, cell):
+        self.disc, self.cell = disc, cell
+        self.ci = next(i for i, c in enumerate(disc.classes)
+                       if cell in c.cells)
+        cls = self.cls = disc.classes[self.ci]
+        self.slot = int(np.flatnonzero(cls.cells == cell)[0])
+        self.key = int(cls.key[self.slot])
+        self.j, self.dim = cls.j, cls.dim
+        self.points, self.weights = cls.points[self.slot], cls.weights[self.slot]
+        for name in ("transform", "phi", "vx", "vy", "scale"):
+            setattr(self, name, getattr(cls, name)[self.key])
+        self.basis = MonomialBasis(cls.j, disc.centers[cell], self.scale)
+
+    def map(self, maps):
+        """The cell's (r, dt, (1 + ne) df) of per-class maps such as
+        ``disc.vel``, ``disc.pre`` or ``disc.jump_maps()``."""
+        return maps[self.ci][self.key]
+
+    def columns(self, table):
+        """The DOF columns of the cell's maps (see ``disc.columns``)."""
+        return self.disc.columns(self.cls, table)[self.slot]
+
+    def tables(self, points, dim, grad=False):
+        """The leading ``dim`` basis functions at ``points``, or their x and
+        y derivatives with ``grad``: polyref monomials times the key's
+        transform."""
+        raw = (self.basis.gradients(points) if grad
+               else [self.basis.values(points)])
+        out = [self.transform[:dim, :dim] @ r[:dim] for r in raw]
+        return out if grad else out[0]
+
+
+def own_basis(disc, cell, degree):
+    """Cell ``cell``'s orthonormal basis of ``degree`` rebuilt from its own
+    geometry: its fan rule of the Discretization's exactness, monomials
+    about its centroid over its diameter, orthonormalized by the Cholesky
+    factor L of their Gram matrix.  Returns the rule, the MonomialBasis,
+    L and the transform L^{-1}."""
+    mesh = disc.mesh
+    centroid = mesh.cells.centroid[cell]
+    pts, wts = fan_quadrature(cell_vertices(mesh, cell)[None], centroid[None],
+                              2 * degree + disc.cell_exactness_bump)
+    rule = QuadratureRule(pts[0], wts[0])
+    basis = MonomialBasis(degree, centroid, mesh.cells.diameter[cell])
+    chol = np.linalg.cholesky(gram_matrix(basis, rule))
+    return rule, basis, chol, solve_triangular(chol, np.eye(len(chol)),
+                                               lower=True)
+
+
+def own_maps(disc, cell):
+    """Cell ``cell``'s velocity, pressure and jump maps, laid out as
+    ``CellTables.map`` returns them, rebuilt from its own and its
+    neighbours' :func:`own_basis`: the volume moments by the Cholesky
+    formula of the weakgrad docstring, the edge moments by Gauss rules."""
+    mesh, k, dk, dp = disc.mesh, disc.k, disc.dim_k, disc.dim_p
+    lo, hi = mesh.cell_offsets[cell], mesh.cell_offsets[cell + 1]
+    ne = hi - lo
+    j = target_degree(ne, k)
+    _, basis, chol, T = own_basis(disc, cell, j)
+    h = basis.scale
+    vol = [T @ derivative_matrix(j, d) @ chol[:, :dk] / h for d in (0, 1)]
+    own, nbr, normals, inner = [], [], [], []
+    for e in mesh.cell_edge_ids[lo:hi]:
+        rule = edge_quadrature(*mesh.vertices[mesh.edge_vertices[e]],
+                               2 * j + 2 * k)
+        phi = T @ basis.values(rule.points)
+        wphi = phi * rule.weights
+        own.append(wphi @ phi[:dk].T)
+        minus, plus = mesh.edge_cells[e]
+        other = plus if minus == cell else minus
+        normals.append(mesh.edge_normals[e] * (1.0 if minus == cell else -1.0))
+        inner.append(other >= 0)
+        if other >= 0:
+            ob = MonomialBasis(k, mesh.cells.centroid[other],
+                               mesh.cells.diameter[other])
+            ot = own_basis(disc, other, k)[3]
+            nbr.append(wphi @ (ot @ ob.values(rule.points)).T)
+        else:
+            nbr.append(np.zeros_like(own[-1]))
+
+    def gradient(df, dt, boundary):
+        W = np.zeros((2, dt, ne + 1, df))
+        for d in (0, 1):
+            W[d, :, 0] = -vol[d][:dt, :df]
+            for i in range(ne):
+                n = normals[i][d]
+                W[d, :, 0] += n * (0.5 if inner[i] else boundary) * own[i][
+                    :dt, :df]
+                W[d, :, i + 1] = n * 0.5 * nbr[i][:dt, :df]
+        return W.reshape(2, dt, -1)
+
+    jump = np.zeros((1, dp, ne + 1, dp))
+    for i in range(ne):
+        if inner[i]:
+            jump[0, :, 0] += mesh.h * own[i][:dp, :dp]
+            jump[0, :, i + 1] = -mesh.h * nbr[i][:dp, :dp]
+    return (gradient(dk, dim_poly(j), 0.0), gradient(dp, dk, 1.0),
+            jump.reshape(1, dp, -1))

@@ -25,9 +25,10 @@ from cdgbrinkman.problems import (cavity_problem, example1, load_kappa_raster,
 from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
 
-from polyref import cell_quadrature, edge_quadrature, gram_cholesky, gram_solve
-from conftest import (MESH_FAMILIES, locate, normal_out_of,
-                      random_polynomial, project_scalar_field)
+from polyref import (CellTables, cell_quadrature, cell_vertices,
+                     edge_quadrature, final_rate, gram_cholesky, gram_solve)
+from conftest import (MESH_FAMILIES, normal_out_of, random_polynomial,
+                      project_scalar_field)
 
 
 def _report(line):
@@ -68,9 +69,9 @@ def test_criterion_2_table1_orders():
     t0 = time.perf_counter()
     rep = run_convergence(example1(mu=1.0, a=1.0),
                           generate_uniform_triangular, 1, [4, 8, 16, 32, 64])
-    l2 = rep.final_rate("l2_e")
-    trb = rep.final_rate("trb_e")
-    eps = rep.final_rate("l2_eps")
+    l2 = final_rate(rep, "l2_e")
+    trb = final_rate(rep, "trb_e")
+    eps = final_rate(rep, "l2_eps")
     ok = (1.75 <= l2 <= 2.25) and (1.0 <= trb <= 1.5) and (1.1 <= eps <= 1.7)
     _finish(2, "triangular k=1 orders",
             ok, f"orders l2={l2:.3f} trb={trb:.3f} eps={eps:.3f}", t0, 120.0)
@@ -80,8 +81,8 @@ def test_criterion_3_table5_orders():
     t0 = time.perf_counter()
     rep = run_convergence(example1(mu=1.0, a=1e4),
                           generate_uniform_rectangular, 2, [4, 8, 16, 32])
-    l2 = rep.final_rate("l2_e")
-    trb = rep.final_rate("trb_e")
+    l2 = final_rate(rep, "l2_e")
+    trb = final_rate(rep, "trb_e")
     ok = (2.6 <= l2 <= 3.3) and (1.9 <= trb <= 2.4)
     _finish(3, "rectangular k=2 orders",
             ok, f"orders l2={l2:.3f} trb={trb:.3f}", t0, 300.0)
@@ -91,8 +92,8 @@ def test_criterion_4_table6_orders():
     t0 = time.perf_counter()
     rep = run_convergence(example1(mu=1.0, a=1e4),
                           generate_uniform_rectangular, 3, [4, 8, 16, 32])
-    l2 = rep.final_rate("l2_e")
-    trb = rep.final_rate("trb_e")
+    l2 = final_rate(rep, "l2_e")
+    trb = final_rate(rep, "trb_e")
     ok = (3.6 <= l2 <= 4.4) and (2.9 <= trb <= 3.5)
     _finish(4, "rectangular k=3 orders",
             ok, f"orders l2={l2:.3f} trb={trb:.3f}", t0, 600.0)
@@ -132,30 +133,26 @@ def test_criterion_6_weak_gradient_identities(rng):
         mesh = factory(3 if family != "poly" else 4)
         disc = Discretization(mesh, k)
         nat = disc.weak_gradient(disc.dim_k, None, "natural")
-        cells = [locate(disc, c) for c in range(mesh.n_cells)]
-        rules = [cell_quadrature(mesh.cell_vertices(c),
-                                 2 * disc.classes[ci].j + 2)
-                 for c, (ci, _, _) in enumerate(cells)]
+        cells = [CellTables(disc, c) for c in range(mesh.n_cells)]
+        rules = [cell_quadrature(cell_vertices(mesh, c), 2 * ct.j + 2)
+                 for c, ct in enumerate(cells)]
         u = np.zeros(disc.n_velocity_dofs + 1)
         p = np.zeros(disc.n_pressure_dofs + 1)
         for _ in range(25):
             fn, gr = random_polynomial(k, rng)
             u[disc.velocity_dofs[:, 0]] = project_scalar_field(disc, fn, "k")
-            for (ci, slot, tables), rule in zip(cells, rules):
-                cls = disc.classes[ci]
-                cx, cy = nat[ci][:, slot] @ u[disc.columns(
-                    cls, disc.velocity_dofs[:, 0])[slot]]
-                gx, gy = (c @ tables(rule.points, cls.dim) for c in (cx, cy))
+            for ct, rule in zip(cells, rules):
+                cx, cy = ct.map(nat) @ u[ct.columns(disc.velocity_dofs[:, 0])]
+                gx, gy = (c @ ct.tables(rule.points, ct.dim) for c in (cx, cy))
                 exact = gr(rule.points)
                 worst_repro = max(worst_repro,
                                   np.abs(gx - exact[:, 0]).max(),
                                   np.abs(gy - exact[:, 1]).max())
             qfn, qgr = random_polynomial(k - 1, rng)
             p[:-1] = project_scalar_field(disc, qfn, "p").ravel()
-            for (ci, slot, tables), rule in zip(cells, rules):
-                cx, cy = disc.pre[ci][:, slot] @ p[disc.columns(
-                    disc.classes[ci], disc.pressure_dofs)[slot]]
-                gx, gy = (c @ tables(rule.points, disc.dim_k)
+            for ct, rule in zip(cells, rules):
+                cx, cy = ct.map(disc.pre) @ p[ct.columns(disc.pressure_dofs)]
+                gx, gy = (c @ ct.tables(rule.points, disc.dim_k)
                           for c in (cx, cy))
                 exact = qgr(rule.points)
                 worst_pressure = max(worst_pressure,
@@ -195,9 +192,9 @@ def test_criterion_6_weak_gradient_identities(rng):
 
 def _weak_gradient_of_function(disc, cell, fn):
     mesh = disc.mesh
-    ci, _, tables = locate(disc, cell)
-    j, dim = disc.classes[ci].j, disc.classes[ci].dim
-    rule = cell_quadrature(mesh.cell_vertices(cell), 2 * j + 2)
+    ct = CellTables(disc, cell)
+    j, dim, tables = ct.j, ct.dim, ct.tables
+    rule = cell_quadrature(cell_vertices(mesh, cell), 2 * j + 2)
     vals = tables(rule.points, dim)
     tgx, tgy = tables(rule.points, dim, grad=True)
     fv = fn(rule.points)

@@ -16,9 +16,10 @@ from cdgbrinkman.problems import constant_flow_problem, example1, polynomial_pat
 from cdgbrinkman.solver import SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
 
-from polyref import (MonomialBasis, cell_quadrature, jump_stabilizer,
-                     symmetry_defect, system_matrix, to_scipy, validate_kappa)
-from conftest import MESH_FAMILIES, locate, normal_out_of
+from polyref import (CellTables, MonomialBasis, cell_quadrature,
+                     cell_vertices, jump_stabilizer, symmetry_defect,
+                     system_matrix, to_scipy, validate_kappa)
+from conftest import MESH_FAMILIES, normal_out_of, perturbed_mesh
 
 
 def unit_problem(mu=1.0, kappa0=1.0):
@@ -224,7 +225,7 @@ def test_b_against_direct_quadrature_oracle(rng):
         direct = 0.0
         for c in range(mesh.n_cells):
             cell = mesh.cells[c]
-            x0, y0 = mesh.cell_vertices(c)[0]
+            x0, y0 = cell_vertices(mesh, c)[0]
             pts, w = _sq_rule(x0, y0, s, n=6)
             tgt = MonomialBasis(k, cell.centroid, cell.diameter)
             vals = tgt.values(pts)
@@ -293,7 +294,7 @@ def test_s_matches_pointwise_jump_sum(family, k, rng):
     S = assemble_s(disc)
 
     def tables(cell, points, dim):
-        return locate(disc, cell)[2](points, dim)
+        return CellTables(disc, cell).tables(points, dim)
 
     ref = jump_stabilizer(disc, tables)
     assert np.abs(to_scipy(S).toarray() - ref).max() <= 1e-12 * np.abs(
@@ -368,8 +369,9 @@ def test_rhs_constant_force_moments():
     problem = BrinkmanProblem(mu=1.0, kappa_inv=lambda p: np.ones(len(p)),
                               f=f, g=lambda p: np.zeros((len(p), 2)))
     F, _ = assemble_rhs(disc, problem)
-    rule = cell_quadrature(mesh.cell_vertices(0), 2 * disc.classes[0].j + 2)
-    moments = locate(disc, 0)[2](rule.points, disc.dim_k) @ rule.weights
+    ct = CellTables(disc, 0)
+    rule = cell_quadrature(cell_vertices(mesh, 0), 2 * ct.j + 2)
+    moments = ct.tables(rule.points, disc.dim_k) @ rule.weights
     assert np.allclose(F[disc.velocity_dofs[0, 0]], moments, atol=1e-14)
     assert np.abs(F[disc.velocity_dofs[0, 1]]).max() == 0.0
 
@@ -540,19 +542,6 @@ def test_assembly_rejects_non_finite_boundary_data_naming_edge():
         assemble_system(disc, problem)
 
 
-def _perturbed_mesh(family, n, seed, amplitude):
-    """A generated mesh with its interior vertices moved at random."""
-    mesh = {"rect": generate_uniform_rectangular,
-            "poly": generate_polygonal}[family](n)
-    v = mesh.vertices.copy()
-    inside = np.all((v > 1e-9) & (v < 1.0 - 1e-9), axis=1)
-    rng = np.random.default_rng(seed)
-    v[inside] += amplitude * mesh.labeled_h * rng.uniform(
-        -1.0, 1.0, (inside.sum(), 2))
-    return Mesh(v, np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]),
-                labeled_h=mesh.labeled_h)
-
-
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(family=st.sampled_from(["rect", "poly"]), n=st.integers(2, 4),
        k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1),
@@ -561,7 +550,7 @@ def test_assembly_invariants_on_perturbed_meshes(family, n, k, seed,
                                                  amplitude):
     # A is symmetric, the constant flow is reproduced, and two builds from
     # scratch agree bit for bit
-    mesh = _perturbed_mesh(family, n, seed, amplitude)
+    mesh = perturbed_mesh(family, n, seed, amplitude)
     problem = constant_flow_problem(kappa0=5.0, mu=0.01)
     discs = [Discretization(mesh, k) for _ in range(2)]
     a, b = (assemble_system(disc, problem) for disc in discs)
@@ -598,7 +587,7 @@ def _assert_patch_reproduced(mesh, k):
        k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
        amplitude=st.floats(0.0, 0.1))
 def test_patch_reproduced_on_perturbed_meshes(family, n, k, seed, amplitude):
-    _assert_patch_reproduced(_perturbed_mesh(family, n, seed, amplitude), k)
+    _assert_patch_reproduced(perturbed_mesh(family, n, seed, amplitude), k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -22,6 +22,7 @@ from cdgbrinkman.solver import DELTA
 from cdgbrinkman.weakgrad import Discretization
 from conftest import (NOTCH_ON_CENTROID, notched_square,
                       refinement_stopped_by_rule)
+from polyref import cell_vertices
 
 
 def test_converge_writes_schema_csv(tmp_path):
@@ -88,6 +89,18 @@ def test_solve_produces_three_valid_files(tmp_path):
     assert solver["refinement_residuals"][-1] == summary["residual"]
     assert (solver["inner_iterations"]
             == [1] * (len(solver["refinement_residuals"]) - 1))
+
+
+def test_summary_reports_gram_condition(tmp_path):
+    # the worst Gram condition estimate per target degree, as built
+    assert main(["solve", "--mesh", "poly", "--n", "4", "--k", "2",
+                 "--resolution", "4", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    disc = Discretization(generate_polygonal(4), 2)
+    assert summary["gram_condition"] == {
+        str(j): v for j, v in disc.gram_condition.items()}
+    assert set(summary["gram_condition"]) == {"5", "6", "7"}
+    assert min(summary["gram_condition"].values()) >= 1.0
 
 
 def test_solve_missing_raster_exit_2(tmp_path, capsys):
@@ -337,7 +350,7 @@ def test_cell_locator_polygonal():
         c = loc.locate(p)
         assert c is not None
         # verify containment with the mesh's own geometry
-        pts = mesh.cell_vertices(c)
+        pts = cell_vertices(mesh, c)
         nxt = np.roll(pts, -1, axis=0)
         cross = ((nxt[:, 0] - pts[:, 0]) * (p[1] - pts[:, 1])
                  - (nxt[:, 1] - pts[:, 1]) * (p[0] - pts[:, 0]))
@@ -351,7 +364,7 @@ class LoopLocator(CellLocator):
         super().__init__(mesh)
         buckets = [[] for _ in range(self.nb * self.nb)]
         for c in range(mesh.n_cells):
-            pts = mesh.cell_vertices(c)
+            pts = cell_vertices(mesh, c)
             i0, j0 = self._bucket_of(pts.min(axis=0))
             i1, j1 = self._bucket_of(pts.max(axis=0))
             for j in range(j0, j1 + 1):

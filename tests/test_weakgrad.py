@@ -5,10 +5,11 @@ from cdgbrinkman.mesh import Mesh, generate_uniform_rectangular, generate_unifor
 from cdgbrinkman.weakgrad import Discretization, target_degree
 from cdgbrinkman.analysis import project_tensor
 
-from polyref import (MonomialBasis, cell_quadrature, edge_average,
-                     edge_quadrature, gram_cholesky, gram_solve, normal_jump,
-                     scalar_jump)
-from conftest import (MESH_FAMILIES, locate, normal_out_of,
+from polyref import (CellTables, MonomialBasis, cell_quadrature,
+                     cell_vertices, edge_average, edge_quadrature,
+                     gram_cholesky, gram_matrix, gram_solve, normal_jump,
+                     own_basis, own_maps, scalar_jump)
+from conftest import (MESH_FAMILIES, normal_out_of, perturbed_mesh,
                       project_scalar_field, random_polynomial)
 
 
@@ -29,6 +30,75 @@ def test_target_degree_rule():
     assert target_degree(4, 3) == 6
     assert target_degree(6, 2) == 7
     assert target_degree(7, 2) == 8
+
+
+# ---------------------------------------------------------------------------
+# tables shared by congruent cells
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, n, keys", [
+    ("rect", 16, 9), ("tri", 8, 8), ("poly", 16, 23), ("poly", 64, 23)])
+def test_congruent_cells_share_keys(family, n, keys):
+    # a key per interior, edge and corner position: cells measured from
+    # their first vertex, whose coordinates carry no roundoff of their own
+    disc = Discretization(MESH_FAMILIES[family](n), 1)
+    assert sum(len(cls.first) for cls in disc.classes) == keys
+    for cls in disc.classes:
+        assert np.array_equal(np.unique(cls.key), np.arange(len(cls.first)))
+        assert np.array_equal(cls.key[cls.first], np.arange(len(cls.first)))
+
+
+@pytest.mark.parametrize("family", ["rect", "poly"])
+def test_perturbed_mesh_gives_every_cell_its_own_key(family):
+    disc = Discretization(perturbed_mesh(family, 6, 7, 0.1), 1)
+    for cls in disc.classes:
+        assert np.array_equal(cls.key, np.arange(len(cls.cells)))
+        assert np.array_equal(cls.cells, np.sort(cls.cells))
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shared_tables_match_per_cell_rebuild(family, k):
+    # each cell reads the tables its key's first cell was built from; built
+    # from the cell's own geometry they agree to roundoff.  On hexagons the
+    # degree 7 and 8 tables (Gram condition near 1e10 and 1e12) carry
+    # roundoff of their own: the rebuild differs from the library's tables
+    # by up to 1e-12 (k = 2) and 8e-12 (k = 3) on the first cells
+    # themselves, whose geometry is the same
+    disc = Discretization(MESH_FAMILIES[family](8 if family == "poly" else 4),
+                          k)
+    tol = {("poly", 2): 5e-12, ("poly", 3): 3e-11}.get((family, k), 1e-12)
+    jumps = disc.jump_maps()
+    for cell in range(disc.mesh.n_cells):
+        ct = CellTables(disc, cell)
+        rule, basis, _, transform = own_basis(disc, cell, ct.j)
+        assert np.abs(ct.points - rule.points).max() <= 1e-14
+        assert np.abs(ct.weights - rule.weights).max() <= 1e-12 * (
+            rule.weights.max())
+        phi = transform @ basis.values(rule.points)
+        assert np.abs(ct.phi - phi).max() <= tol * np.abs(phi).max()
+        for mine, ref in zip((ct.map(disc.vel), ct.map(disc.pre),
+                              ct.map(jumps)), own_maps(disc, cell)):
+            assert np.abs(mine - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_condition_bounds_the_worst_cell(family, k):
+    # (max L_ii / min L_ii)^2 <= cond(G): the eigenvalues of the triangular
+    # L are its diagonal entries, and they lie within its singular values
+    disc = Discretization(MESH_FAMILIES[family](4), k)
+    assert sorted(disc.gram_condition) == sorted({c.j for c in disc.classes})
+    for cls in disc.classes:
+        estimate = {}
+        for cell in cls.cells:
+            diag = np.diag(own_basis(disc, cell, cls.j)[2])
+            estimate[cell] = (diag.max() / diag.min()) ** 2
+        worst = max(estimate, key=estimate.get)
+        rule, basis, _, _ = own_basis(disc, worst, cls.j)
+        value = disc.gram_condition[cls.j]
+        assert value == pytest.approx(estimate[worst], rel=1e-6)
+        assert 1.0 <= value <= np.linalg.cond(gram_matrix(basis, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +127,10 @@ def test_cell_bases_orthonormal(family, k):
     # moments, which holds only if every Gram matrix is the identity
     for n in (4, 8):
         disc = Discretization(MESH_FAMILIES[family](n), k)
-        for cls in disc.classes:
-            gram = (cls.phi * cls.weights[:, None, :]) @ cls.phi.transpose(
-                0, 2, 1)
-            assert np.abs(gram - np.eye(cls.dim)).max() <= 1e-10
+        for cell in range(disc.mesh.n_cells):
+            ct = CellTables(disc, cell)
+            gram = (ct.phi * ct.weights) @ ct.phi.T
+            assert np.abs(gram - np.eye(ct.dim)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
@@ -70,15 +140,14 @@ def test_volume_moments_against_quadrature(family, k):
     # from polyref's term-by-term derivatives on a rule of exactness 2j + 6
     disc = Discretization(MESH_FAMILIES[family](4), k)
     for cell in range(disc.mesh.n_cells):
-        ci, slot, tables = locate(disc, cell)
-        cls = disc.classes[ci]
-        rule = cell_quadrature(disc.mesh.cell_vertices(cell), 2 * cls.j + 6)
-        wphi = tables(rule.points, disc.dim_k) * rule.weights
-        grads = tables(rule.points, cls.dim, grad=True)
-        for vol, grad in zip((cls.vx, cls.vy), grads):
+        ct = CellTables(disc, cell)
+        rule = cell_quadrature(cell_vertices(disc.mesh, cell), 2 * ct.j + 6)
+        wphi = ct.tables(rule.points, disc.dim_k) * rule.weights
+        grads = ct.tables(rule.points, ct.dim, grad=True)
+        for vol, grad in zip((ct.vx, ct.vy), grads):
             ref = grad @ wphi.T
             scale = max(1.0, np.abs(ref).max())
-            assert np.abs(vol[slot] - ref).max() <= 1e-11 * scale
+            assert np.abs(vol - ref).max() <= 1e-11 * scale
 
 
 def test_continuous_field_has_zero_jumps(rng):
@@ -166,16 +235,14 @@ def test_two_cell_brute_force_oracle():
     # DOFs: x-component is 1 on the right cell, everything else 0
     u = np.zeros(disc.n_velocity_dofs + 1)
     u[disc.velocity_dofs[1, 0, 0]] = 1.0
-    ci, slot, _ = locate(disc, 0)
-    cx, cy = disc.vel[ci][:, slot] @ u[disc.columns(
-        disc.classes[ci], disc.velocity_dofs[:, 0])[slot]]
+    ct = CellTables(disc, 0)
+    cx, cy = ct.map(disc.vel) @ u[ct.columns(disc.velocity_dofs[:, 0])]
     # the same polynomials in raw monomial coefficients: phi = T monomials
-    cx, cy = (disc.classes[ci].transform[slot].T @ c for c in (cx, cy))
+    cx, cy = (ct.transform.T @ c for c in (cx, cy))
 
     # brute force: dense Gram of the target basis on the left cell via
     # tensor Gauss, rhs only from the shared edge
-    basis = MonomialBasis(disc.classes[ci].j, mesh.cells[0].centroid,
-                          mesh.cells[0].diameter)
+    basis = ct.basis
     pts, w = _sq_rule(0.0, 0.0, n=10)
     vals = basis.values(pts)
     G = (vals * w) @ vals.T
@@ -208,10 +275,11 @@ def _check_defining_equation(disc, velocity, rng):
     table = disc.velocity_dofs[:, 0] if velocity else disc.pressure_dofs
     fdim = table.shape[1]
     for cell in range(mesh.n_cells):
-        ci, slot, tables = locate(disc, cell)
-        W = maps[ci][:, slot]
-        cols = disc.columns(disc.classes[ci], table)[slot]
-        dim, j = W.shape[1], disc.classes[ci].j
+        ct = CellTables(disc, cell)
+        tables = ct.tables
+        W = ct.map(maps)
+        cols = ct.columns(table)
+        dim, j = W.shape[1], ct.j
         edges = _cell_edges(mesh, cell)
         ends = mesh.edge_cells[edges]
         nbrs = np.where(ends[:, 0] == cell, ends[:, 1], ends[:, 0])
@@ -219,7 +287,7 @@ def _check_defining_equation(disc, velocity, rng):
             [cell] + [nb for nb in nbrs if nb >= 0]))
         basis_t = MonomialBasis(j, mesh.cells[cell].centroid,
                                 mesh.cells[cell].diameter)
-        rule = cell_quadrature(mesh.cell_vertices(cell), 2 * j + 6)
+        rule = cell_quadrature(cell_vertices(mesh, cell), 2 * j + 6)
         tvals = basis_t.values(rule.points)[:dim]
         tgx, tgy = (g[:dim] for g in basis_t.gradients(rule.points))
         gvals = tables(rule.points, dim)
@@ -246,8 +314,8 @@ def _check_defining_equation(disc, velocity, rng):
                         continue  # homogeneous average
                     avg = otr     # pressure: the cell's own trace
                 else:
-                    ntr = dofs[table[nb]] @ locate(disc, nb)[2](er.points,
-                                                                fdim)
+                    ntr = dofs[table[nb]] @ CellTables(disc, nb).tables(
+                        er.points, fdim)
                     avg = 0.5 * (otr + ntr)
                 edge_x += nrm[0] * (ttr @ (er.weights * avg))
                 edge_y += nrm[1] * (ttr @ (er.weights * avg))
@@ -316,10 +384,11 @@ def test_apply_matches_map_columns(rng):
     disc = Discretization(MESH_FAMILIES["poly"](3), 2)
     p = rng.standard_normal(disc.n_pressure_dofs)
     padded = np.append(p, 0.0)
-    for cls, maps, got in zip(disc.classes, disc.pre,
-                              disc.apply(disc.pre, p[disc.pressure_dofs])):
-        want = maps @ padded[disc.columns(cls, disc.pressure_dofs)][..., None]
-        assert np.abs(got - want[..., 0].transpose(1, 0, 2)).max() <= 1e-14
+    got = disc.apply(disc.pre, p[disc.pressure_dofs])
+    for cell in range(disc.mesh.n_cells):
+        ct = CellTables(disc, cell)
+        want = ct.map(disc.pre) @ padded[ct.columns(disc.pressure_dofs)]
+        assert np.abs(got[ct.ci][ct.slot] - want).max() <= 1e-14
 
 
 def test_constant_field_zero_gradient():
@@ -328,11 +397,12 @@ def test_constant_field_zero_gradient():
     u = np.zeros(disc.n_velocity_dofs + 1)
     u[disc.velocity_dofs[:, 0]] = project_scalar_field(
         disc, lambda pts: np.ones(len(pts)), "k")
-    for cls, maps in zip(disc.classes, disc.vel):
-        cols = disc.columns(cls, disc.velocity_dofs[:, 0])
-        coef = np.einsum("dcti,ci->dct", maps, u[cols])
+    for cell in range(mesh.n_cells):
+        ct = CellTables(disc, cell)
+        coef = ct.map(disc.vel) @ u[ct.columns(disc.velocity_dofs[:, 0])]
         # the homogeneous operator sees the boundary
-        assert np.abs(coef[:, (cls.nbr >= 0).all(axis=1)]).max() < 1e-10
+        if (ct.cls.nbr[ct.slot] >= 0).all():
+            assert np.abs(coef).max() < 1e-10
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
@@ -348,12 +418,10 @@ def test_gradient_reproduces_low_degree_polynomials(family, k, rng):
         u = np.zeros(disc.n_velocity_dofs + 1)
         u[disc.velocity_dofs[:, 0]] = project_scalar_field(disc, fn, "k")
         for cell in range(mesh.n_cells):
-            ci, slot, tables = locate(disc, cell)
-            cls = disc.classes[ci]
-            cx, cy = maps[ci][:, slot] @ u[disc.columns(
-                cls, disc.velocity_dofs[:, 0])[slot]]
-            rule = cell_quadrature(mesh.cell_vertices(cell), 2 * cls.j + 2)
-            gx, gy = (c @ tables(rule.points, cls.dim) for c in (cx, cy))
+            ct = CellTables(disc, cell)
+            cx, cy = ct.map(maps) @ u[ct.columns(disc.velocity_dofs[:, 0])]
+            rule = cell_quadrature(cell_vertices(mesh, cell), 2 * ct.j + 2)
+            gx, gy = (c @ ct.tables(rule.points, ct.dim) for c in (cx, cy))
             exact = gr(rule.points)
             assert np.abs(gx - exact[:, 0]).max() < 1e-10
             assert np.abs(gy - exact[:, 1]).max() < 1e-10
@@ -367,9 +435,9 @@ def weak_gradient_of_function(disc, cell, fn, extra_exactness=4):
     function) and solves the target Gram system.
     """
     mesh = disc.mesh
-    ci, _, tables = locate(disc, cell)
-    j, dim = disc.classes[ci].j, disc.classes[ci].dim
-    rule = cell_quadrature(mesh.cell_vertices(cell), 2 * j + 2)
+    ct = CellTables(disc, cell)
+    j, dim, tables = ct.j, ct.dim, ct.tables
+    rule = cell_quadrature(cell_vertices(mesh, cell), 2 * j + 2)
     vals = tables(rule.points, dim)
     tgx, tgy = tables(rule.points, dim, grad=True)
     fv = fn(rule.points)
@@ -417,19 +485,18 @@ def test_pressure_gradient_identities(rng):
     p = np.zeros(disc.n_pressure_dofs + 1)
     p[:-1] = project_scalar_field(disc, lambda pts: np.ones(len(pts)),
                                   "p").ravel()
-    for cls, maps in zip(disc.classes, disc.pre):
-        cols = disc.columns(cls, disc.pressure_dofs)
-        assert np.abs(np.einsum("dcti,ci->dct", maps, p[cols])).max() < 1e-11
+    for cell in range(mesh.n_cells):
+        ct = CellTables(disc, cell)
+        assert np.abs(ct.map(disc.pre) @ p[ct.columns(disc.pressure_dofs)]
+                      ).max() < 1e-11
     # degree <= k-1 reproduces the analytic gradient
     fn, gr = random_polynomial(k - 1, rng)
     p[:-1] = project_scalar_field(disc, fn, "p").ravel()
     for cell in range(mesh.n_cells):
-        ci, slot, tables = locate(disc, cell)
-        cls = disc.classes[ci]
-        cx, cy = disc.pre[ci][:, slot] @ p[disc.columns(
-            cls, disc.pressure_dofs)[slot]]
-        rule = cell_quadrature(mesh.cell_vertices(cell), 2 * cls.j + 2)
-        gx, gy = (c @ tables(rule.points, disc.dim_k) for c in (cx, cy))
+        ct = CellTables(disc, cell)
+        cx, cy = ct.map(disc.pre) @ p[ct.columns(disc.pressure_dofs)]
+        rule = cell_quadrature(cell_vertices(mesh, cell), 2 * ct.j + 2)
+        gx, gy = (c @ ct.tables(rule.points, disc.dim_k) for c in (cx, cy))
         exact = gr(rule.points)
         assert np.abs(gx - exact[:, 0]).max() < 1e-10
         assert np.abs(gy - exact[:, 1]).max() < 1e-10
@@ -440,15 +507,15 @@ def test_single_cell_x_gradient():
     # <x, phi . n> makes the result exactly (1, 0)
     mesh = generate_uniform_rectangular(1)
     disc = Discretization(mesh, 1)
-    W = disc.weak_gradient(disc.dim_k, disc.dim_k, "natural")[0][:, 0]
-    _, _, tables = locate(disc, 0)
-    rule = cell_quadrature(mesh.cell_vertices(0), 2 * disc.classes[0].j + 2)
-    vals = tables(rule.points, disc.dim_k)
+    ct = CellTables(disc, 0)
+    W = ct.map(disc.weak_gradient(disc.dim_k, disc.dim_k, "natural"))
+    rule = cell_quadrature(cell_vertices(mesh, 0), 2 * ct.j + 2)
+    vals = ct.tables(rule.points, disc.dim_k)
     u = np.zeros(disc.n_velocity_dofs + 1)
     u[disc.velocity_dofs[0, 0]] = gram_solve(
         gram_cholesky((vals * rule.weights) @ vals.T),
         vals @ (rule.weights * rule.points[:, 0]))
-    cx, cy = W @ u[disc.columns(disc.classes[0], disc.velocity_dofs[:, 0])[0]]
+    cx, cy = W @ u[ct.columns(disc.velocity_dofs[:, 0])]
     gx, gy = cx @ vals, cy @ vals
     assert np.abs(gx - 1.0).max() < 1e-12
     assert np.abs(gy).max() < 1e-12
