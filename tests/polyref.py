@@ -258,7 +258,7 @@ def validate_kappa(problem, points):
 class CellTables:
     """One cell's tables in a Discretization, read through its key.
 
-    ``ci`` and ``cls`` are its shape class and that class's index,
+    ``cls`` and ``ci`` are its shape class and that class's index,
     ``slot`` its row in the class's per-cell arrays (``points``,
     ``weights``) and ``key`` its row in the per-key ones: ``transform``,
     ``phi``, ``vx``, ``vy`` and ``scale``.  ``basis`` holds the scaled
@@ -273,7 +273,8 @@ class CellTables:
         self.slot = int(np.flatnonzero(cls.cells == cell)[0])
         self.key = int(cls.key[self.slot])
         self.j, self.dim = cls.j, cls.dim
-        self.points, self.weights = cls.points[self.slot], cls.weights[self.slot]
+        self.points = cls.points[self.slot]
+        self.weights = cls.weights[self.slot]
         for name in ("transform", "phi", "vx", "vy", "scale"):
             setattr(self, name, getattr(cls, name)[self.key])
         self.basis = MonomialBasis(cls.j, disc.centers[cell], self.scale)
