@@ -77,6 +77,10 @@ __all__ = [
 _KEY_RESOLUTION = 1e-12
 # the edge kernels gather per-key tables in pieces of at most this size
 _CHUNK_BYTES = 1 << 24
+# the cell kernels broadcast a key's tables over its cells from this many
+# cells on, and otherwise read them this many cells at a time
+_BROADCAST_CELLS = 8
+_GATHER_CELLS = 256
 
 
 def target_degree(edge_count, k):
@@ -147,16 +151,27 @@ def _keyed_classes(mesh):
 
 
 def _batches(key):
-    """(key slice, slot slice) pairs covering slots sorted by ``key``: each
-    key of several cells alone, each run of one-cell keys together, so that
-    per-key tables indexed by the first slice line up with, or broadcast
-    over, per-cell arrays indexed by the second."""
+    """(key rows, slot slice) pairs covering slots sorted by ``key``, by
+    which the kernels meet per-key tables with per-cell arrays.  A key of
+    at least _BROADCAST_CELLS cells is a one-row slice that broadcasts over
+    them.  The slots between such keys go _GATHER_CELLS at a time: a piece
+    whose cells all have distinct keys is a slice of rows that lines up
+    with them, and any other piece is the array of its cells' keys, which
+    gathers their rows."""
     counts = np.bincount(key)
     bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-    single = counts == 1
-    start = np.flatnonzero(~single | np.append(True, ~single[:-1])).tolist()
-    return [(slice(a, b), slice(bounds[a], bounds[b]))
-            for a, b in zip(start, start[1:] + [len(counts)])]
+    out, start = [], 0
+    for k in np.flatnonzero(counts >= _BROADCAST_CELLS).tolist() + [None]:
+        stop = bounds[-1] if k is None else bounds[k]
+        for a in range(start, stop, _GATHER_CELLS):
+            b = min(a + _GATHER_CELLS, stop)
+            first, last = int(key[a]), int(key[b - 1])
+            out.append((slice(first, last + 1) if last - first == b - a - 1
+                        else key[a:b], slice(a, b)))
+        if k is not None:
+            out.append((slice(k, k + 1), slice(stop, bounds[k + 1])))
+            start = bounds[k + 1]
+    return out
 
 
 def _chunks(n, table):
