@@ -157,8 +157,8 @@ def write_summary(path, disc, solution, extra=None):
         "residual": solution.residual,
         "multiplier": solution.multiplier,
         "pressure_mean": solution.stats.get("pressure_mean"),
-        "gram_condition": {str(j): v for j, v in
-                           sorted(disc.gram_condition.items())},
+        "gram_condition": {str(j): v
+                           for j, v in disc.gram_condition.items()},
         "solver": {key: solution.stats.get(key) for key in (
             "ordering", "regularization", "nnz_factor", "fronts",
             "max_front", "factor_flops", "refinement_residuals",
