@@ -49,15 +49,18 @@ Every other cell of a key is that cell translated: its basis center
 (``Discretization.centers``) is its first vertex plus the first cell's
 centroid offset, its quadrature points are that center plus the key's
 points, and its weights are the key's.  A mesh without repeated shapes
-simply gets one key per cell.  The kernels multiply the key tables by
-the cells' data batch by batch (see ``ShapeClass.batches``).
+simply gets one key per cell.
 
 The degree-k and k-1 bases are the leading rows of the degree-j table
 (graded monomial order; the lower-triangular orthonormalizing transform
 keeps the nesting), so each point set is evaluated once.
-Half-edges (cell, local edge) are grouped per class by edge point count,
-and all their points are also laid out flat with the owner's degree-k
-values (``trace_k``) and the index of the same point seen from the
+Half-edges (cell, local edge) are grouped per class, local edge, edge
+point count and side (boundary or interior), so a key's cells share their
+group's tables.  Cells and half-edge groups are read alike: members sorted
+by their row in the per-key tables, their points rows ``start`` to
+``stop`` of flat arrays, q per member, and ``batches`` that meet the
+per-key tables ``phi`` with the members' data (see ``_batches``).  The
+flat half-edge arrays also hold the index of the same point seen from the
 neighbour (``edge_twin``, -1 on the boundary), so two-sided edge terms are
 gathers.
 """
@@ -75,12 +78,10 @@ __all__ = [
 
 # congruence keys round coordinates at this fraction of the mesh size h
 _KEY_RESOLUTION = 1e-12
-# the edge kernels gather per-key tables in pieces of at most this size
-_CHUNK_BYTES = 1 << 24
-# the cell kernels broadcast a key's tables over its cells from this many
-# cells on, and otherwise read them this many cells at a time
-_BROADCAST_CELLS = 8
-_GATHER_CELLS = 256
+# the kernels broadcast a key's tables over its members from this many
+# members on, and otherwise read them this many members at a time
+_BROADCAST_MEMBERS = 8
+_GATHER_MEMBERS = 256
 
 
 def target_degree(edge_count, k):
@@ -150,34 +151,31 @@ def _keyed_classes(mesh):
         yield ne, cells[order], pos[order], key[order]
 
 
-def _batches(key):
-    """(key rows, slot slice) pairs covering slots sorted by ``key``, by
-    which the kernels meet per-key tables with per-cell arrays.  A key of
-    at least _BROADCAST_CELLS cells is a one-row slice that broadcasts over
-    them.  The slots between such keys go _GATHER_CELLS at a time: a piece
-    whose cells all have distinct keys is a slice of rows that lines up
-    with them, and any other piece is the array of its cells' keys, which
+def _batches(key, slot=None):
+    """(key rows, member rows, member slots) triples covering members
+    sorted by ``key``, by which the kernels meet per-key tables with the
+    members' data; ``slot`` maps member rows to rows of the class's per-cell
+    arrays (None: the members are the class's cells).  A key of at least
+    _BROADCAST_MEMBERS members is a one-row slice that broadcasts over them.
+    The members between such keys go _GATHER_MEMBERS at a time: a piece
+    whose members all have distinct keys is a slice of rows that lines up
+    with them, and any other piece is the array of its members' keys, which
     gathers their rows."""
     counts = np.bincount(key)
     bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
     out, start = [], 0
-    for k in np.flatnonzero(counts >= _BROADCAST_CELLS).tolist() + [None]:
+    for k in np.flatnonzero(counts >= _BROADCAST_MEMBERS).tolist() + [None]:
         stop = bounds[-1] if k is None else bounds[k]
-        for a in range(start, stop, _GATHER_CELLS):
-            b = min(a + _GATHER_CELLS, stop)
+        for a in range(start, stop, _GATHER_MEMBERS):
+            b = min(a + _GATHER_MEMBERS, stop)
             first, last = int(key[a]), int(key[b - 1])
             out.append((slice(first, last + 1) if last - first == b - a - 1
                         else key[a:b], slice(a, b)))
         if k is not None:
             out.append((slice(k, k + 1), slice(stop, bounds[k + 1])))
             start = bounds[k + 1]
-    return out
-
-
-def _chunks(n, table):
-    """Slices of range(n) that gather at most _CHUNK_BYTES of ``table``."""
-    step = max(1, _CHUNK_BYTES // table[0].nbytes)
-    return (slice(s, s + step) for s in range(0, n, step))
+    return [(keys, rows, rows if slot is None else slot[rows])
+            for keys, rows in out]
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +196,6 @@ def _trisolve(L, B):
             X[..., r, :] -= (L[..., r, None, :r] @ X[..., :r, :])[..., 0, :]
         X[..., r, :] /= L[..., r, r, None]
     return X
-
-
-def _values(coef, phi, out):
-    """Values out (n, q, m) of coefficients (n, ..., d), the m trailing
-    entries flattened, in the tables phi (n or 1, >= d, q)."""
-    c = coef.reshape(len(coef), -1, coef.shape[-1]).transpose(0, 2, 1)
-    np.matmul(phi[:, :c.shape[1]].transpose(0, 2, 1), c, out=out)
 
 
 def _sum_rows(owner, rows, n):
@@ -232,17 +223,21 @@ def _cholesky(gram, cells, degree):
 
 
 class HalfEdgeGroup:
-    """The half-edges of one shape class whose edges have ``q`` points.
+    """The half-edges of one shape class at local edge ``local`` whose
+    edges have ``q`` points, on the boundary or, with ``inner``, not.
 
-    Per half-edge: ``slot``/``local`` in the class arrays, ``edge``,
-    ``owner``, its outward ``normal``, Gauss ``points`` and ``weights``
-    and ``twin`` (views of rows ``start`` to ``stop`` of the flat edge
-    arrays, q per half-edge), and ``hk``, its row in the per-key tables.
-    These hold one half-edge per (key, local edge), the first, at the
-    positions ``rep`` of the group: ``phi`` (nh, dim_j, q) is the owner's
-    basis at its points, and ``own_m`` and ``nbr_m`` (nh, dim_j, dim_k) are
-    the edge moments <phi_a, psi_b> against the owner's and the neighbour's
-    degree-k basis (zero on the boundary).
+    Its members are read as a ShapeClass's cells are: ``slot`` (their
+    cells' rows in the class arrays) is sorted by ``hk``, their row in the
+    per-key tables, which numbers the group's keys from 0, and ``rep``
+    holds each key's first member, whose geometry its tables are built
+    from; ``batches`` read them (see ``_batches``).  Per member: ``edge``,
+    the owner's ``side`` of it (0 minus, 1 plus), Gauss ``points`` and
+    ``weights`` and ``twin``, views of rows ``start`` to ``stop`` of the
+    flat edge arrays, q per member.
+    Per key: ``phi`` (nh, dim_j, q), the owner's basis at the points, and
+    ``own_m`` and ``nbr_m`` (nh, dim_j, dim_k), the edge moments <phi_a,
+    psi_b> against the owner's and the neighbour's degree-k basis (zero on
+    the boundary).
     """
 
 
@@ -252,23 +247,24 @@ class ShapeClass:
     The cells are ordered by their congruence ``key`` (nc,), which numbers
     the class's nk keys; ``first`` (nk,) holds each key's first slot, the
     cell whose geometry its tables are built from, and ``batches`` the
-    (key slice, slot slice) pairs by which the kernels read them.
-    ``positions`` (nc, ne) locate the cells' loops in the mesh's CSR arrays
-    (see ``Mesh.shape_classes``).  Per cell, along the first axis:
-    ``edges``, ``nbr`` (the neighbour across each local edge, -1 on the
-    boundary) and outward ``normals``; quadrature ``points`` (nc, nq, 2)
-    and ``weights`` (nc, nq), views of the flat ``cell_points`` and
-    ``cell_weights``.  Per key: the rule ``local_rule`` (points about the
-    centroid (nk, nq, 2) and weights (nk, nq)) until :meth:`place` writes
-    it out, the centroid's offset from the first vertex ``center``, the
-    diameter ``scale``, the lower-triangular ``transform`` (nk, dim, dim),
-    the inverse of the monomial Gram Cholesky factor, which maps the scaled
-    monomials of degree ``j`` to the orthonormal basis; its values ``phi``
-    (nk, dim, nq); the volume moments ``vx``/``vy`` (nk, dim, dim_k) of
-    (d_i phi_a, phi_b), ``transform @ D_i @ L[..., :dim_k] / h`` with L
-    the Gram Cholesky factor and D_i the monomials' derivative matrix (see
-    the module docstring); and ``condition``, the largest (max L_ii /
-    min L_ii)^2, a lower bound of the Gram matrices' condition numbers.
+    triples of ``_batches`` by which the kernels read them, as they read
+    the class's half-edge ``groups``.  ``positions`` (nc, ne) locate the
+    cells' loops in the mesh's CSR arrays (see ``Mesh.shape_classes``).
+    Per cell, along the first axis: ``edges``, ``nbr`` (the neighbour
+    across each local edge, -1 on the boundary) and outward ``normals``;
+    quadrature ``points`` (nc, q, 2) and ``weights`` (nc, q), views of rows
+    ``start`` to ``stop`` of the flat ``cell_points`` and ``cell_weights``.
+    Per key: the rule ``local_rule`` (points about the centroid (nk, q, 2)
+    and weights (nk, q)) until :meth:`place` writes it out, the centroid's
+    offset from the first vertex ``center``, the diameter ``scale``, the
+    lower-triangular ``transform`` (nk, dim, dim), the inverse of the
+    monomial Gram Cholesky factor, which maps the scaled monomials of
+    degree ``j`` to the orthonormal basis; its values ``phi`` (nk, dim, q);
+    the volume moments ``vx``/``vy`` (nk, dim, dim_k) of (d_i phi_a,
+    phi_b), ``transform @ D_i @ L[..., :dim_k] / h`` with L the Gram
+    Cholesky factor and D_i the monomials' derivative matrix (see the
+    module docstring); and ``condition``, the largest (max L_ii / min
+    L_ii)^2, a lower bound of the Gram matrices' condition numbers.
     """
 
     def __init__(self, disc, edge_count, cells, positions, key):
@@ -295,7 +291,7 @@ class ShapeClass:
             loops, np.zeros_like(centroid),
             2 * self.j + disc.cell_exactness_bump)
         offsets, weights = self.local_rule
-        self.nq = weights.shape[1]
+        self.q = weights.shape[1]
         raw = monomial_tables(offsets / self.scale[:, None, None], self.j)
         gram = (raw * weights[:, None, :]) @ raw.transpose(0, 2, 1)
         gram = 0.5 * (gram + gram.transpose(0, 2, 1))
@@ -311,16 +307,19 @@ class ShapeClass:
             for d in (0, 1))
         self.groups = []
 
-    def place(self, centers, points, weights):
+    def place(self, start, centers, points, weights):
         """Write each cell's rule, its center plus its key's points, into
-        ``points`` (nc, nq, 2) and ``weights`` (nc, nq), and keep them."""
+        rows ``start`` on of the flat ``points`` and ``weights``, and keep
+        views (nc, q, ...) of them."""
+        self.start, self.stop = start, start + len(self.cells) * self.q
+        self.points = points[start:self.stop].reshape(-1, self.q, 2)
+        self.weights = weights[start:self.stop].reshape(-1, self.q)
         offsets, rule = self.local_rule
         del self.local_rule  # a copy per cell once no two cells share a key
         # mode "clip" writes straight into out ("raise" buffers it)
-        np.take(offsets, self.key, axis=0, out=points, mode="clip")
-        points += centers[self.cells, None]
-        np.take(rule, self.key, axis=0, out=weights, mode="clip")
-        self.points, self.weights = points, weights
+        np.take(offsets, self.key, axis=0, out=self.points, mode="clip")
+        self.points += centers[self.cells, None]
+        np.take(rule, self.key, axis=0, out=self.weights, mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +347,8 @@ class Discretization:
     arrays over all cell quadrature
     points: ``cell_points``, ``cell_weights``, ``cell_owner``; over all
     half-edge points: ``edge_points``, ``edge_weights``, ``edge_owner``,
-    ``edge_normal`` (out of the owner), ``edge_index``, ``edge_twin`` and
-    ``trace_k``.  ``gram_condition`` maps each target degree to the worst
+    ``edge_normal`` (out of the owner), ``edge_index`` and ``edge_twin``.
+    ``gram_condition`` maps each target degree to the worst
     lower bound of its monomial Gram matrices' condition numbers (see
     ShapeClass ``condition``).
 
@@ -375,16 +374,15 @@ class Discretization:
         self.centers = _anchors(mesh).copy()
         for cls in self.classes:
             self.centers[cls.cells] += cls.center[cls.key]
-        sizes = [len(c.cells) * c.nq for c in self.classes]
-        self._split = np.cumsum(sizes)[:-1]
-        self.cell_points = np.empty((sum(sizes), 2))
-        self.cell_weights = np.empty(sum(sizes))
-        for cls, points, weights in zip(self.classes,
-                                        self.split(self.cell_points),
-                                        self.split(self.cell_weights)):
-            cls.place(self.centers, points, weights)
+        total = sum(len(c.cells) * c.q for c in self.classes)
+        self.cell_points = np.empty((total, 2))
+        self.cell_weights = np.empty(total)
+        start = 0
+        for cls in self.classes:
+            cls.place(start, self.centers, self.cell_points, self.cell_weights)
+            start = cls.stop
         self.cell_owner = np.concatenate(
-            [np.repeat(c.cells, c.nq) for c in self.classes])
+            [np.repeat(c.cells, c.q) for c in self.classes])
         self.gram_condition = {}
         for cls in self.classes:
             self.gram_condition[cls.j] = max(
@@ -421,53 +419,54 @@ class Discretization:
         self.edge_normal = np.empty((total, 2))
         self.edge_index = np.empty(total, dtype=np.int64)
         self.edge_twin = np.empty(total, dtype=np.int64)
-        self.trace_k = np.empty((total, dk))
+        # the owners' degree-k basis at every point, for the nbr_m moments
+        trace_k = np.empty((total, dk))
         start_of = np.full((mesh.n_edges, 2), -1)
         groups, start = [], 0
         for cls in self.classes:
-            npts = edge_npts[cls.edges]
-            for q in np.unique(npts):
-                g = HalfEdgeGroup()
-                g.slot, g.local = np.nonzero(npts == q)
-                g.edge, g.owner = cls.edges[g.slot, g.local], cls.cells[g.slot]
-                g.normal = cls.normals[g.slot, g.local]
-                g.q, g.start = int(q), start
-                g.stop = start = start + len(g.edge) * g.q
-                rows = slice(g.start, g.stop)
-                g.points = self.edge_points[rows].reshape(-1, g.q, 2)
-                g.weights = self.edge_weights[rows].reshape(-1, g.q)
-                g.twin = self.edge_twin[rows].reshape(-1, g.q)
-                g.points[...], g.weights[...] = gauss_segments(
-                    mesh.vertices[ends[g.edge, 0]],
-                    mesh.vertices[ends[g.edge, 1]], g.q)
-                for flat, v in ((self.edge_owner, g.owner),
-                                (self.edge_normal, g.normal),
-                                (self.edge_index, g.edge)):
-                    flat[rows] = np.repeat(v, g.q, axis=0)
-                g.side = (mesh.edge_cells[g.edge, 0] != g.owner).astype(int)
-                start_of[g.edge, g.side] = (g.start
-                                            + g.q * np.arange(len(g.edge)))
-                # the tables of each (key, local edge), from the key's first
-                # cell: a key's cells share their edges' point counts
-                key = cls.key[g.slot]
-                g.rep = np.flatnonzero(cls.first[key] == g.slot)
-                rk = key[g.rep]
-                row = np.empty((len(cls.first), cls.ne), dtype=np.int64)
-                row[rk, g.local[g.rep]] = np.arange(len(g.rep))
-                g.hk = row[key, g.local]
-                local = ((g.points[g.rep] - self.centers[g.owner[g.rep], None])
-                         / cls.scale[rk, None, None])
-                g.phi = cls.transform[rk] @ monomial_tables(local, cls.j)
-                np.take(g.phi[:, :dk].transpose(0, 2, 1), g.hk, axis=0,
-                        out=self.trace_k[rows].reshape(-1, g.q, dk),
-                        mode="clip")
-                cls.groups.append(g)
-                groups.append(g)
+            # a key's cells share each local edge's point count and side
+            kind = 2 * edge_npts[cls.edges] + (cls.nbr >= 0)
+            for local in range(cls.ne):
+                for kd in np.unique(kind[:, local]).tolist():
+                    g = HalfEdgeGroup()
+                    g.slot = np.flatnonzero(kind[:, local] == kd)
+                    g.local, g.q, g.inner = local, kd // 2, bool(kd % 2)
+                    edge, owner = cls.edges[g.slot, local], cls.cells[g.slot]
+                    g.edge, g.start = edge, start
+                    g.stop = start = start + len(edge) * g.q
+                    rows = slice(g.start, g.stop)
+                    g.points = self.edge_points[rows].reshape(-1, g.q, 2)
+                    g.weights = self.edge_weights[rows].reshape(-1, g.q)
+                    g.twin = self.edge_twin[rows].reshape(-1, g.q)
+                    g.points[...], g.weights[...] = gauss_segments(
+                        mesh.vertices[ends[edge, 0]],
+                        mesh.vertices[ends[edge, 1]], g.q)
+                    for flat, v in ((self.edge_owner, owner),
+                                    (self.edge_normal,
+                                     cls.normals[g.slot, local]),
+                                    (self.edge_index, edge)):
+                        flat[rows] = np.repeat(v, g.q, axis=0)
+                    g.side = (mesh.edge_cells[edge, 0] != owner).astype(int)
+                    start_of[edge, g.side] = g.start + g.q * np.arange(len(edge))
+                    # the slots ascend, and with them their keys
+                    key = cls.key[g.slot]
+                    new = np.diff(key, prepend=-1) != 0
+                    g.rep, g.hk = np.flatnonzero(new), np.cumsum(new) - 1
+                    g.batches = _batches(g.hk, g.slot)
+                    rk = key[g.rep]
+                    at = ((g.points[g.rep] - self.centers[owner[g.rep], None])
+                          / cls.scale[rk, None, None])
+                    g.phi = cls.transform[rk] @ monomial_tables(at, cls.j)
+                    np.take(g.phi[:, :dk].transpose(0, 2, 1), g.hk, axis=0,
+                            out=trace_k[rows].reshape(-1, g.q, dk),
+                            mode="clip")
+                    cls.groups.append(g)
+                    groups.append(g)
         for g in groups:
             other = start_of[g.edge, 1 - g.side][:, None]
             g.twin[...] = np.where(other >= 0, other + np.arange(g.q), -1)
             twin = g.twin[g.rep]
-            nbr = np.where(twin[..., None] >= 0, self.trace_k[twin], 0.0)
+            nbr = np.where(twin[..., None] >= 0, trace_k[twin], 0.0)
             wphi = g.phi * g.weights[g.rep, None, :]
             g.own_m = wphi @ g.phi[:, :dk].transpose(0, 2, 1)
             g.nbr_m = wphi @ nbr
@@ -501,10 +500,8 @@ class Discretization:
         own = np.zeros((len(cls.first), cls.ne, dt, df))
         nbr = np.zeros_like(own)
         for g in cls.groups:
-            at = cls.key[g.slot[g.rep]], g.local[g.rep]
-            fac = np.where((g.twin[g.rep, :1] >= 0)[..., None], inner,
-                           boundary)
-            own[at] = fac * g.own_m[:, :dt, :df]
+            at = cls.key[g.slot[g.rep]], g.local
+            own[at] = (inner if g.inner else boundary) * g.own_m[:, :dt, :df]
             nbr[at] = across * g.nbr_m[:, :dt, :df]
         return own, nbr
 
@@ -568,7 +565,7 @@ class Discretization:
             shape = loc.shape[:-2] + mp.shape[1:3]
             loc = loc.reshape(len(loc), -1, 1, mp.shape[-1], 1)
             prod = np.empty(loc.shape[:2] + mp.shape[1:3] + (1,))
-            for keys, slots in cls.batches:
+            for keys, _, slots in cls.batches:
                 np.matmul(mp[keys, None], loc[slots], out=prod[slots])
             out.append(prod.reshape(shape))
         return out
@@ -582,7 +579,7 @@ class Discretization:
             nc = len(cls.cells)
             ct = c.reshape(nc, -1, r, dt).transpose(0, 2, 1, 3)
             prod = np.empty((nc, ct.shape[2], width))
-            for keys, slots in cls.batches:
+            for keys, _, slots in cls.batches:
                 prod[slots] = (ct[slots] @ mp[keys]).sum(1)
             m, slots = prod.shape[1], self._slots(cls)
             rows.append(prod.reshape(nc, m, cls.ne + 1, -1)
@@ -594,27 +591,44 @@ class Discretization:
 
     # -- cell and edge kernels ------------------------------------------------
 
-    def split(self, values):
-        """Per-class (nc, nq, ...) views of values at ``cell_points``."""
-        return [v.reshape((len(c.cells), c.nq) + values.shape[1:])
-                for c, v in zip(self.classes, np.split(values, self._split))]
+    def _values(self, coef, edges):
+        """Values at the cell or, with ``edges``, the half-edge points (see
+        :meth:`cell_values`)."""
+        if not isinstance(coef, list):  # DOF layout
+            coef = [coef[cls.cells] for cls in self.classes]
+        n = len(self.edge_points if edges else self.cell_points)
+        out = np.empty((n,) + coef[0].shape[1:-1])
+        flat = out.reshape(n, -1)
+        for cls, c in zip(self.classes, coef):
+            d = c.shape[-1]
+            c = c.reshape(len(c), -1, d)
+            for g in cls.groups if edges else [cls]:
+                o = flat[g.start:g.stop].reshape(-1, g.q, flat.shape[1])
+                for keys, rows, slots in g.batches:
+                    np.matmul(g.phi[keys, :d].transpose(0, 2, 1),
+                              c[slots].transpose(0, 2, 1), out=o[rows])
+        return out
 
-    def cell_moments(self, values, d=None):
-        """Moments of values (n_points, ...) at ``cell_points`` against each
-        cell's leading d <= dim_k basis functions, (n_cells, ..., d) in DOF
-        layout: the coefficients of the L2 projection.  With d None, per
-        class (nc, ..., dim_j) against the degree-j target basis of ``vel``.
-        """
+    def _moments(self, values, d, edges):
+        """Moments of values at the cell or, with ``edges``, the half-edge
+        points, summed per cell (see :meth:`cell_moments`)."""
         values = np.asarray(values, dtype=float)
+        weights = self.edge_weights if edges else self.cell_weights
+        wv = (weights.reshape((-1,) + (1,) * (values.ndim - 1))
+              * values).reshape(len(values), -1)
         moments = []
-        for cls, v in zip(self.classes, self.split(values)):
-            nc = len(cls.cells)
-            wv = cls.weights[..., None] * v.reshape(nc, cls.nq, -1)
-            m = np.empty((nc, cls.dim if d is None else d, wv.shape[-1]))
-            for keys, slots in cls.batches:
-                np.matmul(cls.phi[keys, :d], wv[slots], out=m[slots])
+        for cls in self.classes:
+            m = np.zeros((len(cls.cells), cls.dim if d is None else d,
+                          wv.shape[1]))
+            for g in cls.groups if edges else [cls]:
+                v = wv[g.start:g.stop].reshape(-1, g.q, wv.shape[1])
+                if not v.any():  # no data on the group's points
+                    continue
+                # a cell is a member of a group at most once
+                for keys, rows, slots in g.batches:
+                    m[slots] += g.phi[keys, :d] @ v[rows]
             moments.append(m.transpose(0, 2, 1).reshape(
-                (nc,) + values.shape[1:] + (-1,)))
+                m.shape[:1] + values.shape[1:] + (-1,)))
         if d is None:
             return moments
         out = np.empty((self.mesh.n_cells,) + values.shape[1:] + (d,))
@@ -622,19 +636,20 @@ class Discretization:
             out[cls.cells] = m
         return out
 
+    def cell_moments(self, values, d=None):
+        """Moments of values (n_points, ...) at ``cell_points`` against each
+        cell's leading d <= dim_k basis functions, (n_cells, ..., d) in DOF
+        layout: the coefficients of the L2 projection.  With d None, per
+        class (nc, ..., dim_j) against the degree-j target basis of ``vel``.
+        """
+        return self._moments(values, d, edges=False)
+
     def cell_values(self, coef):
         """Values (n_points, ...) at ``cell_points`` of the coefficients of
         each cell's leading d basis functions: (n_cells, ..., d) in DOF
         layout, or a per-class list of (nc, ..., d) as :meth:`apply` and
         :meth:`cell_moments` return."""
-        if not isinstance(coef, list):
-            coef = [coef[cls.cells] for cls in self.classes]
-        out = np.empty((len(self.cell_points),) + coef[0].shape[1:-1])
-        for cls, c, o in zip(self.classes, coef, self.split(out)):
-            o = o.reshape(len(c), cls.nq, -1)
-            for keys, slots in cls.batches:
-                _values(c[slots], cls.phi[keys], o[slots])
-        return out
+        return self._values(coef, edges=False)
 
     def cell_mass(self, values, d):
         """Per class (nc, ..., d, d): each cell's sum over its points of
@@ -642,12 +657,12 @@ class Discretization:
         times phi_a phi_b, for its leading d <= dim_k basis functions."""
         values = np.asarray(values, dtype=float)
         out = []
-        for cls, v in zip(self.classes, self.split(values)):
+        for cls in self.classes:
             nc = len(cls.cells)
-            wv = (cls.weights[..., None] * v.reshape(nc, cls.nq, -1)
-                  ).transpose(0, 2, 1)[:, :, None]
+            v = values[cls.start:cls.stop].reshape(nc, cls.q, -1)
+            wv = (cls.weights[..., None] * v).transpose(0, 2, 1)[:, :, None]
             mass = np.empty((nc, wv.shape[1], d, d))
-            for keys, slots in cls.batches:
+            for keys, _, slots in cls.batches:
                 phi = cls.phi[keys, None, :d]
                 mass[slots] = (phi * wv[slots]) @ phi.transpose(0, 1, 3, 2)
             out.append(mass.reshape((nc,) + values.shape[1:] + (d, d)))
@@ -655,43 +670,14 @@ class Discretization:
 
     def edge_values(self, coef):
         """Owner-side values (n_points, ...) at every half-edge point of
-        coefficients as for :meth:`cell_values` (at most dim_k in DOF
-        layout)."""
-        if not isinstance(coef, list):
-            return np.einsum("n...d,nd->n...", coef[self.edge_owner],
-                             self.trace_k[:, :coef.shape[-1]])
-        out = np.empty((len(self.edge_points),) + coef[0].shape[1:-1])
-        for cls, c in zip(self.classes, coef):
-            for g in cls.groups:
-                o = out[g.start:g.stop].reshape(len(g.slot), g.q, -1)
-                for h in _chunks(len(g.slot), g.phi):
-                    _values(c[g.slot[h]], g.phi[g.hk[h]], o[h])
-        return out
+        coefficients as for :meth:`cell_values`."""
+        return self._values(coef, edges=True)
 
     def edge_moments(self, values, d=None):
         """Moments of values (n_points, ...) at the half-edge points against
         the owners' basis, summed over each cell's boundary; laid out as
         :meth:`cell_moments` returns them for the same d."""
-        values = np.asarray(values, dtype=float)
-        wv = (self.edge_weights.reshape((-1,) + (1,) * (values.ndim - 1))
-              * values).reshape(len(values), -1)
-        if d is not None:
-            out = _sum_rows(self.edge_owner,
-                            self.trace_k[:, None, :d] * wv[..., None],
-                            self.mesh.n_cells)
-            return out.reshape(out.shape[:1] + values.shape[1:] + (d,))
-        moments = []
-        for cls in self.classes:
-            m = np.zeros((len(cls.cells), cls.dim, wv.shape[1]))
-            for g in cls.groups:
-                v = wv[g.start:g.stop].reshape(len(g.slot), g.q, -1)
-                nonzero = np.flatnonzero(v.any(axis=(1, 2)))  # skip zero data
-                for part in _chunks(len(nonzero), g.phi):
-                    h = nonzero[part]
-                    np.add.at(m, g.slot[h], g.phi[g.hk[h]] @ v[h])
-            moments.append(m.transpose(0, 2, 1).reshape(
-                m.shape[:1] + values.shape[1:] + (-1,)))
-        return moments
+        return self._moments(values, d, edges=True)
 
     def boundary_values(self, fn):
         """``fn`` at the boundary half-edge points; zero at interior ones."""
