@@ -215,10 +215,7 @@ def main(argv=None):
         if args.command == "patchtest":
             return cmd_patchtest(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MeshFormatError, MeshValidationError) as exc:
+    except (ConfigError, MeshFormatError, MeshValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

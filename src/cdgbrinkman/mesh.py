@@ -278,16 +278,22 @@ def _csr(loops):
 
 
 def _first_occurrence(keys):
-    """Number equal keys (rows of ``keys``) by first occurrence.
+    """Number equal keys (entries of 1-D ``keys``, rows of 2-D integer
+    ``keys``) by first occurrence.
 
-    Returns each key's number and, per number, its first position.
+    Returns each key's number and, per number, its first position.  A row
+    is compared as one run of bytes, which sorts several times faster than
+    ``np.unique(axis=0)``.
     """
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True, axis=0)
+    if keys.ndim == 2:
+        keys = np.ascontiguousarray(keys)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                  return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
+    return rank[inverse.ravel()], first[order]
 
 
 def _sides_cross(pts):

@@ -112,7 +112,8 @@ def polynomial_patch(k, mu=1.0, kappa0=1.0):
         def grad_p(pts):
             return np.zeros((len(pts), 2))
 
-        lap = (0.0, 0.0)
+        def lapf(pts):
+            return np.zeros((len(pts), 2))
     elif k == 2:
         # stream psi = x^3 + y^3 + x^2 y
         def u(pts):
@@ -137,7 +138,8 @@ def polynomial_patch(k, mu=1.0, kappa0=1.0):
             out[:, 0] = 1.0
             return out
 
-        lap = (8.0, -6.0)
+        def lapf(pts):
+            return np.tile([8.0, -6.0], (len(pts), 1))
     elif k == 3:
         # stream psi = x^4 + y^4 - x^3 y
         def u(pts):
@@ -170,13 +172,8 @@ def polynomial_patch(k, mu=1.0, kappa0=1.0):
     def kappa_inv(pts):
         return np.full(len(pts), kappa0)
 
-    if k == 3:
-        def f(pts):
-            return (-mu * lapf(pts) + mu * kappa0 * u(pts) + grad_p(pts))
-    else:
-        def f(pts):
-            lap_arr = np.broadcast_to(np.asarray(lap), (len(pts), 2))
-            return -mu * lap_arr + mu * kappa0 * u(pts) + grad_p(pts)
+    def f(pts):
+        return -mu * lapf(pts) + mu * kappa0 * u(pts) + grad_p(pts)
 
     return ManufacturedProblem(mu=mu, kappa_inv=kappa_inv, f=f, g=u,
                                u=u, grad_u=grad_u, p=p)

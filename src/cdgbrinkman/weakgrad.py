@@ -67,6 +67,7 @@ gathers.
 
 import numpy as np
 
+from .mesh import _first_occurrence
 from .polyspace import (ConditioningError, derivative_matrix, dim_poly,
                         edge_point_count, fan_quadrature, gauss_segments,
                         monomial_tables)
@@ -97,19 +98,6 @@ def _grid(offsets, unit):
     return np.rint(offsets / unit).astype(np.int64)
 
 
-def _number_rows(rows):
-    """Number the distinct rows of an integer array (n, m) by first
-    occurrence.  Each row is compared as one run of bytes, which sorts
-    several times faster than ``np.unique(axis=0)``."""
-    rows = np.ascontiguousarray(rows)
-    runs = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    _, first, ids = np.unique(runs.ravel(), return_index=True,
-                              return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[ids.ravel()]
-
-
 def _anchors(mesh):
     """Each cell's first loop vertex, from which its key measures."""
     return mesh.vertices[mesh.cell_vertex_ids[mesh.cell_offsets[:-1]]]
@@ -123,17 +111,13 @@ def _keyed_classes(mesh):
     anchor = _anchors(mesh)
     classes = list(mesh.shape_classes())
     # shape ids, distinct across classes
-    shape, base, repeats = np.empty(mesh.n_cells, np.int64), 0, []
+    shape, base = np.empty(mesh.n_cells, np.int64), 0
     for ne, cells, pos in classes:
         loops = mesh.vertices[mesh.cell_vertex_ids[pos]] - anchor[cells, None]
-        ids = _number_rows(_grid(loops, unit).reshape(len(cells), -1))
-        shape[cells] = base + ids
+        shape[cells] = base + _first_occurrence(
+            _grid(loops, unit).reshape(len(cells), -1))[0]
         base += len(cells)
-        repeats.append(ids.max() + 1 < len(cells))
-    for (ne, cells, pos), repeat in zip(classes, repeats):
-        if not repeat:  # no two cells of one shape: every key its own
-            yield ne, cells, pos, np.arange(len(cells))
-            continue
+    for ne, cells, pos in classes:
         edges = mesh.cell_edge_ids[pos]
         ends = mesh.edge_cells[edges]
         nbr = np.where(ends[..., 0] == cells[:, None], ends[..., 1],
@@ -146,7 +130,7 @@ def _keyed_classes(mesh):
                                 offset.reshape(len(cells), -1), forward])
         # numbered by first occurrence, so the cells keep their order as
         # far as their keys allow
-        key = _number_rows(rows)
+        key = _first_occurrence(rows)[0]
         order = np.argsort(key, kind="stable")
         yield ne, cells[order], pos[order], key[order]
 

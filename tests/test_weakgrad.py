@@ -328,54 +328,120 @@ def _check_defining_equation(disc, velocity, rng):
 # reproduction identities
 # ---------------------------------------------------------------------------
 
+def _kernel_meshes(family):
+    """Meshes on which the kernels read every kind of batch between them:
+    at n = 3 gathers (tri) or slices (rect, poly), at n = 8 broadcasts as
+    well, and with every interior vertex moved, one key per cell."""
+    return [MESH_FAMILIES[family](3), MESH_FAMILIES[family](8),
+            perturbed_mesh(family, 6, 7, 0.1)]
+
+
+def _batch_kinds(batches):
+    kinds = set()
+    for keys, rows, _ in batches:
+        if not isinstance(keys, slice):
+            kinds.add("gather")
+        elif keys.stop - keys.start < rows.stop - rows.start:
+            kinds.add("broadcast")
+        else:
+            kinds.add("slice")
+    return kinds
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+def test_kernel_meshes_read_every_batch_kind(family):
+    cells, halves = set(), set()
+    for mesh in _kernel_meshes(family):
+        disc = Discretization(mesh, 1)
+        for cls in disc.classes:
+            cells |= _batch_kinds(cls.batches)
+            for g in cls.groups:
+                halves |= _batch_kinds(g.batches)
+                # members ascend, and their slots with them
+                assert np.all(np.diff(g.hk) >= 0)
+                assert np.all(np.diff(g.slot) > 0)
+    assert cells == halves == {"broadcast", "slice", "gather"}
+
+
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cell_moments_recover_cell_values_coefficients(family, k, rng):
     # orthonormal bases: the moments of a polynomial's values at the cell
     # points are its coefficients
-    disc = Discretization(MESH_FAMILIES[family](3), k)
-    for d in (disc.dim_p, disc.dim_k):
-        c = rng.standard_normal((disc.mesh.n_cells, 2, d))
-        back = disc.cell_moments(disc.cell_values(c), d)
-        assert np.abs(back - c).max() <= 1e-12
-    # per-class coefficients in the degree-j target space, whose Gram
-    # matrices are the identity to 1e-10 (test_cell_bases_orthonormal)
-    c = [rng.standard_normal((len(cls.cells), 2, 2, cls.dim))
-         for cls in disc.classes]
-    for back, ci in zip(disc.cell_moments(disc.cell_values(c)), c):
-        assert np.abs(back - ci).max() <= 1e-10
+    meshes = _kernel_meshes(family)
+    for mesh in meshes:
+        disc = Discretization(mesh, k)
+        for d in (disc.dim_p, disc.dim_k):
+            c = rng.standard_normal((disc.mesh.n_cells, 2, d))
+            back = disc.cell_moments(disc.cell_values(c), d)
+            assert np.abs(back - c).max() <= 1e-12
+        # per-class coefficients in the degree-j target space: their
+        # moments are each key's Gram matrix times them.  At n = 3 the Gram
+        # matrices are the identity closely enough to recover them to
+        # 1e-10; at n = 8 the degree-8 hexagon tables are orthonormal to
+        # 4e-11 only, which a sum of 45 terms lifts to 1.2e-10
+        c = [rng.standard_normal((len(cls.cells), 2, 2, cls.dim))
+             for cls in disc.classes]
+        for cls, back, ci in zip(disc.classes,
+                                 disc.cell_moments(disc.cell_values(c)), c):
+            gram = np.einsum("kaq,kbq,kq->kab", cls.phi, cls.phi,
+                             cls.weights[cls.first])
+            want = np.einsum("nab,nrsb->nrsa", gram[cls.key], ci)
+            assert np.abs(back - want).max() <= 1e-12
+            if mesh is meshes[0]:
+                assert np.abs(back - ci).max() <= 1e-10
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_apply_transpose_is_adjoint(family, k, rng):
     # <apply(maps, x), t> = <x, apply_transpose(maps, t)>
-    disc = Discretization(MESH_FAMILIES[family](3), k)
-    n = disc.mesh.n_cells
-    for maps, shape in ((disc.vel, (n, 2, disc.dim_k)),
-                        (disc.pre, (n, disc.dim_p)),
-                        (disc.jump_maps(), (n, disc.dim_p))):
-        x = rng.standard_normal(shape)
-        y = disc.apply(maps, x)
-        t = [rng.standard_normal(yi.shape) for yi in y]
-        lhs = sum(float((yi * ti).sum()) for yi, ti in zip(y, t))
-        rhs = float((x * disc.apply_transpose(maps, t)).sum())
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    for mesh in _kernel_meshes(family):
+        disc = Discretization(mesh, k)
+        n = disc.mesh.n_cells
+        for maps, shape in ((disc.vel, (n, 2, disc.dim_k)),
+                            (disc.pre, (n, disc.dim_p)),
+                            (disc.jump_maps(), (n, disc.dim_p))):
+            x = rng.standard_normal(shape)
+            y = disc.apply(maps, x)
+            t = [rng.standard_normal(yi.shape) for yi in y]
+            lhs = sum(float((yi * ti).sum()) for yi, ti in zip(y, t))
+            rhs = float((x * disc.apply_transpose(maps, t)).sum())
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
 def test_edge_moments_are_weighted_transpose_of_edge_values(family, rng):
-    disc = Discretization(MESH_FAMILIES[family](3), 2)
-    v = rng.standard_normal((len(disc.edge_points), 2))
-    w = disc.edge_weights[:, None]
-    c = rng.standard_normal((disc.mesh.n_cells, 2, disc.dim_k))
-    assert float((w * disc.edge_values(c) * v).sum()) == pytest.approx(
-        float((c * disc.edge_moments(v, disc.dim_k)).sum()), rel=1e-12)
-    c = [rng.standard_normal((len(cls.cells), 2, cls.dim))
-         for cls in disc.classes]
-    assert float((w * disc.edge_values(c) * v).sum()) == pytest.approx(
-        sum(float((a * b).sum()) for a, b in zip(c, disc.edge_moments(v))),
-        rel=1e-12)
+    for mesh in _kernel_meshes(family):
+        disc = Discretization(mesh, 2)
+        v = rng.standard_normal((len(disc.edge_points), 2))
+        w = disc.edge_weights[:, None]
+        c = rng.standard_normal((disc.mesh.n_cells, 2, disc.dim_k))
+        assert float((w * disc.edge_values(c) * v).sum()) == pytest.approx(
+            float((c * disc.edge_moments(v, disc.dim_k)).sum()), rel=1e-12)
+        c = [rng.standard_normal((len(cls.cells), 2, cls.dim))
+             for cls in disc.classes]
+        assert float((w * disc.edge_values(c) * v).sum()) == pytest.approx(
+            sum(float((a * b).sum())
+                for a, b in zip(c, disc.edge_moments(v))), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", list(MESH_FAMILIES))
+def test_edge_values_match_point_evaluation(family, rng):
+    # the owner's values at its half-edge points, read through the
+    # half-edge tables, are its polynomial evaluated there, to roundoff of
+    # the values' size (up to 200 on these meshes)
+    for mesh in _kernel_meshes(family):
+        disc = Discretization(mesh, 2)
+        u = rng.standard_normal(disc.n_velocity_dofs)
+        p = rng.standard_normal(disc.n_pressure_dofs)
+        owner, pts = disc.edge_owner, disc.edge_points
+        for got, want in (
+                (disc.edge_values(u[disc.velocity_dofs]),
+                 disc.velocity_values(u, owner, pts)),
+                (disc.edge_values(p[disc.pressure_dofs]),
+                 disc.pressure_values(p, owner, pts))):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_apply_matches_map_columns(rng):
