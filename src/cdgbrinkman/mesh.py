@@ -113,13 +113,18 @@ class Mesh:
     # -- construction -----------------------------------------------------
 
     def _cell_geometry(self, cells, pts):
-        """Area, centroid and diameter of the loops ``pts`` (nc, ne, 2)."""
-        x, y = pts[..., 0], pts[..., 1]
+        """Area, centroid and diameter of the loops ``pts`` (nc, ne, 2).
+
+        The shoelace sums run relative to each loop's first vertex, so they
+        do not cancel, and congruent cells get the same centroid offset
+        from that vertex to roundoff of their size."""
+        rel = pts - pts[:, :1]
+        x, y = rel[..., 0], rel[..., 1]
         xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         cross = x * yn - xn * y
         area2 = cross.sum(axis=1)
         self.cells.area[cells] = 0.5 * area2
-        self.cells.centroid[cells] = np.column_stack(
+        self.cells.centroid[cells] = pts[:, 0] + np.column_stack(
             [((x + xn) * cross).sum(axis=1) / (3.0 * area2),
              ((y + yn) * cross).sum(axis=1) / (3.0 * area2)])
         d = pts[:, :, None, :] - pts[:, None, :, :]

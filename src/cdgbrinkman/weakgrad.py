@@ -40,16 +40,15 @@ on the cell's vertex loop measured from its first vertex, on which of its
 edges lie on the boundary, on its neighbours' shapes and offsets (first
 vertex to first vertex), and on the direction in which each edge's Gauss
 points run.  These make up the cell's congruence key, with coordinates
-rounded at 1e-12 h.  (Measured from the centroid instead, congruent
-polygons differ by up to 2e-13 h: the centroid formula cancels.)  On the
-generated meshes a class has a handful of keys, so the bases, volume
-moments, half-edge tables and weak-gradient maps are stacked once per key,
-built from the key's first cell, and a per-cell ``key`` index reads them.
-Every other cell of a key is that cell translated: its basis center
-(``Discretization.centers``) is its first vertex plus the first cell's
-centroid offset, its quadrature points are that center plus the key's
-points, and its weights are the key's.  A mesh without repeated shapes
-simply gets one key per cell.
+rounded at 1e-12 h.  On the generated meshes a class has a handful of
+keys, so the bases, volume moments, half-edge tables and weak-gradient
+maps are stacked once per key, built from the key's first cell, and a
+per-cell ``key`` index reads them.  Every other cell of a key is that cell
+translated: its basis center is its centroid, whose offset from its first
+vertex agrees with the first cell's to roundoff (see
+``Mesh._cell_geometry``), its quadrature points are that center plus the
+key's points, and its weights are the key's.  A mesh without repeated
+shapes simply gets one key per cell.
 
 The degree-k and k-1 bases are the leading rows of the degree-j table
 (graded monomial order; the lower-triangular orthonormalizing transform
@@ -98,17 +97,13 @@ def _grid(offsets, unit):
     return np.rint(offsets / unit).astype(np.int64)
 
 
-def _anchors(mesh):
-    """Each cell's first loop vertex, from which its key measures."""
-    return mesh.vertices[mesh.cell_vertex_ids[mesh.cell_offsets[:-1]]]
-
-
 def _keyed_classes(mesh):
     """Yield (ne, cells, positions, key) per class of ``Mesh.shape_classes``,
     the cells ordered by their congruence key (see the module docstring),
     ascending within a key; ``key`` numbers the class's keys from 0."""
     unit = _KEY_RESOLUTION * mesh.h
-    anchor = _anchors(mesh)
+    # each cell's first loop vertex, from which its key measures
+    anchor = mesh.vertices[mesh.cell_vertex_ids[mesh.cell_offsets[:-1]]]
     classes = list(mesh.shape_classes())
     # shape ids, distinct across classes
     shape, base = np.empty(mesh.n_cells, np.int64), 0
@@ -239,9 +234,8 @@ class ShapeClass:
     quadrature ``points`` (nc, q, 2) and ``weights`` (nc, q), views of rows
     ``start`` to ``stop`` of the flat ``cell_points`` and ``cell_weights``.
     Per key: the rule ``local_rule`` (points about the centroid (nk, q, 2)
-    and weights (nk, q)) until :meth:`place` writes it out, the centroid's
-    offset from the first vertex ``center``, the diameter ``scale``, the
-    lower-triangular ``transform`` (nk, dim, dim), the inverse of the
+    and weights (nk, q)) until :meth:`place` writes it out, the diameter
+    ``scale``, the lower-triangular ``transform`` (nk, dim, dim), the inverse of the
     monomial Gram Cholesky factor, which maps the scaled monomials of
     degree ``j`` to the orthonormal basis; its values ``phi`` (nk, dim, q);
     the volume moments ``vx``/``vy`` (nk, dim, dim_k) of (d_i phi_a,
@@ -268,7 +262,6 @@ class ShapeClass:
         rep = cells[self.first]
         centroid = mesh.cells.centroid[rep]
         self.scale = mesh.cells.diameter[rep]
-        self.center = centroid - _anchors(mesh)[rep]
         loops = (mesh.vertices[mesh.cell_vertex_ids[positions[self.first]]]
                  - centroid[:, None])
         self.local_rule = fan_quadrature(
@@ -291,8 +284,9 @@ class ShapeClass:
             for d in (0, 1))
         self.groups = []
 
-    def place(self, start, centers, points, weights):
-        """Write each cell's rule, its center plus its key's points, into
+    def place(self, start, centroid, points, weights):
+        """Write each cell's rule, its ``centroid`` (n_cells, 2) plus its
+        key's points, into
         rows ``start`` on of the flat ``points`` and ``weights``, and keep
         views (nc, q, ...) of them."""
         self.start, self.stop = start, start + len(self.cells) * self.q
@@ -302,7 +296,7 @@ class ShapeClass:
         del self.local_rule  # a copy per cell once no two cells share a key
         # mode "clip" writes straight into out ("raise" buffers it)
         np.take(offsets, self.key, axis=0, out=self.points, mode="clip")
-        self.points += centers[self.cells, None]
+        self.points += centroid[self.cells, None]
         np.take(rule, self.key, axis=0, out=self.weights, mode="clip")
 
 
@@ -326,10 +320,9 @@ class Discretization:
     boundary average) and pressure (field k-1, target k, own boundary
     trace) weak gradients, and
     ``velocity_dofs`` (n_cells, 2, dim_k) / ``pressure_dofs`` (n_cells,
-    dim_p) each cell's DOF indices, ``centers`` (n_cells, 2) the points
-    its basis monomials are centered at (see the module docstring).  Flat
-    arrays over all cell quadrature
-    points: ``cell_points``, ``cell_weights``, ``cell_owner``; over all
+    dim_p) each cell's DOF indices; its basis monomials are centered at
+    its centroid (see the module docstring).  Flat arrays over all cell
+    quadrature points: ``cell_points``, ``cell_weights``, ``cell_owner``; over all
     half-edge points: ``edge_points``, ``edge_weights``, ``edge_owner``,
     ``edge_normal`` (out of the owner), ``edge_index`` and ``edge_twin``.
     ``gram_condition`` maps each target degree to the worst
@@ -355,15 +348,13 @@ class Discretization:
             n, 2, self.dim_k)
         self.pressure_dofs = np.arange(self.dim_p * n).reshape(n, self.dim_p)
         self.classes = [ShapeClass(self, *cls) for cls in _keyed_classes(mesh)]
-        self.centers = _anchors(mesh).copy()
-        for cls in self.classes:
-            self.centers[cls.cells] += cls.center[cls.key]
         total = sum(len(c.cells) * c.q for c in self.classes)
         self.cell_points = np.empty((total, 2))
         self.cell_weights = np.empty(total)
         start = 0
         for cls in self.classes:
-            cls.place(start, self.centers, self.cell_points, self.cell_weights)
+            cls.place(start, mesh.cells.centroid, self.cell_points,
+                      self.cell_weights)
             start = cls.stop
         self.cell_owner = np.concatenate(
             [np.repeat(c.cells, c.q) for c in self.classes])
@@ -438,7 +429,7 @@ class Discretization:
                     g.rep, g.hk = np.flatnonzero(new), np.cumsum(new) - 1
                     g.batches = _batches(g.hk, g.slot)
                     rk = key[g.rep]
-                    at = ((g.points[g.rep] - self.centers[owner[g.rep], None])
+                    at = ((g.points[g.rep] - mesh.cells.centroid[owner[g.rep], None])
                           / cls.scale[rk, None, None])
                     g.phi = cls.transform[rk] @ monomial_tables(at, cls.j)
                     np.take(g.phi[:, :dk].transpose(0, 2, 1), g.hk, axis=0,
@@ -702,7 +693,8 @@ class Discretization:
 
     def _point_basis(self, cells, points):
         key = self._key_of[cells]
-        local = (points - self.centers[cells]) / self._scale[key][:, None]
+        local = ((points - self.mesh.cells.centroid[cells])
+                 / self._scale[key][:, None])
         t = monomial_tables(local[:, None, :], self.k)
         return (self._tk[key] @ t)[..., 0]
 

@@ -262,7 +262,7 @@ class CellTables:
     ``slot`` its row in the class's per-cell arrays (``points``,
     ``weights``) and ``key`` its row in the per-key ones: ``transform``,
     ``phi``, ``vx``, ``vy`` and ``scale``.  ``basis`` holds the scaled
-    monomials of degree ``j`` about the cell's basis center.
+    monomials of degree ``j`` about the cell's centroid.
     """
 
     def __init__(self, disc, cell):
@@ -277,7 +277,8 @@ class CellTables:
         self.weights = cls.weights[self.slot]
         for name in ("transform", "phi", "vx", "vy", "scale"):
             setattr(self, name, getattr(cls, name)[self.key])
-        self.basis = MonomialBasis(cls.j, disc.centers[cell], self.scale)
+        self.basis = MonomialBasis(cls.j, disc.mesh.cells.centroid[cell],
+                                   self.scale)
 
     def map(self, maps):
         """The cell's (r, dt, (1 + ne) df) of per-class maps such as
