@@ -235,12 +235,12 @@ class ShapeClass:
     ``start`` to ``stop`` of the flat ``cell_points`` and ``cell_weights``.
     Per key: the rule ``local_rule`` (points about the centroid (nk, q, 2)
     and weights (nk, q)) until :meth:`place` writes it out, the diameter
-    ``scale``, the lower-triangular ``transform`` (nk, dim, dim), the inverse of the
-    monomial Gram Cholesky factor, which maps the scaled monomials of
-    degree ``j`` to the orthonormal basis; its values ``phi`` (nk, dim, q);
-    the volume moments ``vx``/``vy`` (nk, dim, dim_k) of (d_i phi_a,
-    phi_b), ``transform @ D_i @ L[..., :dim_k] / h`` with L the Gram
-    Cholesky factor and D_i the monomials' derivative matrix (see the
+    ``scale``, the lower-triangular ``transform`` (nk, dim, dim), the
+    inverse of the monomial Gram Cholesky factor, which maps the scaled
+    monomials of degree ``j`` to the orthonormal basis; its values ``phi``
+    (nk, dim, q); the volume moments ``vx``/``vy`` (nk, dim, dim_k) of
+    (d_i phi_a, phi_b), ``transform @ D_i @ L[..., :dim_k] / h`` with L the
+    Gram Cholesky factor and D_i the monomials' derivative matrix (see the
     module docstring); and ``condition``, the largest (max L_ii / min
     L_ii)^2, a lower bound of the Gram matrices' condition numbers.
     """
@@ -318,16 +318,15 @@ class Discretization:
     ShapeClass objects, ``vel``/``pre`` the per-class maps (see
     :meth:`weak_gradient`) of the velocity (field k, target j, zero
     boundary average) and pressure (field k-1, target k, own boundary
-    trace) weak gradients, and
-    ``velocity_dofs`` (n_cells, 2, dim_k) / ``pressure_dofs`` (n_cells,
-    dim_p) each cell's DOF indices; its basis monomials are centered at
-    its centroid (see the module docstring).  Flat arrays over all cell
-    quadrature points: ``cell_points``, ``cell_weights``, ``cell_owner``; over all
-    half-edge points: ``edge_points``, ``edge_weights``, ``edge_owner``,
-    ``edge_normal`` (out of the owner), ``edge_index`` and ``edge_twin``.
-    ``gram_condition`` maps each target degree to the worst
-    lower bound of its monomial Gram matrices' condition numbers (see
-    ShapeClass ``condition``).
+    trace) weak gradients, and ``velocity_dofs`` (n_cells, 2, dim_k) /
+    ``pressure_dofs`` (n_cells, dim_p) each cell's DOF indices; its basis
+    monomials are centered at its centroid (see the module docstring).
+    Flat arrays over all cell quadrature points: ``cell_points``,
+    ``cell_weights``, ``cell_owner``; over all half-edge points:
+    ``edge_points``, ``edge_weights``, ``edge_owner``, ``edge_normal`` (out
+    of the owner), ``edge_index`` and ``edge_twin``.  ``gram_condition``
+    maps each target degree to the worst lower bound of its monomial Gram
+    matrices' condition numbers (see ShapeClass ``condition``).
 
     Assembly and analysis read the classes through the kernels
     :meth:`cell_moments`, :meth:`cell_values`, :meth:`cell_mass`,
@@ -397,7 +396,7 @@ class Discretization:
         # the owners' degree-k basis at every point, for the nbr_m moments
         trace_k = np.empty((total, dk))
         start_of = np.full((mesh.n_edges, 2), -1)
-        groups, start = [], 0
+        start = 0
         for cls in self.classes:
             # a key's cells share each local edge's point count and side
             kind = 2 * edge_npts[cls.edges] + (cls.nbr >= 0)
@@ -422,22 +421,23 @@ class Discretization:
                                     (self.edge_index, edge)):
                         flat[rows] = np.repeat(v, g.q, axis=0)
                     g.side = (mesh.edge_cells[edge, 0] != owner).astype(int)
-                    start_of[edge, g.side] = g.start + g.q * np.arange(len(edge))
+                    start_of[edge, g.side] = (g.start
+                                              + g.q * np.arange(len(edge)))
                     # the slots ascend, and with them their keys
                     key = cls.key[g.slot]
                     new = np.diff(key, prepend=-1) != 0
                     g.rep, g.hk = np.flatnonzero(new), np.cumsum(new) - 1
                     g.batches = _batches(g.hk, g.slot)
                     rk = key[g.rep]
-                    at = ((g.points[g.rep] - mesh.cells.centroid[owner[g.rep], None])
+                    at = ((g.points[g.rep]
+                           - mesh.cells.centroid[owner[g.rep], None])
                           / cls.scale[rk, None, None])
                     g.phi = cls.transform[rk] @ monomial_tables(at, cls.j)
                     np.take(g.phi[:, :dk].transpose(0, 2, 1), g.hk, axis=0,
                             out=trace_k[rows].reshape(-1, g.q, dk),
                             mode="clip")
                     cls.groups.append(g)
-                    groups.append(g)
-        for g in groups:
+        for g in (g for cls in self.classes for g in cls.groups):
             other = start_of[g.edge, 1 - g.side][:, None]
             g.twin[...] = np.where(other >= 0, other + np.arange(g.q), -1)
             twin = g.twin[g.rep]
