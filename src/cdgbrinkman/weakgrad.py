@@ -53,13 +53,16 @@ shapes simply gets one key per cell.
 The degree-k and k-1 bases are the leading rows of the degree-j table
 (graded monomial order; the lower-triangular orthonormalizing transform
 keeps the nesting), so each point set is evaluated once.
-Half-edges (cell, local edge) are grouped per class, local edge, edge
-point count and side (boundary or interior), so a key's cells share their
-group's tables.  Cells and half-edge groups are read alike: members sorted
-by their row in the per-key tables, their points rows ``start`` to
-``stop`` of flat arrays, q per member, and ``batches`` that meet the
-per-key tables ``phi`` with the members' data (see ``_batches``).  The
-flat half-edge arrays also hold the index of the same point seen from the
+A class has two point sets, read alike: its cells' quadrature points and
+the Gauss points of their half-edges (cell, local edge).  Each is a block
+of flat arrays, cell-major in key order with q points per cell, and has
+per-key tables of the basis at the first cell's points; the class's
+``batches`` meet those tables with the cells' data (see ``_batches``).  A
+cell's half-edge points run local edge by local edge, edge_q each, the
+most on any of the class's edges.  A key fixes each local edge's point
+count, as it holds the boundary flags and the neighbours' shapes, and a
+half-edge of fewer points repeats its last point at weight 0.  The flat
+half-edge arrays also hold the index of the same point seen from the
 neighbour (``edge_twin``, -1 on the boundary), so two-sided edge terms are
 gathers.
 """
@@ -130,16 +133,14 @@ def _keyed_classes(mesh):
         yield ne, cells[order], pos[order], key[order]
 
 
-def _batches(key, slot=None):
-    """(key rows, member rows, member slots) triples covering members
-    sorted by ``key``, by which the kernels meet per-key tables with the
-    members' data; ``slot`` maps member rows to rows of the class's per-cell
-    arrays (None: the members are the class's cells).  A key of at least
-    _BROADCAST_MEMBERS members is a one-row slice that broadcasts over them.
-    The members between such keys go _GATHER_MEMBERS at a time: a piece
-    whose members all have distinct keys is a slice of rows that lines up
-    with them, and any other piece is the array of its members' keys, which
-    gathers their rows."""
+def _batches(key):
+    """(key rows, member rows) pairs covering members sorted by ``key``, by
+    which the kernels meet per-key tables with the members' data.  A key of
+    at least _BROADCAST_MEMBERS members is a one-row slice that broadcasts
+    over them.  The members between such keys go _GATHER_MEMBERS at a time:
+    a piece whose members all have distinct keys is a slice of rows that
+    lines up with them, and any other piece is the array of its members'
+    keys, which gathers their rows."""
     counts = np.bincount(key)
     bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
     out, start = [], 0
@@ -153,8 +154,7 @@ def _batches(key, slot=None):
         if k is not None:
             out.append((slice(k, k + 1), slice(stop, bounds[k + 1])))
             start = bounds[k + 1]
-    return [(keys, rows, rows if slot is None else slot[rows])
-            for keys, rows in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +201,22 @@ def _cholesky(gram, cells, degree):
         raise
 
 
-class HalfEdgeGroup:
-    """The half-edges of one shape class at local edge ``local`` whose
-    edges have ``q`` points, on the boundary or, with ``inner``, not.
-
-    Its members are read as a ShapeClass's cells are: ``slot`` (their
-    cells' rows in the class arrays) is sorted by ``hk``, their row in the
-    per-key tables, which numbers the group's keys from 0, and ``rep``
-    holds each key's first member, whose geometry its tables are built
-    from; ``batches`` read them (see ``_batches``).  Per member: ``edge``,
-    the owner's ``side`` of it (0 minus, 1 plus), Gauss ``points`` and
-    ``weights`` and ``twin``, views of rows ``start`` to ``stop`` of the
-    flat edge arrays, q per member.
-    Per key: ``phi`` (nh, dim_j, q), the owner's basis at the points, and
-    ``own_m`` and ``nbr_m`` (nh, dim_j, dim_k), the edge moments <phi_a,
-    psi_b> against the owner's and the neighbour's degree-k basis (zero on
-    the boundary).
-    """
-
-
 class ShapeClass:
     """Stacked data of the nc cells ``cells`` with ``ne`` edges.
 
     The cells are ordered by their congruence ``key`` (nc,), which numbers
     the class's nk keys; ``first`` (nk,) holds each key's first slot, the
     cell whose geometry its tables are built from, and ``batches`` the
-    triples of ``_batches`` by which the kernels read them, as they read
-    the class's half-edge ``groups``.  ``positions`` (nc, ne) locate the
+    pairs of ``_batches`` by which the kernels read them at both point
+    sets (see :meth:`point_set`).  ``positions`` (nc, ne) locate the
     cells' loops in the mesh's CSR arrays (see ``Mesh.shape_classes``).
     Per cell, along the first axis: ``edges``, ``nbr`` (the neighbour
     across each local edge, -1 on the boundary) and outward ``normals``;
     quadrature ``points`` (nc, q, 2) and ``weights`` (nc, q), views of rows
     ``start`` to ``stop`` of the flat ``cell_points`` and ``cell_weights``.
+    The cells' half-edge points are rows ``edge_start`` on of the flat
+    ``edge_*`` arrays, laid out (nc, ne, edge_q) (see the module
+    docstring).
     Per key: the rule ``local_rule`` (points about the centroid (nk, q, 2)
     and weights (nk, q)) until :meth:`place` writes it out, the diameter
     ``scale``, the lower-triangular ``transform`` (nk, dim, dim), the
@@ -241,8 +225,12 @@ class ShapeClass:
     (nk, dim, q); the volume moments ``vx``/``vy`` (nk, dim, dim_k) of
     (d_i phi_a, phi_b), ``transform @ D_i @ L[..., :dim_k] / h`` with L the
     Gram Cholesky factor and D_i the monomials' derivative matrix (see the
-    module docstring); and ``condition``, the largest (max L_ii / min
-    L_ii)^2, a lower bound of the Gram matrices' condition numbers.
+    module docstring); ``condition``, the largest (max L_ii / min
+    L_ii)^2, a lower bound of the Gram matrices' condition numbers; the
+    basis at the half-edge points ``edge_phi`` (nk, dim, ne edge_q); and
+    per local edge the moments ``own_m`` and ``nbr_m`` (nk, ne, dim,
+    dim_k), <phi_a, psi_b> against the cell's and the neighbour's degree-k
+    basis psi (zero on the boundary).
     """
 
     def __init__(self, disc, edge_count, cells, positions, key):
@@ -282,7 +270,6 @@ class ShapeClass:
         self.vx, self.vy = (
             self.transform @ (derivative_matrix(self.j, d) @ lk)
             for d in (0, 1))
-        self.groups = []
 
     def place(self, start, centroid, points, weights):
         """Write each cell's rule, its ``centroid`` (n_cells, 2) plus its
@@ -298,6 +285,13 @@ class ShapeClass:
         np.take(offsets, self.key, axis=0, out=self.points, mode="clip")
         self.points += centroid[self.cells, None]
         np.take(rule, self.key, axis=0, out=self.weights, mode="clip")
+
+    def point_set(self, edges):
+        """(per-key tables, first flat row, points per cell) of the cell or,
+        with ``edges``, the half-edge points."""
+        if edges:
+            return self.edge_phi, self.edge_start, self.ne * self.edge_q
+        return self.phi, self.start, self.q
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +318,13 @@ class Discretization:
     Flat arrays over all cell quadrature points: ``cell_points``,
     ``cell_weights``, ``cell_owner``; over all half-edge points:
     ``edge_points``, ``edge_weights``, ``edge_owner``, ``edge_normal`` (out
-    of the owner), ``edge_index`` and ``edge_twin``.  ``gram_condition``
-    maps each target degree to the worst lower bound of its monomial Gram
-    matrices' condition numbers (see ShapeClass ``condition``).
+    of the owner), ``edge_index`` and ``edge_twin``.  Both run class by
+    class and within a class as its cells, the half-edge arrays then by
+    local edge and point (see ShapeClass); a half-edge's padding points
+    repeat its last point at weight 0 and share that point's twin.
+    ``gram_condition`` maps each target degree to the worst lower bound of
+    its monomial Gram matrices' condition numbers (see ShapeClass
+    ``condition``).
 
     Assembly and analysis read the classes through the kernels
     :meth:`cell_moments`, :meth:`cell_values`, :meth:`cell_mass`,
@@ -385,8 +383,11 @@ class Discretization:
 
     def _build_half_edges(self, edge_npts):
         mesh, dk = self.mesh, self.dim_k
-        ends = mesh.edge_vertices
-        total = sum(int(edge_npts[c.edges].sum()) for c in self.classes)
+        npts = [edge_npts[c.edges] for c in self.classes]
+        total = 0
+        for cls, n in zip(self.classes, npts):
+            cls.edge_q, cls.edge_start = int(n.max()), total
+            total += n.size * cls.edge_q
         self.edge_points = np.empty((total, 2))
         self.edge_weights = np.empty(total)
         self.edge_owner = np.empty(total, dtype=np.int64)
@@ -396,55 +397,57 @@ class Discretization:
         # the owners' degree-k basis at every point, for the nbr_m moments
         trace_k = np.empty((total, dk))
         start_of = np.full((mesh.n_edges, 2), -1)
-        start = 0
-        for cls in self.classes:
-            # a key's cells share each local edge's point count and side
-            kind = 2 * edge_npts[cls.edges] + (cls.nbr >= 0)
-            for local in range(cls.ne):
-                for kd in np.unique(kind[:, local]).tolist():
-                    g = HalfEdgeGroup()
-                    g.slot = np.flatnonzero(kind[:, local] == kd)
-                    g.local, g.q, g.inner = local, kd // 2, bool(kd % 2)
-                    edge, owner = cls.edges[g.slot, local], cls.cells[g.slot]
-                    g.edge, g.start = edge, start
-                    g.stop = start = start + len(edge) * g.q
-                    rows = slice(g.start, g.stop)
-                    g.points = self.edge_points[rows].reshape(-1, g.q, 2)
-                    g.weights = self.edge_weights[rows].reshape(-1, g.q)
-                    g.twin = self.edge_twin[rows].reshape(-1, g.q)
-                    g.points[...], g.weights[...] = gauss_segments(
-                        mesh.vertices[ends[edge, 0]],
-                        mesh.vertices[ends[edge, 1]], g.q)
-                    for flat, v in ((self.edge_owner, owner),
-                                    (self.edge_normal,
-                                     cls.normals[g.slot, local]),
-                                    (self.edge_index, edge)):
-                        flat[rows] = np.repeat(v, g.q, axis=0)
-                    g.side = (mesh.edge_cells[edge, 0] != owner).astype(int)
-                    start_of[edge, g.side] = (g.start
-                                              + g.q * np.arange(len(edge)))
-                    # the slots ascend, and with them their keys
-                    key = cls.key[g.slot]
-                    new = np.diff(key, prepend=-1) != 0
-                    g.rep, g.hk = np.flatnonzero(new), np.cumsum(new) - 1
-                    g.batches = _batches(g.hk, g.slot)
-                    rk = key[g.rep]
-                    at = ((g.points[g.rep]
-                           - mesh.cells.centroid[owner[g.rep], None])
-                          / cls.scale[rk, None, None])
-                    g.phi = cls.transform[rk] @ monomial_tables(at, cls.j)
-                    np.take(g.phi[:, :dk].transpose(0, 2, 1), g.hk, axis=0,
-                            out=trace_k[rows].reshape(-1, g.q, dk),
-                            mode="clip")
-                    cls.groups.append(g)
-        for g in (g for cls in self.classes for g in cls.groups):
-            other = start_of[g.edge, 1 - g.side][:, None]
-            g.twin[...] = np.where(other >= 0, other + np.arange(g.q), -1)
-            twin = g.twin[g.rep]
-            nbr = np.where(twin[..., None] >= 0, trace_k[twin], 0.0)
-            wphi = g.phi * g.weights[g.rep, None, :]
-            g.own_m = wphi @ g.phi[:, :dk].transpose(0, 2, 1)
-            g.nbr_m = wphi @ nbr
+
+        def view(flat, cls, *shape):
+            """A class's rows of a flat array, (nc, ne, edge_q, *shape)."""
+            rows = slice(cls.edge_start, cls.edge_start + cls.edges.size
+                         * cls.edge_q)
+            return flat[rows].reshape(cls.edges.shape + (cls.edge_q,) + shape)
+
+        sides = []
+        for cls, n in zip(self.classes, npts):
+            qe = cls.edge_q
+            points = view(self.edge_points, cls, 2).reshape(-1, qe, 2)
+            weights = view(self.edge_weights, cls).reshape(-1, qe)
+            counts = np.flatnonzero(np.bincount(n.ravel())).tolist()
+            for q in counts:
+                at = (np.flatnonzero(n.ravel() == q) if len(counts) > 1
+                      else slice(None))
+                ends = mesh.vertices[mesh.edge_vertices[cls.edges.ravel()[at]]]
+                points[at, :q], weights[at, :q] = gauss_segments(
+                    ends[:, 0], ends[:, 1], q)
+                # a half-edge of fewer points repeats its last at weight 0
+                points[at, q:] = points[at, q - 1:q]
+                weights[at, q:] = 0.0
+            view(self.edge_owner, cls)[...] = cls.cells[:, None, None]
+            view(self.edge_index, cls)[...] = cls.edges[..., None]
+            view(self.edge_normal, cls, 2)[...] = cls.normals[..., None, :]
+            side = (mesh.edge_cells[cls.edges, 0] != cls.cells[:, None]) * 1
+            start_of[cls.edges, side] = cls.edge_start + qe * np.arange(
+                n.size).reshape(n.shape)
+            sides.append(side)
+            at = (view(self.edge_points, cls, 2)[cls.first]
+                  - mesh.cells.centroid[cls.cells[cls.first], None, None])
+            phi = cls.transform[:, None] @ monomial_tables(
+                at / cls.scale[:, None, None, None], cls.j)
+            cls.edge_phi = phi.transpose(0, 2, 1, 3).reshape(
+                len(cls.first), cls.dim, -1)
+            np.take(cls.edge_phi[:, :dk].transpose(0, 2, 1), cls.key, axis=0,
+                    out=view(trace_k, cls, dk).reshape(len(cls.cells), -1, dk),
+                    mode="clip")
+        for cls, n, side in zip(self.classes, npts, sides):
+            # a padding point's twin is its half-edge's last point's twin
+            other = start_of[cls.edges, 1 - side][..., None]
+            twin = view(self.edge_twin, cls)
+            twin[...] = np.where(other >= 0, other + np.minimum(
+                np.arange(cls.edge_q), n[..., None] - 1), -1)
+            twin = twin[cls.first]
+            phi = cls.edge_phi.reshape(
+                len(cls.first), cls.dim, cls.ne, -1).transpose(0, 2, 1, 3)
+            wphi = phi * view(self.edge_weights, cls)[cls.first, :, None]
+            cls.own_m = wphi @ phi[:, :, :dk].transpose(0, 1, 3, 2)
+            cls.nbr_m = wphi @ np.where(twin[..., None] >= 0, trace_k[twin],
+                                        0.0)
 
     # -- weak-gradient and jump maps ------------------------------------------
 
@@ -472,13 +475,9 @@ class Discretization:
         """Per key and local edge (nk, ne, dt, df): ``own_m`` times
         ``inner`` on interior and ``boundary`` on boundary edges, ``nbr_m``
         times ``across``."""
-        own = np.zeros((len(cls.first), cls.ne, dt, df))
-        nbr = np.zeros_like(own)
-        for g in cls.groups:
-            at = cls.key[g.slot[g.rep]], g.local
-            own[at] = (inner if g.inner else boundary) * g.own_m[:, :dt, :df]
-            nbr[at] = across * g.nbr_m[:, :dt, :df]
-        return own, nbr
+        on = (cls.nbr[cls.first] >= 0)[..., None, None]
+        return (np.where(on, inner, boundary) * cls.own_m[..., :dt, :df],
+                across * cls.nbr_m[..., :dt, :df])
 
     def _class_maps(self, cls, df, dt, boundary):
         nk, ne = len(cls.first), cls.ne
@@ -540,27 +539,27 @@ class Discretization:
             shape = loc.shape[:-2] + mp.shape[1:3]
             loc = loc.reshape(len(loc), -1, 1, mp.shape[-1], 1)
             prod = np.empty(loc.shape[:2] + mp.shape[1:3] + (1,))
-            for keys, _, slots in cls.batches:
-                np.matmul(mp[keys, None], loc[slots], out=prod[slots])
+            for keys, rows in cls.batches:
+                np.matmul(mp[keys, None], loc[rows], out=prod[rows])
             out.append(prod.reshape(shape))
         return out
 
     def apply_transpose(self, maps, coef):
         """The transpose of :meth:`apply`: per-class (nc, ..., r, dt) to
         (n_cells, ..., df), summed over the maps that read each cell."""
-        owners, rows = [], []
+        owners, blocks = [], []
         for cls, mp, c in zip(self.classes, maps, coef):
             _, r, dt, width = mp.shape
             nc = len(cls.cells)
             ct = c.reshape(nc, -1, r, dt).transpose(0, 2, 1, 3)
             prod = np.empty((nc, ct.shape[2], width))
-            for keys, _, slots in cls.batches:
-                prod[slots] = (ct[slots] @ mp[keys]).sum(1)
+            for keys, rows in cls.batches:
+                prod[rows] = (ct[rows] @ mp[keys]).sum(1)
             m, slots = prod.shape[1], self._slots(cls)
-            rows.append(prod.reshape(nc, m, cls.ne + 1, -1)
+            blocks.append(prod.reshape(nc, m, cls.ne + 1, -1)
                         .transpose(0, 2, 1, 3).reshape(slots.size, m, -1))
             owners.append(slots.ravel())
-        out = _sum_rows(np.concatenate(owners), np.concatenate(rows),
+        out = _sum_rows(np.concatenate(owners), np.concatenate(blocks),
                         self.mesh.n_cells)
         return out.reshape(out.shape[:1] + c.shape[1:-2] + out.shape[-1:])
 
@@ -575,13 +574,13 @@ class Discretization:
         out = np.empty((n,) + coef[0].shape[1:-1])
         flat = out.reshape(n, -1)
         for cls, c in zip(self.classes, coef):
+            phi, start, q = cls.point_set(edges)
             d = c.shape[-1]
             c = c.reshape(len(c), -1, d)
-            for g in cls.groups if edges else [cls]:
-                o = flat[g.start:g.stop].reshape(-1, g.q, flat.shape[1])
-                for keys, rows, slots in g.batches:
-                    np.matmul(g.phi[keys, :d].transpose(0, 2, 1),
-                              c[slots].transpose(0, 2, 1), out=o[rows])
+            o = flat[start:start + len(c) * q].reshape(-1, q, flat.shape[1])
+            for keys, rows in cls.batches:
+                np.matmul(phi[keys, :d].transpose(0, 2, 1),
+                          c[rows].transpose(0, 2, 1), out=o[rows])
         return out
 
     def _moments(self, values, d, edges):
@@ -593,15 +592,12 @@ class Discretization:
               * values).reshape(len(values), -1)
         moments = []
         for cls in self.classes:
-            m = np.zeros((len(cls.cells), cls.dim if d is None else d,
-                          wv.shape[1]))
-            for g in cls.groups if edges else [cls]:
-                v = wv[g.start:g.stop].reshape(-1, g.q, wv.shape[1])
-                if not v.any():  # no data on the group's points
-                    continue
-                # a cell is a member of a group at most once
-                for keys, rows, slots in g.batches:
-                    m[slots] += g.phi[keys, :d] @ v[rows]
+            phi, start, q = cls.point_set(edges)
+            nc = len(cls.cells)
+            v = wv[start:start + nc * q].reshape(nc, q, -1)
+            m = np.empty((nc, cls.dim if d is None else d, v.shape[2]))
+            for keys, rows in cls.batches:
+                np.matmul(phi[keys, :d], v[rows], out=m[rows])
             moments.append(m.transpose(0, 2, 1).reshape(
                 m.shape[:1] + values.shape[1:] + (-1,)))
         if d is None:
@@ -637,9 +633,9 @@ class Discretization:
             v = values[cls.start:cls.stop].reshape(nc, cls.q, -1)
             wv = (cls.weights[..., None] * v).transpose(0, 2, 1)[:, :, None]
             mass = np.empty((nc, wv.shape[1], d, d))
-            for keys, _, slots in cls.batches:
+            for keys, rows in cls.batches:
                 phi = cls.phi[keys, None, :d]
-                mass[slots] = (phi * wv[slots]) @ phi.transpose(0, 1, 3, 2)
+                mass[rows] = (phi * wv[rows]) @ phi.transpose(0, 1, 3, 2)
             out.append(mass.reshape((nc,) + values.shape[1:] + (d, d)))
         return out
 

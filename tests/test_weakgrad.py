@@ -353,7 +353,7 @@ def _kernel_meshes(family):
 
 def _batch_kinds(batches):
     kinds = set()
-    for keys, rows, _ in batches:
+    for keys, rows in batches:
         if not isinstance(keys, slice):
             kinds.add("gather")
         elif keys.stop - keys.start < rows.stop - rows.start:
@@ -365,17 +365,12 @@ def _batch_kinds(batches):
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
 def test_kernel_meshes_read_every_batch_kind(family):
-    cells, halves = set(), set()
+    kinds = set()
     for mesh in _kernel_meshes(family):
         disc = Discretization(mesh, 1)
         for cls in disc.classes:
-            cells |= _batch_kinds(cls.batches)
-            for g in cls.groups:
-                halves |= _batch_kinds(g.batches)
-                # members ascend, and their slots with them
-                assert np.all(np.diff(g.hk) >= 0)
-                assert np.all(np.diff(g.slot) > 0)
-    assert cells == halves == {"broadcast", "slice", "gather"}
+            kinds |= _batch_kinds(cls.batches)
+    assert kinds == {"broadcast", "slice", "gather"}
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
