@@ -236,12 +236,29 @@ def load_kappa_raster(path):
     return _load_csv(path)
 
 
+def _header_sizes(path, tokens, names):
+    """The integers of a raster header's size ``tokens``, which the file's
+    format calls ``names``.  A size of 0 leaves the grid empty, which
+    RasterKappa rejects; any other that is not a positive integer is
+    rejected here."""
+    sizes = []
+    for token, name in zip(tokens, names):
+        try:
+            sizes.append(int(token))
+        except ValueError:
+            sizes.append(-1)
+        if sizes[-1] < 0:
+            raise ValueError(f"{path}: header {name} must be a positive "
+                             f"integer, got {token!r}")
+    return sizes
+
+
 def _load_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'rows cols' header")
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _header_sizes(path, header, ("rows", "cols"))
         # np.loadtxt warns on stderr about a file without values
         data = np.array(fh.read().split(), dtype=float)
     if data.size != rows * cols:
@@ -270,7 +287,8 @@ def _load_pgm(path):
     if len(tokens) < 4:
         field = ("width", "height", "maxval")[len(tokens) - 1]
         raise ValueError(f"{path}: PGM header lacks its {field} field")
-    cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    cols, rows = _header_sizes(path, tokens[1:3], ("width", "height"))
+    maxval = int(tokens[3])
     if maxval <= 0:
         raise ValueError(f"{path}: PGM maxval must be positive, got {maxval}")
     vals = np.array(tokens[4:4 + rows * cols], dtype=float)

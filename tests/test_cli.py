@@ -20,8 +20,8 @@ from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
 from cdgbrinkman.problems import sample_raster_path
 from cdgbrinkman.solver import DELTA
 from cdgbrinkman.weakgrad import Discretization
-from conftest import (NOTCH_ON_CENTROID, notched_square,
-                      refinement_stopped_by_rule)
+from conftest import (BAD_RASTER_HEADERS, BAD_RASTER_IDS, NOTCH_ON_CENTROID,
+                      notched_square, refinement_stopped_by_rule)
 from polyref import cell_vertices
 
 
@@ -334,6 +334,20 @@ def test_solve_malformed_raster_exit_2(tmp_path, capsys, no_rect_mesh, name,
     # the error line alone: no warning from the loader goes to stderr
     assert err.count("\n") == 1
     assert "--kappa-raster" in err and message in err
+
+
+@pytest.mark.parametrize("name, text, field, token", BAD_RASTER_HEADERS,
+                         ids=BAD_RASTER_IDS)
+def test_solve_bad_raster_header_size_exit_2(tmp_path, capsys, no_rect_mesh,
+                                             name, text, field, token):
+    raster = tmp_path / name
+    raster.write_text(text)
+    code = main(["solve", "--mesh", "rect", "--kappa-raster", str(raster),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{raster}: {field} must be a positive integer, got {token}" in err
 
 
 def test_unknown_mesh_family_exit_2(tmp_path, capsys):

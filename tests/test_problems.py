@@ -8,6 +8,7 @@ from cdgbrinkman.problems import (RasterKappa, cavity_problem, example1,
                                   sample_raster_path)
 from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
+from conftest import BAD_RASTER_HEADERS, BAD_RASTER_IDS
 
 
 def test_example1_divergence_free(rng):
@@ -129,6 +130,17 @@ def test_raster_pgm_with_value_map(tmp_path):
     r = load_kappa_raster(path)
     assert r.vmin == pytest.approx(1.0)
     assert r.vmax == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("name, text, field, token", BAD_RASTER_HEADERS,
+                         ids=BAD_RASTER_IDS)
+def test_raster_rejects_bad_header_size(tmp_path, name, text, field, token):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_kappa_raster(path)
+    assert str(info.value) == (f"{path}: {field} must be a positive integer, "
+                               f"got {token}")
 
 
 def test_raster_csv_and_pgm_agree_row_zero_on_top(tmp_path):
