@@ -373,6 +373,53 @@ def test_kernel_meshes_read_every_batch_kind(family):
     assert kinds == {"broadcast", "slice", "gather"}
 
 
+def _quads_by_hexagon():
+    """Two quads and a hexagon in a row: the middle quad's interior edges
+    have 4 and 5 points at k = 1, so both quads pad an interior edge."""
+    v = [[0, 0], [0.4, 0], [0.6, 0], [1, 0], [1, 0.5], [1, 1], [0.8, 1],
+         [0.6, 1], [0.4, 1], [0, 1]]
+    return Mesh(np.array(v, dtype=float),
+                [[0, 1, 8, 9], [1, 2, 7, 8], [2, 3, 4, 5, 6, 7]])
+
+
+@pytest.mark.parametrize("mesh, k, padded", [
+    (MESH_FAMILIES["poly"](16), 2, 24), (MESH_FAMILIES["poly"](64), 1, 80),
+    (perturbed_mesh("rect", 6, 7, 0.1), 2, 0), (_quads_by_hexagon(), 1, 7)],
+    ids=["poly16", "poly64", "perturbed-rect", "quads-by-hexagon"])
+def test_half_edge_points_pair_up(mesh, k, padded):
+    # each class's half-edge points, (cells, local edges, edge_q): an edge
+    # of fewer points repeats its last one, at weight 0, and shares its twin
+    disc = Discretization(mesh, k)
+    pts, w, twin = disc.edge_points, disc.edge_weights, disc.edge_twin
+    edge, owner = disc.edge_index, disc.edge_owner
+    pad = np.zeros(len(w), dtype=bool)
+    for cls in disc.classes:
+        rows = np.arange(cls.edge_start, cls.edge_start
+                         + cls.edges.size * cls.edge_q).reshape(-1, cls.edge_q)
+        repeat = np.all(pts[rows[:, 1:]] == pts[rows[:, :-1]], axis=-1)
+        pad[rows[:, 1:]] = np.logical_or.accumulate(repeat, axis=1)
+        assert np.all(edge[rows] == cls.edges.reshape(-1, 1))
+        # the weights of a half-edge sum to its edge's length
+        length = mesh.edge_lengths[cls.edges.ravel()]
+        assert np.all(np.abs(w[rows].sum(1) - length) <= 1e-14 * length)
+    assert pad.sum() == padded
+    assert np.all(w[pad] == 0.0) and np.all(w[~pad] > 0.0)
+    inner = twin >= 0
+    t = twin[inner]
+    assert np.array_equal(pts[inner], pts[t])
+    assert np.array_equal(edge[inner], edge[t])
+    assert np.array_equal(np.sort([owner[inner], owner[t]], axis=0),
+                          np.sort(mesh.edge_cells[edge[inner]].T, axis=0))
+    # a twin is never padding, and twins of the other points pair up
+    assert not pad[t].any()
+    real = inner & ~pad
+    assert np.array_equal(twin[twin[real]], np.flatnonzero(real))
+    # boundary points lie on the bounding box
+    assert np.all(mesh.edge_cells[edge[~inner], 1] < 0)
+    lo, hi = mesh.vertices.min(0), mesh.vertices.max(0)
+    assert np.all(np.any((pts[~inner] == lo) | (pts[~inner] == hi), axis=1))
+
+
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cell_moments_recover_cell_values_coefficients(family, k, rng):
