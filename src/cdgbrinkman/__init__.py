@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .analysis import (ConvergenceReport, ErrorReport, error_equation_residual,
                        norm_l2_pressure, norm_l2_velocity, norm_pressure_jump,
                        norm_triple_bar, norm_triple_bar_1, project_pressure,
-                       project_tensor, project_velocity, run_convergence)
+                       project_velocity, run_convergence)
 from .assembly import (BrinkmanProblem, SaddleSystem, assemble_a, assemble_b,
                        assemble_mean_constraint, assemble_rhs, assemble_s,
                        assemble_system)

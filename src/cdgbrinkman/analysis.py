@@ -22,7 +22,6 @@ from .solver import solve
 __all__ = [
     "project_velocity",
     "project_pressure",
-    "project_tensor",
     "norm_triple_bar",
     "norm_l2_velocity",
     "norm_l2_pressure",
@@ -53,20 +52,6 @@ def project_velocity(disc, u_exact):
 def project_pressure(disc, p_exact):
     """Projection onto the piecewise P_{k-1} space."""
     return disc.cell_moments(_sample(disc, p_exact), disc.dim_p).ravel()
-
-
-def project_tensor(disc, grad_exact):
-    """Per-cell projection of a 2x2 tensor field onto the target space.
-
-    Returns a list over cells of arrays (2, 2, dim_j): coefficients of each
-    tensor entry in the cell's weak-gradient basis.
-    """
-    out = [None] * disc.mesh.n_cells
-    coefs = disc.cell_moments(_sample(disc, grad_exact))
-    for cls, coef in zip(disc.classes, coefs):
-        for c, cc in zip(cls.cells, coef):
-            out[c] = cc
-    return out
 
 
 # ---------------------------------------------------------------------------

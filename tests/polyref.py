@@ -10,7 +10,8 @@ and the conversions between the library's sparse blocks and scipy's, with
 the full saddle matrix and right-hand side built from them.  One cell's
 tables in a Discretization, read through the cell's congruence key
 (:class:`CellTables`), and the same tables rebuilt from the cell's own
-geometry (:func:`own_basis`, :func:`own_maps`).
+geometry (:func:`own_basis`, :func:`own_maps`); a tensor field's
+per-cell projection onto the weak-gradient spaces (:func:`project_tensor`).
 """
 
 import numpy as np
@@ -365,3 +366,15 @@ def own_maps(disc, cell):
             jump[0, :, i + 1] = -mesh.h * nbr[i][:dp, :dp]
     return (gradient(dk, dim_poly(j), 0.0), gradient(dp, dk, 1.0),
             jump.reshape(1, dp, -1))
+
+
+def project_tensor(disc, grad_exact):
+    """Per-cell projection of a 2x2 tensor field onto the target space: a
+    list over cells of the (2, 2, dim_j) coefficients of each entry in the
+    cell's weak-gradient basis, read from ``disc.cell_moments``."""
+    out = [None] * disc.mesh.n_cells
+    values = np.asarray(grad_exact(disc.cell_points), dtype=float)
+    for cls, coef in zip(disc.classes, disc.cell_moments(values)):
+        for c, cc in zip(cls.cells, coef):
+            out[c] = cc
+    return out

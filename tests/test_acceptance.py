@@ -14,8 +14,8 @@ import pytest
 
 from cdgbrinkman.analysis import (error_equation_residual, norm_l2_pressure,
                                   norm_l2_velocity, norm_triple_bar,
-                                  project_pressure, project_tensor,
-                                  project_velocity, run_convergence)
+                                  project_pressure, project_velocity,
+                                  run_convergence)
 from cdgbrinkman.assembly import BrinkmanProblem, assemble_system
 from cdgbrinkman.cli import main
 from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
@@ -26,7 +26,8 @@ from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
 
 from polyref import (CellTables, cell_quadrature, cell_vertices,
-                     edge_quadrature, final_rate, gram_cholesky, gram_solve)
+                     edge_quadrature, final_rate, gram_cholesky, gram_solve,
+                     project_tensor)
 from conftest import (MESH_FAMILIES, normal_out_of, random_polynomial,
                       project_scalar_field)
 

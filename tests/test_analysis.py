@@ -7,8 +7,8 @@ from cdgbrinkman.analysis import (CSV_COLUMNS, ConvergenceReport, ErrorReport,
                                   error_equation_residual, norm_l2_pressure,
                                   norm_l2_velocity, norm_pressure_jump,
                                   norm_triple_bar, norm_triple_bar_1,
-                                  project_pressure, project_tensor,
-                                  project_velocity, run_convergence,
+                                  project_pressure, project_velocity,
+                                  run_convergence,
                                   velocity_error_l2)
 from cdgbrinkman.assembly import assemble_a, assemble_system
 from cdgbrinkman.mesh import generate_uniform_rectangular, generate_uniform_triangular

@@ -3,12 +3,11 @@ import pytest
 
 from cdgbrinkman.mesh import Mesh, generate_uniform_rectangular, generate_uniform_triangular
 from cdgbrinkman.weakgrad import Discretization, target_degree
-from cdgbrinkman.analysis import project_tensor
 
 from polyref import (CellTables, MonomialBasis, cell_quadrature,
                      cell_vertices, edge_average, edge_quadrature,
                      gram_cholesky, gram_matrix, gram_solve, normal_jump,
-                     own_basis, own_maps, scalar_jump)
+                     own_basis, own_maps, project_tensor, scalar_jump)
 from conftest import (MESH_FAMILIES, normal_out_of, perturbed_mesh,
                       project_scalar_field, random_polynomial)
 
