@@ -411,6 +411,7 @@ class Discretization:
             weights = view(self.edge_weights, cls).reshape(-1, qe)
             counts = np.flatnonzero(np.bincount(n.ravel())).tolist()
             for q in counts:
+                # slices fill a class of one point count faster
                 at = (np.flatnonzero(n.ravel() == q) if len(counts) > 1
                       else slice(None))
                 ends = mesh.vertices[mesh.edge_vertices[cls.edges.ravel()[at]]]
@@ -428,6 +429,8 @@ class Discretization:
             sides.append(side)
             at = (view(self.edge_points, cls, 2)[cls.first]
                   - mesh.cells.centroid[cls.cells[cls.first], None, None])
+            # one product per local edge: a half-edge's table rounds the
+            # same whatever the class's other edges are
             phi = cls.transform[:, None] @ monomial_tables(
                 at / cls.scale[:, None, None, None], cls.j)
             cls.edge_phi = phi.transpose(0, 2, 1, 3).reshape(
