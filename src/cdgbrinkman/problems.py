@@ -236,21 +236,16 @@ def load_kappa_raster(path):
     return _load_csv(path)
 
 
-def _header_sizes(path, tokens, names):
-    """The integers of a raster header's size ``tokens``, which the file's
-    format calls ``names``.  A size of 0 leaves the grid empty, which
-    RasterKappa rejects; any other that is not a positive integer is
-    rejected here."""
-    sizes = []
-    for token, name in zip(tokens, names):
-        try:
-            sizes.append(int(token))
-        except ValueError:
-            sizes.append(-1)
-        if sizes[-1] < 0:
-            raise ValueError(f"{path}: header {name} must be a positive "
-                             f"integer, got {token!r}")
-    return sizes
+def _header_size(path, token, name):
+    """A raster header's size ``token``, called ``name`` in the file's
+    format; a size of 0 leaves the grid empty, which RasterKappa rejects."""
+    try:
+        if int(token) >= 0:
+            return int(token)
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: header {name} must be a positive integer, "
+                     f"got {token!r}")
 
 
 def _load_csv(path):
@@ -258,7 +253,8 @@ def _load_csv(path):
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'rows cols' header")
-        rows, cols = _header_sizes(path, header, ("rows", "cols"))
+        rows = _header_size(path, header[0], "rows")
+        cols = _header_size(path, header[1], "cols")
         # np.loadtxt warns on stderr about a file without values
         data = np.array(fh.read().split(), dtype=float)
     if data.size != rows * cols:
@@ -287,7 +283,8 @@ def _load_pgm(path):
     if len(tokens) < 4:
         field = ("width", "height", "maxval")[len(tokens) - 1]
         raise ValueError(f"{path}: PGM header lacks its {field} field")
-    cols, rows = _header_sizes(path, tokens[1:3], ("width", "height"))
+    cols = _header_size(path, tokens[1], "width")
+    rows = _header_size(path, tokens[2], "height")
     maxval = int(tokens[3])
     if maxval <= 0:
         raise ValueError(f"{path}: PGM maxval must be positive, got {maxval}")

@@ -214,9 +214,8 @@ class ShapeClass:
     across each local edge, -1 on the boundary) and outward ``normals``;
     quadrature ``points`` (nc, q, 2) and ``weights`` (nc, q), views of rows
     ``start`` to ``stop`` of the flat ``cell_points`` and ``cell_weights``.
-    The cells' half-edge points are rows ``edge_start`` on of the flat
-    ``edge_*`` arrays, laid out (nc, ne, edge_q) (see the module
-    docstring).
+    Their half-edge points, (nc, ne, edge_q), are rows ``edge_start`` on
+    of the flat ``edge_*`` arrays (see the module docstring).
     Per key: the rule ``local_rule`` (points about the centroid (nk, q, 2)
     and weights (nk, q)) until :meth:`place` writes it out, the diameter
     ``scale``, the lower-triangular ``transform`` (nk, dim, dim), the
@@ -318,13 +317,11 @@ class Discretization:
     Flat arrays over all cell quadrature points: ``cell_points``,
     ``cell_weights``, ``cell_owner``; over all half-edge points:
     ``edge_points``, ``edge_weights``, ``edge_owner``, ``edge_normal`` (out
-    of the owner), ``edge_index`` and ``edge_twin``.  Both run class by
-    class and within a class as its cells, the half-edge arrays then by
-    local edge and point (see ShapeClass); a half-edge's padding points
-    repeat its last point at weight 0 and share that point's twin.
-    ``gram_condition`` maps each target degree to the worst lower bound of
-    its monomial Gram matrices' condition numbers (see ShapeClass
-    ``condition``).
+    of the owner), ``edge_index`` and ``edge_twin``, by class, cell, local
+    edge and point (see ShapeClass); a half-edge's padding points copy its
+    last point and that point's twin, at weight 0.  ``gram_condition``
+    maps each target degree to the worst lower bound of its monomial Gram
+    matrices' condition numbers (see ShapeClass ``condition``).
 
     Assembly and analysis read the classes through the kernels
     :meth:`cell_moments`, :meth:`cell_values`, :meth:`cell_mass`,
