@@ -71,18 +71,6 @@ def notched_square(x):
     return verts, [[0, 1, 2, 3, 4, 5, 6, 7], [3, 2, 5, 4]]
 
 
-# a header size that is not a positive integer, named with the file
-BAD_RASTER_HEADERS = [
-    ("k.csv", "-2 -3\n1 2 3 4 5 6\n", "header rows", "'-2'"),
-    ("k.csv", "2 -3\n1 2 3 4 5 6\n", "header cols", "'-3'"),
-    ("k.csv", "2.5 2\n1 2 3 4 5\n", "header rows", "'2.5'"),
-    ("k.pgm", "P2\n-2 -3\n3\n0 1 2 3 0 1\n", "header width", "'-2'"),
-    ("k.pgm", "P2\n2 -3\n3\n0 1 2 3 0 1\n", "header height", "'-3'"),
-]
-BAD_RASTER_IDS = ["csv-both", "csv-cols", "csv-fraction", "pgm-both",
-                  "pgm-height"]
-
-
 def perturbed_mesh(family, n, seed, amplitude):
     """A generated mesh with its interior vertices moved at random."""
     mesh = MESH_FAMILIES[family](n)

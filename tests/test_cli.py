@@ -20,8 +20,8 @@ from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
 from cdgbrinkman.problems import sample_raster_path
 from cdgbrinkman.solver import DELTA
 from cdgbrinkman.weakgrad import Discretization
-from conftest import (BAD_RASTER_HEADERS, BAD_RASTER_IDS, NOTCH_ON_CENTROID,
-                      notched_square, refinement_stopped_by_rule)
+from conftest import (NOTCH_ON_CENTROID, notched_square,
+                      refinement_stopped_by_rule)
 from polyref import cell_vertices
 
 
@@ -320,7 +320,14 @@ def test_patchtest_rejects_bad_tol_exit_2(capsys):
     ("k.pgm", "P2\n2 2\n0\n0 0\n0 0\n",
      "k.pgm: PGM maxval must be positive, got 0"),
     ("k.pgm", "P2\n2 2\n3\n0 1\n", "k.pgm: expected 4 gray values, found 2"),
-], ids=["csv-empty", "csv-short", "pgm-maxval-0", "pgm-short"])
+    ("k.csv", "-2 -3\n1 2 3 4 5 6\n",
+     "k.csv: header rows must be a positive integer, got '-2'"),
+    ("k.csv", "2 -3\n1 2 3 4 5 6\n",
+     "k.csv: header cols must be a positive integer, got '-3'"),
+    ("k.pgm", "P2\n-2 -3\n3\n0 1 2 3 0 1\n",
+     "k.pgm: header width must be a positive integer, got '-2'"),
+], ids=["csv-empty", "csv-short", "pgm-maxval-0", "pgm-short",
+        "csv-negative-size", "csv-negative-cols", "pgm-negative-size"])
 # a warning would reach stderr outside pytest, which records it instead
 @pytest.mark.filterwarnings("error")
 def test_solve_malformed_raster_exit_2(tmp_path, capsys, no_rect_mesh, name,
@@ -334,20 +341,6 @@ def test_solve_malformed_raster_exit_2(tmp_path, capsys, no_rect_mesh, name,
     # the error line alone: no warning from the loader goes to stderr
     assert err.count("\n") == 1
     assert "--kappa-raster" in err and message in err
-
-
-@pytest.mark.parametrize("name, text, field, token", BAD_RASTER_HEADERS,
-                         ids=BAD_RASTER_IDS)
-def test_solve_bad_raster_header_size_exit_2(tmp_path, capsys, no_rect_mesh,
-                                             name, text, field, token):
-    raster = tmp_path / name
-    raster.write_text(text)
-    code = main(["solve", "--mesh", "rect", "--kappa-raster", str(raster),
-                 "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"{raster}: {field} must be a positive integer, got {token}" in err
 
 
 def test_unknown_mesh_family_exit_2(tmp_path, capsys):

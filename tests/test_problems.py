@@ -8,7 +8,6 @@ from cdgbrinkman.problems import (RasterKappa, cavity_problem, example1,
                                   sample_raster_path)
 from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
-from conftest import BAD_RASTER_HEADERS, BAD_RASTER_IDS
 
 
 def test_example1_divergence_free(rng):
@@ -130,6 +129,18 @@ def test_raster_pgm_with_value_map(tmp_path):
     r = load_kappa_raster(path)
     assert r.vmin == pytest.approx(1.0)
     assert r.vmax == pytest.approx(100.0)
+
+
+# a header size that is not a positive integer, named with the file
+BAD_RASTER_HEADERS = [
+    ("k.csv", "-2 -3\n1 2 3 4 5 6\n", "header rows", "'-2'"),
+    ("k.csv", "2 -3\n1 2 3 4 5 6\n", "header cols", "'-3'"),
+    ("k.csv", "2.5 2\n1 2 3 4 5\n", "header rows", "'2.5'"),
+    ("k.pgm", "P2\n-2 -3\n3\n0 1 2 3 0 1\n", "header width", "'-2'"),
+    ("k.pgm", "P2\n2 -3\n3\n0 1 2 3 0 1\n", "header height", "'-3'"),
+]
+BAD_RASTER_IDS = ["csv-both", "csv-cols", "csv-fraction", "pgm-both",
+                  "pgm-height"]
 
 
 @pytest.mark.parametrize("name, text, field, token", BAD_RASTER_HEADERS,
