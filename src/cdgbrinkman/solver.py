@@ -49,13 +49,13 @@ from K's entries and its children's updates (extend-add), and its pivot
 block [[H, A_up], [A_up^T, -G]] is factored by two Cholesky factors,
 H = L_H L_H^T and G + W^T W = L_S L_S^T with W = L_H^{-1} A_up, which exist
 because every Schur complement of a quasi-definite matrix is
-quasi-definite.  With Y = L^{-1} F_12 for the pivot block's factor L, the
-front passes F_22 - Y^T D Y to its parent.  Each front keeps L^{-1}, built
-by blocked inversion, and D Y, so the solve is matrix-vector products.
-Every dense kernel is numpy's (cholesky, inv on small triangular blocks,
-matmul), and the package loads no other BLAS: scipy bundles an OpenBLAS of
-its own, and the two thread pools, used in turn, slowed a 200 x 200 front
-eightfold at two threads.
+quasi-definite.  A recursion over halves returns L_H^{-1} and L_S^{-1} by
+matrix products (_inv_chol).  With Y = L^{-1} F_12 for the pivot block's
+factor L, the front passes the lower block triangle of F_22 - Y^T (D Y) to
+its parent and keeps L^{-1} and D Y, so the solve is matrix-vector
+products.  Every dense kernel is numpy's, and the package loads no other
+BLAS: scipy bundles an OpenBLAS of its own, and the two thread pools, used
+in turn, slowed a 200 x 200 front eightfold at two threads.
 
 K is factored once, in float32, which halves the factor's memory; the
 residuals, corrections, multiplier and zero-mean step stay in float64.
@@ -99,7 +99,7 @@ MAX_SWEEPS = 10
 INNER_RTOL = 1e-2
 MAX_INNER = 30
 LEAF_CELLS = 16
-# the order below which a triangular block is inverted by numpy's inv
+# the order up to which _inv_chol takes numpy's cholesky and inv
 _INV_BLOCK = 64
 
 
@@ -291,17 +291,18 @@ def _available_bytes():
     return None
 
 
-def _tri_inv(L):
-    """Inverse of the lower-triangular L, by blocks: inv([[L1, 0], [L2, L3]])
-    = [[X1, 0], [-X3 L2 X1, X3]] with X1, X3 the blocks' inverses."""
-    n = len(L)
+def _inv_chol(H):
+    """L^{-1} for H = L L^T, from H's lower triangle by halves: L21 =
+    H21 L11^{-T}, and L22^{-1} from H22 - L21 L21^T = L22 L22^T."""
+    n = len(H)
     if n <= _INV_BLOCK:
-        return np.tril(np.linalg.inv(L))
+        return np.tril(np.linalg.inv(np.linalg.cholesky(H)))
     h = n // 2
-    X = np.zeros_like(L)
-    X[:h, :h] = X1 = _tri_inv(L[:h, :h])
-    X[h:, h:] = X3 = _tri_inv(L[h:, h:])
-    X[h:, :h] = -(X3 @ (L[h:, :h] @ X1))
+    X = np.zeros_like(H)
+    X[:h, :h] = X1 = _inv_chol(H[:h, :h])
+    L21 = H[h:, :h] @ X1.T
+    X[h:, h:] = X3 = _inv_chol(H[h:, h:] - L21 @ L21.T)
+    X[h:, :h] = -(X3 @ (L21 @ X1))
     return X
 
 
@@ -340,30 +341,29 @@ def _factor(K, tree):
             cidx, U = pending.pop(child)
             _extend_add(F, np.searchsorted(idx, cidx), U)
         try:
-            Lh = np.linalg.cholesky(F[:nv, :nv])
+            Ih = _inv_chol(F[:nv, :nv])
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError("velocity block A") from None
-        Ih = _tri_inv(Lh)
         W = Ih @ F[nv:p, :nv].T
         # G + W^T W in float64 (see the module docstring)
         W64 = W.astype(np.float64)
         try:
-            Ls = np.linalg.cholesky(W64.T @ W64 - F[nv:p, nv:p])
+            Is = _inv_chol(W64.T @ W64 - F[nv:p, nv:p]).astype(K.dtype)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError("pressure block (B, S)") from None
-        Is = _tri_inv(Ls).astype(K.dtype)
         inv = np.zeros((p, p), K.dtype)
         inv[:nv, :nv] = Ih
         inv[nv:, nv:] = Is
         inv[nv:, :nv] = -(Is @ (W.T @ Ih))
-        Yv = Ih @ F[p:, :nv].T
-        Yp = Is @ (F[p:, nv:p].T - W.T @ Yv)
-        U = F[p:, p:]
-        U -= Yv.T @ Yv
-        U += Yp.T @ Yp
-        pending[f] = (upd, np.ascontiguousarray(U))
-        del F, U
-        factors.append((s, e, nv, upd, inv, np.concatenate([Yv, -Yp])))
+        Y = Ih @ F[p:, :nv].T
+        Y = np.concatenate([Y, Is @ (F[p:, nv:p].T - W.T @ Y)])
+        dy = np.concatenate([Y[:nv], -Y[nv:]])
+        h = len(upd) // 2  # the update's upper-right block is never read
+        F[p:, p:p + h] -= Y.T @ dy[:, :h]
+        F[p + h:, p + h:] -= Y[:, h:].T @ dy[:, h:]
+        pending[f] = (upd, np.ascontiguousarray(F[p:, p:]))
+        del F, Y
+        factors.append((s, e, nv, upd, inv, dy))
     return factors
 
 

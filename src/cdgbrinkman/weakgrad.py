@@ -391,8 +391,6 @@ class Discretization:
         self.edge_normal = np.empty((total, 2))
         self.edge_index = np.empty(total, dtype=np.int64)
         self.edge_twin = np.empty(total, dtype=np.int64)
-        # the owners' degree-k basis at every point, for the nbr_m moments
-        trace_k = np.empty((total, dk))
         start_of = np.full((mesh.n_edges, 2), -1)
 
         def view(flat, cls, *shape):
@@ -432,9 +430,6 @@ class Discretization:
                 at / cls.scale[:, None, None, None], cls.j)
             cls.edge_phi = phi.transpose(0, 2, 1, 3).reshape(
                 len(cls.first), cls.dim, -1)
-            np.take(cls.edge_phi[:, :dk].transpose(0, 2, 1), cls.key, axis=0,
-                    out=view(trace_k, cls, dk).reshape(len(cls.cells), -1, dk),
-                    mode="clip")
         for cls, n, side in zip(self.classes, npts, sides):
             # a padding point's twin is its half-edge's last point's twin
             other = start_of[cls.edges, 1 - side][..., None]
@@ -446,8 +441,13 @@ class Discretization:
                 len(cls.first), cls.dim, cls.ne, -1).transpose(0, 2, 1, 3)
             wphi = phi * view(self.edge_weights, cls)[cls.first, :, None]
             cls.own_m = wphi @ phi[:, :, :dk].transpose(0, 1, 3, 2)
-            cls.nbr_m = wphi @ np.where(twin[..., None] >= 0, trace_k[twin],
-                                        0.0)
+            # the owners' degree-k basis at the twins (0 on the boundary)
+            nbr = np.zeros(twin.shape + (dk,))
+            for c in self.classes:
+                cell, at = np.divmod(twin - c.edge_start, c.ne * c.edge_q)
+                own = (cell >= 0) & (cell < len(c.cells))
+                nbr[own] = c.edge_phi[c.key[cell[own]], :dk, at[own]]
+            cls.nbr_m = wphi @ nbr
 
     # -- weak-gradient and jump maps ------------------------------------------
 

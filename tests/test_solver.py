@@ -29,6 +29,15 @@ def small_setup():
     return disc, problem, system
 
 
+@pytest.fixture(scope="module")
+def darcy_setup():
+    # the darcy-rect-k3 bench input, whose pivot blocks reach order 832
+    disc = Discretization(generate_uniform_rectangular(16), 3)
+    problem = example1(mu=1.0, a=1e4)
+    system = assemble_system(disc, problem)
+    return disc, problem, system
+
+
 def test_zero_rhs_zero_solution(small_setup):
     disc, _, system = small_setup
     import copy
@@ -65,6 +74,40 @@ def test_solve_deterministic_bit_identical(small_setup):
     assert a.multiplier == b.multiplier
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, solver._INV_BLOCK, solver._INV_BLOCK + 1,
+                               2 * solver._INV_BLOCK + 1, 300])
+def test_inv_chol_matches_inverse_of_cholesky(n, dtype, rng):
+    # L^{-1} of H = L L^T, read from H's lower triangle alone (a front
+    # forms no more), against numpy's inverse of numpy's Cholesky factor
+    M = rng.standard_normal((n, n))
+    H = (M @ M.T / n + np.eye(n)).astype(dtype)
+    X = solver._inv_chol(np.tril(H))
+    ref = np.linalg.inv(np.linalg.cholesky(H))
+    assert X.dtype == dtype
+    assert np.array_equal(X, np.tril(X))
+    eps = np.finfo(dtype).eps
+    assert np.abs(X - ref).max() <= 10 * eps * np.abs(ref).max()
+
+
+def _decoupled(system, dof):
+    """``system`` with the velocity ``dof`` decoupled from everything: a
+    zero row and column of A and a zero row of B."""
+    import copy
+
+    broken = copy.copy(system)
+    keep = sp.diags((np.arange(system.n_u) != dof).astype(float))
+    broken.A = from_scipy(keep @ to_scipy(system.A) @ keep)
+    broken.B = from_scipy(keep @ to_scipy(system.B))
+    return broken
+
+
+def _tree(system):
+    """The symbolic phase's tree of ``system``."""
+    rows, cols, _, _ = solver._scaled_entries(system)
+    return solver._analyse(system, rows, cols)
+
+
 def test_singular_system_structured_error(small_setup):
     # a velocity DOF decoupled from everything (a zero row and column of A
     # and a zero row of B) leaves a zero column in K, which the velocity
@@ -73,10 +116,7 @@ def test_singular_system_structured_error(small_setup):
     _, _, system = small_setup
     import copy
 
-    broken = copy.copy(system)
-    keep = sp.diags((np.arange(system.n_u) != 5).astype(float))
-    broken.A = from_scipy(keep @ to_scipy(system.A) @ keep)
-    broken.B = from_scipy(keep @ to_scipy(system.B))
+    broken = _decoupled(system, 5)
     with pytest.raises(SingularSystemError,
                        match="zero pivot in the velocity block A") as err:
         solve(broken)
@@ -85,6 +125,19 @@ def test_singular_system_structured_error(small_setup):
     assert stats["regularization"] == solver.DELTA
     assert "nnz_factor" not in stats
     assert "refinement_residuals" not in stats
+    # a decoupled velocity whose pivot lies past the first _INV_BLOCK
+    # pivots of its front is found inside the inverse-Cholesky recursion
+    tree = _tree(system)
+    f = int(np.argmax(tree.n_vel > solver._INV_BLOCK))
+    dof = int(tree.perm[tree.start[f] + solver._INV_BLOCK])
+    broken = _decoupled(system, dof)
+    tree = _tree(broken)
+    at = int(np.flatnonzero(tree.perm == dof)[0])
+    f = int(np.searchsorted(tree.start, at, side="right")) - 1
+    assert solver._INV_BLOCK <= at - tree.start[f] < tree.n_vel[f]
+    with pytest.raises(SingularSystemError,
+                       match="zero pivot in the velocity block A"):
+        solve(broken)
     # a pressure block that is not negative semidefinite breaks the pressure
     # block's Cholesky factor, which names it
     flipped = copy.copy(system)
@@ -135,13 +188,12 @@ def test_symmetric_mode_fill_below_colamd(small_setup):
     assert sol.stats["regularization"] == solver.DELTA
 
 
-def test_ldlt_stores_less_than_superlu_mmd():
+def test_ldlt_stores_less_than_superlu_mmd(darcy_setup):
     # at rect n=16, k=3 the LDL^T factor keeps fewer entries than SuperLU's
     # symmetric-mode minimum-degree factor of the scaled K with a shifted
     # pressure diagonal, with static pivots, so that the pattern alone sets
     # both counts (4.6 M against 5.4 M)
-    disc = Discretization(generate_uniform_rectangular(16), 3)
-    system = assemble_system(disc, example1(mu=1.0, a=1e4))
+    _, _, system = darcy_setup
     K = system_matrix(system, constrained=False).tocsc()
     d = np.abs(K.diagonal())
     d[d == 0.0] = 1.0
@@ -155,9 +207,19 @@ def test_ldlt_stores_less_than_superlu_mmd():
     assert sol.stats["nnz_factor"] < lu.nnz
 
 
-def test_refinement_residuals_recorded(small_setup):
-    _, _, system = small_setup
+@pytest.mark.parametrize("setup", ["small_setup", "darcy_setup"])
+def test_refinement_residuals_recorded(setup, request, monkeypatch):
+    _, _, system = request.getfixturevalue(setup)
+    orders, inv_chol = [], solver._inv_chol
+
+    def spy(H):
+        orders.append(len(H))
+        return inv_chol(H)
+
+    monkeypatch.setattr(solver, "_inv_chol", spy)
     sol = solve(system)
+    # the pivot blocks go through the inverse-Cholesky recursion
+    assert max(orders) > solver._INV_BLOCK
     history = sol.stats["refinement_residuals"]
     assert refinement_stopped_by_rule(history)
     assert all(np.isfinite(history))
@@ -277,14 +339,13 @@ def _nudged(S, rng, direction):
     return (U + sp.triu(U, k=1).T).tocsr()
 
 
-def test_fill_ignores_one_ulp_perturbations(rng):
+def test_fill_ignores_one_ulp_perturbations(darcy_setup, rng):
     # the symbolic phase reads the pattern alone, so roundoff in S cannot
     # move the fill (SuperLU with a pivot threshold of 0.01 moved it by 485
     # to 1871 entries under these perturbations)
     import copy
 
-    disc = Discretization(generate_uniform_rectangular(16), 3)
-    system = assemble_system(disc, example1(mu=1.0, a=1e4))
+    _, _, system = darcy_setup
     fills = []
     for direction in (None, np.inf, -np.inf, np.inf):
         nudged = copy.copy(system)
