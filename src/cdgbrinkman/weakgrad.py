@@ -444,9 +444,9 @@ class Discretization:
             # the owners' degree-k basis at the twins (0 on the boundary)
             nbr = np.zeros(twin.shape + (dk,))
             for c in self.classes:
-                cell, at = np.divmod(twin - c.edge_start, c.ne * c.edge_q)
+                cell, point = np.divmod(twin - c.edge_start, c.ne * c.edge_q)
                 own = (cell >= 0) & (cell < len(c.cells))
-                nbr[own] = c.edge_phi[c.key[cell[own]], :dk, at[own]]
+                nbr[own] = c.edge_phi[c.key[cell[own]], :dk, point[own]]
             cls.nbr_m = wphi @ nbr
 
     # -- weak-gradient and jump maps ------------------------------------------
