@@ -20,6 +20,7 @@ it, so jump signs are deterministic.
 import itertools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,12 +258,21 @@ def _cell_of(offsets, position):
     return np.searchsorted(offsets, position, side="right") - 1
 
 
+class _Loops(NamedTuple):
+    """Cell loops already in CSR form: int64 ``offsets`` and ``ids``."""
+    offsets: np.ndarray
+    ids: np.ndarray
+
+
 def _csr(loops):
-    """(offsets, flat ids) of a sequence of loops or an (n, m) index array.
+    """(offsets, flat ids) of a sequence of loops, an (n, m) index array or
+    :class:`_Loops`.
 
     Raises MeshValidationError for an id that is not an integer; an
     integral float such as 3.0 is accepted.
     """
+    if isinstance(loops, _Loops):
+        return loops
     if isinstance(loops, np.ndarray) and loops.ndim == 2:
         n, m = loops.shape
         offsets, raw = m * np.arange(n + 1), loops.ravel()
@@ -360,7 +370,8 @@ def generate_polygonal(n_div):
     lattice, clipped to the square.  The lattice is aligned so the square's
     corners are generators, which caps the per-cell edge count at 6 (quarter
     and half hexagons appear along the boundary).  Labeled mesh size is
-    1/n_div; the hexagon width is exactly 1/n_div.
+    1/n_div; the hexagon width is exactly 1/n_div.  All hexagons are
+    clipped together, one array pass per side of the square.
     """
     if n_div < 2:
         raise ValueError("n_div must be >= 2")
@@ -376,69 +387,86 @@ def generate_polygonal(n_div):
         (0.5 * a, -y_side), (0.5 * a, y_side), (0.0, y_top),
         (-0.5 * a, y_side), (-0.5 * a, -y_side), (0.0, -y_top),
     ])
-    cells_pts = []
-    for r in range(ny + 1):
-        off = 0.5 * a if r % 2 else 0.0
-        for i in range(-1, nx + 2):
-            center = np.array([i * a + off, r * b])
-            poly = _clip_to_unit_square(hexagon + center)
-            if poly is not None and _shoelace(poly) > 1e-12 * a * b:
-                cells_pts.append(poly)
-    return _mesh_from_polygons(cells_pts, labeled_h=1.0 / nx, snap=1e-12)
+    rows = np.arange(ny + 1)
+    cx = np.arange(-1, nx + 2) * a + np.where(rows % 2, 0.5 * a, 0.0)[:, None]
+    cy = np.broadcast_to((rows * b)[:, None], cx.shape)
+    pts = (hexagon + np.stack([cx, cy], axis=-1)[..., None, :]).reshape(-1, 2)
+    owner = np.repeat(np.arange(cx.size), len(hexagon))
+    pts, count = _clip_to_unit_square(pts, owner, 1e-12 * a * b)
+    # points that agree to 1e-12 are one vertex, numbered by first occurrence
+    ids, first = _first_occurrence(np.rint(pts / 1e-12).astype(np.int64))
+    return Mesh(pts[first], _Loops(np.r_[0, np.cumsum(count)], ids),
+                labeled_h=1.0 / nx)
 
 
-def _shoelace(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+def _next_in_loop(owner):
+    """Flat position of each point's successor along its loop; ``owner``
+    numbers the loop of each point, equal within a loop's run."""
+    last = np.r_[owner[1:] != owner[:-1], True]
+    nxt = np.arange(1, len(owner) + 1)
+    nxt[last] = np.flatnonzero(np.r_[True, last[:-1]])
+    return nxt
 
 
-def _clip_to_unit_square(poly):
-    """Sutherland-Hodgman clip of a convex CCW polygon to [0,1]^2."""
-    halfplanes = [(np.array([1.0, 0.0]), 0.0), (np.array([-1.0, 0.0]), -1.0),
-                  (np.array([0.0, 1.0]), 0.0), (np.array([0.0, -1.0]), -1.0)]
-    pts = list(poly)
-    for nrm, c in halfplanes:
-        if not pts:
-            return None
-        out = []
-        prev = pts[-1]
-        dprev = np.dot(nrm, prev) - c
-        for cur in pts:
-            dcur = np.dot(nrm, cur) - c
-            if dcur >= -1e-15:
-                if dprev < -1e-15:
-                    t = dprev / (dprev - dcur)
-                    out.append(prev + t * (cur - prev))
-                out.append(cur)
-            elif dprev >= -1e-15:
-                t = dprev / (dprev - dcur)
-                out.append(prev + t * (cur - prev))
-            prev, dprev = cur, dcur
-        pts = out
-    if len(pts) < 3:
-        return None
-    return _dedupe_loop(np.array(pts))
+def _loop_areas(pts, owner):
+    """Signed shoelace area of each loop number up to ``owner.max()``."""
+    x, y = pts.T
+    xn, yn = pts[_next_in_loop(owner)].T
+    return 0.5 * np.bincount(owner, x * yn - xn * y)
 
 
-def _dedupe_loop(pts, tol=1e-12):
-    keep = []
-    for p in pts:
-        if not keep or np.hypot(*(p - keep[-1])) > tol:
-            keep.append(p)
-    if len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= tol:
-        keep.pop()
-    if len(keep) < 3:
-        return None
-    return np.array(keep)
+def _clip_to_unit_square(pts, owner, min_area):
+    """Sutherland-Hodgman clip of convex CCW loops to [0,1]^2.
+
+    The loops are flat runs of ``pts``, numbered by ``owner``; all are
+    clipped at once, one half-plane after another.  Near-duplicate points
+    are then dropped (:func:`_dedupe_loops`), and so is a loop left with
+    fewer than 3 points or an area of at most ``min_area``.  Returns the
+    kept loops' points and point counts.
+    """
+    for axis, sign, c in ((0, 1.0, 0.0), (0, -1.0, -1.0),
+                          (1, 1.0, 0.0), (1, -1.0, -1.0)):
+        prev = np.empty(len(owner), dtype=np.int64)
+        prev[_next_in_loop(owner)] = np.arange(len(owner))
+        d = sign * pts[:, axis] - c
+        inside = d >= -1e-15
+        cross = inside != inside[prev]
+        # each point emits the crossing into it, then itself if inside
+        out = np.empty((len(pts), 2, 2))
+        out[:, 1] = pts
+        p, dp, q, dq = pts[prev[cross]], d[prev[cross]], pts[cross], d[cross]
+        t = dp / (dp - dq)
+        out[cross, 0] = p + t[:, None] * (q - p)
+        emit = np.column_stack([cross, inside])
+        pts, owner = out[emit], np.repeat(owner, emit.sum(axis=1))
+    pts, owner = _dedupe_loops(pts, owner)
+    loops, count = np.unique(owner, return_counts=True)
+    keep = (count >= 3) & (_loop_areas(pts, owner)[loops] > min_area)
+    return pts[np.repeat(keep, count)], count[keep]
 
 
-def _mesh_from_polygons(polys, labeled_h, snap):
-    """Merge per-cell vertex loops into a shared vertex table; points that
-    agree to ``snap`` are one vertex, numbered by first occurrence."""
-    pts = np.concatenate(polys)
-    ids, first = _first_occurrence(np.rint(pts / snap).astype(np.int64))
-    cells = np.split(ids, np.cumsum([len(p) for p in polys])[:-1])
-    return Mesh(pts[first], cells, labeled_h=labeled_h)
+def _dedupe_loops(pts, owner, tol=1e-12):
+    """Drop each point within ``tol`` of the last point kept before it in
+    its loop, then a last point within ``tol`` of its loop's first."""
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    at = np.arange(len(pts))
+    keep = np.ones(len(pts), dtype=bool)
+    # a point's fate depends only on the points before it, so each sweep
+    # settles at least one more point of every loop
+    while True:
+        # the last kept point before each point (its loop's first is kept)
+        last = np.r_[0, np.maximum.accumulate(np.where(keep, at, 0))[:-1]]
+        gap = pts - pts[last]
+        new = first | (np.hypot(gap[:, 0], gap[:, 1]) > tol)
+        if (new == keep).all():
+            break
+        keep = new
+    pts, owner, first = pts[keep], owner[keep], first[keep]
+    tail = np.r_[first[1:], True] & ~first
+    head = np.maximum.accumulate(np.where(first, at[:len(pts)], 0))
+    gap = pts - pts[head]
+    keep = ~(tail & (np.hypot(gap[:, 0], gap[:, 1]) <= tol))
+    return pts[keep], owner[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +508,14 @@ def load_mesh(path):
     if n_verts < 1:
         fail(ln, f"vertex count must be positive, got {n_verts}")
     ln += 1
-    verts = np.empty((n_verts, 2))
+    verts = []
     for i in range(n_verts):
         try:
             x, y = lines[ln + i].split()
-            verts[i] = (float(x), float(y))
+            verts.append((float(x), float(y)))
         except (IndexError, ValueError):
             fail(ln + i, "expected 'x y'")
-        if not np.isfinite(verts[i]).all():
+        if not (math.isfinite(verts[i][0]) and math.isfinite(verts[i][1])):
             fail(ln + i, f"vertex {i} is not finite: {x} {y}")
     ln += n_verts
     if ln >= len(lines) or not lines[ln].startswith("cells "):
@@ -499,7 +527,7 @@ def load_mesh(path):
     if n_cells < 1:
         fail(ln, f"cell count must be positive, got {n_cells}")
     ln += 1
-    cells = []
+    flat, counts = [], []
     for i in range(n_cells):
         try:
             ids = [int(t) for t in lines[ln + i].split()]
@@ -507,12 +535,19 @@ def load_mesh(path):
             fail(ln + i, "expected vertex indices")
         if len(ids) < 3:
             fail(ln + i, "cell needs at least 3 vertices")
-        if any(t < 0 or t >= n_verts for t in ids):
+        if min(ids) < 0 or max(ids) >= n_verts:
             fail(ln + i, "vertex index out of range")
-        pts = verts[np.array(ids)]
-        if _shoelace(pts) < 0:
-            warnings.warn(f"cell {i} in {path} was clockwise; re-oriented",
-                          stacklevel=2)
-            ids = ids[::-1]
-        cells.append(ids)
-    return Mesh(verts, cells)
+        flat += ids
+        counts.append(len(ids))
+    verts, ids = np.array(verts), np.array(flat, dtype=np.int64)
+    offsets = np.r_[0, np.cumsum(counts)]
+    owner = np.repeat(np.arange(n_cells), counts)
+    clockwise = _loop_areas(verts[ids], owner) < 0
+    for c in np.flatnonzero(clockwise):
+        warnings.warn(f"cell {c} in {path} was clockwise; re-oriented",
+                      stacklevel=2)
+    # reverse the loops of the clockwise cells
+    pos = np.arange(len(ids))
+    flip = clockwise[owner]
+    pos[flip] = (offsets[owner] + offsets[owner + 1] - 1 - pos)[flip]
+    return Mesh(verts, _Loops(offsets, ids[pos]))

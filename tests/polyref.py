@@ -12,7 +12,11 @@ tables in a Discretization, read through the cell's congruence key
 (:class:`CellTables`), and the same tables rebuilt from the cell's own
 geometry (:func:`own_basis`, :func:`own_maps`); a tensor field's
 per-cell projection onto the weak-gradient spaces (:func:`project_tensor`).
+The polygonal generator's mesh built one lattice hexagon at a time by a
+per-cell Sutherland-Hodgman clip (:func:`polygonal_reference`).
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -378,3 +382,84 @@ def project_tensor(disc, grad_exact):
         for c, cc in zip(cls.cells, coef):
             out[c] = cc
     return out
+
+
+def shoelace(pts):
+    """Signed area of one vertex loop ``pts`` (n, 2)."""
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def clip_to_unit_square(poly):
+    """Sutherland-Hodgman clip of one convex CCW polygon to [0,1]^2, then
+    :func:`dedupe_loop`; None if less than a polygon is left."""
+    halfplanes = [(np.array([1.0, 0.0]), 0.0), (np.array([-1.0, 0.0]), -1.0),
+                  (np.array([0.0, 1.0]), 0.0), (np.array([0.0, -1.0]), -1.0)]
+    pts = list(poly)
+    for nrm, c in halfplanes:
+        if not pts:
+            return None
+        out = []
+        prev = pts[-1]
+        dprev = np.dot(nrm, prev) - c
+        for cur in pts:
+            dcur = np.dot(nrm, cur) - c
+            if dcur >= -1e-15:
+                if dprev < -1e-15:
+                    t = dprev / (dprev - dcur)
+                    out.append(prev + t * (cur - prev))
+                out.append(cur)
+            elif dprev >= -1e-15:
+                t = dprev / (dprev - dcur)
+                out.append(prev + t * (cur - prev))
+            prev, dprev = cur, dcur
+        pts = out
+    if len(pts) < 3:
+        return None
+    return dedupe_loop(np.array(pts))
+
+
+def dedupe_loop(pts, tol=1e-12):
+    """Drop each point within ``tol`` of the last one kept, then a last
+    point within ``tol`` of the first; None if fewer than 3 are left."""
+    keep = []
+    for p in pts:
+        if not keep or np.hypot(*(p - keep[-1])) > tol:
+            keep.append(p)
+    if len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= tol:
+        keep.pop()
+    if len(keep) < 3:
+        return None
+    return np.array(keep)
+
+
+def polygonal_reference(n_div):
+    """``(vertices, cell_offsets, cell_vertex_ids)`` of
+    ``generate_polygonal(n_div)``, built hexagon by hexagon: each lattice
+    hexagon is clipped on its own and kept if its area exceeds 1e-12 a b,
+    and points that round to the same multiple of 1e-12 are one vertex,
+    numbered by first occurrence."""
+    nx = int(n_div)
+    ny = 2 * max(1, round(nx / math.sqrt(3.0)))
+    a, b = 1.0 / nx, 1.0 / ny
+    y_side = (b * b - 0.25 * a * a) / (2.0 * b)
+    y_top = (b * b + 0.25 * a * a) / (2.0 * b)
+    hexagon = np.array([
+        (0.5 * a, -y_side), (0.5 * a, y_side), (0.0, y_top),
+        (-0.5 * a, y_side), (-0.5 * a, -y_side), (0.0, -y_top),
+    ])
+    number, vertices, offsets, ids = {}, [], [0], []
+    for r in range(ny + 1):
+        off = 0.5 * a if r % 2 else 0.0
+        for i in range(-1, nx + 2):
+            poly = clip_to_unit_square(hexagon + np.array([i * a + off, r * b]))
+            if poly is None or shoelace(poly) <= 1e-12 * a * b:
+                continue
+            for p in poly:
+                key = tuple(np.rint(p / 1e-12).astype(np.int64).tolist())
+                if key not in number:
+                    number[key] = len(vertices)
+                    vertices.append(p)
+                ids.append(number[key])
+            offsets.append(len(ids))
+    return np.array(vertices), np.array(offsets), np.array(ids)

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdgbrinkman.mesh import (Mesh, MeshFormatError, MeshValidationError,
-                              generate_polygonal, generate_uniform_rectangular,
+                              _clip_to_unit_square, generate_polygonal,
+                              generate_uniform_rectangular,
                               generate_uniform_triangular, load_mesh, save_mesh)
 
-from polyref import cell_quadrature, cell_vertices, edge_quadrature
+from polyref import (cell_quadrature, cell_vertices, clip_to_unit_square,
+                     edge_quadrature, polygonal_reference, shoelace)
 from conftest import (MESH_FAMILIES, NOTCH_ON_CENTROID, normal_out_of,
                       notched_square)
 
@@ -47,8 +51,75 @@ def test_polygonal_validity(n):
     assert m.cells.area.sum() == pytest.approx(1.0, abs=1e-12)
     assert m.euler_characteristic() == 1
     counts = {c.edge_count for c in m.cells}
-    assert max(counts) <= 7
+    assert max(counts) <= 6  # the cap the docstring states
+    assert min(counts) >= 4  # corner quarters and side halves
     assert 6 in counts  # hexagon-dominant interior
+
+
+@pytest.mark.parametrize("n", [*range(2, 18), 32, 64])
+def test_polygonal_matches_per_cell_clip(n):
+    # the generator clips every hexagon at once; its arrays must be the
+    # per-cell clip's, bit for bit, so shape-class keys and results hold
+    m = generate_polygonal(n)
+    vertices, offsets, ids = polygonal_reference(n)
+    assert np.array_equal(m.vertices, vertices)
+    assert np.array_equal(m.cell_offsets, offsets)
+    assert np.array_equal(m.cell_vertex_ids, ids)
+
+
+def _loops_to_clip(rng):
+    """Convex CCW loops around the unit square, some touching its sides to
+    within 1e-15, with runs of points 0.7e-12 apart, a last point near the
+    first, and strips 1.5e-12 to 1e-11 wide along x = 0."""
+    loops = []
+    for _ in range(12):
+        m = rng.integers(3, 9)
+        angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+        loop = (rng.uniform(-0.3, 1.3, 2) + rng.uniform(0.05, 0.8)
+                * np.column_stack([np.cos(angle), np.sin(angle)]))
+        side = rng.integers(0, 2, loop.shape) * 1.0
+        near = rng.random(loop.shape) < 0.2
+        loop[near] = side[near] + rng.choice([-2e-15, -5e-16, 0.0, 5e-16],
+                                             near.sum())
+        j = rng.integers(m)
+        step = 0.7e-12 * (loop[(j + 1) % m] - loop[j])
+        step /= np.hypot(*step) / 0.7e-12
+        run = loop[j] + np.arange(1, rng.integers(1, 4))[:, None] * step
+        loop = np.concatenate([loop[:j + 1], run, loop[j + 1:]])
+        if rng.random() < 0.3:
+            loop = np.vstack([loop, loop[0] + [0.5e-12, 0.0]])
+        loops.append(loop)
+    for width in rng.uniform(1.5e-12, 1e-11, 3):
+        y = np.sort(rng.uniform(0.1, 0.9, 2))
+        loops.append(np.array([[-1.0, y[0]], [width, y[0]], [width, y[1]],
+                               [-1.0, y[1]]]))
+    return loops
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_clip_matches_per_cell_clip(seed):
+    # the generator's lattice never reaches the near-duplicate, tolerance
+    # and sliver branches, so random loops drive them against the per-cell
+    # Sutherland-Hodgman clip
+    loops = _loops_to_clip(np.random.default_rng(seed))
+    min_area = 1e-12
+    kept = [q for q in map(clip_to_unit_square, loops)
+            if q is not None and shoelace(q) > min_area]
+    pts, count = _clip_to_unit_square(
+        np.concatenate(loops), np.repeat(np.arange(len(loops)),
+                                         [len(p) for p in loops]), min_area)
+    assert count.tolist() == [len(q) for q in kept]
+    assert np.array_equal(pts, np.concatenate([np.empty((0, 2)), *kept]))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(2, 48))
+def test_polygonal_partitions_the_square(n):
+    m = generate_polygonal(n)
+    assert m.cells.area.sum() == pytest.approx(1.0, abs=1e-12)
+    assert m.euler_characteristic() == 1
+    assert all(shoelace(cell_vertices(m, c)) > 0 for c in range(m.n_cells))
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
@@ -107,6 +178,36 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(m.cell_offsets, m2.cell_offsets)
     assert np.array_equal(m.cell_vertex_ids, m2.cell_vertex_ids)
     assert m.n_edges == m2.n_edges
+
+
+@pytest.mark.parametrize("family", ["poly", "rect"])
+def test_save_load_roundtrip_identical_arrays(tmp_path, family):
+    m = MESH_FAMILIES[family](8)
+    path = tmp_path / "mesh.txt"
+    save_mesh(m, path)
+    m2 = load_mesh(path)
+    for name in ("vertices", "cell_offsets", "cell_vertex_ids",
+                 "cell_edge_ids", "edge_vertices", "edge_cells",
+                 "edge_normals", "edge_lengths"):
+        assert np.array_equal(getattr(m, name), getattr(m2, name)), name
+    assert np.array_equal(m.cells, m2.cells)
+
+
+def test_load_warns_once_per_clockwise_cell(tmp_path):
+    # three squares side by side; the first and the last are clockwise
+    path = tmp_path / "cw2.txt"
+    path.write_text(
+        "cdgmesh 1 2d\n"
+        "vertices 8\n0 0\n1 0\n2 0\n3 0\n0 1\n1 1\n2 1\n3 1\n"
+        "cells 3\n0 4 5 1\n1 2 6 5\n2 6 7 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m = load_mesh(path)
+    assert [str(w.message) for w in caught] == [
+        f"cell {c} in {path} was clockwise; re-oriented" for c in (0, 2)]
+    assert m.cell_vertex_ids.tolist() == [1, 5, 4, 0, 1, 2, 6, 5,
+                                          3, 7, 6, 2]
+    assert np.array_equal(m.cells.area, [1.0, 1.0, 1.0])
 
 
 def test_load_reorients_clockwise_cell(tmp_path):
