@@ -399,20 +399,20 @@ def generate_polygonal(n_div):
                 labeled_h=1.0 / nx)
 
 
-def _next_in_loop(owner):
-    """Flat position of each point's successor along its loop; ``owner``
+def _prev_in_loop(owner):
+    """Flat position of each point's predecessor along its loop; ``owner``
     numbers the loop of each point, equal within a loop's run."""
-    last = np.r_[owner[1:] != owner[:-1], True]
-    nxt = np.arange(1, len(owner) + 1)
-    nxt[last] = np.flatnonzero(np.r_[True, last[:-1]])
-    return nxt
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    prev = np.arange(-1, len(owner) - 1)
+    prev[first] = np.flatnonzero(np.r_[first[1:], True])
+    return prev
 
 
 def _loop_areas(pts, owner):
     """Signed shoelace area of each loop number up to ``owner.max()``."""
     x, y = pts.T
-    xn, yn = pts[_next_in_loop(owner)].T
-    return 0.5 * np.bincount(owner, x * yn - xn * y)
+    xp, yp = pts[_prev_in_loop(owner)].T
+    return 0.5 * np.bincount(owner, xp * y - x * yp)
 
 
 def _clip_to_unit_square(pts, owner, min_area):
@@ -426,8 +426,7 @@ def _clip_to_unit_square(pts, owner, min_area):
     """
     for axis, sign, c in ((0, 1.0, 0.0), (0, -1.0, -1.0),
                           (1, 1.0, 0.0), (1, -1.0, -1.0)):
-        prev = np.empty(len(owner), dtype=np.int64)
-        prev[_next_in_loop(owner)] = np.arange(len(owner))
+        prev = _prev_in_loop(owner)
         d = sign * pts[:, axis] - c
         inside = d >= -1e-15
         cross = inside != inside[prev]

@@ -169,33 +169,20 @@ def test_shared_edge_quadrature_points(family):
 
 
 def test_save_load_roundtrip(tmp_path):
-    m = generate_uniform_triangular(4)
     path = tmp_path / "mesh.txt"
-    save_mesh(m, path)
-    m2 = load_mesh(path)
-    assert np.array_equal(m.vertices, m2.vertices)
-    assert m.n_cells == m2.n_cells
-    assert np.array_equal(m.cell_offsets, m2.cell_offsets)
-    assert np.array_equal(m.cell_vertex_ids, m2.cell_vertex_ids)
-    assert m.n_edges == m2.n_edges
+    for m in (generate_uniform_triangular(4), generate_polygonal(8),
+              generate_uniform_rectangular(8)):
+        save_mesh(m, path)
+        m2 = load_mesh(path)
+        for name in ("vertices", "cell_offsets", "cell_vertex_ids",
+                     "cell_edge_ids", "edge_vertices", "edge_cells",
+                     "edge_normals", "edge_lengths", "cells"):
+            assert np.array_equal(getattr(m, name), getattr(m2, name)), name
 
 
-@pytest.mark.parametrize("family", ["poly", "rect"])
-def test_save_load_roundtrip_identical_arrays(tmp_path, family):
-    m = MESH_FAMILIES[family](8)
-    path = tmp_path / "mesh.txt"
-    save_mesh(m, path)
-    m2 = load_mesh(path)
-    for name in ("vertices", "cell_offsets", "cell_vertex_ids",
-                 "cell_edge_ids", "edge_vertices", "edge_cells",
-                 "edge_normals", "edge_lengths"):
-        assert np.array_equal(getattr(m, name), getattr(m2, name)), name
-    assert np.array_equal(m.cells, m2.cells)
-
-
-def test_load_warns_once_per_clockwise_cell(tmp_path):
+def test_load_reorients_clockwise_cell(tmp_path):
     # three squares side by side; the first and the last are clockwise
-    path = tmp_path / "cw2.txt"
+    path = tmp_path / "cw.txt"
     path.write_text(
         "cdgmesh 1 2d\n"
         "vertices 8\n0 0\n1 0\n2 0\n3 0\n0 1\n1 1\n2 1\n3 1\n"
@@ -208,17 +195,6 @@ def test_load_warns_once_per_clockwise_cell(tmp_path):
     assert m.cell_vertex_ids.tolist() == [1, 5, 4, 0, 1, 2, 6, 5,
                                           3, 7, 6, 2]
     assert np.array_equal(m.cells.area, [1.0, 1.0, 1.0])
-
-
-def test_load_reorients_clockwise_cell(tmp_path):
-    path = tmp_path / "cw.txt"
-    path.write_text(
-        "cdgmesh 1 2d\n"
-        "vertices 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
-        "cells 1\n0 3 2 1\n")
-    with pytest.warns(UserWarning, match="re-oriented"):
-        m = load_mesh(path)
-    assert m.cells[0].area == pytest.approx(1.0)
 
 
 def test_load_rejects_malformed(tmp_path):
