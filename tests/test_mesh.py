@@ -82,8 +82,8 @@ def _loops_to_clip(rng):
         loop[near] = side[near] + rng.choice([-2e-15, -5e-16, 0.0, 5e-16],
                                              near.sum())
         j = rng.integers(m)
-        step = 0.7e-12 * (loop[(j + 1) % m] - loop[j])
-        step /= np.hypot(*step) / 0.7e-12
+        step = loop[(j + 1) % m] - loop[j]
+        step *= 0.7e-12 / np.hypot(*step)
         run = loop[j] + np.arange(1, rng.integers(1, 4))[:, None] * step
         loop = np.concatenate([loop[:j + 1], run, loop[j + 1:]])
         if rng.random() < 0.3:
