@@ -177,9 +177,10 @@ class Mesh:
         ``cell_edge_ids[positions]`` its edges.
         """
         counts = np.diff(self.cell_offsets)
-        for ne in np.unique(counts):
+        # not np.unique, which would import numpy.ma (np.ma.is_masked)
+        for ne in np.flatnonzero(np.bincount(counts)).tolist():
             cells = np.flatnonzero(counts == ne)
-            yield int(ne), cells, self.cell_offsets[cells, None] + np.arange(ne)
+            yield ne, cells, self.cell_offsets[cells, None] + np.arange(ne)
 
     # -- validation --------------------------------------------------------
 
@@ -210,7 +211,7 @@ class Mesh:
             faults["repeats a vertex"].append(cells[repeats])
             faults["has <3 edges"].append(cells if ne < 3 else cells[:0])
             faults["self-intersects"].append(cells[_sides_cross(pts)])
-            # the cell quadrature fans the cell from its centroid; a fan
+            # the Gram matrices' rule fans the cell from its centroid; a fan
             # triangle of no or negative area would cover the wrong region
             e, b = np.roll(pts, -1, axis=1) - pts, geo.centroid[:, None] - pts
             fan = 0.5 * (e[..., 0] * b[..., 1] - e[..., 1] * b[..., 0])
@@ -477,14 +478,14 @@ _HEADER = "cdgmesh 1 2d"
 
 def save_mesh(mesh, path):
     """Write a mesh in the plain-text format (header, vertices, CCW cells)."""
+    ids, offsets = mesh.cell_vertex_ids.tolist(), mesh.cell_offsets.tolist()
+    lines = [_HEADER, f"vertices {mesh.n_vertices}"]
+    lines += [f"{x!r} {y!r}" for x, y in mesh.vertices.tolist()]
+    lines.append(f"cells {mesh.n_cells}")
+    lines += [" ".join(map(str, ids[a:b]))
+              for a, b in zip(offsets[:-1], offsets[1:])]
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_HEADER + "\n")
-        f.write(f"vertices {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        f.write(f"cells {mesh.n_cells}\n")
-        for ids in np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]):
-            f.write(" ".join(map(str, ids.tolist())) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def load_mesh(path):

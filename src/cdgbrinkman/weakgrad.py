@@ -50,6 +50,15 @@ vertex agrees with the first cell's to roundoff (see
 key's points, and its weights are the key's.  A mesh without repeated
 shapes simply gets one key per cell.
 
+Two cell rules of one exactness (2j+2 by default): the Gram matrices,
+transforms and volume moments are integrated on the centroid fan of n
+triangles; the cells' quadrature points, at which f, kappa^{-1},
+projections and norms are evaluated, come from the first-vertex fan of
+n-2 triangles in a class of four or more edges whose keys' loops are all
+strictly convex, and from the centroid fan otherwise (triangles,
+collinear vertices, non-convex cells).  A Gram on the vertex fan moves
+the transforms by roundoff that the brute-force oracle test rejects.
+
 The degree-k and k-1 bases are the leading rows of the degree-j table
 (graded monomial order; the lower-triangular orthonormalizing transform
 keeps the nesting), so each point set is evaluated once.
@@ -72,7 +81,8 @@ import numpy as np
 from .mesh import _first_occurrence
 from .polyspace import (ConditioningError, derivative_matrix, dim_poly,
                         edge_point_count, fan_quadrature, gauss_segments,
-                        monomial_tables)
+                        monomial_tables, strictly_convex,
+                        vertex_fan_quadrature)
 
 __all__ = [
     "target_degree",
@@ -216,12 +226,14 @@ class ShapeClass:
     ``start`` to ``stop`` of the flat ``cell_points`` and ``cell_weights``.
     Their half-edge points, (nc, ne, edge_q), are rows ``edge_start`` on
     of the flat ``edge_*`` arrays (see the module docstring).
-    Per key: the rule ``local_rule`` (points about the centroid (nk, q, 2)
-    and weights (nk, q)) until :meth:`place` writes it out, the diameter
+    Per key: the data rule ``local_rule`` (points about the centroid (nk,
+    q, 2) and weights (nk, q); see the module docstring for its fan) until
+    :meth:`place` writes it out, the diameter
     ``scale``, the lower-triangular ``transform`` (nk, dim, dim), the
     inverse of the monomial Gram Cholesky factor, which maps the scaled
-    monomials of degree ``j`` to the orthonormal basis; its values ``phi``
-    (nk, dim, q); the volume moments ``vx``/``vy`` (nk, dim, dim_k) of
+    monomials of degree ``j`` to the orthonormal basis, from the Gram
+    matrix on the centroid fan; its values ``phi`` (nk, dim, q) at the data
+    rule's points; the volume moments ``vx``/``vy`` (nk, dim, dim_k) of
     (d_i phi_a, phi_b), ``transform @ D_i @ L[..., :dim_k] / h`` with L the
     Gram Cholesky factor and D_i the monomials' derivative matrix (see the
     module docstring); ``condition``, the largest (max L_ii / min
@@ -251,11 +263,9 @@ class ShapeClass:
         self.scale = mesh.cells.diameter[rep]
         loops = (mesh.vertices[mesh.cell_vertex_ids[positions[self.first]]]
                  - centroid[:, None])
-        self.local_rule = fan_quadrature(
-            loops, np.zeros_like(centroid),
-            2 * self.j + disc.cell_exactness_bump)
-        offsets, weights = self.local_rule
-        self.q = weights.shape[1]
+        exactness = 2 * self.j + disc.cell_exactness_bump
+        offsets, weights = fan_quadrature(loops, np.zeros_like(centroid),
+                                          exactness)
         raw = monomial_tables(offsets / self.scale[:, None, None], self.j)
         gram = (raw * weights[:, None, :]) @ raw.transpose(0, 2, 1)
         gram = 0.5 * (gram + gram.transpose(0, 2, 1))
@@ -263,6 +273,13 @@ class ShapeClass:
         diag = chol.diagonal(axis1=1, axis2=2)
         self.condition = float(((diag.max(1) / diag.min(1)) ** 2).max())
         self.transform = _trisolve(chol, np.eye(self.dim))
+        # the data rule: n-2 triangles instead of n where every loop is
+        # strictly convex; the tables above stay on the centroid fan
+        if self.ne >= 4 and strictly_convex(loops).all():
+            offsets, weights = vertex_fan_quadrature(loops, exactness)
+            raw = monomial_tables(offsets / self.scale[:, None, None], self.j)
+        self.local_rule = offsets, weights
+        self.q = weights.shape[1]
         self.phi = self.transform @ raw
         # the volume moments from the factor (see the module docstring)
         lk = chol[..., :disc.dim_k] / self.scale[:, None, None]

@@ -26,7 +26,8 @@ from cdgbrinkman.assembly import CsrMatrix, _kappa_range
 from cdgbrinkman.polyspace import (ConditioningError, derivative_matrix,
                                    dim_poly, edge_point_count,
                                    fan_quadrature, gauss_segments,
-                                   monomial_tables, poly_exponents)
+                                   monomial_tables, poly_exponents,
+                                   strictly_convex, vertex_fan_quadrature)
 from cdgbrinkman.weakgrad import target_degree
 
 
@@ -306,17 +307,27 @@ class CellTables:
 
 def own_basis(disc, cell, degree):
     """Cell ``cell``'s orthonormal basis of ``degree`` rebuilt from its own
-    geometry: its fan rule of the Discretization's exactness, monomials
-    about its centroid over its diameter, orthonormalized by the Cholesky
-    factor L of their Gram matrix.  Returns the rule, the MonomialBasis,
-    L and the transform L^{-1}."""
+    geometry: monomials about its centroid over its diameter,
+    orthonormalized by the Cholesky factor L of their Gram matrix on its
+    centroid fan rule of the Discretization's exactness.  Returns the data
+    rule, the MonomialBasis, L and the transform L^{-1}.  The data rule is
+    the first-vertex fan of the same exactness where every loop of the
+    cell's class has four or more strictly convex corners, and the centroid
+    fan otherwise."""
     mesh = disc.mesh
     centroid = mesh.cells.centroid[cell]
-    pts, wts = fan_quadrature(cell_vertices(mesh, cell)[None], centroid[None],
-                              2 * degree + disc.cell_exactness_bump)
-    rule = QuadratureRule(pts[0], wts[0])
+    loop = cell_vertices(mesh, cell)[None]
+    exactness = 2 * degree + disc.cell_exactness_bump
+    rule = QuadratureRule(*(a[0] for a in fan_quadrature(
+        loop, centroid[None], exactness)))
     basis = MonomialBasis(degree, centroid, mesh.cells.diameter[cell])
     chol = np.linalg.cholesky(gram_matrix(basis, rule))
+    cls = next(c for c in disc.classes if cell in c.cells)
+    loops = mesh.vertices[mesh.cell_vertex_ids[
+        mesh.cell_offsets[cls.cells, None] + np.arange(cls.ne)]]
+    if cls.ne >= 4 and strictly_convex(loops).all():
+        rule = QuadratureRule(*(a[0] for a in vertex_fan_quadrature(
+            loop, exactness)))
     return rule, basis, chol, solve_triangular(chol, np.eye(len(chol)),
                                                lower=True)
 

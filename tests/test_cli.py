@@ -289,13 +289,21 @@ def test_readme_lists_exactly_the_summary_solver_keys(tmp_path):
     assert documented == set(summary["solver"])
 
 
+def _last_line_in_fresh_interpreter(code):
+    """The last line that ``code`` prints in a new Python process that
+    imports the package from this checkout."""
+    src = str(Path(cdgbrinkman.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.splitlines()[-1]
+
+
 def test_cli_import_leaves_dense_scipy_modules_unloaded(tmp_path):
     # the package needs numpy alone: neither the CLI import nor a CLI or a
     # library solve loads any scipy module, whose import time every run
     # would pay
-    src = str(Path(cdgbrinkman.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, cdgbrinkman as cb, cdgbrinkman.cli\n"
         "assert cdgbrinkman.cli.main(['solve', '--mesh', 'rect', '--n', '2',"
@@ -303,9 +311,37 @@ def test_cli_import_leaves_dense_scipy_modules_unloaded(tmp_path):
         "disc = cb.Discretization(cb.generate_uniform_triangular(2), 1)\n"
         "cb.solve(cb.assemble_system(disc, cb.example1()))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert _last_line_in_fresh_interpreter(code) == "[]"
+
+
+def test_operations_leave_lazy_numpy_subpackages_unloaded(tmp_path):
+    # numpy imports numpy.ma (np.unique without extra outputs calls
+    # np.ma.is_masked) and numpy.polynomial (leggauss) on first use, some
+    # 2-6 ms each that every run would pay; no library pipeline, mesh file
+    # round trip or CLI command needs either
+    path = str(tmp_path / "mesh.txt")
+    code = (
+        "import sys, cdgbrinkman as cb, cdgbrinkman.cli\n"
+        "for mesh, k in ((cb.generate_uniform_triangular(2), 1),\n"
+        "                (cb.generate_uniform_rectangular(2), 2),\n"
+        "                (cb.generate_polygonal(4), 2)):\n"
+        "    disc, problem = cb.Discretization(mesh, k), cb.example1()\n"
+        "    system = cb.assemble_system(disc, problem)\n"
+        "    sol = cb.solve(system)\n"
+        "    e = cb.project_velocity(disc, problem.u) - sol.u\n"
+        "    eps = cb.project_pressure(disc, problem.p) - sol.p\n"
+        "    cb.norm_triple_bar(disc, problem, e), cb.norm_l2_velocity(disc, e)\n"
+        "    cb.norm_l2_pressure(disc, eps)\n"
+        "    cb.error_equation_residual(disc, problem, system, sol)\n"
+        f"cb.save_mesh(mesh, {path!r})\n"
+        f"cb.load_mesh({path!r})\n"
+        "for argv in (['solve', '--mesh', 'poly', '--n', '4', '--k', '2'],\n"
+        "             ['converge', '--mesh', 'rect', '--levels', '2..4']):\n"
+        "    assert cdgbrinkman.cli.main(\n"
+        f"        argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2]\n"
+        "             in (['numpy', 'ma'], ['numpy', 'polynomial'])))")
+    assert _last_line_in_fresh_interpreter(code) == "[]"
 
 
 def test_patchtest_rejects_bad_tol_exit_2(capsys):

@@ -180,6 +180,24 @@ def test_save_load_roundtrip(tmp_path):
             assert np.array_equal(getattr(m, name), getattr(m2, name)), name
 
 
+def test_save_mesh_writes_the_format_by_hand(tmp_path):
+    # a pentagon with three collinear vertices beside two squares, and a
+    # lone rectangle whose coordinates need the shortest round-trip repr
+    path = tmp_path / "mesh.txt"
+    save_mesh(Mesh(HANGING_VERTS, [[0, 1, 6, 4, 3], [1, 2, 7, 6],
+                                   [6, 7, 5, 4]]), path)
+    assert path.read_bytes() == (
+        b"cdgmesh 1 2d\nvertices 8\n0.0 0.0\n1.0 0.0\n2.0 0.0\n0.0 2.0\n"
+        b"1.0 2.0\n2.0 2.0\n1.0 1.0\n2.0 1.0\ncells 3\n0 1 6 4 3\n"
+        b"1 2 7 6\n6 7 5 4\n")
+    save_mesh(Mesh([[0, 0], [0.1, 0], [0.1, 1 / 3], [0, 1 / 3]],
+                   [[0, 1, 2, 3]]), path)
+    assert path.read_bytes() == (
+        b"cdgmesh 1 2d\nvertices 4\n0.0 0.0\n0.1 0.0\n"
+        b"0.1 0.3333333333333333\n0.0 0.3333333333333333\ncells 1\n"
+        b"0 1 2 3\n")
+
+
 def test_load_reorients_clockwise_cell(tmp_path):
     # three squares side by side; the first and the last are clockwise
     path = tmp_path / "cw.txt"

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgbrinkman.mesh import generate_polygonal, generate_uniform_triangular
-from cdgbrinkman.polyspace import derivative_matrix, dim_poly, poly_exponents
+from cdgbrinkman.polyspace import (_gauss_1d, derivative_matrix, dim_poly,
+                                   monomial_tables, poly_exponents,
+                                   strictly_convex, vertex_fan_quadrature)
+from cdgbrinkman.weakgrad import target_degree
 from polyref import (MonomialBasis, cell_quadrature, cell_vertices,
                      edge_quadrature, gram_cholesky, gram_matrix, gram_solve)
 
@@ -75,6 +79,48 @@ def test_cell_quadrature_monomial_exactness(rng):
             a = r.integrate(r.points[:, 0] ** p * r.points[:, 1] ** q)
             b = ref.integrate(ref.points[:, 0] ** p * ref.points[:, 1] ** q)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(4, 6), k=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vertex_fan_matches_centroid_fan(n, k, seed):
+    # an affine image of points on a circle, at sorted angles at least
+    # 0.24 rad apart, is a strictly convex CCW loop; its n-2 first-vertex
+    # triangles integrate every monomial of the cell rule's degree 2j+2 as
+    # the n centroid triangles do (scaled monomials are at most 1, so the
+    # area bounds each integral)
+    rng = np.random.default_rng(seed)
+    gaps = 0.3 + rng.random(n)
+    angle = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum() + rng.random()
+    turn = rng.random() * np.pi
+    rot = np.array([[np.cos(turn), -np.sin(turn)],
+                    [np.sin(turn), np.cos(turn)]])
+    affine = rot @ np.diag([1.0, rng.uniform(0.3, 1.0)]) @ np.array(
+        [[1.0, rng.uniform(-1.0, 1.0)], [0.0, 1.0]])
+    loop = (np.column_stack([np.cos(angle), np.sin(angle)]) @ affine.T
+            * rng.uniform(0.01, 10.0) + rng.uniform(-5.0, 5.0, 2))
+    assert strictly_convex(loop[None])[0]
+    degree = 2 * target_degree(n, k) + 2
+    centre = loop.mean(axis=0)
+    diameter = np.hypot(*(loop[:, None] - loop[None]).transpose(2, 0, 1)).max()
+    fan = cell_quadrature(loop, degree)
+    points, weights = vertex_fan_quadrature(loop[None], degree)
+    assert weights.shape[1] * n == len(fan.weights) * (n - 2)
+    mine = monomial_tables((points[0] - centre) / diameter, degree) @ weights[0]
+    ref = monomial_tables((fan.points - centre) / diameter, degree) @ (
+        fan.weights)
+    assert np.abs(mine - ref).max() <= 1e-13 * fan.weights.sum()
+
+
+def test_gauss_1d_matches_leggauss():
+    # the port of numpy's rule reproduces it without numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+    for n in range(1, 41):
+        x, w = _gauss_1d(n)
+        xr, wr = leggauss(n)
+        assert np.abs(x - xr).max() <= 1e-15
+        assert np.abs(w - wr).max() <= 1e-15
 
 
 def test_edge_quadrature():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cdgbrinkman.mesh import Mesh, generate_uniform_rectangular, generate_uniform_triangular
+from cdgbrinkman.mesh import (Mesh, generate_uniform_rectangular,
+                              generate_uniform_triangular, load_mesh)
+from cdgbrinkman.polyspace import _duffy_reference
 from cdgbrinkman.weakgrad import Discretization, target_degree
 
 from polyref import (CellTables, MonomialBasis, cell_quadrature,
@@ -68,6 +70,35 @@ def test_perturbed_mesh_gives_every_cell_its_own_key(family):
     for cls in disc.classes:
         assert np.array_equal(cls.key, np.arange(len(cls.cells)))
         assert np.array_equal(cls.cells, np.sort(cls.cells))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_file_mesh_data_rule_follows_convexity(tmp_path, k):
+    # the data points come from n-2 first-vertex triangles only in classes
+    # of strictly convex loops; a dented pentagon, star-shaped about its
+    # centroid, and a pentagon with three collinear vertices keep the n
+    # centroid triangles, as do triangles; the squares beside the latter
+    # take two
+    files = {
+        "dented.txt": "vertices 5\n0 0\n1 0\n1 1\n0.5 0.5\n0 1\n"
+                      "cells 2\n0 1 2 3 4\n3 2 4\n",
+        "collinear.txt": "vertices 8\n0 0\n1 0\n2 0\n0 2\n1 2\n2 2\n"
+                         "1 1\n2 1\ncells 3\n0 1 6 4 3\n1 2 7 6\n"
+                         "6 7 5 4\n"}
+    fans = {}
+    for name, body in files.items():
+        path = tmp_path / name
+        path.write_text("cdgmesh 1 2d\n" + body)
+        disc = Discretization(load_mesh(path), k)
+        for cls in disc.classes:
+            per_triangle = len(_duffy_reference(
+                2 * cls.j + disc.cell_exactness_bump)[2])
+            fans[name, cls.ne] = cls.q // per_triangle
+            assert cls.q % per_triangle == 0
+            assert np.allclose(cls.weights.sum(axis=1),
+                               disc.mesh.cells.area[cls.cells], rtol=1e-13)
+    assert fans == {("dented.txt", 3): 3, ("dented.txt", 5): 5,
+                    ("collinear.txt", 4): 2, ("collinear.txt", 5): 5}
 
 
 @pytest.mark.parametrize("family", list(MESH_FAMILIES))
