@@ -146,7 +146,8 @@ def error_equation_residual(disc, problem, system, solution):
     per-equation max residuals and the scale max(1, |F|_inf).
     """
     mu = problem.mu
-    uQ = project_velocity(disc, problem.u)
+    u_cells = _sample(disc, problem.u)
+    uQ = disc.cell_moments(u_cells, disc.dim_k).ravel()
     pQ = project_pressure(disc, problem.p)
     # the projected exact gradient, per class in the target space
     gQ = disc.cell_moments(_sample(disc, problem.grad_u))
@@ -159,7 +160,7 @@ def error_equation_residual(disc, problem, system, solution):
     # cell terms: L0 (permeability defect) and L1 (weak-gradient defect)
     kv, tensor = problem.kappa_inv_at(disc.cell_points)
     uc = uQ[disc.velocity_dofs]
-    du = _sample(disc, problem.u) - disc.cell_values(uc)
+    du = u_cells - disc.cell_values(uc)
     kdu = np.einsum("nrs,ns->nr", kv, du) if tensor else kv[:, None] * du
     # L0: (kinv (u - Q_h u), phi)_T
     rhs1 = -mu * disc.cell_moments(kdu, disc.dim_k).ravel()
@@ -243,19 +244,13 @@ class ConvergenceReport:
                     out[c].append(None)
         return out
 
-    def to_csv(self, path_or_buf):
+    def to_csv(self, path):
         rates = self.rates()
 
         def fmt(v):
             return "" if v is None else f"{v:.4f}"
 
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            fh = open(path_or_buf, "w", newline="", encoding="utf-8")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for i, r in enumerate(self.reports):
@@ -267,9 +262,6 @@ class ConvergenceReport:
                     f"{r.h_eps:.6e}", fmt(rates["h_eps"][i]),
                     f"{r.seconds:.3f}",
                 ])
-        finally:
-            if close:
-                fh.close()
 
     def table(self):
         """Plain-text table in the error/order column layout."""
@@ -303,6 +295,7 @@ def run_convergence(problem, mesh_factory, k, n_divs, on_level=None):
     labeled h halves.  Returns a ConvergenceReport; ``on_level`` (if given)
     receives each ErrorReport as it completes.
     """
+    # imported per call: perfbench/op.py wraps weakgrad.Discretization
     from .weakgrad import Discretization
 
     report = ConvergenceReport()

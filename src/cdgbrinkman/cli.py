@@ -8,8 +8,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import (norm_l2_pressure, norm_l2_velocity, norm_triple_bar,
-                       project_pressure, project_velocity, run_convergence)
+from .analysis import run_convergence
 from .assembly import assemble_system
 from .export import cell_center_fields, write_lattice_csv, write_summary, write_vtk
 from .mesh import (MeshFormatError, MeshValidationError, generate_polygonal,
@@ -172,7 +171,7 @@ def cmd_solve(args):
     write_vtk(outdir / "solution.vtk", mesh, fields)
     write_lattice_csv(outdir / "solution_grid.csv", disc, solution.u,
                       solution.p, resolution=args.resolution)
-    write_summary(outdir / "summary.json", disc, solution,
+    write_summary(outdir / "summary.json", disc, solution, fields,
                   extra={"mesh": args.mesh, "k": args.k, "mu": args.mu})
     print(f"solved {mesh.n_cells} cells, residual {solution.residual:.2e}")
     print(f"wrote {outdir / 'solution.vtk'}, {outdir / 'solution_grid.csv'}, "
@@ -185,22 +184,13 @@ def cmd_patchtest(args):
     failures = 0
     for fname, factory in _FAMILIES.items():
         for k in (1, 2, 3):
-            for n in (4, 8):
-                mesh = factory(n)
-                disc = Discretization(mesh, k)
-                problem = polynomial_patch(k)
-                system = assemble_system(disc, problem)
-                sol = solve(system)
-                e = project_velocity(disc, problem.u) - sol.u
-                eps = project_pressure(disc, problem.p) - sol.p
-                trb = norm_triple_bar(disc, problem, e)
-                l2 = norm_l2_velocity(disc, e)
-                lp = norm_l2_pressure(disc, eps)
-                worst = max(trb, l2, lp)
-                ok = worst <= args.tol
+            report = run_convergence(polynomial_patch(k), factory, k, (4, 8))
+            for n, rep in zip((4, 8), report.reports):
+                ok = max(rep.trb_e, rep.l2_e, rep.l2_eps) <= args.tol
                 failures += 0 if ok else 1
                 print(f"{'PASS' if ok else 'FAIL'} {fname} k={k} 1/{n}: "
-                      f"trb={trb:.2e} l2={l2:.2e} eps={lp:.2e}")
+                      f"trb={rep.trb_e:.2e} l2={rep.l2_e:.2e} "
+                      f"eps={rep.l2_eps:.2e}")
     return 0 if failures == 0 else 1
 
 

@@ -28,26 +28,21 @@ def write_vtk(path, mesh, cell_data):
     Cells are written as VTK_POLYGON (type 7), which covers triangles,
     quads, and general polygons alike.
     """
+    ids, offsets = mesh.cell_vertex_ids.tolist(), mesh.cell_offsets.tolist()
+    lines = ["# vtk DataFile Version 3.0", "brinkman cdg fields", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
+    lines += [f"{x:.16g} {y:.16g} 0.0" for x, y in mesh.vertices.tolist()]
+    lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells + len(ids)}")
+    lines += [f"{b - a} " + " ".join(map(str, ids[a:b]))
+              for a, b in zip(offsets[:-1], offsets[1:])]
+    lines.append(f"CELL_TYPES {mesh.n_cells}")
+    lines += ["7"] * mesh.n_cells
+    lines.append(f"CELL_DATA {mesh.n_cells}")
+    for name, values in cell_data.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [f"{v:.16g}" for v in np.asarray(values, float).tolist()]
     with open(path, "w", encoding="utf-8") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("brinkman cdg fields\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.16g} {y:.16g} 0.0\n")
-        f.write(f"CELLS {mesh.n_cells} "
-                f"{mesh.n_cells + len(mesh.cell_vertex_ids)}\n")
-        for ids in np.split(mesh.cell_vertex_ids, mesh.cell_offsets[1:-1]):
-            f.write(f"{len(ids)} " + " ".join(map(str, ids.tolist())) + "\n")
-        f.write(f"CELL_TYPES {mesh.n_cells}\n")
-        f.write("\n".join(["7"] * mesh.n_cells) + "\n")
-        f.write(f"CELL_DATA {mesh.n_cells}\n")
-        for name, values in cell_data.items():
-            f.write(f"SCALARS {name} double 1\n")
-            f.write("LOOKUP_TABLE default\n")
-            for v in values:
-                f.write(f"{v:.16g}\n")
+        f.write("\n".join(lines) + "\n")
 
 
 class CellLocator:
@@ -146,10 +141,10 @@ def write_lattice_csv(path, disc, u, p, resolution):
                                                   pv.tolist()))
 
 
-def write_summary(path, disc, solution, extra=None):
+def write_summary(path, disc, solution, fields, extra=None):
     """JSON run summary: sizes, residual, solver stats, the Gram condition
-    estimates and field ranges."""
-    fields = cell_center_fields(disc, solution.u, solution.p)
+    estimates and the ranges of ``fields`` (name -> per-cell values, as
+    :func:`cell_center_fields` returns them)."""
     data = {
         "n_cells": disc.mesh.n_cells,
         "dof_velocity": disc.n_velocity_dofs,

@@ -70,10 +70,11 @@ per-key tables of the basis at the first cell's points; the class's
 cell's half-edge points run local edge by local edge, edge_q each, the
 most on any of the class's edges.  A key fixes each local edge's point
 count, as it holds the boundary flags and the neighbours' shapes, and a
-half-edge of fewer points repeats its last point at weight 0.  The flat
-half-edge arrays also hold the index of the same point seen from the
-neighbour (``edge_twin``, -1 on the boundary), so two-sided edge terms are
-gathers.
+half-edge of fewer points repeats its last point at weight 0.  Each mesh
+edge's Gauss rule is built once and both its half-edges copy it, so a
+point equals the same point seen from the neighbour, whose index the flat
+half-edge arrays also hold (``edge_twin``, -1 on the boundary): two-sided
+edge terms are gathers.
 """
 
 import numpy as np
@@ -397,6 +398,17 @@ class Discretization:
 
     def _build_half_edges(self, edge_npts):
         mesh, dk = self.mesh, self.dim_k
+        # each edge's rule once, (n_edges, most points), which both its
+        # half-edges read; an edge of fewer points repeats its last at
+        # weight 0
+        rule_points = np.empty((mesh.n_edges, int(edge_npts.max()), 2))
+        rule_weights = np.zeros(rule_points.shape[:2])
+        ends = mesh.vertices[mesh.edge_vertices]
+        for q in np.flatnonzero(np.bincount(edge_npts)).tolist():
+            at = np.flatnonzero(edge_npts == q)
+            rule_points[at, :q], rule_weights[at, :q] = gauss_segments(
+                ends[at, 0], ends[at, 1], q)
+            rule_points[at, q:] = rule_points[at, q - 1:q]
         npts = [edge_npts[c.edges] for c in self.classes]
         total = 0
         for cls, n in zip(self.classes, npts):
@@ -419,19 +431,8 @@ class Discretization:
         sides = []
         for cls, n in zip(self.classes, npts):
             qe = cls.edge_q
-            points = view(self.edge_points, cls, 2).reshape(-1, qe, 2)
-            weights = view(self.edge_weights, cls).reshape(-1, qe)
-            counts = np.flatnonzero(np.bincount(n.ravel())).tolist()
-            for q in counts:
-                # slices fill a class of one point count faster
-                at = (np.flatnonzero(n.ravel() == q) if len(counts) > 1
-                      else slice(None))
-                ends = mesh.vertices[mesh.edge_vertices[cls.edges.ravel()[at]]]
-                points[at, :q], weights[at, :q] = gauss_segments(
-                    ends[:, 0], ends[:, 1], q)
-                # a half-edge of fewer points repeats its last at weight 0
-                points[at, q:] = points[at, q - 1:q]
-                weights[at, q:] = 0.0
+            view(self.edge_points, cls, 2)[...] = rule_points[cls.edges, :qe]
+            view(self.edge_weights, cls)[...] = rule_weights[cls.edges, :qe]
             view(self.edge_owner, cls)[...] = cls.cells[:, None, None]
             view(self.edge_index, cls)[...] = cls.edges[..., None]
             view(self.edge_normal, cls, 2)[...] = cls.normals[..., None, :]

@@ -15,7 +15,8 @@ from cdgbrinkman import cli, export
 from cdgbrinkman.analysis import CSV_COLUMNS
 from cdgbrinkman.cli import main
 from cdgbrinkman.export import CellLocator, write_lattice_csv, write_vtk
-from cdgbrinkman.mesh import (generate_polygonal, generate_uniform_rectangular,
+from cdgbrinkman.mesh import (Mesh, generate_polygonal,
+                              generate_uniform_rectangular,
                               generate_uniform_triangular, save_mesh)
 from cdgbrinkman.problems import sample_raster_path
 from cdgbrinkman.solver import DELTA
@@ -265,6 +266,15 @@ def test_patchtest_passes_every_case(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_patchtest_fails_above_tol_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_FAMILIES",
+                        {"rect": generate_uniform_rectangular})
+    assert main(["patchtest", "--tol", "1e-300"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"FAIL rect k={k} 1/{n}" for k in (1, 2, 3) for n in (4, 8)]
+
+
 def test_readme_lists_exactly_the_cli_flags():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
@@ -439,6 +449,21 @@ def test_lattice_csv_matches_loop_filled_locator(tmp_path, monkeypatch,
     write_lattice_csv(tmp_path / "b.csv", disc, u, p, resolution=20)
     a, b = (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes()
     assert a == b
+
+
+def test_write_vtk_writes_the_format_by_hand(tmp_path):
+    # the unit square cut into a quad and a triangle, with two fields
+    mesh = Mesh([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 1]],
+                [[0, 1, 2, 4], [0, 4, 3]])
+    path = tmp_path / "out.vtk"
+    write_vtk(path, mesh, {"p": np.array([0.5, -1 / 3]), "u1": [2, 2.5e-07]})
+    assert path.read_bytes() == (
+        b"# vtk DataFile Version 3.0\nbrinkman cdg fields\nASCII\n"
+        b"DATASET UNSTRUCTURED_GRID\nPOINTS 5 double\n0 0 0.0\n1 0 0.0\n"
+        b"1 1 0.0\n0 1 0.0\n0.5 1 0.0\nCELLS 2 9\n4 0 1 2 4\n3 0 4 3\n"
+        b"CELL_TYPES 2\n7\n7\nCELL_DATA 2\nSCALARS p double 1\n"
+        b"LOOKUP_TABLE default\n0.5\n-0.3333333333333333\n"
+        b"SCALARS u1 double 1\nLOOKUP_TABLE default\n2\n2.5e-07\n")
 
 
 def test_vtk_polygon_counts(tmp_path):
