@@ -8,7 +8,6 @@ __all__ = [
     "write_vtk",
     "write_lattice_csv",
     "write_summary",
-    "CellLocator",
     "cell_center_fields",
 ]
 
@@ -45,76 +44,43 @@ def write_vtk(path, mesh, cell_data):
         f.write("\n".join(lines) + "\n")
 
 
-class CellLocator:
-    """Uniform-bucket point locator over a mesh (bbox prefilter + winding).
+def _lattice_cells(mesh, xs, ys):
+    """Lattice points (xs[i], ys[j]) in the order of j, then i, that lie in
+    a cell, and for each the lowest-numbered cell that contains it.
 
-    The bounding box is split into floor(sqrt(n_cells)) buckets per axis.
+    Each cell tests the lattice points of its bounding box and the next
+    point beyond it on each side, so that rounding drops no point on an
+    edge.  A point is inside a counterclockwise polygon iff no edge's cross
+    product falls below -1e-12 times the edge's scale (at least 1).
     """
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        lo, hi = mesh.bbox
-        self.lo = lo
-        self.span = np.maximum(hi - lo, 1e-300)
-        self.nb = max(1, int(np.sqrt(mesh.n_cells)))
-        # each cell goes into every bucket its bounding box touches
-        pts = mesh.vertices[mesh.cell_vertex_ids]
-        starts = mesh.cell_offsets[:-1]
-        i0, j0 = self._bucket_of(np.minimum.reduceat(pts, starts))
-        i1, j1 = self._bucket_of(np.maximum.reduceat(pts, starts))
-        ni = i1 - i0 + 1
-        count = ni * (j1 - j0 + 1)
-        cell = np.repeat(np.arange(mesh.n_cells), count)
-        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-        bucket = (j0[cell] + k // ni[cell]) * self.nb + i0[cell] + k % ni[cell]
-        # a stable sort keeps each bucket's candidates in ascending cell
-        # order; the table is padded with -1
-        order = np.argsort(bucket, kind="stable")
-        bucket, cell = bucket[order], cell[order]
-        per_bucket = np.bincount(bucket, minlength=self.nb * self.nb)
-        slot = np.arange(len(cell)) - (np.cumsum(per_bucket)
-                                       - per_bucket)[bucket]
-        self.table = np.full((len(per_bucket), per_bucket.max()), -1)
-        self.table[bucket, slot] = cell
-        # polygons padded by repeating the last vertex, whose zero-length
-        # edge passes every winding test
-        counts = mesh.cells.edge_count
-        local = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
-        self.polygons = mesh.cell_vertex_ids[mesh.cell_offsets[:-1, None]
-                                             + local]
-
-    def _bucket_of(self, point):
-        rel = (np.asarray(point) - self.lo) / self.span
-        idx = np.clip((rel * self.nb).astype(int), 0, self.nb - 1)
-        return idx[..., 0], idx[..., 1]
-
-    def locate_all(self, points):
-        """Cell index per point (n,), -1 where no cell contains it.
-
-        Candidates are tried in bucket order, so ties resolve to the first.
-        """
-        points = np.asarray(points, dtype=float)
-        i, j = self._bucket_of(points)
-        cand = self.table[j * self.nb + i]
-        out = np.full(len(points), -1)
-        for col in range(cand.shape[1]):
-            todo = np.flatnonzero((out < 0) & (cand[:, col] >= 0))
-            c = cand[todo, col]
-            pts = self.mesh.vertices[self.polygons[c]]
-            edge = np.roll(pts, -1, axis=1) - pts
-            rel = points[todo, None, :] - pts
-            cross = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
-            scale = np.abs(edge).sum(axis=-1)
-            # CCW polygon: inside iff no cross product falls below -1e-12
-            # times the edge's scale (at least 1)
-            inside = np.all(cross >= -1e-12 * np.maximum(scale, 1.0), axis=1)
-            out[todo[inside]] = c[inside]
-        return out
-
-    def locate(self, point):
-        """Index of a cell containing ``point`` (ties resolved to the first)."""
-        c = int(self.locate_all(np.asarray(point, dtype=float)[None])[0])
-        return None if c < 0 else c
+    # loops padded by repeating the last vertex, whose zero-length edge
+    # passes every test; (max edges, n_cells) per coordinate
+    counts = mesh.cells.edge_count
+    local = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    ax, ay = mesh.vertices[mesh.cell_vertex_ids[mesh.cell_offsets[:-1, None]
+                                                + local]].T
+    x0 = np.maximum(xs.searchsorted(ax.min(0)) - 1, 0)
+    y0 = np.maximum(ys.searchsorted(ay.min(0)) - 1, 0)
+    nx = np.minimum(xs.searchsorted(ax.max(0), "right"), len(xs) - 1) - x0 + 1
+    ny = np.minimum(ys.searchsorted(ay.max(0), "right"), len(ys) - 1) - y0 + 1
+    count = nx * ny
+    cell = np.repeat(np.arange(mesh.n_cells), count)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+    ix = x0[cell] + k % nx[cell]
+    iy = y0[cell] + k // nx[cell]
+    px, py = xs[ix], ys[iy]
+    dx, dy = np.roll(ax, -1, axis=0) - ax, np.roll(ay, -1, axis=0) - ay
+    bound = -1e-12 * np.maximum(np.abs(dx) + np.abs(dy), 1.0)
+    # the pairs still inside after each edge's test
+    at = np.arange(len(cell))
+    for e in range(len(ax)):
+        c = cell[at]
+        at = at[dx[e, c] * (py[at] - ay[e, c]) - dy[e, c] * (px[at] - ax[e, c])
+                >= bound[e, c]]
+    # the pairs stay in ascending cell order: a point's first is its lowest
+    hit, first = np.unique(iy[at] * len(xs) + ix[at], return_index=True)
+    return (np.column_stack([xs[hit % len(xs)], ys[hit // len(xs)]]),
+            cell[at[first]])
 
 
 def write_lattice_csv(path, disc, u, p, resolution):
@@ -124,14 +90,10 @@ def write_lattice_csv(path, disc, u, p, resolution):
     Columns: x, y, u1, u2, p.  Points falling outside every cell (possible
     only for non-covering meshes) are skipped.
     """
-    mesh = disc.mesh
-    lo, hi = mesh.bbox
+    lo, hi = disc.mesh.bbox
     xs = lo[0] + (np.arange(resolution) + 0.5) / resolution * (hi[0] - lo[0])
     ys = lo[1] + (np.arange(resolution) + 0.5) / resolution * (hi[1] - lo[1])
-    pts = np.column_stack([np.tile(xs, resolution), np.repeat(ys, resolution)])
-    cells = CellLocator(mesh).locate_all(pts)
-    pts = pts[cells >= 0]
-    cells = cells[cells >= 0]
+    pts, cells = _lattice_cells(disc.mesh, xs, ys)
     vel = disc.velocity_values(u, cells, pts)
     pv = disc.pressure_values(p, cells, pts)
     with open(path, "w", encoding="utf-8") as f:

@@ -11,7 +11,7 @@ row-major grid over the unit square (row 0 at the top, image convention).
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -85,6 +85,56 @@ def example1(mu=1.0, a=1.0):
                                u=u, grad_u=grad_u, p=p)
 
 
+def _derivative(poly, axis, scale=1):
+    """scale times d poly / dx (axis 0) or d poly / dy (axis 1) of a
+    polynomial {(a, b): c} meaning the sum of c x^a y^b."""
+    return {(a - (axis == 0), b - (axis == 1)): scale * (a, b)[axis] * c
+            for (a, b), c in poly.items() if (a, b)[axis]}
+
+
+def _field(polys, shape):
+    """The map from points (n, 2) to the polynomials' values, (n, *shape)."""
+    def values(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        out = np.zeros((len(pts), len(polys)))
+        for i, poly in enumerate(polys):
+            for (a, b), c in poly.items():
+                out[:, i] += c * x ** a * y ** b
+        return out.reshape((len(pts),) + shape)
+    return values
+
+
+def _stream_problem(psi, p, mu, kappa0):
+    """u = (d psi/dy, -d psi/dx), pressure p, constant kappa^{-1} = kappa0
+    and f = -mu lap u + mu kappa0 u + grad p: divergence-free and
+    consistent by construction."""
+    vel = [_derivative(psi, 1), _derivative(psi, 0, -1)]
+    # d u_r / d x_d row by row, then d^2 u_r / d x_d^2 in the same order
+    grad = [_derivative(ur, d) for ur in vel for d in (0, 1)]
+    second = [_derivative(g, d) for g, d in zip(grad, (0, 1, 0, 1))]
+    u, d2u = _field(vel, (2,)), _field(second, (2, 2))
+    grad_p = _field([_derivative(p, 0), _derivative(p, 1)], (2,))
+
+    def f(pts):
+        return (-mu * d2u(pts).sum(axis=2) + mu * kappa0 * u(pts)
+                + grad_p(pts))
+
+    return ManufacturedProblem(
+        mu=mu, kappa_inv=lambda pts: np.full(len(pts), kappa0), f=f, g=u,
+        u=u, grad_u=_field(grad, (2, 2)), p=_field([p], ()))
+
+
+_PATCHES = {
+    # psi = y - 2x + xy + (x^2 + y^2)/2: u = (1 + x + y, 2 - x - y)
+    1: ({(0, 1): 1, (1, 0): -2, (1, 1): 1, (2, 0): 0.5, (0, 2): 0.5}, {}),
+    # psi = x^3 + y^3 + x^2 y, p = x - 1/2
+    2: ({(3, 0): 1, (0, 3): 1, (2, 1): 1}, {(1, 0): 1, (0, 0): -0.5}),
+    # psi = x^4 + y^4 - x^3 y, p = x^2 + y^2 - 2/3
+    3: ({(4, 0): 1, (0, 4): 1, (3, 1): -1},
+        {(2, 0): 1, (0, 2): 1, (0, 0): -2.0 / 3.0}),
+}
+
+
 def polynomial_patch(k, mu=1.0, kappa0=1.0):
     """Divergence-free polynomial solution of degree k with p in P_{k-1}.
 
@@ -92,91 +142,9 @@ def polynomial_patch(k, mu=1.0, kappa0=1.0):
     exactly representable in the degree-k spaces, so the scheme reproduces
     it to roundoff.
     """
-    if k == 1:
-        # u from stream psi = x y + y^2/2 - x^2/2 (affine gradient)
-        def u(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.column_stack([1.0 + x + y, 2.0 - y - x])
-
-        def grad_u(pts):
-            g = np.empty((len(pts), 2, 2))
-            g[:, 0, 0] = 1.0
-            g[:, 0, 1] = 1.0
-            g[:, 1, 0] = -1.0
-            g[:, 1, 1] = -1.0
-            return g
-
-        def p(pts):
-            return np.zeros(len(pts))
-
-        def grad_p(pts):
-            return np.zeros((len(pts), 2))
-
-        def lapf(pts):
-            return np.zeros((len(pts), 2))
-    elif k == 2:
-        # stream psi = x^3 + y^3 + x^2 y
-        def u(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.column_stack([3 * y * y + x * x,
-                                    -3 * x * x - 2 * x * y])
-
-        def grad_u(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            g = np.empty((len(pts), 2, 2))
-            g[:, 0, 0] = 2 * x
-            g[:, 0, 1] = 6 * y
-            g[:, 1, 0] = -6 * x - 2 * y
-            g[:, 1, 1] = -2 * x
-            return g
-
-        def p(pts):
-            return pts[:, 0] - 0.5
-
-        def grad_p(pts):
-            out = np.zeros((len(pts), 2))
-            out[:, 0] = 1.0
-            return out
-
-        def lapf(pts):
-            return np.tile([8.0, -6.0], (len(pts), 1))
-    elif k == 3:
-        # stream psi = x^4 + y^4 - x^3 y
-        def u(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.column_stack([4 * y ** 3 - x ** 3,
-                                    -4 * x ** 3 + 3 * x * x * y])
-
-        def grad_u(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            g = np.empty((len(pts), 2, 2))
-            g[:, 0, 0] = -3 * x * x
-            g[:, 0, 1] = 12 * y * y
-            g[:, 1, 0] = -12 * x * x + 6 * x * y
-            g[:, 1, 1] = 3 * x * x
-            return g
-
-        def p(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return x * x + y * y - 2.0 / 3.0
-
-        def grad_p(pts):
-            return 2.0 * pts
-
-        def lapf(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.column_stack([-6 * x + 24 * y, -24 * x + 6 * y])
-    else:
+    if k not in _PATCHES:
         raise ValueError("patch solutions cover k in {1, 2, 3}")
-
-    def kappa_inv(pts):
-        return np.full(len(pts), kappa0)
-
-    def f(pts):
-        return -mu * lapf(pts) + mu * kappa0 * u(pts) + grad_p(pts)
-
-    return ManufacturedProblem(mu=mu, kappa_inv=kappa_inv, f=f, g=u,
-                               u=u, grad_u=grad_u, p=p)
+    return _stream_problem(*_PATCHES[k], mu, kappa0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +297,4 @@ def cavity_problem(kappa, mu=0.01):
 
 def constant_flow_problem(kappa0=1.0, mu=0.01):
     """Variant with f = mu kappa^{-1} (1,0): exact solution u=(1,0), p=0."""
-
-    def kappa_inv(pts):
-        return np.full(len(pts), kappa0)
-
-    def u(pts):
-        out = np.zeros((len(pts), 2))
-        out[:, 0] = 1.0
-        return out
-
-    def grad_u(pts):
-        return np.zeros((len(pts), 2, 2))
-
-    def p(pts):
-        return np.zeros(len(pts))
-
-    def f(pts):
-        out = np.zeros((len(pts), 2))
-        out[:, 0] = mu * kappa0
-        return out
-
-    return ManufacturedProblem(mu=mu, kappa_inv=kappa_inv, f=f, g=u,
-                               u=u, grad_u=grad_u, p=p)
+    return _stream_problem({(0, 1): 1}, {}, mu, kappa0)

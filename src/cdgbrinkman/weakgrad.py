@@ -327,7 +327,7 @@ class Discretization:
     Every cell basis is orthonormal (see the module docstring), so DOF
     vectors hold coefficients in those bases.  ``classes`` holds the
     ShapeClass objects, ``vel``/``pre`` the per-class maps (see
-    :meth:`weak_gradient`) of the velocity (field k, target j, zero
+    :meth:`_weak_gradient`) of the velocity (field k, target j, zero
     boundary average) and pressure (field k-1, target k, own boundary
     trace) weak gradients, and ``velocity_dofs`` (n_cells, 2, dim_k) /
     ``pressure_dofs`` (n_cells, dim_p) each cell's DOF indices; its basis
@@ -392,9 +392,8 @@ class Discretization:
                           np.where(ends[:, 1] >= 0, cell_j[ends[:, 1]], 0))
         self._build_half_edges(
             edge_point_count(jmax + k + edge_exactness_bump))
-        self._maps = {}
-        self.vel = self.weak_gradient(self.dim_k, None, "zero")
-        self.pre = self.weak_gradient(self.dim_p, self.dim_k, "natural")
+        self.vel = self._weak_gradient(self.dim_k, None, "zero")
+        self.pre = self._weak_gradient(self.dim_p, self.dim_k, "natural")
 
     def _build_half_edges(self, edge_npts):
         mesh, dk = self.mesh, self.dim_k
@@ -469,8 +468,8 @@ class Discretization:
 
     # -- weak-gradient and jump maps ------------------------------------------
 
-    def weak_gradient(self, field, target, boundary):
-        """Per-class maps of one scalar weak-gradient operator (cached).
+    def _weak_gradient(self, field, target, boundary):
+        """Per-class maps of one scalar weak-gradient operator.
 
         ``field`` is the number of leading basis functions of the field
         (at most dim_k), ``target`` that of the target space, None for the
@@ -481,13 +480,8 @@ class Discretization:
         in the orthonormal target basis, which are also their moments
         against that basis.
         """
-        if boundary not in ("zero", "natural"):
-            raise ValueError("boundary must be 'zero' or 'natural'")
-        key = (field, target, boundary)
-        if key not in self._maps:
-            self._maps[key] = [self._class_maps(cls, field, target, boundary)
-                               for cls in self.classes]
-        return self._maps[key]
+        return [self._class_maps(cls, field, target, boundary)
+                for cls in self.classes]
 
     def _edge_blocks(self, cls, df, dt, inner, boundary, across):
         """Per key and local edge (nk, ne, dt, df): ``own_m`` times
@@ -514,7 +508,7 @@ class Discretization:
 
     def jump_maps(self):
         """Per-class maps (nk, 1, dp, (1 + ne) dp), laid out as
-        :meth:`weak_gradient`'s: each cell's rows of the stabilizer S.
+        :meth:`_weak_gradient`'s: each cell's rows of the stabilizer S.
 
         Row a of cell T is sum_e h <[[q]], [[psi_a]]>_e over T's interior
         edges.  [[psi_a]] . [[psi_b]] is psi_a psi_b within a cell and

@@ -133,7 +133,7 @@ def test_criterion_6_weak_gradient_identities(rng):
     for family, factory in MESH_FAMILIES.items():
         mesh = factory(3 if family != "poly" else 4)
         disc = Discretization(mesh, k)
-        nat = disc.weak_gradient(disc.dim_k, None, "natural")
+        nat = disc._weak_gradient(disc.dim_k, None, "natural")
         cells = [CellTables(disc, c) for c in range(mesh.n_cells)]
         rules = [cell_quadrature(cell_vertices(mesh, c), 2 * ct.j + 2)
                  for c, ct in enumerate(cells)]

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import cdgbrinkman
-from cdgbrinkman import cli, export
+from cdgbrinkman import cli
 from cdgbrinkman.analysis import CSV_COLUMNS
 from cdgbrinkman.cli import main
-from cdgbrinkman.export import CellLocator, write_lattice_csv, write_vtk
+from cdgbrinkman.export import write_lattice_csv, write_vtk
 from cdgbrinkman.mesh import (Mesh, generate_polygonal,
                               generate_uniform_rectangular,
                               generate_uniform_triangular, save_mesh)
@@ -395,60 +395,65 @@ def test_unknown_mesh_family_exit_2(tmp_path, capsys):
     assert "--mesh" in capsys.readouterr().err
 
 
-def test_cell_locator_polygonal():
-    mesh = generate_polygonal(4)
-    loc = CellLocator(mesh)
-    rng = np.random.default_rng(3)
-    for p in rng.random((200, 2)):
-        c = loc.locate(p)
-        assert c is not None
-        # verify containment with the mesh's own geometry
+def lowest_containing_cells(mesh, points):
+    """Per point, the lowest-numbered cell whose counterclockwise polygon
+    contains it (no edge's cross product below -1e-12 times the edge's
+    scale, at least 1), -1 where none does: every cell tests every point."""
+    out = np.full(len(points), -1)
+    for c in range(mesh.n_cells):
+        inside = np.ones(len(points), dtype=bool)
         pts = cell_vertices(mesh, c)
-        nxt = np.roll(pts, -1, axis=0)
-        cross = ((nxt[:, 0] - pts[:, 0]) * (p[1] - pts[:, 1])
-                 - (nxt[:, 1] - pts[:, 1]) * (p[0] - pts[:, 0]))
-        assert cross.min() > -1e-9
+        for a, b in zip(pts, np.roll(pts, -1, axis=0)):
+            edge, rel = b - a, points - a
+            inside &= (edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
+                       >= -1e-12 * max(np.abs(edge).sum(), 1.0))
+        out[(out < 0) & inside] = c
+    return out
 
 
-class LoopLocator(CellLocator):
-    """CellLocator with its bucket table refilled by a loop over cells."""
-
-    def __init__(self, mesh):
-        super().__init__(mesh)
-        buckets = [[] for _ in range(self.nb * self.nb)]
-        for c in range(mesh.n_cells):
-            pts = cell_vertices(mesh, c)
-            i0, j0 = self._bucket_of(pts.min(axis=0))
-            i1, j1 = self._bucket_of(pts.max(axis=0))
-            for j in range(j0, j1 + 1):
-                for i in range(i0, i1 + 1):
-                    buckets[j * self.nb + i].append(c)
-        self.table = np.full((len(buckets), max(map(len, buckets))), -1)
-        for b, cells in enumerate(buckets):
-            self.table[b, :len(cells)] = cells
+def l_shaped_mesh(monkeypatch):
+    """The unit square without its upper right quarter, in three squares;
+    validation, which accepts only rectangular domains, is switched off."""
+    monkeypatch.setattr(Mesh, "validate", lambda self: None)
+    return Mesh([[0, 0], [0.5, 0], [1, 0], [0, 0.5], [0.5, 0.5], [1, 0.5],
+                 [0, 1], [0.5, 1]], [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6]])
 
 
-@pytest.mark.parametrize("factory, n", [(generate_uniform_rectangular, 8),
-                                        (generate_polygonal, 4),
-                                        (generate_uniform_rectangular, 1),
-                                        (generate_uniform_rectangular, 3)])
-def test_lattice_csv_matches_loop_filled_locator(tmp_path, monkeypatch,
-                                                  factory, n):
-    # the bucket table is filled by a stable sort; candidates must keep
-    # ascending cell order within a bucket, so ties on shared edges resolve
-    # as the per-cell loop resolved them and the CSV is byte-identical.
-    # rect n=1 and n=3 give one and three buckets per axis
-    mesh = factory(n)
-    assert np.array_equal(CellLocator(mesh).table, LoopLocator(mesh).table)
+@pytest.mark.parametrize("build, resolution, outside", [
+    (lambda mp: generate_uniform_triangular(4), 20, 0),
+    (lambda mp: generate_uniform_rectangular(1), 20, 0),
+    (lambda mp: generate_uniform_rectangular(3), 20, 0),
+    (lambda mp: generate_uniform_rectangular(8), 20, 0),
+    (lambda mp: generate_uniform_rectangular(12), 6, 0),
+    (lambda mp: generate_polygonal(4), 20, 0),
+    (l_shaped_mesh, 20, 100),
+], ids=["tri-4", "rect-1", "rect-3", "rect-8", "rect-12", "poly-4",
+        "L-shape"])
+def test_lattice_csv_matches_lowest_containing_cell(tmp_path, monkeypatch,
+                                                    build, resolution,
+                                                    outside):
+    # rect n=12 at resolution 6 puts lattice points on vertical edges,
+    # where rounding leaves a point a unit in the last place outside the
+    # lower-numbered cell's bounding box, inside the edge tolerance; the
+    # L-shape's rows outside every cell are skipped
+    mesh = build(monkeypatch)
     disc = Discretization(mesh, 1)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(disc.n_velocity_dofs)
     p = rng.standard_normal(disc.n_pressure_dofs)
-    write_lattice_csv(tmp_path / "a.csv", disc, u, p, resolution=20)
-    monkeypatch.setattr(export, "CellLocator", LoopLocator)
-    write_lattice_csv(tmp_path / "b.csv", disc, u, p, resolution=20)
-    a, b = (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes()
-    assert a == b
+    write_lattice_csv(tmp_path / "a.csv", disc, u, p, resolution)
+    lo, hi = mesh.bbox
+    xs = lo[0] + (np.arange(resolution) + 0.5) / resolution * (hi[0] - lo[0])
+    ys = lo[1] + (np.arange(resolution) + 0.5) / resolution * (hi[1] - lo[1])
+    pts = np.column_stack([np.tile(xs, resolution), np.repeat(ys, resolution)])
+    cells = lowest_containing_cells(mesh, pts)
+    assert (cells < 0).sum() == outside
+    pts, cells = pts[cells >= 0], cells[cells >= 0]
+    vel = disc.velocity_values(u, cells, pts)
+    pv = disc.pressure_values(p, cells, pts)
+    rows = [f"{x:.10g},{y:.10g},{a:.10e},{b:.10e},{c:.10e}\n"
+            for (x, y), (a, b), c in zip(pts, vel, pv)]
+    assert (tmp_path / "a.csv").read_text() == "x,y,u1,u2,p\n" + "".join(rows)
 
 
 def test_write_vtk_writes_the_format_by_hand(tmp_path):

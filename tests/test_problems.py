@@ -3,15 +3,15 @@ import pytest
 
 from cdgbrinkman.assembly import assemble_system
 from cdgbrinkman.mesh import generate_uniform_rectangular
-from cdgbrinkman.problems import (RasterKappa, cavity_problem, example1,
+from cdgbrinkman.problems import (RasterKappa, cavity_problem,
+                                  constant_flow_problem, example1,
                                   load_kappa_raster, polynomial_patch,
                                   sample_raster_path)
 from cdgbrinkman.solver import solve
 from cdgbrinkman.weakgrad import Discretization
 
 
-def test_example1_divergence_free(rng):
-    problem = example1()
+def assert_divergence_free(problem, rng):
     pts = rng.random((1000, 2))
     h = 1e-6
     ux = (problem.u(pts + [h, 0]) - problem.u(pts - [h, 0])) / (2 * h)
@@ -20,6 +20,62 @@ def test_example1_divergence_free(rng):
     assert np.abs(div).max() < 1e-8
     g = problem.grad_u(pts)
     assert np.abs(g[:, 0, 0] + g[:, 1, 1]).max() < 1e-12
+
+
+def assert_momentum_balance(problem, rng, h):
+    # f must equal -mu lap(u) + mu kinv u + grad p by five-point stencils
+    # of step h
+    mu = problem.mu
+    pts = 0.1 + 0.8 * rng.random((10, 2))
+    ex = np.array([h, 0.0])
+    ey = np.array([0.0, h])
+    lap = (problem.u(pts + ex) + problem.u(pts - ex)
+           + problem.u(pts + ey) + problem.u(pts - ey)
+           - 4 * problem.u(pts)) / h ** 2
+    grad_p = np.column_stack([
+        (problem.p(pts + ex) - problem.p(pts - ex)) / (2 * h),
+        (problem.p(pts + ey) - problem.p(pts - ey)) / (2 * h),
+    ])
+    kinv = problem.kappa_inv(pts)
+    fd = -mu * lap + mu * kinv[:, None] * problem.u(pts) + grad_p
+    f = problem.f(pts)
+    scale = np.abs(f).max()
+    assert np.abs(fd - f).max() <= 1e-6 * max(1.0, scale)
+
+
+# every manufactured factory, the polynomial ones also at mu != 1 and
+# kappa0 != 1
+MANUFACTURED = {
+    "example1": example1,
+    "example1-mu0.01-a1e4": lambda: example1(mu=0.01, a=1e4),
+    **{f"patch{k}": (lambda k=k: polynomial_patch(k)) for k in (1, 2, 3)},
+    **{f"patch{k}-mu0.7-kappa2": (lambda k=k: polynomial_patch(k, 0.7, 2.0))
+       for k in (1, 2, 3)},
+    "constant-flow": constant_flow_problem,
+    "constant-flow-kappa5-mu0.3": lambda: constant_flow_problem(5.0, 0.3),
+}
+POLYNOMIAL = [name for name in MANUFACTURED if not name.startswith("ex")]
+
+
+def test_example1_divergence_free(rng):
+    assert_divergence_free(example1(), rng)
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL)
+def test_polynomial_problem_divergence_free(name, rng):
+    assert_divergence_free(MANUFACTURED[name](), rng)
+
+
+@pytest.mark.parametrize("name", list(MANUFACTURED))
+def test_grad_u_matches_finite_differences(name, rng):
+    problem = MANUFACTURED[name]()
+    pts = rng.random((200, 2))
+    h = 1e-6
+    fd = np.stack([(problem.u(pts + e) - problem.u(pts - e)) / (2 * h)
+                   for e in ([h, 0.0], [0.0, h])], axis=-1)
+    g = problem.grad_u(pts)
+    assert g.shape == (len(pts), 2, 2)
+    assert np.abs(fd - g).max() <= 1e-7 * max(1.0, np.abs(g).max())
 
 
 def test_example1_pressure_values():
@@ -34,26 +90,16 @@ def test_example1_pressure_values():
 
 
 def test_example1_momentum_balance_finite_differences(rng):
-    # f must equal -mu lap(u) + mu kinv u + grad p; five-point stencils
-    # with step 3e-5 give ~1e-7 truncation for the trigonometric fields
-    for mu, a in ((1.0, 1.0), (0.01, 1e4)):
-        problem = example1(mu=mu, a=a)
-        pts = 0.1 + 0.8 * rng.random((10, 2))
-        h = 3e-5
-        ex = np.array([h, 0.0])
-        ey = np.array([0.0, h])
-        lap = (problem.u(pts + ex) + problem.u(pts - ex)
-               + problem.u(pts + ey) + problem.u(pts - ey)
-               - 4 * problem.u(pts)) / h ** 2
-        grad_p = np.column_stack([
-            (problem.p(pts + ex) - problem.p(pts - ex)) / (2 * h),
-            (problem.p(pts + ey) - problem.p(pts - ey)) / (2 * h),
-        ])
-        kinv = problem.kappa_inv(pts)
-        fd = -mu * lap + mu * kinv[:, None] * problem.u(pts) + grad_p
-        f = problem.f(pts)
-        scale = np.abs(f).max()
-        assert np.abs(fd - f).max() <= 1e-6 * max(1.0, scale)
+    # step 3e-5 gives ~1e-7 truncation for the trigonometric fields
+    for name in ("example1", "example1-mu0.01-a1e4"):
+        assert_momentum_balance(MANUFACTURED[name](), rng, 3e-5)
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL)
+def test_polynomial_problem_momentum_balance_finite_differences(name, rng):
+    # the stencils are exact for u in P_3 and p in P_2, so a long step
+    # keeps the roundoff small
+    assert_momentum_balance(MANUFACTURED[name](), rng, 1e-2)
 
 
 def test_example1_rejects_bad_parameters():
@@ -74,6 +120,22 @@ def test_patch_solutions_divergence_free(k, rng):
     X, Y = np.meshgrid(xs, xs)
     mean = problem.p(np.column_stack([X.ravel(), Y.ravel()])).mean()
     assert abs(mean) < 1e-5
+
+
+@pytest.mark.parametrize("k, u, p", [
+    (1, lambda x, y: (1 + x + y, 2 - x - y), lambda x, y: 0 * x),
+    (2, lambda x, y: (3 * y * y + x * x, -3 * x * x - 2 * x * y),
+     lambda x, y: x - 0.5),
+    (3, lambda x, y: (4 * y ** 3 - x ** 3, -4 * x ** 3 + 3 * x * x * y),
+     lambda x, y: x * x + y * y - 2 / 3),
+])
+def test_patch_fields_are_the_curl_of_the_stream_function(k, u, p, rng):
+    # u = (d psi/dy, -d psi/dx) for the psi of README's problem table
+    pts = rng.random((100, 2))
+    problem = polynomial_patch(k)
+    x, y = pts.T
+    assert np.abs(problem.u(pts) - np.column_stack(u(x, y))).max() < 1e-13
+    assert np.abs(problem.p(pts) - p(x, y)).max() < 1e-13
 
 
 def test_raster_uniform_and_lookup():

@@ -565,7 +565,7 @@ def test_gradient_reproduces_low_degree_polynomials(family, k, rng):
     # with the analytic gradient as oracle
     mesh = MESH_FAMILIES[family](3 if family != "poly" else 4)
     disc = Discretization(mesh, k)
-    maps = disc.weak_gradient(disc.dim_k, None, "natural")
+    maps = disc._weak_gradient(disc.dim_k, None, "natural")
     for _ in range(3):
         fn, gr = random_polynomial(k, rng)
         u = np.zeros(disc.n_velocity_dofs + 1)
@@ -661,7 +661,7 @@ def test_single_cell_x_gradient():
     mesh = generate_uniform_rectangular(1)
     disc = Discretization(mesh, 1)
     ct = CellTables(disc, 0)
-    W = ct.map(disc.weak_gradient(disc.dim_k, disc.dim_k, "natural"))
+    W = ct.map(disc._weak_gradient(disc.dim_k, disc.dim_k, "natural"))
     rule = cell_quadrature(cell_vertices(mesh, 0), 2 * ct.j + 2)
     vals = ct.tables(rule.points, disc.dim_k)
     u = np.zeros(disc.n_velocity_dofs + 1)
