@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cdgbrinkman
-from cdgbrinkman import cli
+from cdgbrinkman import cli, export
 from cdgbrinkman.analysis import CSV_COLUMNS
 from cdgbrinkman.cli import main
 from cdgbrinkman.export import write_lattice_csv, write_vtk
@@ -393,6 +393,24 @@ def test_unknown_mesh_family_exit_2(tmp_path, capsys):
     code = main(["solve", "--mesh", "hexagonal", "--out", str(tmp_path)])
     assert code == 2
     assert "--mesh" in capsys.readouterr().err
+
+
+def test_cell_locator_polygonal():
+    # a random lattice on the polygonal mesh, which covers the square:
+    # every point is located, in a cell that contains it
+    mesh = generate_polygonal(4)
+    rng = np.random.default_rng(3)
+    xs, ys = np.sort(rng.random(15)), np.sort(rng.random(15))
+    pts, cells = export._lattice_cells(mesh, xs, ys)
+    assert len(pts) == len(xs) * len(ys)
+    for p, c in zip(pts, cells):
+        # verify containment with the mesh's own geometry
+        verts = cell_vertices(mesh, c)
+        nxt = np.roll(verts, -1, axis=0)
+        cross = ((nxt[:, 0] - verts[:, 0]) * (p[1] - verts[:, 1])
+                 - (nxt[:, 1] - verts[:, 1]) * (p[0] - verts[:, 0]))
+        assert cross.min() > -1e-9
+    assert np.array_equal(cells, lowest_containing_cells(mesh, pts))
 
 
 def lowest_containing_cells(mesh, points):
