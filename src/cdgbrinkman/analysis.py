@@ -86,9 +86,8 @@ def norm_l2_pressure(disc, p):
 
 
 def _pressure_jump_sq(disc, p, inverse_weight=False):
-    # each interior edge once, from its minus side
-    take = ((disc.edge_owner == disc.mesh.edge_cells[disc.edge_index, 0])
-            & (disc.edge_twin >= 0))
+    # each pair of twin points once, from its lower index
+    take = disc.edge_twin > np.arange(len(disc.edge_twin))
     q = disc.edge_values(p[disc.pressure_dofs])
     # ||[[q]]||^2 integrates |q_m n + q_p (-n)|^2 = (q_m - q_p)^2
     diff = q[take] - q[disc.edge_twin[take]]
@@ -173,13 +172,7 @@ def error_equation_residual(disc, problem, system, solution):
     # edge terms per half-edge point, owner side; the twin is the other side
     pts, twin, n = disc.edge_points, disc.edge_twin, disc.edge_normal
     inner = twin >= 0
-    # the exact solution once per distinct point: a point equals its twin,
-    # and a padding point its twin's twin
-    rep = np.minimum(np.arange(len(pts)), np.where(inner, twin, len(pts)))
-    rep = rep[rep]
-    own = rep == np.arange(len(pts))
-    at, slot = np.compress(own, pts, axis=0), (np.cumsum(own) - 1)[rep]
-    gv, uv, pv = (np.take(np.asarray(fn(at), dtype=float), slot, axis=0)
+    gv, uv, pv = (np.asarray(fn(pts), dtype=float)
                   for fn in (problem.grad_u, problem.u, problem.p))
     gq = disc.edge_values(gQ)
     uq = disc.edge_values(uc)

@@ -50,15 +50,18 @@ def _lattice_cells(mesh, xs, ys):
 
     Each cell tests the lattice points of its bounding box and the next
     point beyond it on each side, so that rounding drops no point on an
-    edge.  A point is inside a counterclockwise polygon iff no edge's cross
-    product falls below -1e-12 times the edge's scale (at least 1).
+    edge.  A cell is the union of the triangles that fan it from its
+    centroid, as ``Mesh`` accepts any cell star-shaped about its centroid.
+    A point is inside a counterclockwise triangle iff no side's cross
+    product falls below -1e-12 times the side's scale (at least 1).
     """
-    # loops padded by repeating the last vertex, whose zero-length edge
-    # passes every test; (max edges, n_cells) per coordinate
+    # (max edges, n_cells) per coordinate of each fan triangle's corners a
+    # and b; a cell of fewer edges repeats its last triangle
     counts = mesh.cells.edge_count
-    local = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
-    ax, ay = mesh.vertices[mesh.cell_vertex_ids[mesh.cell_offsets[:-1, None]
-                                                + local]].T
+    local = np.minimum(np.arange(counts.max()), counts[:, None] - 1).T
+    loop = mesh.cell_vertex_ids[mesh.cell_offsets[:-1]
+                                + np.stack([local, (local + 1) % counts])]
+    (ax, bx), (ay, by) = np.moveaxis(mesh.vertices[loop], -1, 0)
     x0 = np.maximum(xs.searchsorted(ax.min(0)) - 1, 0)
     y0 = np.maximum(ys.searchsorted(ay.min(0)) - 1, 0)
     nx = np.minimum(xs.searchsorted(ax.max(0), "right"), len(xs) - 1) - x0 + 1
@@ -69,14 +72,23 @@ def _lattice_cells(mesh, xs, ys):
     ix = x0[cell] + k % nx[cell]
     iy = y0[cell] + k // nx[cell]
     px, py = xs[ix], ys[iy]
-    dx, dy = np.roll(ax, -1, axis=0) - ax, np.roll(ay, -1, axis=0) - ay
-    bound = -1e-12 * np.maximum(np.abs(dx) + np.abs(dy), 1.0)
-    # the pairs still inside after each edge's test
-    at = np.arange(len(cell))
-    for e in range(len(ax)):
-        c = cell[at]
-        at = at[dx[e, c] * (py[at] - ay[e, c]) - dy[e, c] * (px[at] - ax[e, c])
-                >= bound[e, c]]
+    cx, cy = np.broadcast_to(mesh.cells.centroid.T[:, None], (2,) + ax.shape)
+    # each triangle's sides a -> b -> centroid -> a: start, direction, bound
+    sides = [(x, y, u - x, v - y,
+              -1e-12 * np.maximum(np.abs(u - x) + np.abs(v - y), 1.0))
+             for (x, y), (u, v) in (((ax, ay), (bx, by)),
+                                    ((bx, by), (cx, cy)),
+                                    ((cx, cy), (ax, ay)))]
+    inside = np.zeros(len(cell), bool)
+    for e in range(len(local)):
+        # the pairs not yet inside that pass each side of triangle e
+        at = np.flatnonzero(~inside)
+        for x, y, dx, dy, bound in sides:
+            c = cell[at]
+            at = at[dx[e][c] * (py[at] - y[e][c])
+                    - dy[e][c] * (px[at] - x[e][c]) >= bound[e][c]]
+        inside[at] = True
+    at = np.flatnonzero(inside)
     # the pairs stay in ascending cell order: a point's first is its lowest
     hit, first = np.unique(iy[at] * len(xs) + ix[at], return_index=True)
     return (np.column_stack([xs[hit % len(xs)], ys[hit // len(xs)]]),
@@ -87,8 +99,10 @@ def write_lattice_csv(path, disc, u, p, resolution):
     """Sample u1, u2, p on a resolution x resolution lattice of cell-center
     points.
 
-    Columns: x, y, u1, u2, p.  Points falling outside every cell (possible
-    only for non-covering meshes) are skipped.
+    Columns: x, y, u1, u2, p.  Each point is sampled in the lowest-numbered
+    cell that contains it (see ``_lattice_cells``); points outside every
+    cell, possible only for meshes that do not cover their bounding box,
+    are skipped.
     """
     lo, hi = disc.mesh.bbox
     xs = lo[0] + (np.arange(resolution) + 0.5) / resolution * (hi[0] - lo[0])

@@ -394,10 +394,22 @@ def generate_polygonal(n_div):
     pts = (hexagon + np.stack([cx, cy], axis=-1)[..., None, :]).reshape(-1, 2)
     owner = np.repeat(np.arange(cx.size), len(hexagon))
     pts, count = _clip_to_unit_square(pts, owner, 1e-12 * a * b)
-    # points that agree to 1e-12 are one vertex, numbered by first occurrence
-    ids, first = _first_occurrence(np.rint(pts / 1e-12).astype(np.int64))
+    # points whose coordinates fall in the same 1e-12 clusters are one
+    # vertex, numbered by first occurrence
+    ids, first = _first_occurrence(np.column_stack(
+        [_clusters(x, 1e-12) for x in pts.T]))
     return Mesh(pts[first], _Loops(np.r_[0, np.cumsum(count)], ids),
                 labeled_h=1.0 / nx)
+
+
+def _clusters(x, gap):
+    """Number each value of ``x`` by its cluster, values sorted: a step of
+    more than ``gap`` starts a new cluster.  Unlike rounding to multiples
+    of ``gap``, this never splits two values closer than ``gap``."""
+    order = np.argsort(x, kind="stable")
+    out = np.empty(len(x), np.int64)
+    out[order] = np.cumsum(np.diff(x[order], prepend=x[order[0]]) > gap)
+    return out
 
 
 def _prev_in_loop(owner):

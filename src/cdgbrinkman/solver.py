@@ -321,22 +321,23 @@ def _extend_add(F, loc, U):
 
 def _factor(K, tree):
     """The numeric phase: the LDL^T factor of K, given as its lower
-    triangle's entries in the tree's numbering, grouped by front.
+    triangle's entries in the tree's numbering, grouped by front (see
+    :func:`_by_front`).
 
     Only the lower triangle of a front is formed.  Returns per front
     (start, stop, velocities, update positions, L^{-1} of its pivot block,
     D Y).  A Cholesky factor that fails raises LinAlgError naming the block
     of K whose pivot it was.
     """
+    rows, cols, data, cut = K
     factors, pending = [], {}
     for f, (s, e) in enumerate(zip(tree.start[:-1].tolist(),
                                    tree.start[1:].tolist())):
         upd, nv, p = tree.update[f], int(tree.n_vel[f]), e - s
         idx = np.concatenate([np.arange(s, e), upd])
-        F = np.zeros((len(idx), len(idx)), K.dtype)
-        lo, hi = K.cut[f], K.cut[f + 1]
-        F[np.searchsorted(idx, K.rows[lo:hi]), K.cols[lo:hi] - s] = \
-            K.data[lo:hi]
+        F = np.zeros((len(idx), len(idx)), data.dtype)
+        lo, hi = cut[f], cut[f + 1]
+        F[np.searchsorted(idx, rows[lo:hi]), cols[lo:hi] - s] = data[lo:hi]
         for child in tree.children[f]:
             cidx, U = pending.pop(child)
             _extend_add(F, np.searchsorted(idx, cidx), U)
@@ -348,10 +349,10 @@ def _factor(K, tree):
         # G + W^T W in float64 (see the module docstring)
         W64 = W.astype(np.float64)
         try:
-            Is = _inv_chol(W64.T @ W64 - F[nv:p, nv:p]).astype(K.dtype)
+            Is = _inv_chol(W64.T @ W64 - F[nv:p, nv:p]).astype(data.dtype)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError("pressure block (B, S)") from None
-        inv = np.zeros((p, p), K.dtype)
+        inv = np.zeros((p, p), data.dtype)
         inv[:nv, :nv] = Ih
         inv[nv:, nv:] = Is
         inv[nv:, :nv] = -(Is @ (W.T @ Ih))
@@ -399,24 +400,11 @@ def _scaled_entries(system):
     return rows, cols, vals, scale
 
 
-@dataclass
-class _Lower:
-    """K's lower-triangle entries in the tree's numbering, rounded to
-    float32: those of front f, whose pivot range holds their column, are
-    ``rows``, ``cols``, ``data`` at ``cut[f]:cut[f + 1]``."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-    cut: np.ndarray
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-
 def _by_front(tree, rows, cols, vals):
-    """The ``_Lower`` of K's entries (rows, cols, vals)."""
+    """K's lower-triangle entries (rows, cols, vals) in the tree's
+    numbering, rounded to float32, as (rows, cols, data, cut): those of
+    front f, whose pivot range holds their column, are at cut[f]:cut[f + 1].
+    """
     pos = np.argsort(tree.perm)
     rows, cols = pos[rows], pos[cols]
     lower = rows >= cols
@@ -429,8 +417,7 @@ def _by_front(tree, rows, cols, vals):
     # a stable sort of small ints is a radix sort
     order = np.argsort(front, kind="stable")
     cut = np.concatenate([[0], np.cumsum(np.bincount(front, minlength=nf))])
-    return _Lower(rows=rows[order], cols=cols[order], data=vals[order],
-                  cut=cut)
+    return rows[order], cols[order], vals[order], cut
 
 
 def _factor_shifted(system, stats):

@@ -112,9 +112,12 @@ def _grid(offsets, unit):
 
 
 def _keyed_classes(mesh):
-    """Yield (ne, cells, positions, key) per class of ``Mesh.shape_classes``,
-    the cells ordered by their congruence key (see the module docstring),
-    ascending within a key; ``key`` numbers the class's keys from 0."""
+    """Yield (ne, cells, positions, key, nbr, plus) per class of
+    ``Mesh.shape_classes``, the cells ordered by their congruence key (see
+    the module docstring), ascending within a key; ``key`` numbers the
+    class's keys from 0, ``nbr`` (nc, ne) holds the neighbour across each
+    local edge (-1 on the boundary) and ``plus`` whether the cell is the
+    edge's plus cell (see ``Mesh.edge_cells``)."""
     unit = _KEY_RESOLUTION * mesh.h
     # each cell's first loop vertex, from which its key measures
     anchor = mesh.vertices[mesh.cell_vertex_ids[mesh.cell_offsets[:-1]]]
@@ -129,8 +132,8 @@ def _keyed_classes(mesh):
     for ne, cells, pos in classes:
         edges = mesh.cell_edge_ids[pos]
         ends = mesh.edge_cells[edges]
-        nbr = np.where(ends[..., 0] == cells[:, None], ends[..., 1],
-                       ends[..., 0])
+        plus = ends[..., 0] != cells[:, None]
+        nbr = np.where(plus, ends[..., 0], ends[..., 1])
         inner = nbr >= 0
         offset = np.where(inner[..., None],
                           _grid(anchor[nbr] - anchor[cells, None], unit), 0)
@@ -141,7 +144,8 @@ def _keyed_classes(mesh):
         # far as their keys allow
         key = _first_occurrence(rows)[0]
         order = np.argsort(key, kind="stable")
-        yield ne, cells[order], pos[order], key[order]
+        yield (ne, cells[order], pos[order], key[order], nbr[order],
+               plus[order])
 
 
 def _batches(key):
@@ -171,22 +175,6 @@ def _batches(key):
 # ---------------------------------------------------------------------------
 # stacked per-shape-class data
 # ---------------------------------------------------------------------------
-
-def _trisolve(L, B):
-    """Solve L X = B for stacked lower-triangular L.
-
-    Row-by-row forward substitution, as a triangular LAPACK solve does,
-    over the whole stack at once; B has shape (..., d, m) and broadcasts
-    against L.
-    """
-    shape = np.broadcast_shapes(L.shape[:-2], np.shape(B)[:-2])
-    X = np.array(np.broadcast_to(B, shape + np.shape(B)[-2:]), dtype=float)
-    for r in range(L.shape[-1]):
-        if r:
-            X[..., r, :] -= (L[..., r, None, :r] @ X[..., :r, :])[..., 0, :]
-        X[..., r, :] /= L[..., r, r, None]
-    return X
-
 
 def _sum_rows(owner, rows, n):
     """Sums (n, m, d) of rows (P, m, d) by owner (P,; -1 drops a row)."""
@@ -222,7 +210,8 @@ class ShapeClass:
     sets (see :meth:`point_set`).  ``positions`` (nc, ne) locate the
     cells' loops in the mesh's CSR arrays (see ``Mesh.shape_classes``).
     Per cell, along the first axis: ``edges``, ``nbr`` (the neighbour
-    across each local edge, -1 on the boundary) and outward ``normals``;
+    across each local edge, -1 on the boundary), ``plus`` (is the cell the
+    edge's plus cell) and outward ``normals``;
     quadrature ``points`` (nc, q, 2) and ``weights`` (nc, q), views of rows
     ``start`` to ``stop`` of the flat ``cell_points`` and ``cell_weights``.
     Their half-edge points, (nc, ne, edge_q), are rows ``edge_start`` on
@@ -245,17 +234,14 @@ class ShapeClass:
     basis psi (zero on the boundary).
     """
 
-    def __init__(self, disc, edge_count, cells, positions, key):
+    def __init__(self, disc, edge_count, cells, positions, key, nbr, plus):
         mesh, k = disc.mesh, disc.k
         self.ne = edge_count
-        self.cells, self.key = cells, key
+        self.cells, self.key, self.nbr, self.plus = cells, key, nbr, plus
         self.j = target_degree(edge_count, k)
         self.dim = dim_poly(self.j)
         self.edges = mesh.cell_edge_ids[positions]
-        ends = mesh.edge_cells[self.edges]
-        minus = ends[..., 0] == cells[:, None]
-        self.nbr = np.where(minus, ends[..., 1], ends[..., 0])
-        self.normals = (np.where(minus, 1.0, -1.0)[..., None]
+        self.normals = (np.where(plus, -1.0, 1.0)[..., None]
                         * mesh.edge_normals[self.edges])
         self.first = np.flatnonzero(np.diff(key, prepend=-1))
         self.batches = _batches(key)
@@ -273,7 +259,7 @@ class ShapeClass:
         chol = _cholesky(gram, rep, self.j)
         diag = chol.diagonal(axis1=1, axis2=2)
         self.condition = float(((diag.max(1) / diag.min(1)) ** 2).max())
-        self.transform = _trisolve(chol, np.eye(self.dim))
+        self.transform = np.tril(np.linalg.inv(chol))
         # the data rule: n-2 triangles instead of n where every loop is
         # strictly convex; the tables above stay on the centroid fan
         if self.ne >= 4 and strictly_convex(loops).all():
@@ -384,12 +370,9 @@ class Discretization:
             [c.transform[:, :self.dim_k, :self.dim_k] for c in self.classes])
         self._scale = np.concatenate([c.scale for c in self.classes])
         # shared edge rules: exactness covers both incident target degrees
-        cell_j = np.empty(n, dtype=np.int64)
+        jmax = np.zeros(mesh.n_edges, dtype=np.int64)
         for cls in self.classes:
-            cell_j[cls.cells] = cls.j
-        ends = mesh.edge_cells
-        jmax = np.maximum(cell_j[ends[:, 0]],
-                          np.where(ends[:, 1] >= 0, cell_j[ends[:, 1]], 0))
+            jmax[cls.edges] = np.maximum(jmax[cls.edges], cls.j)
         self._build_half_edges(
             edge_point_count(jmax + k + edge_exactness_bump))
         self.vel = self._weak_gradient(self.dim_k, None, "zero")
@@ -427,7 +410,6 @@ class Discretization:
                          * cls.edge_q)
             return flat[rows].reshape(cls.edges.shape + (cls.edge_q,) + shape)
 
-        sides = []
         for cls, n in zip(self.classes, npts):
             qe = cls.edge_q
             view(self.edge_points, cls, 2)[...] = rule_points[cls.edges, :qe]
@@ -435,10 +417,8 @@ class Discretization:
             view(self.edge_owner, cls)[...] = cls.cells[:, None, None]
             view(self.edge_index, cls)[...] = cls.edges[..., None]
             view(self.edge_normal, cls, 2)[...] = cls.normals[..., None, :]
-            side = (mesh.edge_cells[cls.edges, 0] != cls.cells[:, None]) * 1
-            start_of[cls.edges, side] = cls.edge_start + qe * np.arange(
-                n.size).reshape(n.shape)
-            sides.append(side)
+            start_of[cls.edges, cls.plus * 1] = (
+                cls.edge_start + qe * np.arange(n.size).reshape(n.shape))
             at = (view(self.edge_points, cls, 2)[cls.first]
                   - mesh.cells.centroid[cls.cells[cls.first], None, None])
             # one product per local edge: a half-edge's table rounds the
@@ -447,9 +427,13 @@ class Discretization:
                 at / cls.scale[:, None, None, None], cls.j)
             cls.edge_phi = phi.transpose(0, 2, 1, 3).reshape(
                 len(cls.first), cls.dim, -1)
-        for cls, n, side in zip(self.classes, npts, sides):
+        # the owners' degree-k basis at every half-edge point, and zero
+        # where a boundary point's twin, -1, reads
+        basis = np.concatenate([self.edge_values(np.broadcast_to(
+            np.eye(dk), (mesh.n_cells, dk, dk))), np.zeros((1, dk))])
+        for cls, n in zip(self.classes, npts):
             # a padding point's twin is its half-edge's last point's twin
-            other = start_of[cls.edges, 1 - side][..., None]
+            other = start_of[cls.edges, 1 - cls.plus][..., None]
             twin = view(self.edge_twin, cls)
             twin[...] = np.where(other >= 0, other + np.minimum(
                 np.arange(cls.edge_q), n[..., None] - 1), -1)
@@ -458,13 +442,7 @@ class Discretization:
                 len(cls.first), cls.dim, cls.ne, -1).transpose(0, 2, 1, 3)
             wphi = phi * view(self.edge_weights, cls)[cls.first, :, None]
             cls.own_m = wphi @ phi[:, :, :dk].transpose(0, 1, 3, 2)
-            # the owners' degree-k basis at the twins (0 on the boundary)
-            nbr = np.zeros(twin.shape + (dk,))
-            for c in self.classes:
-                cell, point = np.divmod(twin - c.edge_start, c.ne * c.edge_q)
-                own = (cell >= 0) & (cell < len(c.cells))
-                nbr[own] = c.edge_phi[c.key[cell[own]], :dk, point[own]]
-            cls.nbr_m = wphi @ nbr
+            cls.nbr_m = wphi @ basis[twin]
 
     # -- weak-gradient and jump maps ------------------------------------------
 

@@ -414,19 +414,53 @@ def test_cell_locator_polygonal():
 
 
 def lowest_containing_cells(mesh, points):
-    """Per point, the lowest-numbered cell whose counterclockwise polygon
-    contains it (no edge's cross product below -1e-12 times the edge's
-    scale, at least 1), -1 where none does: every cell tests every point."""
+    """Per point, the lowest-numbered cell that contains it, -1 where none
+    does: every cell tests every point.  A cell contains a point when one of
+    the counterclockwise triangles (v_i, v_i+1, centroid) that fan it does,
+    no side's cross product below -1e-12 times the side's scale (at least
+    1)."""
     out = np.full(len(points), -1)
     for c in range(mesh.n_cells):
-        inside = np.ones(len(points), dtype=bool)
-        pts = cell_vertices(mesh, c)
+        inside = np.zeros(len(points), dtype=bool)
+        pts, centroid = cell_vertices(mesh, c), mesh.cells.centroid[c]
         for a, b in zip(pts, np.roll(pts, -1, axis=0)):
-            edge, rel = b - a, points - a
-            inside &= (edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
-                       >= -1e-12 * max(np.abs(edge).sum(), 1.0))
+            in_fan = np.ones(len(points), dtype=bool)
+            for s, t in ((a, b), (b, centroid), (centroid, a)):
+                side, rel = t - s, points - s
+                in_fan &= (side[0] * rel[:, 1] - side[1] * rel[:, 0]
+                           >= -1e-12 * max(np.abs(side).sum(), 1.0))
+            inside |= in_fan
         out[(out < 0) & inside] = c
     return out
+
+
+def notched_pentagon():
+    """The unit square cut into a pentagon notched at (0.5, 0.4), which is
+    star-shaped about its centroid but not convex, and the triangle that
+    fills the notch."""
+    return Mesh([[0, 0], [1, 0], [1, 1], [0.5, 0.4], [0, 1]],
+                [[0, 1, 2, 3, 4], [3, 2, 4]])
+
+
+def even_odd_contains(loop, point):
+    """Does a ray from ``point`` in +x cross the loop's sides an odd
+    number of times?"""
+    (x, y), crossings = point, 0
+    for (x0, y0), (x1, y1) in zip(loop, np.roll(loop, -1, axis=0)):
+        if (y0 > y) != (y1 > y):
+            crossings += x < x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+    return crossings % 2 == 1
+
+
+def test_lattice_locates_points_in_non_convex_cells():
+    # no lattice point lies on a side of the notch; a test that treats the
+    # pentagon as convex locates 42 of the 100
+    mesh = notched_pentagon()
+    xs = (np.arange(10) + 0.5) / 10
+    pts, cells = export._lattice_cells(mesh, xs, xs)
+    assert len(pts) == 100
+    assert all(even_odd_contains(cell_vertices(mesh, c), p)
+               for p, c in zip(pts, cells))
 
 
 def l_shaped_mesh(monkeypatch):
@@ -445,8 +479,9 @@ def l_shaped_mesh(monkeypatch):
     (lambda mp: generate_uniform_rectangular(12), 6, 0),
     (lambda mp: generate_polygonal(4), 20, 0),
     (l_shaped_mesh, 20, 100),
+    (lambda mp: notched_pentagon(), 10, 0),
 ], ids=["tri-4", "rect-1", "rect-3", "rect-8", "rect-12", "poly-4",
-        "L-shape"])
+        "L-shape", "notched-pentagon"])
 def test_lattice_csv_matches_lowest_containing_cell(tmp_path, monkeypatch,
                                                     build, resolution,
                                                     outside):

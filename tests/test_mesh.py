@@ -45,7 +45,9 @@ def test_rectangular_examples_resolution():
     assert m.n_cells == 16384
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+# 108, 161 and 245 have copies of one vertex whose coordinates straddle a
+# multiple of the 1e-12 merge tolerance
+@pytest.mark.parametrize("n", [2, 4, 8, 108, 161, 245])
 def test_polygonal_validity(n):
     m = generate_polygonal(n)
     assert m.cells.area.sum() == pytest.approx(1.0, abs=1e-12)

@@ -415,7 +415,7 @@ def test_float32_out_of_memory_is_not_retried(small_setup, monkeypatch):
     dtypes = []
 
     def out_of_memory(K, tree):
-        dtypes.append(K.dtype)
+        dtypes.append(K[2].dtype)
         raise MemoryError
 
     monkeypatch.setattr(solver, "_factor", out_of_memory)
