@@ -63,13 +63,9 @@ def norm_triple_bar(disc, problem, u):
 
     Matches a(v, v) of the assembled A block to roundoff.
     """
-    kv, tensor = problem.kappa_inv_at(disc.cell_points)
+    kv = problem.kappa_inv_at(disc.cell_points)
     coef = u[disc.velocity_dofs]
-    vals = disc.cell_values(coef)
-    if tensor:
-        quad = np.einsum("nr,nrs,ns->n", vals, kv, vals)
-    else:
-        quad = kv * (vals ** 2).sum(axis=-1)
+    quad = kv * (disc.cell_values(coef) ** 2).sum(axis=-1)
     total = float((disc.cell_weights * quad).sum())
     total += sum(float((g ** 2).sum()) for g in disc.apply(disc.vel, coef))
     return math.sqrt(max(problem.mu * total, 0.0))
@@ -102,16 +98,10 @@ def norm_pressure_jump(disc, p):
 
 
 def norm_triple_bar_1(disc, problem, p):
-    """Pressure energy norm: sqrt(||kappa^{1/2} grad_w~ q||^2 + sum h^{-1}||[[q]]||^2).
-
-    Scalar permeability only (the tensor square root is not needed by any
-    runnable problem).
-    """
+    """Pressure energy norm:
+    sqrt(||kappa^{1/2} grad_w~ q||^2 + sum h^{-1}||[[q]]||^2)."""
     total = _pressure_jump_sq(disc, p, True)
-    kv, tensor = problem.kappa_inv_at(disc.cell_points)
-    if tensor:
-        raise NotImplementedError(
-            "triple-bar-1 norm supports scalar permeability only")
+    kv = problem.kappa_inv_at(disc.cell_points)
     grad = disc.cell_values(disc.apply(disc.pre, p[disc.pressure_dofs]))
     total += float((disc.cell_weights * (grad ** 2).sum(axis=-1) / kv).sum())
     return math.sqrt(max(total, 0.0))
@@ -157,12 +147,11 @@ def error_equation_residual(disc, problem, system, solution):
     lhs2 = system.B.T @ e - system.S @ eps
 
     # cell terms: L0 (permeability defect) and L1 (weak-gradient defect)
-    kv, tensor = problem.kappa_inv_at(disc.cell_points)
+    kv = problem.kappa_inv_at(disc.cell_points)
     uc = uQ[disc.velocity_dofs]
     du = u_cells - disc.cell_values(uc)
-    kdu = np.einsum("nrs,ns->nr", kv, du) if tensor else kv[:, None] * du
     # L0: (kinv (u - Q_h u), phi)_T
-    rhs1 = -mu * disc.cell_moments(kdu, disc.dim_k).ravel()
+    rhs1 = -mu * disc.cell_moments(kv[:, None] * du, disc.dim_k).ravel()
     # L1: (grad_w u - grad_w Q_h u, grad_w phi)_T with grad_w u realized as
     # the projected exact gradient
     lifts = disc.lifting(disc.boundary_values(problem.g))

@@ -43,8 +43,8 @@ __all__ = [
 class BrinkmanProblem:
     """Coefficients and data of one Brinkman flow problem.
 
-    ``kappa_inv`` maps points (n, 2) to scalars (n,) or SPD tensors
-    (n, 2, 2); ``f`` and ``g`` map points to vectors (n, 2).
+    ``kappa_inv`` maps points (n, 2) to scalars (n,); ``f`` and ``g`` map
+    points to vectors (n, 2).
     """
 
     mu: float
@@ -53,14 +53,12 @@ class BrinkmanProblem:
     g: Callable
 
     def kappa_inv_at(self, points):
-        """Evaluate kappa^{-1}; returns ((n,) array, is_tensor flag)."""
+        """kappa^{-1} at points (n, 2), as an (n,) array."""
         v = np.asarray(self.kappa_inv(points), dtype=float)
-        if v.ndim == 1:
-            return v, False
-        if v.ndim == 3 and v.shape[1:] == (2, 2):
-            return v, True
-        raise ValueError("kappa_inv must return (n,) or (n, 2, 2) values")
-
+        if v.shape != (len(points),):
+            raise ValueError(f"kappa_inv must return one scalar per point, "
+                             f"shape ({len(points)},); got shape {v.shape}")
+        return v
 
 
 def _first(bad, owner):
@@ -69,37 +67,19 @@ def _first(bad, owner):
     return idx[0] if owner is None else idx[np.argmin(owner[idx])]
 
 
-def _kappa_range(v, tensor, points, owner=None, rtol=1e-12):
-    """Eigenvalue range of kappa^{-1} values v sampled at points.
+def _kappa_range(v, points, owner=None):
+    """(min, max) of kappa^{-1} values v sampled at points.
 
     Raises ValueError, naming the cell (``owner`` holds the cell of each
-    point) and the offending point, for a non-finite or nonpositive scalar,
-    or a tensor that is non-finite, unsymmetric or not positive definite.
+    point) and the offending point, for a non-finite or nonpositive value.
     """
-    def reject(bad, message):
-        i = _first(bad, owner)
-        where = "" if owner is None else f"in cell {owner[i]} "
-        raise ValueError(f"{message(i)} {where}at point {points[i]}")
-
-    if not tensor:
-        lo, hi = float(v.min()), float(v.max())
-        if lo > 0.0 and hi < np.inf:  # false too when v holds a NaN
-            return lo, hi
-        reject(~(np.isfinite(v) & (v > 0.0)), lambda i: (
-            f"{'nonpositive' if np.isfinite(v[i]) else 'non-finite'} "
-            f"kappa_inv {v[i]}"))
-    finite = np.isfinite(v).all(axis=(1, 2))
-    if not finite.all():
-        reject(~finite, lambda i: f"non-finite kappa_inv {v[i].tolist()}")
-    asym = np.abs(v[:, 0, 1] - v[:, 1, 0])
-    scale = np.abs(v).max(axis=(1, 2))
-    if np.any(asym > rtol * np.maximum(scale, 1.0)):
-        reject(asym > rtol * np.maximum(scale, 1.0),
-               lambda i: "kappa_inv not symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (v + v.transpose(0, 2, 1)))
-    if np.any(eig[:, 0] <= 0.0):
-        reject(eig[:, 0] <= 0.0, lambda i: "kappa_inv not positive definite")
-    return float(eig[:, 0].min()), float(eig[:, 1].max())
+    lo, hi = float(v.min()), float(v.max())
+    if lo > 0.0 and hi < np.inf:  # false too when v holds a NaN
+        return lo, hi
+    i = _first(~(np.isfinite(v) & (v > 0.0)), owner)
+    where = "" if owner is None else f"in cell {owner[i]} "
+    raise ValueError(f"{'nonpositive' if np.isfinite(v[i]) else 'non-finite'}"
+                     f" kappa_inv {v[i]} {where}at point {points[i]}")
 
 
 def _check_finite(v, points, owner, name, place):
@@ -239,33 +219,51 @@ class _Coo:
 def assemble_a(disc, problem):
     """Velocity block A (SPD).
 
-    Raises ValueError for a viscosity that is not finite and positive, and
-    for kappa^{-1} values at the cell quadrature points that are not finite
-    and positive (SPD for a tensor), naming the cell and the point.
+    A = I_2 (x) A_s: both velocity components share the scalar block A_s,
+    built once, and the two never couple.  Raises ValueError for a
+    viscosity that is not finite and positive, and for kappa^{-1} values at
+    the cell quadrature points that are not finite and positive, naming the
+    cell and the point.
     """
+    return _velocity_block(disc, problem)[0]
+
+
+def _velocity_block(disc, problem):
+    """A and the (min, max) of kappa^{-1} at the cell quadrature points."""
     mu = problem.mu
     _check_mu(mu)
-    kv, tensor = problem.kappa_inv_at(disc.cell_points)
-    _kappa_range(kv, tensor, disc.cell_points, disc.cell_owner)
-    n_u = disc.n_velocity_dofs
-    acc = _Coo((n_u, n_u), disc.dim_k)
-    for cls, vel, mass in zip(disc.classes, disc.vel,
-                              disc.cell_mass(kv, disc.dim_k)):
+    kv = problem.kappa_inv_at(disc.cell_points)
+    kappa_range = _kappa_range(kv, disc.cell_points, disc.cell_owner)
+    d = disc.dim_k
+    scalar = np.arange(disc.mesh.n_cells * d).reshape(-1, d)
+    acc = _Coo((scalar.size, scalar.size), d)
+    for cls, vel, mass in zip(disc.classes, disc.vel, disc.cell_mass(kv, d)):
         velT = vel.transpose(0, 1, 3, 2)
         visc = mu * (velT[:, 0] @ vel[:, 0] + velT[:, 1] @ vel[:, 1])
-        visc = visc[cls.key]
-        for comp in (0, 1):
-            idx = disc.columns(cls, disc.velocity_dofs[:, comp])
-            acc.add(idx, idx, visc)
-        own = disc.velocity_dofs[cls.cells]
-        if tensor:
-            for r in (0, 1):
-                for s in (0, 1):
-                    acc.add(own[:, r], own[:, s], mu * mass[:, r, s])
-        else:
-            for comp in (0, 1):
-                acc.add(own[:, comp], own[:, comp], mu * mass)
-    return acc.tocsr()
+        idx = disc.columns(cls, scalar)
+        acc.add(idx, idx, visc[cls.key])
+        own = scalar[cls.cells]
+        acc.add(own, own, mu * mass)
+    a_s = acc.tocsr()
+    # velocity DOF velocity_dofs[c, comp, a] takes A_s's row scalar[c, a],
+    # its columns moved into component comp (in order, as the layout keeps
+    # each component's DOFs in the scalar order)
+    vdofs = disc.velocity_dofs
+    rows = np.empty(vdofs.size, np.int64)
+    rows[vdofs] = scalar[:, None]
+    # where each row's component starts in the (2, n_s) table of DOFs
+    shift = np.empty(vdofs.size, np.int64)
+    shift[vdofs] = np.arange(2)[:, None] * scalar.size
+    lengths = np.diff(a_s.indptr)[rows]
+    indptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    at = np.repeat(a_s.indptr[rows] - indptr[:-1], lengths)
+    at += np.arange(indptr[-1])
+    cols, data = a_s.indices[at], a_s.data[at]
+    del at, a_s
+    cols += np.repeat(shift, lengths)
+    cols = vdofs.transpose(1, 0, 2).ravel()[cols]
+    return CsrMatrix(indptr, cols, data, (len(rows), len(rows))), kappa_range
 
 
 def _boundary_data(disc, g):
@@ -344,8 +342,10 @@ class SaddleSystem:
     """Assembled sparse blocks plus the zero-mean pressure constraint.
 
     ``m`` also holds the pressure coefficients of the constant function 1
-    (see :func:`assemble_mean_constraint`), and ``centroids`` the cell
-    centroids, which the solver's ordering dissects.
+    (see :func:`assemble_mean_constraint`), ``centroids`` the cell
+    centroids, which the solver's ordering dissects, and
+    ``kappa_inv_range`` the (min, max) of kappa^{-1} at the cell quadrature
+    points, where :func:`assemble_a` checked it.
     """
 
     A: CsrMatrix
@@ -355,6 +355,7 @@ class SaddleSystem:
     F: np.ndarray
     G: np.ndarray
     centroids: np.ndarray
+    kappa_inv_range: tuple
     n_cells: int = field(init=False)
     n_u: int = field(init=False)
     n_p: int = field(init=False)
@@ -367,10 +368,11 @@ class SaddleSystem:
 
 def assemble_system(disc, problem):
     """Assemble all blocks of the discrete Brinkman saddle system."""
-    A = assemble_a(disc, problem)
+    A, kappa_range = _velocity_block(disc, problem)
     B = assemble_b(disc)
     S = assemble_s(disc)
     F, G = assemble_rhs(disc, problem)
     m = assemble_mean_constraint(disc)
     return SaddleSystem(A=A, B=B, S=S, m=m, F=F, G=G,
-                        centroids=disc.mesh.cells.centroid)
+                        centroids=disc.mesh.cells.centroid,
+                        kappa_inv_range=kappa_range)

@@ -172,7 +172,8 @@ def cmd_solve(args):
     write_lattice_csv(outdir / "solution_grid.csv", disc, solution.u,
                       solution.p, resolution=args.resolution)
     write_summary(outdir / "summary.json", disc, solution, fields,
-                  extra={"mesh": args.mesh, "k": args.k, "mu": args.mu})
+                  extra={"mesh": args.mesh, "k": args.k, "mu": args.mu,
+                         "kappa_inv_range": list(system.kappa_inv_range)})
     print(f"solved {mesh.n_cells} cells, residual {solution.residual:.2e}")
     print(f"wrote {outdir / 'solution.vtk'}, {outdir / 'solution_grid.csv'}, "
           f"{outdir / 'summary.json'}")

@@ -613,20 +613,18 @@ class Discretization:
         return self._values(coef, edges=False)
 
     def cell_mass(self, values, d):
-        """Per class (nc, ..., d, d): each cell's sum over its points of
-        weight times value (``values`` (n_points, ...) at ``cell_points``)
-        times phi_a phi_b, for its leading d <= dim_k basis functions."""
-        values = np.asarray(values, dtype=float)
+        """Per class (nc, d, d): each cell's sum over its points of weight
+        times value (``values`` (n_points,) at ``cell_points``) times
+        phi_a phi_b, for its leading d <= dim_k basis functions."""
+        wv = self.cell_weights * np.asarray(values, dtype=float)
         out = []
         for cls in self.classes:
-            nc = len(cls.cells)
-            v = values[cls.start:cls.stop].reshape(nc, cls.q, -1)
-            wv = (cls.weights[..., None] * v).transpose(0, 2, 1)[:, :, None]
-            mass = np.empty((nc, wv.shape[1], d, d))
+            v = wv[cls.start:cls.stop].reshape(-1, 1, cls.q)
+            mass = np.empty((len(v), d, d))
             for keys, rows in cls.batches:
-                phi = cls.phi[keys, None, :d]
-                mass[rows] = (phi * wv[rows]) @ phi.transpose(0, 1, 3, 2)
-            out.append(mass.reshape((nc,) + values.shape[1:] + (d, d)))
+                phi = cls.phi[keys, :d]
+                mass[rows] = (phi * v[rows]) @ phi.transpose(0, 2, 1)
+            out.append(mass)
         return out
 
     def edge_values(self, coef):

@@ -255,10 +255,9 @@ def symmetry_defect(system):
 
 
 def validate_kappa(problem, points):
-    """Sample a problem's kappa^{-1}: finite and positive (scalar) or SPD
-    (tensor); returns the sampled eigenvalue range (lambda_min,
-    lambda_max)."""
-    return _kappa_range(*problem.kappa_inv_at(points), points)
+    """Sample a problem's kappa^{-1}, finite and positive; returns the
+    sampled range (min, max)."""
+    return _kappa_range(problem.kappa_inv_at(points), points)
 
 
 class CellTables:

@@ -169,29 +169,6 @@ def test_a_cauchy_schwarz_boundedness(rng):
         assert lhs <= rhs * (1.0 + 1e-10)
 
 
-def test_tensor_kappa_mass_couples_components(rng):
-    def kappa_inv(pts):
-        out = np.empty((len(pts), 2, 2))
-        out[:, 0, 0] = 2.0
-        out[:, 1, 1] = 3.0
-        out[:, 0, 1] = out[:, 1, 0] = 0.5
-        return out
-
-    def zero(pts):
-        return np.zeros((len(pts), 2))
-
-    problem = BrinkmanProblem(mu=1.0, kappa_inv=kappa_inv, f=zero, g=zero)
-    lam_min, lam_max = validate_kappa(problem, rng.random((1000, 2)))
-    assert lam_min > 0 and lam_max < 4.0
-    mesh = generate_uniform_rectangular(2)
-    disc = Discretization(mesh, 1)
-    A = to_scipy(assemble_a(disc, problem))
-    # cross-component block must be present and the matrix SPD
-    cross = A[disc.velocity_dofs[0, 0]][:, disc.velocity_dofs[0, 1]].toarray()
-    assert np.abs(cross).max() > 0
-    assert np.linalg.eigvalsh(A.toarray()).min() > 0
-
-
 def test_b_annihilates_global_constant_pressure():
     mesh = generate_uniform_triangular(3)
     disc = Discretization(mesh, 1)
@@ -488,19 +465,17 @@ def test_assembly_rejects_bad_kappa_naming_cell(kappa0):
         assemble_system(disc, unit_problem(kappa0=kappa0))
 
 
-def test_assembly_rejects_indefinite_kappa_tensor():
+def test_assembly_rejects_tensor_kappa():
+    # kappa^{-1} is a scalar field; (n, 2, 2) values name the shape expected
     def kappa_inv(pts):
-        out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = np.where(pts[:, 0] > 0.5, -1.0, 1.0)
-        return out
+        return np.broadcast_to(np.eye(2), (len(pts), 2, 2))
 
-    def zero(pts):
-        return np.zeros((len(pts), 2))
-
-    problem = BrinkmanProblem(mu=1.0, kappa_inv=kappa_inv, f=zero, g=zero)
+    zero = unit_problem()
+    problem = BrinkmanProblem(mu=1.0, kappa_inv=kappa_inv, f=zero.f, g=zero.g)
     disc = Discretization(generate_uniform_rectangular(2), 1)
-    with pytest.raises(ValueError, match="not positive definite in cell 1"):
+    n = len(disc.cell_points)
+    with pytest.raises(ValueError, match=rf"shape \({n},\); got shape "
+                       rf"\({n}, 2, 2\)"):
         assemble_system(disc, problem)
 
 
@@ -563,6 +538,13 @@ def test_assembly_invariants_on_perturbed_meshes(family, n, k, seed,
         assert np.array_equal(getattr(a, name), getattr(b, name))
     A = to_scipy(a.A)
     assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
+    # A = I_2 (x) A_s: equal component blocks, no coupling between them
+    x, y = (discs[0].velocity_dofs[:, comp].ravel() for comp in (0, 1))
+    xx, yy = A[x][:, x], A[y][:, y]
+    assert np.array_equal(xx.indptr, yy.indptr)
+    assert np.array_equal(xx.indices, yy.indices)
+    assert np.array_equal(xx.data, yy.data)
+    assert A[x][:, y].nnz == 0 and A[y][:, x].nnz == 0
     disc = discs[0]
     sol = solve(a)
     assert norm_l2_velocity(disc, sol.u - project_velocity(disc, problem.u)) \

@@ -18,7 +18,7 @@ from cdgbrinkman.export import write_lattice_csv, write_vtk
 from cdgbrinkman.mesh import (Mesh, generate_polygonal,
                               generate_uniform_rectangular,
                               generate_uniform_triangular, save_mesh)
-from cdgbrinkman.problems import sample_raster_path
+from cdgbrinkman.problems import load_kappa_raster, sample_raster_path
 from cdgbrinkman.solver import DELTA
 from cdgbrinkman.weakgrad import Discretization
 from conftest import (NOTCH_ON_CENTROID, notched_square,
@@ -90,6 +90,10 @@ def test_solve_produces_three_valid_files(tmp_path):
     assert solver["refinement_residuals"][-1] == summary["residual"]
     assert (solver["inner_iterations"]
             == [1] * (len(solver["refinement_residuals"]) - 1))
+    # the range of kappa^{-1} over the cell quadrature points, as checked
+    kv = load_kappa_raster(raster)(
+        Discretization(generate_uniform_rectangular(16), 1).cell_points)
+    assert summary["kappa_inv_range"] == [kv.min(), kv.max()]
 
 
 def test_summary_reports_gram_condition(tmp_path):
