@@ -16,8 +16,7 @@ with the BLAS thread count.
 fingerprint another checkout.  ``--against`` prints, per array,
 "identical" or the largest relative difference the two records show, and
 names, as skipped, the arrays that only one of them holds (an older
-checkout lacks some); it exits 1 when any array differs.  ``--case NAME``
-(repeatable) runs the named cases only.
+checkout lacks some); it exits 1 when any array differs.
 """
 
 import argparse
@@ -72,18 +71,13 @@ def load(src=SRC):
 
 
 def blas_threads():
-    """The thread count of the OpenBLAS that numpy loaded, else the
+    """The thread count of the OpenBLAS that numpy bundles, else the
     ``OPENBLAS_NUM_THREADS`` setting (None when unset)."""
     libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for lib in glob.glob(str(libs / "lib*openblas*")):
-        handle = ctypes.CDLL(lib)
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            if hasattr(handle, name):
-                get = getattr(handle, name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                return get()
+    for lib in glob.glob(str(libs / "libscipy_openblas*")):
+        get = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
     return os.environ.get("OPENBLAS_NUM_THREADS")
 
 
@@ -208,10 +202,10 @@ def difference(new, old):
     if new.get("shape") != old.get("shape"):
         return f"shape {old.get('shape')} -> {new.get('shape')}"
     if "values" in new and "values" in old:
-        a, b = np.asarray(new["values"], float), np.asarray(old["values"],
-                                                            float)
-        scale = np.maximum(np.abs(b), np.finfo(float).tiny)
-        return f"largest relative difference {np.max(np.abs(a - b) / scale):.3g}"
+        a, b = (np.asarray(r["values"], float) for r in (new, old))
+        rel = np.max(np.abs(a - b) / np.maximum(np.abs(b),
+                                                np.finfo(float).tiny))
+        return f"largest relative difference {rel:.3g}"
     if "norm" in new and "norm" in old:
         rel = abs(new["norm"] - old["norm"]) / max(abs(old["norm"]),
                                                    np.finfo(float).tiny)
@@ -252,10 +246,8 @@ def main(argv=None):
     ap.add_argument("--against", help="an earlier record to compare with")
     ap.add_argument("--src", default=SRC,
                     help="the src/ directory to import the package from")
-    ap.add_argument("--case", action="append", choices=[*CASES, *CLI_CASES],
-                    help="run this case only (repeatable)")
     args = ap.parse_args(argv)
-    rec = fingerprint(load(args.src), args.case)
+    rec = fingerprint(load(args.src))
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(rec, f, indent=1, sort_keys=True)
         f.write("\n")
