@@ -82,9 +82,30 @@ relative residual of K, up to MAX_SWEEPS, and keep the iterate with the
 smallest; a single GMRES run instead left p at rect n=16, k=3, a=1e4 at
 best 5e-12 from an extended-precision reference, the sweeps 1.1e-12.  The
 rules depend on the values alone, so a re-run is bit-identical.
+
+A solve runs numpy's OpenBLAS on one thread from its first line, and sets
+the caller's thread count back on return and on error.  After a threaded
+call, OpenBLAS's worker threads spin, waiting for the next one, for about
+0.12 s, and the fronts of most factors are too small to gain from them: on
+a 2-CPU host, fronts under about 3e7 flops ran 10-28 % slower at two
+threads than at one, and only those over about 1e8 flops gained, by
+12-17 %.  So a solve takes more threads only where the symbolic phase
+counts at least _THREADED_FLOPS flops in the whole factor: then the factor
+and the refinement run at the caller's count.  Switching per front instead
+restarted the spin at every large front.  The count is OpenBLAS's own,
+process-global, so BLAS calls of other Python threads run at the solve's
+count meanwhile, and solves that overlap in several threads share it: the
+first to start reads the caller's count, the last to finish restores it.
+Where numpy's OpenBLAS is not found, nothing is changed.  Below the gate
+the result does not depend on the caller's count.
 """
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -101,6 +122,13 @@ MAX_INNER = 30
 LEAF_CELLS = 16
 # the order up to which _inv_chol takes numpy's cholesky and inv
 _INV_BLOCK = 64
+# the least factor flop count at which the factor and the refinement run at
+# the caller's BLAS thread count; every other solve runs on one thread.  On
+# a 2-CPU host no factor of 1.21 GFLOP or less (rect n=32, k=1: 0.76; tri
+# n=32, k=1: 1.08; poly n=16, k=2: 1.21) solved faster at two threads than
+# at one, while rect n=16, k=3, a=1e4 (3.58), tri n=64, k=1 (9.8) and rect
+# n=24, k=3 (13.2) solved up to about 10 % faster
+_THREADED_FLOPS = 2e9
 
 
 class SolverError(Exception):
@@ -127,8 +155,10 @@ class Solution:
     ``max_front`` (the order of the largest front), ``factor_flops``,
     ``refinement_residuals`` (the relative residual of K at each iterate,
     then the constrained system's final one, ``residual``),
-    ``inner_iterations`` (the GMRES steps that made each iterate) and
-    ``pressure_mean``.
+    ``inner_iterations`` (the GMRES steps that made each iterate),
+    ``blas_threads`` (the OpenBLAS thread count of the factor and the
+    refinement: 1, the caller's count, or None where numpy's OpenBLAS was
+    not found) and ``pressure_mean``.
     """
 
     u: np.ndarray
@@ -291,6 +321,55 @@ def _available_bytes():
     return None
 
 
+class _OpenBLAS:
+    """numpy's OpenBLAS at ``path``, with its thread count's getter and
+    setter.  The count is process-global, so the solves that run at once in
+    several Python threads share it: the first to start finds the caller's
+    count and the last to finish restores it."""
+
+    def __init__(self, path, get, put):
+        self.path, self.get, self.set = path, get, put
+        self._lock = threading.Lock()
+        self._solves = 0
+        self._caller = None
+
+    @contextlib.contextmanager
+    def one_thread(self):
+        """One thread while the block runs; yields the caller's count."""
+        with self._lock:
+            if not self._solves:
+                self._caller = self.get()
+                self.set(1)
+            self._solves += 1
+            caller = self._caller
+        try:
+            yield caller
+        finally:
+            with self._lock:
+                self._solves -= 1
+                if not self._solves:
+                    self.set(self._caller)
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy bundles, or None where it bundles none
+    (another BLAS, another OS).  scipy bundles an OpenBLAS of its own,
+    under its own directory."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return _OpenBLAS(path, get, put)
+    return None
+
+
 def _inv_chol(H):
     """L^{-1} for H = L L^T, from H's lower triangle by halves: L21 =
     H21 L11^{-T}, and L22^{-1} from H22 - L21 L21^T = L22 L22^T."""
@@ -420,15 +499,17 @@ def _by_front(tree, rows, cols, vals):
     return rows[order], cols[order], vals[order], cut
 
 
-def _factor_shifted(system, stats):
+def _factor_shifted(system, stats, threads):
     """Float32 factor of the scaled, shifted K.
 
     Returns ``apply(r)``, which maps a float64 residual r of K to the
     float64 correction D (D K D - E)^{-1} D r, with D the Jacobi scaling and
-    E the pressure shift, and records the factor's stats.
+    E the pressure shift, and records the factor's stats.  ``threads`` is
+    called with the factor's flop count before any numeric work.
     """
     rows, cols, vals, scale = _scaled_entries(system)
     tree = _analyse(system, rows, cols)
+    threads(tree.flops)
     size = f"{system.n_u + system.n_p} DOFs, {len(vals)} stored entries"
     K = _by_front(tree, rows, cols, vals)
     del rows, cols, vals
@@ -541,20 +622,36 @@ def _refine(system, apply, g, rhs_norm, stats):
 def solve(system, rtol=1e-9):
     """Solve the constrained saddle system to a relative residual <= rtol.
 
+    numpy's OpenBLAS runs on one thread, except that a factor of at least
+    _THREADED_FLOPS flops and the refinement after it run at the caller's
+    thread count; the caller's count is restored on return and on error.
+
     Raises SingularSystemError, with the stats gathered so far, on a zero
     pivot or a final residual above rtol, and SolverError, naming the DOF
     count and K's stored entries, when the factor will not fit in the
     available memory or runs out of it.
     """
-    m, G = system.m, system.G
-    stats = {"ordering": "cell-nested-dissection", "regularization": DELTA}
-    lam = float(m @ G) / float(m @ m)
-    g = G - lam * m
-    # the residuals are relative, or absolute for a zero right-hand side
-    rhs_norm = float(np.hypot(np.linalg.norm(system.F),
-                              np.linalg.norm(G))) or 1.0
-    apply = _factor_shifted(system, stats)
-    u, p, res = _refine(system, apply, g, rhs_norm, stats)
+    blas = _openblas()
+    stats = {"ordering": "cell-nested-dissection", "regularization": DELTA,
+             "blas_threads": None if blas is None else 1}
+    scope = contextlib.nullcontext() if blas is None else blas.one_thread()
+    with scope as caller:
+
+        def threads(flops):
+            if caller is not None and flops >= _THREADED_FLOPS:
+                stats["blas_threads"] = caller
+                blas.set(caller)
+
+        apply = _factor_shifted(system, stats, threads)
+        # after the factor: over the gate these reductions then run at the
+        # caller's count too, like every BLAS call of the numeric phase
+        m, G = system.m, system.G
+        lam = float(m @ G) / float(m @ m)
+        g = G - lam * m
+        # the residuals are relative, or absolute for a zero right-hand side
+        rhs_norm = float(np.hypot(np.linalg.norm(system.F),
+                                  np.linalg.norm(G))) or 1.0
+        u, p, res = _refine(system, apply, g, rhs_norm, stats)
     if not res <= rtol:
         raise SingularSystemError(
             f"direct solve residual {res:.3e} exceeds {rtol:.1e}", stats)

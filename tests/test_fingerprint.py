@@ -3,6 +3,8 @@ import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 
 
@@ -34,3 +36,29 @@ def test_fingerprint_runs_agree_and_compare_names_changes():
     text = out.getvalue()
     assert "tri8-k1 norms: largest relative difference 1e-09" in text
     assert "tri8-k1 nbr_m: skipped, only in the new record" in text
+
+
+def test_record_keeps_entry_statistics_and_compare_reports_the_largest():
+    tool = load_tool()
+    a, b = np.array([3.0, -4.0]), np.array([[1, -2], [0, 0]])
+    rec = tool.record(a, b)
+    assert rec["norm"] == np.sqrt(30.0)
+    assert rec["max_abs"] == 4.0
+    assert rec["sum_abs"] == 10.0
+    assert tool.record(np.zeros(0))["max_abs"] == 0.0
+    # a large array keeps no values: its move is read off the statistics,
+    # and the largest of the three is named
+    x = np.linspace(-1.0, 2.0, 2 * tool.SMALL)
+    y = x.copy()
+    y[-1] *= 1.0 + 1e-6
+    old, new = tool.record(x), tool.record(y)
+    assert "values" not in new
+    moves = {name: abs(new[name] - old[name]) / abs(old[name])
+             for name in tool.STATS}
+    assert max(moves, key=moves.get) == "max_abs"
+    assert tool.difference(new, old) == (
+        f"differs; largest relative move {moves['max_abs']:.3g} (max_abs)")
+    # a record without the newer statistics compares by its norm alone
+    older = {k: v for k, v in old.items() if k not in ("max_abs", "sum_abs")}
+    assert tool.difference(new, older) == (
+        f"differs; largest relative move {moves['norm']:.3g} (norm)")

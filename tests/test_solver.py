@@ -1,4 +1,10 @@
+import ctypes
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdgbrinkman.analysis import project_pressure
 from cdgbrinkman.assembly import assemble_system
-from cdgbrinkman.mesh import (generate_uniform_rectangular,
+from cdgbrinkman.mesh import (generate_polygonal,
+                              generate_uniform_rectangular,
                               generate_uniform_triangular)
 from cdgbrinkman.problems import example1
 from cdgbrinkman import solver
@@ -471,3 +478,189 @@ def test_cli_factor_too_large_exit_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: factoring K (")
     assert err.endswith("GB is available\n")
+
+
+def _numpy_openblas():
+    """The thread count's getter and setter of the OpenBLAS that numpy
+    bundles, found apart from the solver's lookup; None where there is
+    none."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS thread count (get, set), restored after the test."""
+    found = _numpy_openblas()
+    if found is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, put = found
+    before = get()
+    yield get, put
+    put(before)
+
+
+def _caller(put, threads):
+    """Set the caller's BLAS thread count, skipping where the host has
+    fewer CPUs."""
+    if threads > (os.cpu_count() or 1):
+        pytest.skip(f"fewer than {threads} CPUs")
+    put(threads)
+
+
+def _threads_seen(monkeypatch, get):
+    """The BLAS thread counts that the factor and the refinement start at,
+    as a list that each solve appends to."""
+    seen = []
+    for name in ("_factor", "_refine"):
+        def spy(*args, _run=getattr(solver, name), _name=name):
+            seen.append((_name, get()))
+            return _run(*args)
+        monkeypatch.setattr(solver, name, spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def poly_setup():
+    # the oracle-poly-k2 bench input (1.21 GFLOP, under the gate), whose
+    # largest fronts ran threaded at two threads and moved u and p
+    disc = Discretization(generate_polygonal(16), 2)
+    return assemble_system(disc, example1(mu=1.0, a=1.0))
+
+
+def test_one_blas_thread_below_the_gate(small_setup, blas, monkeypatch):
+    # a solve under _THREADED_FLOPS factors and refines on one thread and
+    # gives the caller's count back
+    get, put = blas
+    _, _, system = small_setup
+    _caller(put, 2)
+    seen = _threads_seen(monkeypatch, get)
+    sol = solve(system)
+    assert sol.stats["factor_flops"] < solver._THREADED_FLOPS
+    assert seen == [("_factor", 1), ("_refine", 1)]
+    assert sol.stats["blas_threads"] == 1
+    assert get() == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_callers_blas_threads_above_the_gate(small_setup, blas, monkeypatch,
+                                             threads):
+    get, put = blas
+    _, _, system = small_setup
+    _caller(put, threads)
+    monkeypatch.setattr(solver, "_THREADED_FLOPS", 0)
+    seen = _threads_seen(monkeypatch, get)
+    sol = solve(system)
+    assert seen == [("_factor", threads), ("_refine", threads)]
+    assert sol.stats["blas_threads"] == threads
+    assert get() == threads
+
+
+@pytest.mark.parametrize("failure", ["zero pivot", "residual check"])
+def test_blas_threads_restored_when_the_solve_raises(small_setup, blas,
+                                                     monkeypatch, failure):
+    get, put = blas
+    _, _, system = small_setup
+    _caller(put, 2)
+    seen = _threads_seen(monkeypatch, get)
+    with pytest.raises(SingularSystemError) as err:
+        if failure == "zero pivot":
+            solve(_decoupled(system, 5))
+        else:
+            solve(system, rtol=0.0)
+    assert seen[0] == ("_factor", 1)
+    assert err.value.stats["blas_threads"] == 1
+    assert get() == 2
+
+
+def test_overlapping_solves_restore_the_callers_blas_threads(small_setup,
+                                                             blas):
+    # the count is process-global: solves that overlap in more Python
+    # threads than there are CPUs still leave the caller's count behind
+    get, put = blas
+    _, _, system = small_setup
+    _caller(put, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(solve, system) for _ in range(16)]
+            sols = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [s.stats["blas_threads"] for s in sols] == [1] * 16
+    assert all(np.array_equal(s.p, sols[0].p) for s in sols)
+    assert get() == 2
+
+
+def test_solution_independent_of_callers_blas_threads(poly_setup, blas):
+    # below the gate the caller's count does not reach the solve, so its
+    # result is the same at one and at two caller threads
+    get, put = blas
+    sols = []
+    for threads in (1, 2):
+        _caller(put, threads)
+        sols.append(solve(poly_setup))
+        assert get() == threads
+    a, b = sols
+    assert a.stats["factor_flops"] < solver._THREADED_FLOPS
+    assert a.stats["blas_threads"] == b.stats["blas_threads"] == 1
+    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(a.p, b.p)
+
+
+def test_solve_without_numpys_openblas(small_setup, blas, monkeypatch):
+    # another BLAS: the solve runs as it is called, and says so
+    get, put = blas
+    _, _, system = small_setup
+    _caller(put, 2)
+    monkeypatch.setattr(solver, "_openblas", lambda: None)
+    seen = _threads_seen(monkeypatch, get)
+    sol = solve(system)
+    assert sol.residual <= 1e-9
+    assert sol.stats["blas_threads"] is None
+    assert seen == [("_factor", 2), ("_refine", 2)]
+
+
+def test_openblas_lookup_finds_numpys_beside_scipys(blas):
+    # scipy bundles an OpenBLAS of its own, which the solve must not set
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+
+    get, put = blas
+    solver._openblas.cache_clear()
+    try:
+        found = solver._openblas()
+    finally:
+        solver._openblas.cache_clear()
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    assert found.path.parent == libs
+    _caller(put, 2)
+    assert found.get() == 2
+    found.set(1)
+    assert get() == 1
+
+
+def test_import_leaves_blas_threads_unchanged(blas):
+    code = (
+        "import ctypes, pathlib, numpy as np\n"
+        "libs = pathlib.Path(np.__file__).resolve().parents[1] / 'numpy.libs'\n"
+        "lib = ctypes.CDLL(str(next(libs.glob('libscipy_openblas*'))))\n"
+        "get = lib.scipy_openblas_get_num_threads64_\n"
+        "get.argtypes, get.restype = [], ctypes.c_int\n"
+        "before = get()\n"
+        "import cdgbrinkman, cdgbrinkman.cli\n"
+        "print(before, get())")
+    src = str(Path(solver.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    before, after = out.stdout.split()
+    assert before == after

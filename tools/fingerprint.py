@@ -6,17 +6,20 @@ writes one JSON: for each case and each array (the weak-gradient maps
 ``vel``, ``pre``, ``jump_maps()`` and ``nbr_m``, the six flat half-edge
 arrays, the blocks A/B/S/F/G/m, the solution u, p, the error norms, the
 error-equation residuals and ``nnz_factor``; the bytes of each CLI output
-file and each ``summary.json`` key) its sha256, shape and norm, together
-with the BLAS thread count.
+file and each ``summary.json`` key) its sha256, shape, norm, largest
+absolute entry and sum of absolute entries, together with the BLAS thread
+count.
 
     python tools/fingerprint.py --src ../old/src --out old.json
     python tools/fingerprint.py --out new.json --against old.json
 
 ``--src`` names the ``src/`` directory to import the package from, to
 fingerprint another checkout.  ``--against`` prints, per array,
-"identical" or the largest relative difference the two records show, and
-names, as skipped, the arrays that only one of them holds (an older
-checkout lacks some); it exits 1 when any array differs.
+"identical" or the largest relative difference the two records show (of
+the values of a small array, else the largest relative move of its norm,
+largest |x| and sum of |x|), and names, as skipped, the arrays that only
+one of them holds (an older checkout lacks some); it exits 1 when any
+array differs.
 """
 
 import argparse
@@ -81,19 +84,28 @@ def blas_threads():
     return os.environ.get("OPENBLAS_NUM_THREADS")
 
 
+# the statistics of an array's entries that a record keeps beside its hash
+STATS = ("norm", "max_abs", "sum_abs")
+
+
 def record(*arrays):
-    """sha256 (of dtype, shape and bytes), shapes and norm of one or more
-    arrays taken together; their values too when there are few."""
+    """sha256 (of dtype, shape and bytes), shapes, norm, largest |x| and
+    sum of |x| of one or more arrays taken together; their values too when
+    there are few."""
     arrays = [np.ascontiguousarray(a) for a in arrays]
     sha = hashlib.sha256()
     for a in arrays:
         sha.update(f"{a.dtype.str}{a.shape}".encode())
         sha.update(a.tobytes())
     shape = [list(a.shape) for a in arrays]
+    absolute = [np.abs(a, dtype=float) for a in arrays]
     rec = {"sha256": sha.hexdigest(),
            "shape": shape[0] if len(shape) == 1 else shape,
-           "norm": math.sqrt(sum(float(np.square(a, dtype=float).sum())
-                                 for a in arrays))}
+           "norm": math.sqrt(sum(float(np.square(a).sum())
+                                 for a in absolute)),
+           "max_abs": max((float(a.max()) for a in absolute if a.size),
+                          default=0.0),
+           "sum_abs": sum(float(a.sum()) for a in absolute)}
     if sum(a.size for a in arrays) <= SMALL:
         rec["values"] = np.concatenate([a.ravel() for a in arrays]).tolist()
     return rec
@@ -206,10 +218,12 @@ def difference(new, old):
         rel = np.max(np.abs(a - b) / np.maximum(np.abs(b),
                                                 np.finfo(float).tiny))
         return f"largest relative difference {rel:.3g}"
-    if "norm" in new and "norm" in old:
-        rel = abs(new["norm"] - old["norm"]) / max(abs(old["norm"]),
-                                                   np.finfo(float).tiny)
-        return f"differs; norm relative difference {rel:.3g}"
+    moves = {name: abs(new[name] - old[name]) / max(abs(old[name]),
+                                                    np.finfo(float).tiny)
+             for name in STATS if name in new and name in old}
+    if moves:
+        name = max(moves, key=moves.get)
+        return f"differs; largest relative move {moves[name]:.3g} ({name})"
     if "value" in new and "value" in old:
         return f"differs: {old['value']} -> {new['value']}"
     return "differs"
