@@ -127,7 +127,7 @@ _INV_BLOCK = 64
 # a 2-CPU host no factor of 1.21 GFLOP or less (rect n=32, k=1: 0.76; tri
 # n=32, k=1: 1.08; poly n=16, k=2: 1.21) solved faster at two threads than
 # at one, while rect n=16, k=3, a=1e4 (3.58), tri n=64, k=1 (9.8) and rect
-# n=24, k=3 (13.2) solved up to about 10 % faster
+# n=24, k=3 (13.2) solved 6-16 % faster (medians of 5, alternating)
 _THREADED_FLOPS = 2e9
 
 
