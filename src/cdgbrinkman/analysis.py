@@ -16,6 +16,7 @@ from typing import List
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .assembly import assemble_system
 from .solver import solve
 
@@ -44,11 +45,13 @@ def _sample(disc, fn):
     return np.asarray(fn(disc.cell_points), dtype=float)
 
 
+@one_blas_thread
 def project_velocity(disc, u_exact):
     """Projection onto the piecewise [P_k]^2 space, as a global DOF vector."""
     return disc.cell_moments(_sample(disc, u_exact), disc.dim_k).ravel()
 
 
+@one_blas_thread
 def project_pressure(disc, p_exact):
     """Projection onto the piecewise P_{k-1} space."""
     return disc.cell_moments(_sample(disc, p_exact), disc.dim_p).ravel()
@@ -58,6 +61,7 @@ def project_pressure(disc, p_exact):
 # discrete norms
 # ---------------------------------------------------------------------------
 
+@one_blas_thread
 def norm_triple_bar(disc, problem, u):
     """Velocity energy norm: sqrt(mu ||grad_w v||^2 + mu ||kinv^{1/2} v||^2).
 
@@ -71,11 +75,13 @@ def norm_triple_bar(disc, problem, u):
     return math.sqrt(max(problem.mu * total, 0.0))
 
 
+@one_blas_thread
 def norm_l2_velocity(disc, u):
     """L2 norm of a velocity: in orthonormal bases, that of its coefficients."""
     return float(np.linalg.norm(u))
 
 
+@one_blas_thread
 def norm_l2_pressure(disc, p):
     """L2 norm of a pressure, the norm of its coefficients (as above)."""
     return float(np.linalg.norm(p))
@@ -92,11 +98,13 @@ def _pressure_jump_sq(disc, p, inverse_weight=False):
     return float((fac * disc.edge_weights[take] * diff ** 2).sum())
 
 
+@one_blas_thread
 def norm_pressure_jump(disc, p):
     """||q||_h: sqrt(sum_e h ||[[q]]||_e^2), same edge set as the stabilizer."""
     return math.sqrt(max(_pressure_jump_sq(disc, p), 0.0))
 
 
+@one_blas_thread
 def norm_triple_bar_1(disc, problem, p):
     """Pressure energy norm:
     sqrt(||kappa^{1/2} grad_w~ q||^2 + sum h^{-1}||[[q]]||^2)."""
@@ -107,6 +115,7 @@ def norm_triple_bar_1(disc, problem, p):
     return math.sqrt(max(total, 0.0))
 
 
+@one_blas_thread
 def velocity_error_l2(disc, u, u_exact):
     """||u_exact - u_h|| by quadrature (not the projected error)."""
     diff = _sample(disc, u_exact) - disc.cell_values(u[disc.velocity_dofs])
@@ -118,6 +127,7 @@ def velocity_error_l2(disc, u, u_exact):
 # error-equation oracle
 # ---------------------------------------------------------------------------
 
+@one_blas_thread
 def error_equation_residual(disc, problem, system, solution):
     """Residuals of the two exact discrete error identities.
 
@@ -275,6 +285,7 @@ def _as_fraction(h):
     return f"{h:.4g}"
 
 
+@one_blas_thread
 def run_convergence(problem, mesh_factory, k, n_divs, on_level=None):
     """Solve a manufactured problem across refinement levels.
 

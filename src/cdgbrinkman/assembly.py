@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._blas import one_blas_thread
+
 __all__ = [
     "BrinkmanProblem",
     "CsrMatrix",
@@ -216,6 +218,7 @@ class _Coo:
                          self.shape)
 
 
+@one_blas_thread
 def assemble_a(disc, problem):
     """Velocity block A (SPD).
 
@@ -291,12 +294,14 @@ def _pressure_columns(disc, n_rows, rows, maps):
     return acc.tocsr()
 
 
+@one_blas_thread
 def assemble_b(disc):
     """Coupling block B[I, alpha] = (phi_I, grad_w~ psi_alpha)."""
     return _pressure_columns(disc, disc.n_velocity_dofs, disc.velocity_dofs,
                              disc.pre)
 
 
+@one_blas_thread
 def assemble_s(disc):
     """Pressure jump stabilizer S (positive semidefinite).
 
@@ -310,6 +315,7 @@ def assemble_s(disc):
                              disc.pressure_dofs[:, None], disc.jump_maps())
 
 
+@one_blas_thread
 def assemble_rhs(disc, problem):
     """Load vector F (with Dirichlet lifting) and pressure-block vector G.
 
@@ -331,6 +337,7 @@ def assemble_rhs(disc, problem):
     return F, G.ravel()
 
 
+@one_blas_thread
 def assemble_mean_constraint(disc):
     """m_alpha = integral of psi_alpha, also the coefficients of 1."""
     return disc.cell_moments(np.ones(len(disc.cell_points)),
@@ -366,6 +373,7 @@ class SaddleSystem:
         self.n_p = self.S.shape[0]
 
 
+@one_blas_thread
 def assemble_system(disc, problem):
     """Assemble all blocks of the discrete Brinkman saddle system."""
     A, kappa_range = _velocity_block(disc, problem)

@@ -8,6 +8,7 @@ import math
 import sys
 from pathlib import Path
 
+from ._blas import one_blas_thread
 from .analysis import run_convergence
 from .assembly import assemble_system
 from .export import cell_center_fields, write_lattice_csv, write_summary, write_vtk
@@ -195,6 +196,7 @@ def cmd_patchtest(args):
     return 0 if failures == 0 else 1
 
 
+@one_blas_thread
 def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 
+from ._blas import one_blas_thread
+
 __all__ = [
     "write_vtk",
     "write_lattice_csv",
@@ -12,6 +14,7 @@ __all__ = [
 ]
 
 
+@one_blas_thread
 def cell_center_fields(disc, u, p):
     """Per-cell centroid values of p, u1, u2 as arrays of length n_cells."""
     cells = np.arange(disc.mesh.n_cells)
@@ -21,6 +24,7 @@ def cell_center_fields(disc, u, p):
             "u1": vel[:, 0], "u2": vel[:, 1]}
 
 
+@one_blas_thread
 def write_vtk(path, mesh, cell_data):
     """Legacy ASCII VTK unstructured grid with per-cell scalar fields.
 
@@ -95,6 +99,7 @@ def _lattice_cells(mesh, xs, ys):
             cell[at[first]])
 
 
+@one_blas_thread
 def write_lattice_csv(path, disc, u, p, resolution):
     """Sample u1, u2, p on a resolution x resolution lattice of cell-center
     points.
@@ -117,6 +122,7 @@ def write_lattice_csv(path, disc, u, p, resolution):
                                                   pv.tolist()))
 
 
+@one_blas_thread
 def write_summary(path, disc, solution, fields, extra=None):
     """JSON run summary: sizes, residual, solver stats, the Gram condition
     estimates and the ranges of ``fields`` (name -> per-cell values, as
@@ -131,7 +137,8 @@ def write_summary(path, disc, solution, fields, extra=None):
         "gram_condition": {str(j): v
                            for j, v in disc.gram_condition.items()},
         "solver": {key: solution.stats.get(key) for key in (
-            "ordering", "regularization", "nnz_factor", "fronts",
+            "ordering", "regularization", "nnz_factor", "factor_bytes",
+            "fronts",
             "max_front", "factor_flops", "blas_threads",
             "refinement_residuals", "inner_iterations")},
         "ranges": {name: [float(v.min()), float(v.max())]

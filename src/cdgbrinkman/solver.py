@@ -83,31 +83,24 @@ smallest; a single GMRES run instead left p at rect n=16, k=3, a=1e4 at
 best 5e-12 from an extended-precision reference, the sweeps 1.1e-12.  The
 rules depend on the values alone, so a re-run is bit-identical.
 
-A solve runs numpy's OpenBLAS on one thread from its first line, and sets
-the caller's thread count back on return and on error.  After a threaded
-call, OpenBLAS's worker threads spin, waiting for the next one, for about
-0.12 s, and the fronts of most factors are too small to gain from them: on
-a 2-CPU host, fronts under about 3e7 flops ran 10-28 % slower at two
-threads than at one, and only those over about 1e8 flops gained, by
-12-17 %.  So a solve takes more threads only where the symbolic phase
-counts at least _THREADED_FLOPS flops in the whole factor: then the factor
-and the refinement run at the caller's count.  Switching per front instead
-restarted the spin at every large front.  The count is OpenBLAS's own,
-process-global, so BLAS calls of other Python threads run at the solve's
-count meanwhile, and solves that overlap in several threads share it: the
-first to start reads the caller's count, the last to finish restores it.
-Where numpy's OpenBLAS is not found, nothing is changed.  Below the gate
-the result does not depend on the caller's count.
+A solve runs numpy's OpenBLAS on one thread, as every entry point of the
+package does (see ``_blas``), and the fronts of most factors are too small
+to gain from more: on a 2-CPU host, fronts under about 3e7 flops ran
+10-28 % slower at two threads than at one, and only those over about 1e8
+flops gained, by 12-17 %.  So a solve takes more threads only where the
+symbolic phase counts at least _THREADED_FLOPS flops in the whole factor:
+then the factor and the refinement run at the caller's count, and when the
+solve ends, an enclosing scope (``cli.main``, ``run_convergence``) gets one
+thread back.  Switching per front instead restarted OpenBLAS's spinning
+workers at every large front.  Below the gate the result does not depend
+on the caller's count.
 """
 
-import contextlib
-import ctypes
-import functools
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
+
+from ._blas import one_thread
 
 __all__ = ["Solution", "SolverError", "SingularSystemError", "solve"]
 
@@ -151,7 +144,9 @@ class Solution:
     """Velocity/pressure coefficients, multiplier, and solve diagnostics.
 
     ``stats`` holds ``ordering``, ``regularization`` (DELTA),
-    ``nnz_factor`` (stored entries of the float32 factor L), ``fronts``,
+    ``nnz_factor`` (stored entries of the float32 factor L),
+    ``factor_bytes`` (the bytes the factor holds: L^{-1} of each pivot
+    block square, and D Y), ``fronts``,
     ``max_front`` (the order of the largest front), ``factor_flops``,
     ``refinement_residuals`` (the relative residual of K at each iterate,
     then the constrained system's final one, ``residual``),
@@ -321,55 +316,6 @@ def _available_bytes():
     return None
 
 
-class _OpenBLAS:
-    """numpy's OpenBLAS at ``path``, with its thread count's getter and
-    setter.  The count is process-global, so the solves that run at once in
-    several Python threads share it: the first to start finds the caller's
-    count and the last to finish restores it."""
-
-    def __init__(self, path, get, put):
-        self.path, self.get, self.set = path, get, put
-        self._lock = threading.Lock()
-        self._solves = 0
-        self._caller = None
-
-    @contextlib.contextmanager
-    def one_thread(self):
-        """One thread while the block runs; yields the caller's count."""
-        with self._lock:
-            if not self._solves:
-                self._caller = self.get()
-                self.set(1)
-            self._solves += 1
-            caller = self._caller
-        try:
-            yield caller
-        finally:
-            with self._lock:
-                self._solves -= 1
-                if not self._solves:
-                    self.set(self._caller)
-
-
-@functools.cache
-def _openblas():
-    """The OpenBLAS that numpy bundles, or None where it bundles none
-    (another BLAS, another OS).  scipy bundles an OpenBLAS of its own,
-    under its own directory."""
-    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        lib = ctypes.CDLL(str(path))
-        try:
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return _OpenBLAS(path, get, put)
-    return None
-
-
 def _inv_chol(H):
     """L^{-1} for H = L L^T, from H's lower triangle by halves: L21 =
     H21 L11^{-T}, and L22^{-1} from H22 - L21 L21^T = L22 L22^T."""
@@ -529,7 +475,8 @@ def _factor_shifted(system, stats, threads):
         raise SingularSystemError(
             f"factorization hit a zero pivot in the {exc}", stats) from exc
     del K
-    stats.update(nnz_factor=tree.entries, fronts=len(fronts),
+    stats.update(nnz_factor=tree.entries, factor_bytes=4 * tree.held,
+                 fronts=len(fronts),
                  max_front=tree.max_front, factor_flops=tree.flops)
     perm = tree.perm
 
@@ -624,23 +571,21 @@ def solve(system, rtol=1e-9):
 
     numpy's OpenBLAS runs on one thread, except that a factor of at least
     _THREADED_FLOPS flops and the refinement after it run at the caller's
-    thread count; the caller's count is restored on return and on error.
+    thread count; the count is restored on return and on error (see
+    ``_blas``).
 
     Raises SingularSystemError, with the stats gathered so far, on a zero
     pivot or a final residual above rtol, and SolverError, naming the DOF
     count and K's stored entries, when the factor will not fit in the
     available memory or runs out of it.
     """
-    blas = _openblas()
-    stats = {"ordering": "cell-nested-dissection", "regularization": DELTA,
-             "blas_threads": None if blas is None else 1}
-    scope = contextlib.nullcontext() if blas is None else blas.one_thread()
-    with scope as caller:
+    stats = {"ordering": "cell-nested-dissection", "regularization": DELTA}
+    with one_thread() as callers:
+        stats["blas_threads"] = None if callers is None else 1
 
         def threads(flops):
-            if caller is not None and flops >= _THREADED_FLOPS:
-                stats["blas_threads"] = caller
-                blas.set(caller)
+            if callers is not None and flops >= _THREADED_FLOPS:
+                stats["blas_threads"] = callers()
 
         apply = _factor_shifted(system, stats, threads)
         # after the factor: over the gate these reductions then run at the
@@ -652,8 +597,9 @@ def solve(system, rtol=1e-9):
         rhs_norm = float(np.hypot(np.linalg.norm(system.F),
                                   np.linalg.norm(G))) or 1.0
         u, p, res = _refine(system, apply, g, rhs_norm, stats)
+        mean = float(m @ p)
     if not res <= rtol:
         raise SingularSystemError(
             f"direct solve residual {res:.3e} exceeds {rtol:.1e}", stats)
-    stats["pressure_mean"] = float(m @ p)
+    stats["pressure_mean"] = mean
     return Solution(u=u, p=p, multiplier=lam, residual=res, stats=stats)

@@ -79,6 +79,7 @@ edge terms are gathers.
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .mesh import _first_occurrence
 from .polyspace import (ConditioningError, derivative_matrix, dim_poly,
                         edge_point_count, fan_quadrature, gauss_segments,
@@ -330,9 +331,12 @@ class Discretization:
     Assembly and analysis read the classes through the kernels
     :meth:`cell_moments`, :meth:`cell_values`, :meth:`cell_mass`,
     :meth:`edge_moments`, :meth:`edge_values`, :meth:`apply` and
-    :meth:`apply_transpose`.
+    :meth:`apply_transpose`.  The build runs numpy's OpenBLAS on one thread
+    (see ``_blas``); these kernels and the other methods, called directly,
+    run at the caller's thread count.
     """
 
+    @one_blas_thread
     def __init__(self, mesh, k, cell_exactness_bump=2, edge_exactness_bump=2):
         if k < 1:
             raise ValueError("k must be >= 1")

@@ -1,4 +1,9 @@
-"""Shared helpers: mesh families and analytic polynomial oracles."""
+"""Shared helpers: mesh families, analytic polynomial oracles and numpy's
+OpenBLAS thread count."""
+
+import ctypes
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,3 +122,38 @@ def refinement_stopped_by_rule(history):
     sweeps = history[:-1]
     return (len(sweeps) == MAX_SWEEPS + 1
             or (len(sweeps) >= 2 and not sweeps[-1] < 0.5 * sweeps[-2]))
+
+
+def _numpy_openblas():
+    """The thread count's getter and setter of the OpenBLAS that numpy
+    bundles, found apart from the solver's lookup; None where there is
+    none."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS thread count (get, set), restored after the test."""
+    found = _numpy_openblas()
+    if found is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, put = found
+    before = get()
+    yield get, put
+    put(before)
+
+
+def caller_threads(put, threads):
+    """Set the caller's BLAS thread count, skipping where the host has
+    fewer CPUs."""
+    if threads > (os.cpu_count() or 1):
+        pytest.skip(f"fewer than {threads} CPUs")
+    put(threads)

@@ -1,4 +1,4 @@
-import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -19,11 +19,11 @@ from cdgbrinkman.mesh import (generate_polygonal,
                               generate_uniform_rectangular,
                               generate_uniform_triangular)
 from cdgbrinkman.problems import example1
-from cdgbrinkman import solver
+from cdgbrinkman import _blas, solver
 from cdgbrinkman.cli import main
 from cdgbrinkman.solver import SingularSystemError, SolverError, solve
 from cdgbrinkman.weakgrad import Discretization
-from conftest import MESH_FAMILIES, refinement_stopped_by_rule
+from conftest import MESH_FAMILIES, caller_threads, refinement_stopped_by_rule
 from polyref import from_scipy, system_matrix, system_rhs, to_scipy
 
 
@@ -470,6 +470,35 @@ def test_factor_too_large_fails_before_numeric_work(small_setup, monkeypatch):
     assert solve(system).residual <= 1e-9
 
 
+def _factors_held(monkeypatch):
+    """The tree and the bytes of the held arrays of each factor, as a list
+    that each solve appends to."""
+    held = []
+
+    def spy(K, tree, _run=solver._factor):
+        fronts = _run(K, tree)
+        held.append((tree, sum(inv.nbytes + dy.nbytes
+                               for *_, inv, dy in fronts)))
+        return fronts
+
+    monkeypatch.setattr(solver, "_factor", spy)
+    return held
+
+
+def test_factor_bytes_is_what_the_factor_holds(small_setup, tmp_path,
+                                               monkeypatch):
+    _, _, system = small_setup
+    held = _factors_held(monkeypatch)
+    sol = solve(system)
+    (tree, nbytes), = held
+    assert sol.stats["factor_bytes"] == 4 * tree.held == nbytes
+    assert main(["solve", "--mesh", "rect", "--n", "4", "--resolution", "4",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    tree, nbytes = held[-1]
+    assert summary["solver"]["factor_bytes"] == 4 * tree.held == nbytes
+
+
 def test_cli_factor_too_large_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "_available_bytes", lambda: 1000)
     code = main(["solve", "--mesh", "rect", "--n", "2", "--out",
@@ -478,41 +507,6 @@ def test_cli_factor_too_large_exit_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: factoring K (")
     assert err.endswith("GB is available\n")
-
-
-def _numpy_openblas():
-    """The thread count's getter and setter of the OpenBLAS that numpy
-    bundles, found apart from the solver's lookup; None where there is
-    none."""
-    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for path in libs.glob("libscipy_openblas*"):
-        lib = ctypes.CDLL(str(path))
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-@pytest.fixture
-def blas():
-    """numpy's OpenBLAS thread count (get, set), restored after the test."""
-    found = _numpy_openblas()
-    if found is None:
-        pytest.skip("numpy bundles no OpenBLAS here")
-    get, put = found
-    before = get()
-    yield get, put
-    put(before)
-
-
-def _caller(put, threads):
-    """Set the caller's BLAS thread count, skipping where the host has
-    fewer CPUs."""
-    if threads > (os.cpu_count() or 1):
-        pytest.skip(f"fewer than {threads} CPUs")
-    put(threads)
 
 
 def _threads_seen(monkeypatch, get):
@@ -540,7 +534,7 @@ def test_one_blas_thread_below_the_gate(small_setup, blas, monkeypatch):
     # gives the caller's count back
     get, put = blas
     _, _, system = small_setup
-    _caller(put, 2)
+    caller_threads(put, 2)
     seen = _threads_seen(monkeypatch, get)
     sol = solve(system)
     assert sol.stats["factor_flops"] < solver._THREADED_FLOPS
@@ -554,7 +548,7 @@ def test_callers_blas_threads_above_the_gate(small_setup, blas, monkeypatch,
                                              threads):
     get, put = blas
     _, _, system = small_setup
-    _caller(put, threads)
+    caller_threads(put, threads)
     monkeypatch.setattr(solver, "_THREADED_FLOPS", 0)
     seen = _threads_seen(monkeypatch, get)
     sol = solve(system)
@@ -568,7 +562,7 @@ def test_blas_threads_restored_when_the_solve_raises(small_setup, blas,
                                                      monkeypatch, failure):
     get, put = blas
     _, _, system = small_setup
-    _caller(put, 2)
+    caller_threads(put, 2)
     seen = _threads_seen(monkeypatch, get)
     with pytest.raises(SingularSystemError) as err:
         if failure == "zero pivot":
@@ -586,7 +580,7 @@ def test_overlapping_solves_restore_the_callers_blas_threads(small_setup,
     # threads than there are CPUs still leave the caller's count behind
     get, put = blas
     _, _, system = small_setup
-    _caller(put, 2)
+    caller_threads(put, 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -606,7 +600,7 @@ def test_solution_independent_of_callers_blas_threads(poly_setup, blas):
     get, put = blas
     sols = []
     for threads in (1, 2):
-        _caller(put, threads)
+        caller_threads(put, threads)
         sols.append(solve(poly_setup))
         assert get() == threads
     a, b = sols
@@ -620,8 +614,8 @@ def test_solve_without_numpys_openblas(small_setup, blas, monkeypatch):
     # another BLAS: the solve runs as it is called, and says so
     get, put = blas
     _, _, system = small_setup
-    _caller(put, 2)
-    monkeypatch.setattr(solver, "_openblas", lambda: None)
+    caller_threads(put, 2)
+    monkeypatch.setattr(_blas, "_openblas", lambda: None)
     seen = _threads_seen(monkeypatch, get)
     sol = solve(system)
     assert sol.residual <= 1e-9
@@ -634,14 +628,14 @@ def test_openblas_lookup_finds_numpys_beside_scipys(blas):
     import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
     get, put = blas
-    solver._openblas.cache_clear()
+    _blas._openblas.cache_clear()
     try:
-        found = solver._openblas()
+        found = _blas._openblas()
     finally:
-        solver._openblas.cache_clear()
+        _blas._openblas.cache_clear()
     libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
     assert found.path.parent == libs
-    _caller(put, 2)
+    caller_threads(put, 2)
     assert found.get() == 2
     found.set(1)
     assert get() == 1
