@@ -138,8 +138,7 @@ def write_summary(path, disc, solution, fields, extra=None):
                            for j, v in disc.gram_condition.items()},
         "solver": {key: solution.stats.get(key) for key in (
             "ordering", "regularization", "nnz_factor", "factor_bytes",
-            "fronts",
-            "max_front", "factor_flops", "blas_threads",
+            "fronts", "max_front", "factor_flops", "blas_threads",
             "refinement_residuals", "inner_iterations")},
         "ranges": {name: [float(v.min()), float(v.max())]
                    for name, v in fields.items()},

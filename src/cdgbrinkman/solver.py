@@ -476,8 +476,8 @@ def _factor_shifted(system, stats, threads):
             f"factorization hit a zero pivot in the {exc}", stats) from exc
     del K
     stats.update(nnz_factor=tree.entries, factor_bytes=4 * tree.held,
-                 fronts=len(fronts),
-                 max_front=tree.max_front, factor_flops=tree.flops)
+                 fronts=len(fronts), max_front=tree.max_front,
+                 factor_flops=tree.flops)
     perm = tree.perm
 
     def apply(r):
@@ -597,6 +597,7 @@ def solve(system, rtol=1e-9):
         rhs_norm = float(np.hypot(np.linalg.norm(system.F),
                                   np.linalg.norm(G))) or 1.0
         u, p, res = _refine(system, apply, g, rhs_norm, stats)
+        # in the scope too: a long dot product can run threaded
         mean = float(m @ p)
     if not res <= rtol:
         raise SingularSystemError(
